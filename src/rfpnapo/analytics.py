@@ -18,7 +18,7 @@ from .errors import ConfigurationError, ShapeError
 from .numerics import MlpSpec, ParamVector
 from .pnapo import score
 from .prefdata import PreferenceRecord, RewardSpec, reward_eval
-from .rectflow import SamplerConfig, euler_sample, one_hot
+from .rectflow import SamplerConfig, euler_sample
 
 MAX_STATES = 6
 MAX_HORIZON = 4
@@ -269,14 +269,10 @@ def eval_reward(
     """Sample every condition equally and aggregate analytic rewards."""
     if n_per_condition < 1:
         raise ConfigurationError(f"need n_per_condition >= 1, got {n_per_condition}")
-    rng = np.random.default_rng(seed)
-    rewards = []
-    for k in range(spec.cond_dim):
-        cond = one_hot(k, spec.cond_dim)
-        for _ in range(n_per_condition):
-            noise = rng.standard_normal(spec.data_dim)
-            x0, _ = euler_sample(params, spec, noise, cond, sampler_cfg)
-            rewards.append(reward_eval(rspec, x0, cond))
+    conds = np.repeat(np.eye(spec.cond_dim), n_per_condition, axis=0)
+    noise = np.random.default_rng(seed).standard_normal((conds.shape[0], spec.data_dim))
+    x0 = euler_sample(params, spec, noise, conds, sampler_cfg)
+    rewards = [reward_eval(rspec, x, c) for x, c in zip(x0, conds)]
     return EvalReport(
         model=label,
         mean_reward=float(np.mean(rewards)),
@@ -320,15 +316,14 @@ def win_rate(
     """
     if n_trials < 1:
         raise ConfigurationError(f"need n_trials >= 1, got {n_trials}")
-    rng = np.random.default_rng(seed)
+    conds = np.eye(spec.cond_dim)[np.arange(n_trials) % spec.cond_dim]
+    noise = np.random.default_rng(seed).standard_normal((n_trials, spec.data_dim))
+    xa = euler_sample(params_a, spec, noise, conds, sampler_cfg)
+    xb = euler_sample(params_b, spec, noise, conds, sampler_cfg)
     points = 0.0
     for i in range(n_trials):
-        cond = one_hot(i % spec.cond_dim, spec.cond_dim)
-        noise = rng.standard_normal(spec.data_dim)
-        xa, _ = euler_sample(params_a, spec, noise, cond, sampler_cfg)
-        xb, _ = euler_sample(params_b, spec, noise, cond, sampler_cfg)
-        ra = reward_eval(rspec, xa, cond)
-        rb = reward_eval(rspec, xb, cond)
+        ra = reward_eval(rspec, xa[i], conds[i])
+        rb = reward_eval(rspec, xb[i], conds[i])
         if ra > rb:
             points += 1.0
         elif ra == rb:

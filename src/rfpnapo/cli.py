@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
 
@@ -68,19 +67,6 @@ def _write_manifest(
     write_text(out_path + ".manifest.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("RFPNAPO_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigurationError(f"RFPNAPO_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ConfigurationError(f"RFPNAPO_THREADS must be >= 1, got {n}")
-    return n
-
-
 def cmd_pretrain(args: argparse.Namespace) -> int:
     start = time.monotonic()
     cfg = load_config(args.config)
@@ -120,7 +106,6 @@ def cmd_gen_pairs(args: argparse.Namespace) -> int:
     ref_params, spec = read_checkpoint(args.model)
     rspec = cfg.reward(spec.data_dim, spec.cond_dim)
     ref_hash = sha256_file(args.model)
-    threads = _thread_count()
     dataset = build_dataset(
         ref_params,
         spec,
@@ -129,7 +114,6 @@ def cmd_gen_pairs(args: argparse.Namespace) -> int:
         n_records=args.n,
         base_seed=cfg.get("seed"),
         ref_hash=ref_hash,
-        threads=threads,
     )
     write_dataset(args.out, dataset)
     _write_manifest(
@@ -140,7 +124,7 @@ def cmd_gen_pairs(args: argparse.Namespace) -> int:
         inputs=[args.config, args.model],
         outputs=[args.out],
         wall_time_s=time.monotonic() - start,
-        extras={"ref_hash": ref_hash, "threads": threads},
+        extras={"ref_hash": ref_hash},
     )
     print(f"gen-pairs: {len(dataset)} records from {args.model}, wrote {args.out}")
     return 0

@@ -1,6 +1,7 @@
 """Flat key=value run configuration with a closed key set and typed accessors."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -23,6 +24,13 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected true/false, got {raw!r}")
 
 
+def _parse_finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
+
+
 def _parse_hidden(raw: str) -> tuple[int, ...]:
     if raw.strip() == "":
         return ()
@@ -36,12 +44,12 @@ _KEYS: dict[str, tuple[Callable[[str], object], object]] = {
     "data.dim": (int, 2),
     "data.conditions": (int, 4),
     "data.mixture.modes": (str, ""),
-    "data.mixture.std": (float, 0.4),
+    "data.mixture.std": (_parse_finite_float, 0.4),
     "model.hidden": (_parse_hidden, (32, 32)),
-    "train.lr": (float, None),
+    "train.lr": (_parse_finite_float, None),
     "train.steps": (int, None),
     "train.batch": (int, None),
-    "pnapo.beta": (float, None),
+    "pnapo.beta": (_parse_finite_float, None),
     "pnapo.n1": (int, 1000),
     "pnapo.n2": (int, 2000),
     "pnapo.dynamic": (_parse_bool, True),
@@ -49,9 +57,9 @@ _KEYS: dict[str, tuple[Callable[[str], object], object]] = {
     "sampler.steps": (int, 50),
     "reward.kind": (str, None),
     "reward.params": (str, ""),
-    "corpus.toxicity_threshold": (float, 0.1),
-    "corpus.jaccard_threshold": (float, 0.8),
-    "corpus.cosine_threshold": (float, 0.8),
+    "corpus.toxicity_threshold": (_parse_finite_float, 0.1),
+    "corpus.jaccard_threshold": (_parse_finite_float, 0.8),
+    "corpus.cosine_threshold": (_parse_finite_float, 0.8),
     "corpus.k_clusters": (int, 100),
     "corpus.per_cluster": (int, 200),
     "corpus.kmeans_iters": (int, 50),

@@ -100,25 +100,36 @@ def mlp_init(spec: MlpSpec, seed: int) -> ParamVector:
     return pack_params(weights, biases)
 
 
-def _check_forward_args(spec: MlpSpec, x: np.ndarray, t: float, c: np.ndarray) -> None:
-    if x.shape != (spec.data_dim,):
-        raise ShapeError(f"state has shape {x.shape}, expected ({spec.data_dim},)")
-    if c.shape != (spec.cond_dim,):
-        raise ShapeError(f"condition has shape {c.shape}, expected ({spec.cond_dim},)")
-    if not math.isfinite(t):
-        raise NumericError(f"non-finite time value {t!r}")
-
-
 def mlp_forward(params: ParamVector, spec: MlpSpec, x: np.ndarray, t: float, c: np.ndarray) -> np.ndarray:
-    """Evaluate the velocity network on a single input. Returns shape (data_dim,)."""
+    """Evaluate the velocity network on one input or on a batch of rows.
+
+    Args:
+        x: state, shape (data_dim,) or (B, data_dim).
+        t: time, one scalar shared by every row.
+        c: condition, shape (cond_dim,) or (B, cond_dim), matching x.
+
+    Returns:
+        shape (data_dim,) for a single input, (B, data_dim) for a batch.
+
+    Batch invariance: activations are kept as columns, shape (..., width, 1),
+    so each layer is `np.matmul(w, h)`, which numpy runs as one
+    matrix-vector product per row with the shape and strides of a single-row
+    `w @ h`. A row's output is therefore bit-identical whatever batch it sits
+    in, which is what lets a stored noise replay exactly.
+    """
     x = np.asarray(x, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
-    _check_forward_args(spec, x, t, c)
+    if x.ndim not in (1, 2) or x.shape[-1] != spec.data_dim:
+        raise ShapeError(f"state has shape {x.shape}, expected (B, {spec.data_dim}) or ({spec.data_dim},)")
+    if c.shape != x.shape[:-1] + (spec.cond_dim,):
+        raise ShapeError(f"condition has shape {c.shape}, expected {x.shape[:-1] + (spec.cond_dim,)}")
+    if not math.isfinite(t):
+        raise NumericError(f"non-finite time value {t!r}")
     weights, biases = unpack_params(params, spec)
-    h = np.concatenate([x, c, [float(t)]])
+    h = np.concatenate([x, c, np.full(x.shape[:-1] + (1,), float(t))], axis=-1)[..., None]
     for w, b in zip(weights[:-1], biases[:-1]):
-        h = np.tanh(w @ h + b)
-    return weights[-1] @ h + biases[-1]
+        h = np.tanh(np.matmul(w, h) + b[:, None])
+    return (np.matmul(weights[-1], h) + biases[-1][:, None])[..., 0]
 
 
 def forward_single_cached(

@@ -22,7 +22,6 @@ from .numerics import (
     OptimState,
     ParamVector,
     forward_single_cached,
-    mlp_forward,
     sigmoid,
     softplus,
     vjp_single,
@@ -106,7 +105,7 @@ def _branch_score(
     u = xT - x0
     inp = np.concatenate([xt, cond, [t]])
     v, cache = forward_single_cached(params, spec, inp)
-    v_ref = mlp_forward(ref_params, spec, xt, t, cond)
+    v_ref, _ = forward_single_cached(ref_params, spec, inp)
     res = u - v
     res_ref = u - v_ref
     s = float(res @ res - res_ref @ res_ref)

@@ -8,7 +8,6 @@ sample from (noise, condition, sampler settings) must reproduce it bit for bit.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,31 +122,6 @@ class PreferenceDataset:
         return len(self.records)
 
 
-def generate_pair_rng(
-    ref_params: ParamVector,
-    spec: MlpSpec,
-    cond: np.ndarray,
-    sampler_cfg: SamplerConfig,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Two candidates for one condition. RNG order: noise A, then noise B."""
-    xta = rng.standard_normal(spec.data_dim)
-    xtb = rng.standard_normal(spec.data_dim)
-    xa, _ = euler_sample(ref_params, spec, xta, cond, sampler_cfg)
-    xb, _ = euler_sample(ref_params, spec, xtb, cond, sampler_cfg)
-    return xa, xta, xb, xtb
-
-
-def generate_pair(
-    ref_params: ParamVector,
-    spec: MlpSpec,
-    cond: np.ndarray,
-    sampler_cfg: SamplerConfig,
-    seed: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    return generate_pair_rng(ref_params, spec, cond, sampler_cfg, np.random.default_rng(seed))
-
-
 def label_pair(
     rspec: RewardSpec,
     cond: np.ndarray,
@@ -172,62 +146,56 @@ def build_dataset(
     n_records: int,
     base_seed: int,
     ref_hash: str,
-    threads: int = 1,
 ) -> PreferenceDataset:
     """Generate n_records labeled pairs from the frozen reference model.
 
-    Record i is a pure function of seed base_seed + i (condition draw, then
-    the two noises), so the result is independent of `threads`.
+    Record i draws from default_rng(base_seed + i), in order: the condition,
+    noise A, noise B. All 2 * n_records noises are then sampled in one batch;
+    the sampler is batch-invariant, so record i is a pure function of its seed.
     """
     if n_records < 0:
         raise ConfigurationError(f"record count must be >= 0, got {n_records}")
-    if threads < 1:
-        raise ConfigurationError(f"thread count must be >= 1, got {threads}")
     if rspec.params.shape != (spec.cond_dim, spec.data_dim):
         raise ShapeError(
             f"reward params shape {rspec.params.shape} does not match model "
             f"({spec.cond_dim}, {spec.data_dim})"
         )
-
-    def make_record(i: int) -> PreferenceRecord:
+    conds = np.empty((n_records, spec.cond_dim))
+    noises = np.empty((n_records, 2, spec.data_dim))
+    for i in range(n_records):
         rng = np.random.default_rng(base_seed + i)
-        cond = one_hot(int(rng.integers(spec.cond_dim)), spec.cond_dim)
-        xa, xta, xb, xtb = generate_pair_rng(ref_params, spec, cond, sampler_cfg, rng)
-        return label_pair(rspec, cond, xa, xta, xb, xtb)
-
-    if threads == 1:
-        records = [make_record(i) for i in range(n_records)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(make_record, range(n_records)))
+        conds[i] = one_hot(int(rng.integers(spec.cond_dim)), spec.cond_dim)
+        noises[i] = rng.standard_normal((2, spec.data_dim))
+    samples = euler_sample(
+        ref_params, spec, noises.reshape(-1, spec.data_dim), np.repeat(conds, 2, axis=0), sampler_cfg
+    ).reshape(noises.shape)
+    records = [
+        label_pair(rspec, conds[i], samples[i, 0], noises[i, 0], samples[i, 1], noises[i, 1])
+        for i in range(n_records)
+    ]
     header = DatasetHeader(
         dim=spec.data_dim, cond_dim=spec.cond_dim, steps=sampler_cfg.steps, ref_hash=ref_hash
     )
     return PreferenceDataset(header=header, records=records)
 
 
-def replay_sample(
-    ref_params: ParamVector, spec: MlpSpec, header: DatasetHeader, rec: PreferenceRecord, winner: bool
-) -> np.ndarray:
-    """Re-run the recorded sampler on a stored noise; must match the stored sample."""
-    noise = rec.xTw if winner else rec.xTl
-    x0, _ = euler_sample(ref_params, spec, noise, rec.cond, SamplerConfig(steps=header.steps))
-    return x0
-
-
 def audit_dataset(dataset: PreferenceDataset, ref_params: ParamVector, spec: MlpSpec) -> float:
-    """Replay every stored noise and return the max |stored - replayed| (0.0 = exact)."""
-    worst = 0.0
-    for rec in dataset.records:
-        if rec.delta_r < 0:
-            raise DataError("negative preference gap in dataset")
-        for winner in (True, False):
-            stored = rec.x0w if winner else rec.x0l
-            replayed = replay_sample(ref_params, spec, dataset.header, rec, winner)
-            diff = float(np.max(np.abs(stored - replayed)))
-            if diff > worst:
-                worst = diff
-    return worst
+    """Replay every stored noise in one batch and return the max |stored - replayed|.
+
+    0.0 means every stored sample replays exactly. Any non-finite stored
+    sample or noise makes the deviation infinite, never 0.0.
+    """
+    if not dataset.records:
+        return 0.0
+    if any(rec.delta_r < 0 for rec in dataset.records):
+        raise DataError("negative preference gap in dataset")
+    stored = np.stack([x for rec in dataset.records for x in (rec.x0w, rec.x0l)])
+    noises = np.stack([x for rec in dataset.records for x in (rec.xTw, rec.xTl)])
+    if not (np.all(np.isfinite(stored)) and np.all(np.isfinite(noises))):
+        return math.inf
+    conds = np.repeat(np.stack([rec.cond for rec in dataset.records]), 2, axis=0)
+    replayed = euler_sample(ref_params, spec, noises, conds, SamplerConfig(steps=dataset.header.steps))
+    return float(np.max(np.abs(stored - replayed)))
 
 
 # --- text format --------------------------------------------------------------
@@ -245,9 +213,12 @@ def _parse_vec(field: str, expect: int, line: int) -> np.ndarray:
     if len(tokens) != expect:
         raise ParseError(f"expected {expect} numbers, found {len(tokens)}", line=line)
     try:
-        return np.array([float(tok) for tok in tokens])
+        vec = np.array([float(tok) for tok in tokens])
     except ValueError:
         raise ParseError(f"bad number in field {field!r}", line=line) from None
+    if not np.all(np.isfinite(vec)):
+        raise ParseError(f"non-finite number in field {field!r}", line=line)
+    return vec
 
 
 def write_dataset(path: str, dataset: PreferenceDataset) -> None:
@@ -302,6 +273,9 @@ def read_dataset(path: str) -> PreferenceDataset:
         if len(fields) != 6:
             raise ParseError(f"expected 6 fields, found {len(fields)}", line=lineno)
         cond = _parse_vec(fields[0], header.cond_dim, lineno)
+        # rewards pick the condition by argmax, so anything but one-hot is ambiguous
+        if not (np.all((cond == 0.0) | (cond == 1.0)) and np.sum(cond) == 1.0):
+            raise ParseError(f"condition {fields[0]!r} is not one-hot", line=lineno)
         vecs = [_parse_vec(f, header.dim, lineno) for f in fields[1:5]]
         delta = _parse_vec(fields[5], 1, lineno)[0]
         try:

@@ -132,31 +132,29 @@ def euler_sample(
     xT: np.ndarray,
     cond: np.ndarray,
     cfg: SamplerConfig,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Integrate the learned field from t=1 to t=0 with fixed Euler steps.
 
     Args:
-        xT: prior noise, shape (data_dim,).
-        cond: one-hot condition, shape (cond_dim,).
+        xT: prior noises, shape (B, data_dim); B may be 0.
+        cond: one-hot conditions, shape (B, cond_dim).
 
     Returns:
-        (x0_hat, trajectory) with trajectory of shape (steps + 1, data_dim);
-        trajectory[0] is xT unchanged and trajectory[-1] is x0_hat.
+        the samples x0_hat, shape (B, data_dim). Row i depends only on xT[i]
+        and cond[i]: it is bit-identical to sampling that row alone, so the
+        output never depends on batch size or on how a set of rows is split.
     """
     xT = np.asarray(xT, dtype=np.float64)
-    cond = np.asarray(cond, dtype=np.float64)
+    if xT.ndim != 2:
+        raise ShapeError(f"noise batch has shape {xT.shape}, expected (B, {spec.data_dim})")
     dt = 1.0 / cfg.steps
-    trajectory = np.empty((cfg.steps + 1, spec.data_dim))
-    x = xT.copy()
-    trajectory[0] = x
+    x = xT
     for i in range(cfg.steps):
         t_cur = 1.0 - i * dt
-        v = mlp_forward(params, spec, x, t_cur, cond)
-        x = x - dt * v
+        x = x - dt * mlp_forward(params, spec, x, t_cur, cond)
         if not np.all(np.isfinite(x)):
             raise NumericError(f"sampler diverged at step {i + 1} of {cfg.steps}")
-        trajectory[i + 1] = x
-    return x, trajectory
+    return x
 
 
 def one_hot(k: int, n_conditions: int) -> np.ndarray:

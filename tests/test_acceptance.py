@@ -32,18 +32,8 @@ def _emit(capsys, num: int, name: str, ok: bool, detail: str) -> None:
         print(f"ACCEPTANCE {num:02d} {name}: {'PASS' if ok else 'FAIL'} ({detail})")
 
 
-def _cli(*args: str, env: dict | None = None) -> subprocess.CompletedProcess:
-    import os
-
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
-    return subprocess.run(
-        [sys.executable, "-m", "rfpnapo", *args],
-        capture_output=True,
-        text=True,
-        env=full_env,
-    )
+def _cli(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "rfpnapo", *args], capture_output=True, text=True)
 
 
 def _with_seed(template: str, seed: int) -> str:
@@ -88,7 +78,7 @@ def toy_runs(tmp_path_factory):
 
         t0 = time.monotonic()
         r = _cli("gen-pairs", "--config", str(pre_cfg), "--model", str(ref),
-                 "--n", "5000", "--out", str(pairs), env={"RFPNAPO_THREADS": "4"})
+                 "--n", "5000", "--out", str(pairs))
         stage_times["gen_pairs"] = time.monotonic() - t0
         assert r.returncode == 0, r.stderr
 

@@ -110,27 +110,38 @@ def test_rerun_is_byte_identical(tmp_path, tiny_cfg, capsys):
     assert m1["config"] == m2["config"]
 
 
-def test_thread_count_does_not_change_dataset_bytes(tmp_path, tiny_cfg, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "field, value",
+    [(1, "nan 0.5"), (4, "1 -inf"), (5, "nan"), (0, "0.5 0.5"), (0, "1 1")],
+)
+def test_bad_pair_content_exits_parse_error_with_line(tmp_path, tiny_cfg, capsys, field, value):
+    # non-finite numbers and non-one-hot conditions fail at parse time (exit 5),
+    # not later as a numeric failure or a silently argmax-ed condition
     ref = str(tmp_path / "ref.ckpt")
+    pairs = tmp_path / "pairs.txt"
     assert main(["pretrain", "--config", tiny_cfg, "--out", ref]) == 0
-    p1 = str(tmp_path / "pairs1.txt")
-    p3 = str(tmp_path / "pairs3.txt")
-    monkeypatch.delenv("RFPNAPO_THREADS", raising=False)
-    assert main(["gen-pairs", "--config", tiny_cfg, "--model", ref, "--n", "25", "--out", p1]) == 0
-    monkeypatch.setenv("RFPNAPO_THREADS", "3")
-    assert main(["gen-pairs", "--config", tiny_cfg, "--model", ref, "--n", "25", "--out", p3]) == 0
+    assert main(["gen-pairs", "--config", tiny_cfg, "--model", ref, "--n", "4", "--out", str(pairs)]) == 0
     capsys.readouterr()
-    assert Path(p1).read_bytes() == Path(p3).read_bytes()
+    lines = pairs.read_text().splitlines()
+    fields = lines[3].split(" | ")
+    fields[field] = value
+    lines[3] = " | ".join(fields)
+    pairs.write_text("\n".join(lines) + "\n")
+    rc = main(["align", "--config", tiny_cfg, "--model", ref, "--pairs", str(pairs),
+               "--out", str(tmp_path / "a.ckpt")])
+    assert rc == 5
+    assert "line 4:" in capsys.readouterr().err
+    assert not (tmp_path / "a.ckpt").exists()
 
 
-def test_bad_thread_env_is_config_error(tmp_path, tiny_cfg, capsys, monkeypatch):
-    ref = str(tmp_path / "ref.ckpt")
-    assert main(["pretrain", "--config", tiny_cfg, "--out", ref]) == 0
-    monkeypatch.setenv("RFPNAPO_THREADS", "zero")
-    rc = main(["gen-pairs", "--config", tiny_cfg, "--model", ref, "--n", "2",
-               "--out", str(tmp_path / "p.txt")])
-    assert rc == 2
-    capsys.readouterr()
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_config_float_exits_config_error(tmp_path, capsys, value):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(TINY_CFG.replace("train.lr = 2e-3", f"train.lr = {value}"))
+    lineno = TINY_CFG.splitlines().index("train.lr = 2e-3") + 1
+    assert main(["pretrain", "--config", str(cfg), "--out", str(tmp_path / "x.ckpt")]) == 2
+    assert f"{cfg}:{lineno}: bad value for train.lr" in capsys.readouterr().err
+    assert not (tmp_path / "x.ckpt").exists()
 
 
 def test_dpo_alignment_ignores_stored_noise_fields(tmp_path, tiny_cfg, capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,18 @@ def test_bad_value_rejected(tmp_path):
         load_config(_write(tmp_path, "seed = notanumber\n"))
     with pytest.raises(ConfigurationError):
         load_config(_write(tmp_path, "pnapo.dynamic = yes\n"))
+
+
+@pytest.mark.parametrize(
+    "key",
+    ["data.mixture.std", "train.lr", "pnapo.beta", "corpus.toxicity_threshold",
+     "corpus.jaccard_threshold", "corpus.cosine_threshold"],
+)
+@pytest.mark.parametrize("raw", ["nan", "NaN", "inf", "-inf", "1e999"])
+def test_non_finite_float_rejected_with_position(tmp_path, key, raw):
+    path = _write(tmp_path, f"seed = 1\n\n{key} = {raw}\n")
+    with pytest.raises(ConfigurationError, match=f"{re.escape(path)}:3: bad value for {key}: .*finite"):
+        load_config(path)
 
 
 def test_require_reports_missing_keys(tmp_path):

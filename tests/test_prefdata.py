@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,13 +13,12 @@ from rfpnapo.prefdata import (
     RewardSpec,
     audit_dataset,
     build_dataset,
-    generate_pair,
     label_pair,
     read_dataset,
     reward_eval,
     write_dataset,
 )
-from rfpnapo.rectflow import SamplerConfig, one_hot
+from rfpnapo.rectflow import SamplerConfig, euler_sample, one_hot
 
 
 def test_reward_mode_distance():
@@ -98,15 +99,41 @@ def _tiny_setup():
     return spec, ref, rspec
 
 
+def _record_bytes(ds):
+    return [
+        b"".join(getattr(rec, f).tobytes() for f in ("cond", "x0w", "x0l", "xTw", "xTl"))
+        + np.float64(rec.delta_r).tobytes()
+        for rec in ds.records
+    ]
+
+
 def test_generate_pair_deterministic():
     spec, ref, rspec = _tiny_setup()
     cfg = SamplerConfig(steps=6)
-    a = generate_pair(ref, spec, one_hot(1, 3), cfg, seed=77)
-    b = generate_pair(ref, spec, one_hot(1, 3), cfg, seed=77)
-    for u, v in zip(a, b):
-        assert np.array_equal(u, v)
-    c = generate_pair(ref, spec, one_hot(1, 3), cfg, seed=78)
-    assert not all(np.array_equal(u, v) for u, v in zip(a, c))
+    a = build_dataset(ref, spec, rspec, cfg, n_records=5, base_seed=77, ref_hash="h")
+    b = build_dataset(ref, spec, rspec, cfg, n_records=5, base_seed=77, ref_hash="h")
+    assert _record_bytes(a) == _record_bytes(b)
+    # record i depends on seed base_seed + i only: a shifted range shares records
+    shifted = build_dataset(ref, spec, rspec, cfg, n_records=5, base_seed=78, ref_hash="h")
+    assert _record_bytes(shifted)[:4] == _record_bytes(a)[1:]
+    assert _record_bytes(shifted)[4] not in _record_bytes(a)
+
+
+def test_build_dataset_stores_drawn_noises_bitwise():
+    # documented per-record RNG order: condition, noise A, noise B; each stored
+    # noise is the draw itself and each stored sample is that noise sampled alone
+    spec, ref, rspec = _tiny_setup()
+    cfg = SamplerConfig(steps=7)
+    ds = build_dataset(ref, spec, rspec, cfg, n_records=6, base_seed=33, ref_hash="h")
+    for i, rec in enumerate(ds.records):
+        rng = np.random.default_rng(33 + i)
+        cond = one_hot(int(rng.integers(spec.cond_dim)), spec.cond_dim)
+        draws = [rng.standard_normal(spec.data_dim) for _ in range(2)]
+        assert rec.cond.tobytes() == cond.tobytes()
+        assert sorted([rec.xTw.tobytes(), rec.xTl.tobytes()]) == sorted(d.tobytes() for d in draws)
+        for x0, xT in ((rec.x0w, rec.xTw), (rec.x0l, rec.xTl)):
+            alone = euler_sample(ref, spec, xT[None, :], cond[None, :], cfg)[0]
+            assert x0.tobytes() == alone.tobytes()
 
 
 def test_build_dataset_and_exact_replay():
@@ -119,15 +146,14 @@ def test_build_dataset_and_exact_replay():
     assert audit_dataset(ds, ref, spec) == 0.0
 
 
-def test_build_dataset_thread_count_does_not_change_records():
+@pytest.mark.parametrize("field", ["x0w", "x0l", "xTw", "xTl"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_audit_flags_non_finite_values(field, bad):
     spec, ref, rspec = _tiny_setup()
-    cfg = SamplerConfig(steps=4)
-    one = build_dataset(ref, spec, rspec, cfg, n_records=9, base_seed=31, ref_hash="h", threads=1)
-    three = build_dataset(ref, spec, rspec, cfg, n_records=9, base_seed=31, ref_hash="h", threads=3)
-    for a, b in zip(one.records, three.records):
-        for field in ("cond", "x0w", "x0l", "xTw", "xTl"):
-            assert np.array_equal(getattr(a, field), getattr(b, field))
-        assert a.delta_r == b.delta_r
+    ds = build_dataset(ref, spec, rspec, SamplerConfig(steps=4), n_records=5, base_seed=60, ref_hash="h")
+    assert audit_dataset(ds, ref, spec) == 0.0
+    getattr(ds.records[3], field)[1] = bad
+    assert audit_dataset(ds, ref, spec) == math.inf
 
 
 def test_build_dataset_rejects_mismatched_reward_params():
@@ -184,6 +210,23 @@ def test_read_dataset_error_positions(tmp_path):
     path.write_text(f"{good_header}\n1 0 | 0.5 0.5 | 0.25 0.25 | 1 1 | 1 -1 | -0.5\n")
     with pytest.raises(ParseError, match="line 2"):
         read_dataset(str(path))
+
+    # non-finite numbers in any field
+    for bad_rec in (
+        "1 0 | nan 0.5 | 0.25 0.25 | 1 1 | 1 -1 | 0.125",
+        "1 0 | 0.5 0.5 | 0.25 0.25 | 1 inf | 1 -1 | 0.125",
+        "1 0 | 0.5 0.5 | 0.25 0.25 | 1 1 | 1 -1 | inf",
+        "nan 0 | 0.5 0.5 | 0.25 0.25 | 1 1 | 1 -1 | 0.125",
+    ):
+        path.write_text(f"{good_header}\n{rec}\n{bad_rec}\n")
+        with pytest.raises(ParseError, match="line 3: non-finite"):
+            read_dataset(str(path))
+
+    # a condition that is not one-hot
+    for bad_cond in ("0.5 0.5", "1 1", "0 0", "2 0", "1 -0.5"):
+        path.write_text(f"{good_header}\n{bad_cond} | 0.5 0.5 | 0.25 0.25 | 1 1 | 1 -1 | 0.125\n")
+        with pytest.raises(ParseError, match="line 2: .*not one-hot"):
+            read_dataset(str(path))
 
     # non-numeric field
     path.write_text(f"{good_header}\n1 0 | 0.5 oops | 0.25 0.25 | 1 1 | 1 -1 | 0.125\n")

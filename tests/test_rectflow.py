@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfpnapo.errors import ShapeError
 from rfpnapo.numerics import MlpSpec, loss_value_and_grad, mlp_forward, mlp_init, unpack_params, pack_params
@@ -113,12 +115,10 @@ def test_euler_single_step_recovers_constant_field():
     biases = [np.zeros(s[0]) for s in spec.layer_shapes()]
     biases[-1] = np.array([0.3, -0.7])
     params = pack_params(weights, biases)
-    xT = np.array([1.0, 2.0])
-    x0, traj = euler_sample(params, spec, xT, one_hot(0, 2), SamplerConfig(steps=1))
+    xT = np.array([[1.0, 2.0], [-0.5, 0.25]])
+    x0 = euler_sample(params, spec, xT, np.eye(2), SamplerConfig(steps=1))
+    assert x0.shape == (2, 2)
     assert np.array_equal(x0, xT - biases[-1])
-    assert traj.shape == (2, 2)
-    assert np.array_equal(traj[0], xT)
-    assert np.array_equal(traj[1], x0)
 
 
 def test_euler_many_steps_constant_field_still_exact_to_tolerance():
@@ -127,22 +127,69 @@ def test_euler_many_steps_constant_field_still_exact_to_tolerance():
     biases = [np.zeros(s[0]) for s in spec.layer_shapes()]
     biases[-1] = np.array([0.3, -0.7])
     params = pack_params(weights, biases)
-    xT = np.array([1.0, 2.0])
-    x0, traj = euler_sample(params, spec, xT, one_hot(1, 2), SamplerConfig(steps=50))
+    xT = np.array([[1.0, 2.0]])
+    x0 = euler_sample(params, spec, xT, one_hot(1, 2)[None, :], SamplerConfig(steps=50))
     # constant velocity: every step subtracts b/steps, rounding is the only error
+    assert x0.shape == (1, 2)
     assert np.allclose(x0, xT - biases[-1], rtol=0, atol=1e-12)
-    assert traj.shape == (51, 2)
-    assert np.array_equal(traj[0], xT)
 
 
-def test_euler_trajectory_head_is_input_noise_bitwise():
-    spec = MlpSpec(data_dim=3, cond_dim=2, hidden=(8,))
-    params = mlp_init(spec, 2)
-    rng = np.random.default_rng(33)
-    for _ in range(5):
-        xT = rng.standard_normal(3)
-        _, traj = euler_sample(params, spec, xT, one_hot(0, 2), SamplerConfig(steps=7))
-        assert np.array_equal(traj[0], xT)
+def test_euler_sample_rejects_unbatched_or_mismatched_input():
+    spec = MlpSpec(data_dim=2, cond_dim=3, hidden=(4,))
+    params = mlp_init(spec, 0)
+    cfg = SamplerConfig(steps=2)
+    with pytest.raises(ShapeError):
+        euler_sample(params, spec, np.zeros(2), one_hot(0, 3), cfg)
+    with pytest.raises(ShapeError):
+        euler_sample(params, spec, np.zeros((4, 2)), np.eye(3)[:3], cfg)
+    assert euler_sample(params, spec, np.zeros((0, 2)), np.zeros((0, 3)), cfg).shape == (0, 2)
+
+
+def _euler_per_row(params, spec, xT, cond, steps):
+    """Reference sampler: each row alone, one single-row `w @ h` per layer and step."""
+    weights, biases = unpack_params(params, spec)
+    dt = 1.0 / steps
+    out = np.empty_like(xT)
+    for r in range(xT.shape[0]):
+        x = xT[r]
+        for i in range(steps):
+            h = np.concatenate([x, cond[r], [1.0 - i * dt]])
+            for w, b in zip(weights[:-1], biases[:-1]):
+                h = np.tanh(w @ h + b)
+            x = x - dt * (weights[-1] @ h + biases[-1])
+        out[r] = x
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data_dim=st.integers(1, 5),
+    cond_dim=st.integers(1, 4),
+    hidden=st.lists(st.integers(1, 40), max_size=3),
+    batch=st.integers(0, 24),
+    steps=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_euler_sample_is_batch_invariant(data_dim, cond_dim, hidden, batch, steps, seed, data):
+    # every row of a batched call, and of any split of the batch, carries the
+    # bits of the per-row reference: stored noise replays exactly whatever the
+    # batch it is sampled or audited in
+    spec = MlpSpec(data_dim=data_dim, cond_dim=cond_dim, hidden=tuple(hidden))
+    rng = np.random.default_rng(seed)
+    params = 0.7 * rng.standard_normal(spec.param_count())
+    xT = rng.standard_normal((batch, data_dim))
+    cond = np.eye(cond_dim)[rng.integers(cond_dim, size=batch)]
+    xT_bytes = xT.tobytes()
+    cfg = SamplerConfig(steps=steps)
+    expected = _euler_per_row(params, spec, xT, cond, steps).tobytes()
+
+    assert euler_sample(params, spec, xT, cond, cfg).tobytes() == expected
+    cuts = sorted(data.draw(st.lists(st.integers(0, batch), max_size=4)))
+    bounds = list(zip([0, *cuts], [*cuts, batch]))
+    pieces = [euler_sample(params, spec, xT[a:b], cond[a:b], cfg) for a, b in bounds]
+    assert np.concatenate(pieces).tobytes() == expected
+    assert xT.tobytes() == xT_bytes  # the input noise is never written
 
 
 def test_sampler_config_validation():
