@@ -18,8 +18,8 @@ from .errors import (
     ShapeError,
 )
 from .numerics import MlpSpec, mlp_forward, mlp_init, read_checkpoint, write_checkpoint
-from .pnapo import AlignConfig, BetaSchedule, effective_beta, pnapo_loss, score
-from .prefdata import PreferenceRecord, RewardSpec, build_dataset, read_dataset, write_dataset
+from .pnapo import AlignConfig, BetaSchedule, effective_beta, pnapo_value_grad, score
+from .prefdata import PreferenceDataset, RewardSpec, build_dataset, read_dataset, write_dataset
 from .rectflow import FlowBatch, SamplerConfig, cfm_loss, euler_sample, interpolate
 from .training import run_alignment, run_pretrain
 
@@ -33,7 +33,7 @@ __all__ = [
     "MlpSpec",
     "NumericError",
     "ParseError",
-    "PreferenceRecord",
+    "PreferenceDataset",
     "RewardSpec",
     "RfpnapoError",
     "SamplerConfig",
@@ -45,7 +45,7 @@ __all__ = [
     "interpolate",
     "mlp_forward",
     "mlp_init",
-    "pnapo_loss",
+    "pnapo_value_grad",
     "read_checkpoint",
     "read_dataset",
     "run_alignment",

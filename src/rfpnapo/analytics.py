@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigurationError, ShapeError
 from .numerics import MlpSpec, ParamVector
-from .pnapo import score
-from .prefdata import PreferenceRecord, RewardSpec, reward_eval
+from .pnapo import pair_rows, score
+from .prefdata import PreferenceDataset, RewardSpec, reward_eval
 from .rectflow import SamplerConfig, euler_sample
 
 MAX_STATES = 6
@@ -197,42 +197,47 @@ def pnapo_delta(
     params: ParamVector,
     ref_params: ParamVector,
     spec: MlpSpec,
-    rec: PreferenceRecord,
-    t: float,
-) -> float:
-    """Winner-minus-loser score gap using the record's stored noises."""
-    s_w = score(params, ref_params, spec, rec.x0w, rec.xTw, rec.cond, t)
-    s_l = score(params, ref_params, spec, rec.x0l, rec.xTl, rec.cond, t)
-    return s_w - s_l
+    pairs: PreferenceDataset,
+    t: np.ndarray | float,
+) -> np.ndarray:
+    """Winner-minus-loser score gap of every pair, on its stored noises.
+
+    t is one time for all pairs or one per pair, shape (n, 1).
+    """
+    s = score(params, ref_params, spec, pair_rows(pairs, t))
+    return s[0::2] - s[1::2]
 
 
 def estimator_variance(
     params: ParamVector,
     ref_params: ParamVector,
     spec: MlpSpec,
-    rec: PreferenceRecord,
+    pair: PreferenceDataset,
     n_draws: int,
     seed: int,
 ) -> tuple[float, float]:
-    """Sample variance of the score-gap estimator under both noise policies.
+    """Sample variance of one pair's score-gap estimator under both noise policies.
 
     Per draw (RNG order: t, eps_w, eps_l): the stored-noise gap varies only
-    through t; the fresh-noise gap re-draws both priors as well. Returns
-    (var_stored, var_fresh), each with ddof=1 over n_draws.
+    through t; the fresh-noise gap re-draws both priors as well. All draws
+    are then scored in one batch. Returns (var_stored, var_fresh), each with
+    ddof=1 over n_draws.
     """
     if n_draws < 2:
         raise ConfigurationError(f"variance needs at least 2 draws, got {n_draws}")
+    if len(pair) != 1:
+        raise ShapeError(f"estimator variance takes one pair, got {len(pair)}")
     rng = np.random.default_rng(seed)
-    stored = np.empty(n_draws)
-    fresh = np.empty(n_draws)
+    t = np.empty((n_draws, 1))
+    eps = np.empty((n_draws, 2, spec.data_dim))
     for i in range(n_draws):
-        t = float(rng.random())
-        stored[i] = pnapo_delta(params, ref_params, spec, rec, t)
-        eps_w = rng.standard_normal(rec.dim)
-        eps_l = rng.standard_normal(rec.dim)
-        s_w = score(params, ref_params, spec, rec.x0w, eps_w, rec.cond, t)
-        s_l = score(params, ref_params, spec, rec.x0l, eps_l, rec.cond, t)
-        fresh[i] = s_w - s_l
+        t[i] = rng.random()
+        eps[i] = rng.standard_normal((2, spec.data_dim))
+    repeated = pair.take(np.zeros(n_draws, dtype=int))
+    stored = pnapo_delta(params, ref_params, spec, repeated, t)
+    fresh = pnapo_delta(
+        params, ref_params, spec, replace(repeated, xTw=eps[:, 0], xTl=eps[:, 1]), t
+    )
     return float(np.var(stored, ddof=1)), float(np.var(fresh, ddof=1))
 
 

@@ -1,102 +1,62 @@
 """Baseline preference objectives sharing the trainer: fresh-noise DPO and SFT.
 
 The DPO variant scores each candidate against a freshly drawn prior sample
-instead of the stored one — structurally the same objective with the stored
-noise swapped out, which is exactly how the two are compared.
+instead of the stored one: it is the noise-aware batch function with the
+pairs' xT arrays swapped for fresh draws, which is exactly how the two are
+compared. SFT is the winner-only case: flow matching on each pair's winner
+from fresh noise, one row per pair. Like the noise-aware loss, each is one
+batch call whose bits equal looping over the pairs one by one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .errors import ShapeError
-from .numerics import (
-    FunctionLoss,
-    MlpSpec,
-    ParamVector,
-    forward_single_cached,
-    vjp_single,
-)
-from .pnapo import pnapo_loss, pnapo_value_grad
-from .rectflow import FlowBatch, cfm_loss
+from .numerics import FunctionLoss, MlpSpec, ParamVector, forward_single_cached, vjp_single
+from .pnapo import pnapo_value_grad, row_dot
+from .rectflow import FlowBatch, path_inputs
 
 if TYPE_CHECKING:
-    from .prefdata import PreferenceRecord
-
-
-@dataclass(frozen=True)
-class DpoSampleDraw:
-    """Fresh per-branch prior draws and the shared time for one DPO term."""
-
-    eps_w: np.ndarray
-    eps_l: np.ndarray
-    t: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "eps_w", np.asarray(self.eps_w, dtype=np.float64))
-        object.__setattr__(self, "eps_l", np.asarray(self.eps_l, dtype=np.float64))
-        if self.eps_w.shape != self.eps_l.shape or self.eps_w.ndim != 1:
-            raise ShapeError("draws must be two 1-D vectors of equal length")
-
-
-def _substitute_noise(rec: "PreferenceRecord", draw: DpoSampleDraw) -> "PreferenceRecord":
-    # same record, stored noises replaced by the fresh draws; x0/cond untouched
-    from .prefdata import PreferenceRecord
-
-    if draw.eps_w.shape != rec.x0w.shape:
-        raise ShapeError(
-            f"draw dimension {draw.eps_w.shape} does not match record {rec.x0w.shape}"
-        )
-    return PreferenceRecord(
-        cond=rec.cond, x0w=rec.x0w, x0l=rec.x0l, xTw=draw.eps_w, xTl=draw.eps_l,
-        delta_r=rec.delta_r,
-    )
-
-
-def dpo_loss(
-    params: ParamVector,
-    ref_params: ParamVector,
-    spec: MlpSpec,
-    rec: "PreferenceRecord",
-    draw: DpoSampleDraw,
-    beta: float,
-) -> float:
-    """Logistic preference loss with fresh prior draws; ignores the stored noises.
-
-    Coincides exactly with the noise-aware loss when draw equals the stored
-    noises and the times match.
-    """
-    return pnapo_loss(params, ref_params, spec, _substitute_noise(rec, draw), draw.t, beta)
+    from .prefdata import PreferenceDataset
 
 
 def dpo_value_grad(
     params: ParamVector,
     ref_params: ParamVector,
     spec: MlpSpec,
-    rec: "PreferenceRecord",
-    draw: DpoSampleDraw,
+    pairs: "PreferenceDataset",
+    eps: np.ndarray,
+    t: np.ndarray | float,
     beta: float,
-) -> tuple[float, ParamVector, float]:
-    return pnapo_value_grad(params, ref_params, spec, _substitute_noise(rec, draw), draw.t, beta)
+) -> tuple[np.ndarray, ParamVector, np.ndarray]:
+    """The noise-aware losses, gradient and margins with fresh prior draws.
+
+    eps is (B, 2, dim): winner then loser draw of each pair; the stored noises
+    are ignored. Coincides exactly with pnapo_value_grad when eps equals the
+    stored noises.
+    """
+    if eps.shape != (len(pairs), 2, pairs.header.dim):
+        raise ShapeError(f"draws have shape {eps.shape}, expected ({len(pairs)}, 2, {pairs.header.dim})")
+    fresh = replace(pairs, xTw=eps[:, 0], xTl=eps[:, 1])
+    return pnapo_value_grad(params, ref_params, spec, fresh, t, np.full(len(pairs), beta))
 
 
 def dpo_objective(
     ref_params: ParamVector,
     spec: MlpSpec,
-    rec: "PreferenceRecord",
-    draw: DpoSampleDraw,
+    pairs: "PreferenceDataset",
+    eps: np.ndarray,
+    t: np.ndarray | float,
     beta: float,
 ) -> FunctionLoss:
-    def value(params: ParamVector) -> float:
-        return dpo_loss(params, ref_params, spec, rec, draw, beta)
-
     def value_and_grad(params: ParamVector) -> tuple[float, ParamVector]:
-        loss, grad, _ = dpo_value_grad(params, ref_params, spec, rec, draw, beta)
-        return loss, grad
+        losses, grad, _ = dpo_value_grad(params, ref_params, spec, pairs, eps, t, beta)
+        return float(np.sum(losses)), grad
 
-    return FunctionLoss(value, value_and_grad)
+    return FunctionLoss(value_and_grad)
 
 
 def make_dpo_term(
@@ -105,48 +65,66 @@ def make_dpo_term(
     beta: float,
     rng: np.random.Generator,
 ) -> Callable:
-    """Per-record DPO functional. RNG order per record: t, eps_w, eps_l."""
+    """The batch DPO functional. RNG order per pair, pairs in batch order: t, eps_w, eps_l."""
 
-    def term(params: ParamVector, rec: "PreferenceRecord") -> tuple[float, ParamVector, dict]:
-        t = float(rng.random())
-        draw = DpoSampleDraw(
-            eps_w=rng.standard_normal(rec.dim), eps_l=rng.standard_normal(rec.dim), t=t
-        )
-        loss, grad, margin = dpo_value_grad(params, ref_params, spec, rec, draw, beta)
-        return loss, grad, {"margin": margin, "beta_eff": beta}
+    def term(params: ParamVector, pairs: "PreferenceDataset"):
+        b = len(pairs)
+        t = np.empty((b, 1))
+        eps = np.empty((b, 2, pairs.header.dim))
+        for i in range(b):
+            t[i] = rng.random()
+            eps[i] = rng.standard_normal((2, pairs.header.dim))
+        losses, grad, margins = dpo_value_grad(params, ref_params, spec, pairs, eps, t, beta)
+        return losses, grad, margins, np.full(b, beta)
 
     return term
 
 
-def sft_loss(params: ParamVector, spec: MlpSpec, batch: FlowBatch) -> float:
-    """Plain matching loss on winner samples paired with fresh noise."""
-    return cfm_loss(params, spec, batch)
+def sft_value_grad(
+    params: ParamVector, spec: MlpSpec, pairs: "PreferenceDataset", xT: np.ndarray, t: np.ndarray
+) -> tuple[np.ndarray, ParamVector]:
+    """Per-pair matching losses on the winners, and the parameter gradient of their sum.
+
+    xT (B, dim) are fresh prior draws and t (B,) the times; the loser fields
+    are never read.
+    """
+    inp, target = path_inputs(spec, FlowBatch(x0=pairs.x0w, xT=xT, cond=pairs.cond, t=t))
+    v, cache = forward_single_cached(params, spec, inp)
+    residual = v - target
+    return row_dot(residual), vjp_single(params, spec, cache, (2.0 * residual)[:, None, :])
+
+
+def sft_objective(
+    spec: MlpSpec, pairs: "PreferenceDataset", xT: np.ndarray, t: np.ndarray
+) -> FunctionLoss:
+    def value_and_grad(params: ParamVector) -> tuple[float, ParamVector]:
+        losses, grad = sft_value_grad(params, spec, pairs, xT, t)
+        return float(np.sum(losses)), grad
+
+    return FunctionLoss(value_and_grad)
 
 
 def make_sft_term(spec: MlpSpec, rng: np.random.Generator) -> Callable:
-    """Per-record SFT functional on the winner only. RNG order: xT, then t."""
+    """The batch SFT functional on the winners. RNG order per pair, pairs in batch order: xT, then t."""
 
-    def term(params: ParamVector, rec: "PreferenceRecord") -> tuple[float, ParamVector, dict]:
-        xT = rng.standard_normal(rec.dim)
-        t = float(rng.random())
-        xt = (1.0 - t) * rec.x0w + t * xT
-        target = xT - rec.x0w
-        inp = np.concatenate([xt, rec.cond, [t]])
-        v, cache = forward_single_cached(params, spec, inp)
-        residual = v - target
-        loss = float(residual @ residual)
-        grad = vjp_single(params, spec, cache, 2.0 * residual)
-        return loss, grad, {"margin": 0.0, "beta_eff": 0.0}
+    def term(params: ParamVector, pairs: "PreferenceDataset"):
+        b = len(pairs)
+        xT = np.empty((b, spec.data_dim))
+        t = np.empty(b)
+        for i in range(b):
+            xT[i] = rng.standard_normal(spec.data_dim)
+            t[i] = rng.random()
+        losses, grad = sft_value_grad(params, spec, pairs, xT, t)
+        return losses, grad, np.zeros(b), np.zeros(b)
 
     return term
 
 
 __all__ = [
-    "DpoSampleDraw",
-    "dpo_loss",
     "dpo_value_grad",
     "dpo_objective",
     "make_dpo_term",
-    "sft_loss",
+    "sft_value_grad",
+    "sft_objective",
     "make_sft_term",
 ]

@@ -152,7 +152,7 @@ def cmd_align(args: argparse.Namespace) -> int:
         seed=cfg.get("seed"),
         shared_t=cfg.get("pnapo.shared_t"),
     )
-    params, rows = run_alignment(ref_params, spec, dataset.records, acfg)
+    params, rows = run_alignment(ref_params, spec, dataset, acfg)
     write_checkpoint(args.out, params, spec)
     metrics_path = args.out + ".metrics.csv"
     _write_metrics_csv(metrics_path, rows, ALIGN_COLUMNS)

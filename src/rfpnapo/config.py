@@ -31,6 +31,23 @@ def _parse_finite_float(raw: str) -> float:
     return value
 
 
+def _parse_finite_vectors(raw: str) -> str:
+    """Check a vector list: ';' separates vectors, ',' numbers, '|' mixture centers.
+
+    The text is kept until the model dims are known to shape it, but every
+    number must be finite now.
+    """
+    if raw.strip() == "":
+        return raw
+    for k, vec_raw in enumerate(raw.split(";")):
+        for tok in vec_raw.replace("|", ",").split(","):
+            try:
+                _parse_finite_float(tok.strip())
+            except ValueError as exc:
+                raise ValueError(f"vector {k}: {exc}") from None
+    return raw
+
+
 def _parse_hidden(raw: str) -> tuple[int, ...]:
     if raw.strip() == "":
         return ()
@@ -43,7 +60,7 @@ _KEYS: dict[str, tuple[Callable[[str], object], object]] = {
     "seed": (int, None),
     "data.dim": (int, 2),
     "data.conditions": (int, 4),
-    "data.mixture.modes": (str, ""),
+    "data.mixture.modes": (_parse_finite_vectors, ""),
     "data.mixture.std": (_parse_finite_float, 0.4),
     "model.hidden": (_parse_hidden, (32, 32)),
     "train.lr": (_parse_finite_float, None),
@@ -56,7 +73,7 @@ _KEYS: dict[str, tuple[Callable[[str], object], object]] = {
     "pnapo.shared_t": (_parse_bool, True),
     "sampler.steps": (int, 50),
     "reward.kind": (str, None),
-    "reward.params": (str, ""),
+    "reward.params": (_parse_finite_vectors, ""),
     "corpus.toxicity_threshold": (_parse_finite_float, 0.1),
     "corpus.jaccard_threshold": (_parse_finite_float, 0.8),
     "corpus.cosine_threshold": (_parse_finite_float, 0.8),

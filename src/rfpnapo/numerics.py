@@ -110,12 +110,6 @@ def mlp_forward(params: ParamVector, spec: MlpSpec, x: np.ndarray, t: float, c: 
 
     Returns:
         shape (data_dim,) for a single input, (B, data_dim) for a batch.
-
-    Batch invariance: activations are kept as columns, shape (..., width, 1),
-    so each layer is `np.matmul(w, h)`, which numpy runs as one
-    matrix-vector product per row with the shape and strides of a single-row
-    `w @ h`. A row's output is therefore bit-identical whatever batch it sits
-    in, which is what lets a stored noise replay exactly.
     """
     x = np.asarray(x, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
@@ -125,54 +119,84 @@ def mlp_forward(params: ParamVector, spec: MlpSpec, x: np.ndarray, t: float, c: 
         raise ShapeError(f"condition has shape {c.shape}, expected {x.shape[:-1] + (spec.cond_dim,)}")
     if not math.isfinite(t):
         raise NumericError(f"non-finite time value {t!r}")
-    weights, biases = unpack_params(params, spec)
-    h = np.concatenate([x, c, np.full(x.shape[:-1] + (1,), float(t))], axis=-1)[..., None]
-    for w, b in zip(weights[:-1], biases[:-1]):
-        h = np.tanh(np.matmul(w, h) + b[:, None])
-    return (np.matmul(weights[-1], h) + biases[-1][:, None])[..., 0]
+    inp = np.concatenate([x, c, np.full(x.shape[:-1] + (1,), float(t))], axis=-1)
+    y, _ = forward_single_cached(params, spec, inp.reshape(-1, spec.input_dim))
+    return y.reshape(x.shape)
 
 
 def forward_single_cached(
     params: ParamVector, spec: MlpSpec, inp: np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Forward pass on one pre-assembled input row, keeping activations.
+    """Forward pass on rows of pre-assembled inputs, one matrix-vector product per row.
 
     Args:
-        inp: shape (input_dim,), already the concatenation (x, c, t).
+        inp: shape (R, input_dim), C-contiguous; each row the concatenation (x, c, t).
 
     Returns:
-        (output, cache) where cache[i] is the input to layer i (post-tanh for
-        i > 0). The cache feeds vjp_single.
+        (output (R, output_dim), cache) where cache[i] is the (R, width) input
+        to layer i (post-tanh for i > 0). The cache feeds vjp_single.
+
+    Batch invariance: activations are kept as columns, shape (R, width, 1), so
+    each layer is `np.matmul(w, h)`, which numpy runs as one matrix-vector
+    product per row with the shape and strides of a single-row `w @ h`. A
+    row's output is therefore bit-identical whatever batch it sits in, which
+    is what lets a stored noise replay exactly.
     """
     weights, biases = unpack_params(params, spec)
-    if inp.shape != (spec.input_dim,):
-        raise ShapeError(f"input has shape {inp.shape}, expected ({spec.input_dim},)")
+    if inp.ndim != 2 or inp.shape[1] != spec.input_dim:
+        raise ShapeError(f"input has shape {inp.shape}, expected (R, {spec.input_dim})")
     cache = [inp]
-    h = inp
+    h = inp[:, :, None]
     for w, b in zip(weights[:-1], biases[:-1]):
-        h = np.tanh(w @ h + b)
-        cache.append(h)
-    y = weights[-1] @ h + biases[-1]
+        h = np.tanh(np.matmul(w, h) + b[:, None])
+        cache.append(h[:, :, 0])
+    y = (np.matmul(weights[-1], h) + biases[-1][:, None])[:, :, 0]
     return y, cache
 
 
 def vjp_single(
     params: ParamVector, spec: MlpSpec, cache: list[np.ndarray], dy: np.ndarray
 ) -> ParamVector:
-    """Parameter gradient of <dy, output> for a cached single-input forward."""
+    """Parameter gradient of sum <dy, output> over the rows of a cached forward.
+
+    Args:
+        cache: from forward_single_cached on B * m rows, record-major: the m
+            rows (branches) of record 0, then those of record 1, and so on.
+        dy: (B, m, output_dim) cotangent of each row's output.
+
+    The result equals summing, in record order and starting from zero, each
+    record's branch-summed single-row gradient, as np.add.reduce over a stack
+    of per-record gradients does. Input gradients are one matrix-vector
+    product per row; each weight gradient adds every record's outer products
+    into one buffer per layer. A single GEMM over the rows would reorder those
+    sums and change the bits.
+    """
     weights, _ = unpack_params(params, spec)
+    dy = np.asarray(dy, dtype=np.float64)
+    if dy.ndim != 3 or dy.shape[2] != spec.output_dim or dy.shape[0] * dy.shape[1] != cache[0].shape[0]:
+        raise ShapeError(f"cotangent has shape {dy.shape}, expected (B, m, {spec.output_dim}) "
+                         f"over {cache[0].shape[0]} cached rows")
+    n_rec, m = dy.shape[:2]
     n_layers = len(weights)
     d_weights: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
     d_biases: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
-    dz = np.asarray(dy, dtype=np.float64)
-    d_weights[-1] = np.outer(dz, cache[-1])
-    d_biases[-1] = dz
-    dh = weights[-1].T @ dz
-    for i in range(n_layers - 2, -1, -1):
-        dz = dh * (1.0 - cache[i + 1] ** 2)  # tanh'(z) = 1 - tanh(z)^2
-        d_weights[i] = np.outer(dz, cache[i])
-        d_biases[i] = dz
-        dh = weights[i].T @ dz
+    dz = dy.reshape(n_rec * m, -1)
+    for i in range(n_layers - 1, -1, -1):
+        if i < n_layers - 1:
+            dz = dh * (1.0 - cache[i + 1] ** 2)  # tanh'(z) = 1 - tanh(z)^2
+        dz_rec = dz.reshape(n_rec, m, -1)
+        h_rec = cache[i].reshape(n_rec, m, -1)
+        # branch sums: numpy reduces fewer than 8 items in order, and a zero
+        # sign they differ in vanishes in the record sum, which starts at +0.0
+        bias_rec = dz_rec.sum(axis=1)
+        d_w = np.zeros(weights[i].shape)
+        d_b = np.zeros(weights[i].shape[0])
+        for r in range(n_rec):
+            d_w += (dz_rec[r][:, :, None] * h_rec[r][:, None, :]).sum(axis=0)
+            d_b += bias_rec[r]
+        d_weights[i], d_biases[i] = d_w, d_b
+        if i > 0:
+            dh = np.matmul(weights[i].T, dz[:, :, None])[:, :, 0]
     return pack_params(d_weights, d_biases)
 
 
@@ -234,18 +258,13 @@ class DifferentiableLoss(Protocol):
 
 
 class FunctionLoss:
-    """Bundle a plain value function with its analytic value-and-gradient."""
+    """Wrap an analytic value-and-gradient function as a differentiable loss."""
 
-    def __init__(
-        self,
-        value: Callable[[ParamVector], float],
-        value_and_grad: Callable[[ParamVector], tuple[float, ParamVector]],
-    ):
-        self._value = value
+    def __init__(self, value_and_grad: Callable[[ParamVector], tuple[float, ParamVector]]):
         self._vag = value_and_grad
 
     def value(self, params: ParamVector) -> float:
-        return float(self._value(params))
+        return float(self._vag(params)[0])
 
     def value_and_grad(self, params: ParamVector) -> tuple[float, ParamVector]:
         v, g = self._vag(params)
@@ -393,6 +412,8 @@ def read_checkpoint(path: str) -> tuple[ParamVector, MlpSpec]:
     if len(blob) != expected:
         raise ParseError(f"checkpoint size {len(blob)} != expected {expected}")
     values = np.frombuffer(blob, dtype="<f8", count=n_weights + n_biases, offset=off)
+    if not np.all(np.isfinite(values)):
+        raise ParseError("checkpoint parameters contain non-finite values")
     off += 8 * (n_weights + n_biases)
     input_dim, cond_dim, output_dim = struct.unpack_from("<III", blob, off)
     # structural consistency: shapes must chain and match the declared dims

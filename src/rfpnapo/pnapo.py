@@ -6,6 +6,12 @@ reference does (squared velocity error at a random time, trained minus
 reference). The loss is a logistic preference objective on the winner/loser
 score gap, with an effective weight that grows with the reward gap and
 anneals over training steps.
+
+Every function here works on a batch of pairs at once: the winner and loser
+rows of all B pairs go through one trained and one reference forward pass
+and one backward pass. Each row's arithmetic is that of scoring it alone,
+and the gradient sums records in order, so a batch call gives the same bits
+as looping over its pairs one by one.
 """
 from __future__ import annotations
 
@@ -19,17 +25,16 @@ from .errors import ConfigurationError
 from .numerics import (
     FunctionLoss,
     MlpSpec,
-    OptimState,
     ParamVector,
     forward_single_cached,
     sigmoid,
     softplus,
     vjp_single,
 )
-from . import training
+from .rectflow import FlowBatch, path_inputs
 
 if TYPE_CHECKING:
-    from .prefdata import PreferenceRecord
+    from .prefdata import PreferenceDataset
 
 
 @dataclass(frozen=True)
@@ -72,106 +77,81 @@ def effective_beta(sched: BetaSchedule, delta_r: float, n: int) -> float:
     return sched.beta * f_controller(delta_r) * g_controller(n, sched.n1, sched.n2)
 
 
-def score(
-    params: ParamVector,
-    ref_params: ParamVector,
-    spec: MlpSpec,
-    x0: np.ndarray,
-    xT: np.ndarray,
-    cond: np.ndarray,
-    t: float,
-) -> float:
-    """Trained-minus-reference squared velocity error on the stored straight path."""
-    s, _, _ = _branch_score(params, ref_params, spec, x0, xT, cond, t)
-    return s
+def pair_rows(pairs: "PreferenceDataset", t: np.ndarray | float) -> FlowBatch:
+    """The winner then the loser row of every pair, on its stored straight path.
+
+    t broadcasts to (B, 2): a scalar, (B, 1) for one time per pair, or (B, 2).
+    """
+    b = len(pairs)
+    return FlowBatch(
+        x0=np.stack([pairs.x0w, pairs.x0l], axis=1).reshape(2 * b, -1),
+        xT=np.stack([pairs.xTw, pairs.xTl], axis=1).reshape(2 * b, -1),
+        cond=np.repeat(pairs.cond, 2, axis=0),
+        t=np.broadcast_to(t, (b, 2)).reshape(-1),
+    )
 
 
-def _branch_score(
-    params: ParamVector,
-    ref_params: ParamVector,
-    spec: MlpSpec,
-    x0: np.ndarray,
-    xT: np.ndarray,
-    cond: np.ndarray,
-    t: float,
-) -> tuple[float, list[np.ndarray], np.ndarray]:
-    """Score one candidate; also return the forward cache and residual for backprop."""
-    if not 0.0 <= t < 1.0:
-        raise ValueError(f"score time must lie in [0, 1), got {t!r}")
-    x0 = np.asarray(x0, dtype=np.float64)
-    xT = np.asarray(xT, dtype=np.float64)
-    cond = np.asarray(cond, dtype=np.float64)
-    xt = (1.0 - t) * x0 + t * xT
-    u = xT - x0
-    inp = np.concatenate([xt, cond, [t]])
+def row_dot(a: np.ndarray) -> np.ndarray:
+    """Per-row <a, a> of a C-contiguous (R, d) array.
+
+    Each row is the same BLAS dot product as `a[i] @ a[i]`, bit for bit.
+    """
+    return np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0]
+
+
+def _scores(
+    params: ParamVector, ref_params: ParamVector, spec: MlpSpec, rows: FlowBatch
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Row scores, plus the residuals and forward cache the backward pass needs."""
+    inp, u = path_inputs(spec, rows)
     v, cache = forward_single_cached(params, spec, inp)
     v_ref, _ = forward_single_cached(ref_params, spec, inp)
     res = u - v
-    res_ref = u - v_ref
-    s = float(res @ res - res_ref @ res_ref)
-    return s, cache, res
+    return row_dot(res) - row_dot(u - v_ref), res, cache
 
 
-def pnapo_loss(
-    params: ParamVector,
-    ref_params: ParamVector,
-    spec: MlpSpec,
-    rec: "PreferenceRecord",
-    t: float,
-    beta_eff: float,
-) -> float:
-    """Stable logistic preference loss on the winner/loser score gap.
-
-    Equals softplus(beta_eff * (s_winner - s_loser)); at the reference point
-    (params == ref_params) both scores vanish and the loss is log 2.
-    """
-    s_w = score(params, ref_params, spec, rec.x0w, rec.xTw, rec.cond, t)
-    s_l = score(params, ref_params, spec, rec.x0l, rec.xTl, rec.cond, t)
-    return softplus(beta_eff * (s_w - s_l))
+def score(params: ParamVector, ref_params: ParamVector, spec: MlpSpec, rows: FlowBatch) -> np.ndarray:
+    """Trained-minus-reference squared velocity error of each row on its straight path."""
+    return _scores(params, ref_params, spec, rows)[0]
 
 
 def pnapo_value_grad(
     params: ParamVector,
     ref_params: ParamVector,
     spec: MlpSpec,
-    rec: "PreferenceRecord",
-    t_w: float,
-    beta_eff: float,
-    t_l: float | None = None,
-) -> tuple[float, ParamVector, float]:
-    """Loss, analytic parameter gradient, and margin (-weighted score gap).
+    pairs: "PreferenceDataset",
+    t: np.ndarray | float,
+    beta_eff: np.ndarray,
+) -> tuple[np.ndarray, ParamVector, np.ndarray]:
+    """Per-pair losses, the parameter gradient of their sum, and per-pair margins.
 
-    The two candidates share one time draw unless t_l is given explicitly.
+    Each pair's loss is softplus(z), z = beta_eff * (s_winner - s_loser), both
+    scores taken on the pair's stored noises; at the reference point
+    (params == ref_params) both scores vanish and every loss is log 2. The
+    margin is -z. t broadcasts to (B, 2) as in pair_rows.
     """
-    if t_l is None:
-        t_l = t_w
-    s_w, cache_w, res_w = _branch_score(params, ref_params, spec, rec.x0w, rec.xTw, rec.cond, t_w)
-    s_l, cache_l, res_l = _branch_score(params, ref_params, spec, rec.x0l, rec.xTl, rec.cond, t_l)
-    z = beta_eff * (s_w - s_l)
-    loss = softplus(z)
-    coef = sigmoid(z) * beta_eff  # d softplus(z) / dz times dz/ds scale
-    grad = vjp_single(params, spec, cache_w, -2.0 * coef * res_w)
-    grad += vjp_single(params, spec, cache_l, 2.0 * coef * res_l)
-    return loss, grad, -z
+    s, res, cache = _scores(params, ref_params, spec, pair_rows(pairs, t))
+    z = beta_eff * (s[0::2] - s[1::2])
+    losses = np.array([softplus(v) for v in z.tolist()])
+    coef = np.array([sigmoid(v) for v in z.tolist()]) * beta_eff  # d softplus(z) / d(s_w - s_l)
+    dy = np.stack([(-2.0 * coef)[:, None] * res[0::2], (2.0 * coef)[:, None] * res[1::2]], axis=1)
+    return losses, vjp_single(params, spec, cache, dy), -z
 
 
 def pnapo_objective(
     ref_params: ParamVector,
     spec: MlpSpec,
-    rec: "PreferenceRecord",
-    t: float,
-    beta_eff: float,
+    pairs: "PreferenceDataset",
+    t: np.ndarray | float,
+    beta_eff: np.ndarray,
 ) -> FunctionLoss:
-    """Single-record preference loss as a differentiable objective (for checks)."""
-
-    def value(params: ParamVector) -> float:
-        return pnapo_loss(params, ref_params, spec, rec, t, beta_eff)
+    """Summed preference loss of a pair batch as a differentiable objective (for checks)."""
 
     def value_and_grad(params: ParamVector) -> tuple[float, ParamVector]:
-        loss, grad, _ = pnapo_value_grad(params, ref_params, spec, rec, t, beta_eff)
-        return loss, grad
+        losses, grad, _ = pnapo_value_grad(params, ref_params, spec, pairs, t, beta_eff)
+        return float(np.sum(losses)), grad
 
-    return FunctionLoss(value, value_and_grad)
+    return FunctionLoss(value_and_grad)
 
 
 def make_pnapo_term(
@@ -182,36 +162,20 @@ def make_pnapo_term(
     rng: np.random.Generator,
     shared_t: bool = True,
 ) -> Callable:
-    """Per-record loss functional for the shared trainer.
+    """The batch loss functional for the shared trainer at one step.
 
-    RNG order per record: one time draw (two when shared_t is off). The time
-    draw is the only stochastic input; everything else comes from the record.
+    RNG order: one time draw per pair (two, winner then loser, when shared_t
+    is off), pairs in batch order. The time draw is the only stochastic
+    input; everything else comes from the pairs.
     """
 
-    def term(params: ParamVector, rec: "PreferenceRecord") -> tuple[float, ParamVector, dict]:
-        t_w = float(rng.random())
-        t_l = t_w if shared_t else float(rng.random())
-        beta_eff = effective_beta(sched, rec.delta_r, step_index)
-        loss, grad, margin = pnapo_value_grad(params, ref_params, spec, rec, t_w, beta_eff, t_l)
-        return loss, grad, {"margin": margin, "beta_eff": beta_eff}
+    def term(params: ParamVector, pairs: "PreferenceDataset"):
+        t = rng.random((len(pairs), 1 if shared_t else 2))
+        beta_eff = np.array([effective_beta(sched, dr, step_index) for dr in pairs.delta_r.tolist()])
+        losses, grad, margins = pnapo_value_grad(params, ref_params, spec, pairs, t, beta_eff)
+        return losses, grad, margins, beta_eff
 
     return term
-
-
-def align_step(
-    params: ParamVector,
-    ref_params: ParamVector,
-    spec: MlpSpec,
-    optim: OptimState,
-    batch: list["PreferenceRecord"],
-    sched: BetaSchedule,
-    step_index: int,
-    rng: np.random.Generator,
-    shared_t: bool = True,
-) -> tuple[ParamVector, OptimState, dict]:
-    """One preference update on a record batch; returns new params, state, metrics."""
-    term = make_pnapo_term(ref_params, spec, sched, step_index, rng, shared_t)
-    return training.step_with_terms(params, optim, batch, term, step_index)
 
 
 @dataclass(frozen=True)

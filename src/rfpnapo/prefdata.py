@@ -22,6 +22,9 @@ REWARD_KINDS = ("mode_distance", "quadratic_bowl", "direction_dot")
 DATASET_TAG = "rfpnapo-pairs"
 DATASET_VERSION = "v1"
 
+# PreferenceDataset's arrays, in field order; also the order of a record line's fields
+_FIELDS = ("cond", "x0w", "x0l", "xTw", "xTl", "delta_r")
+
 
 @dataclass(frozen=True)
 class RewardSpec:
@@ -72,33 +75,6 @@ def reward_eval(rspec: RewardSpec, x: np.ndarray, cond: np.ndarray) -> float:
     raise ConfigurationError(f"unknown reward kind {rspec.kind!r}")
 
 
-@dataclass
-class PreferenceRecord:
-    """Winner/loser samples with their own prior noises and the reward gap."""
-
-    cond: np.ndarray
-    x0w: np.ndarray
-    x0l: np.ndarray
-    xTw: np.ndarray
-    xTl: np.ndarray
-    delta_r: float
-
-    def __post_init__(self):
-        for name in ("cond", "x0w", "x0l", "xTw", "xTl"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        d = self.x0w.shape
-        if not (self.x0l.shape == self.xTw.shape == self.xTl.shape == d) or len(d) != 1:
-            raise ShapeError("sample/noise fields must share one 1-D shape")
-        if self.cond.ndim != 1:
-            raise ShapeError("condition must be 1-D")
-        if not math.isfinite(self.delta_r) or self.delta_r < 0.0:
-            raise DataError(f"preference gap must be finite and >= 0, got {self.delta_r}")
-
-    @property
-    def dim(self) -> int:
-        return self.x0w.shape[0]
-
-
 @dataclass(frozen=True)
 class DatasetHeader:
     dim: int
@@ -115,27 +91,61 @@ class DatasetHeader:
 
 @dataclass
 class PreferenceDataset:
+    """Labeled pairs as arrays, one row per pair.
+
+    Row i holds the condition, the winner and loser samples, the prior noise
+    that produced each of them, and the (non-negative) reward gap.
+    """
+
     header: DatasetHeader
-    records: list[PreferenceRecord]
+    cond: np.ndarray  # (n, cond_dim) one-hot
+    x0w: np.ndarray  # (n, dim) winner samples
+    x0l: np.ndarray  # (n, dim) loser samples
+    xTw: np.ndarray  # (n, dim) winner prior noises
+    xTl: np.ndarray  # (n, dim) loser prior noises
+    delta_r: np.ndarray  # (n,) reward gaps
+
+    def __post_init__(self):
+        for name in _FIELDS:
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        n, h = (self.delta_r.shape[0] if self.delta_r.ndim else 0), self.header
+        expected = {"cond": (n, h.cond_dim), "delta_r": (n,)}
+        for name in _FIELDS:
+            shape = expected.get(name, (n, h.dim))
+            if getattr(self, name).shape != shape:
+                raise ShapeError(f"{name} has shape {getattr(self, name).shape}, expected {shape}")
+        if not np.all(np.isfinite(self.delta_r) & (self.delta_r >= 0.0)):
+            raise DataError("preference gaps must be finite and >= 0")
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.delta_r.shape[0]
+
+    def take(self, idx) -> "PreferenceDataset":
+        """The pairs at the given row indices, in that order."""
+        return PreferenceDataset(self.header, *(getattr(self, name)[idx] for name in _FIELDS))
 
 
-def label_pair(
-    rspec: RewardSpec,
-    cond: np.ndarray,
-    xa: np.ndarray,
-    xta: np.ndarray,
-    xb: np.ndarray,
-    xtb: np.ndarray,
-) -> PreferenceRecord:
-    """Order a candidate pair by reward. Ties keep the first candidate as winner."""
-    ra = reward_eval(rspec, xa, cond)
-    rb = reward_eval(rspec, xb, cond)
-    if ra >= rb:
-        return PreferenceRecord(cond=cond, x0w=xa, x0l=xb, xTw=xta, xTl=xtb, delta_r=ra - rb)
-    return PreferenceRecord(cond=cond, x0w=xb, x0l=xa, xTw=xtb, xTl=xta, delta_r=rb - ra)
+def label_pairs(
+    rspec: RewardSpec, header: DatasetHeader, cond: np.ndarray, x0: np.ndarray, xT: np.ndarray
+) -> PreferenceDataset:
+    """Order each candidate pair by reward. Ties keep the first candidate as winner.
+
+    Args:
+        cond: (n, cond_dim) conditions.
+        x0, xT: (n, 2, dim) samples and their prior noises, candidates A then B.
+    """
+    ra = np.array([reward_eval(rspec, x, c) for x, c in zip(x0[:, 0], cond)])
+    rb = np.array([reward_eval(rspec, x, c) for x, c in zip(x0[:, 1], cond)])
+    a_wins = (ra >= rb)[:, None]
+    return PreferenceDataset(
+        header,
+        cond,
+        x0w=np.where(a_wins, x0[:, 0], x0[:, 1]),
+        x0l=np.where(a_wins, x0[:, 1], x0[:, 0]),
+        xTw=np.where(a_wins, xT[:, 0], xT[:, 1]),
+        xTl=np.where(a_wins, xT[:, 1], xT[:, 0]),
+        delta_r=np.where(a_wins[:, 0], ra - rb, rb - ra),
+    )
 
 
 def build_dataset(
@@ -169,14 +179,10 @@ def build_dataset(
     samples = euler_sample(
         ref_params, spec, noises.reshape(-1, spec.data_dim), np.repeat(conds, 2, axis=0), sampler_cfg
     ).reshape(noises.shape)
-    records = [
-        label_pair(rspec, conds[i], samples[i, 0], noises[i, 0], samples[i, 1], noises[i, 1])
-        for i in range(n_records)
-    ]
     header = DatasetHeader(
         dim=spec.data_dim, cond_dim=spec.cond_dim, steps=sampler_cfg.steps, ref_hash=ref_hash
     )
-    return PreferenceDataset(header=header, records=records)
+    return label_pairs(rspec, header, conds, samples, noises)
 
 
 def audit_dataset(dataset: PreferenceDataset, ref_params: ParamVector, spec: MlpSpec) -> float:
@@ -185,15 +191,13 @@ def audit_dataset(dataset: PreferenceDataset, ref_params: ParamVector, spec: Mlp
     0.0 means every stored sample replays exactly. Any non-finite stored
     sample or noise makes the deviation infinite, never 0.0.
     """
-    if not dataset.records:
+    if len(dataset) == 0:
         return 0.0
-    if any(rec.delta_r < 0 for rec in dataset.records):
-        raise DataError("negative preference gap in dataset")
-    stored = np.stack([x for rec in dataset.records for x in (rec.x0w, rec.x0l)])
-    noises = np.stack([x for rec in dataset.records for x in (rec.xTw, rec.xTl)])
+    stored = np.concatenate([dataset.x0w, dataset.x0l])
+    noises = np.concatenate([dataset.xTw, dataset.xTl])
     if not (np.all(np.isfinite(stored)) and np.all(np.isfinite(noises))):
         return math.inf
-    conds = np.repeat(np.stack([rec.cond for rec in dataset.records]), 2, axis=0)
+    conds = np.concatenate([dataset.cond, dataset.cond])
     replayed = euler_sample(ref_params, spec, noises, conds, SamplerConfig(steps=dataset.header.steps))
     return float(np.max(np.abs(stored - replayed)))
 
@@ -227,18 +231,9 @@ def write_dataset(path: str, dataset: PreferenceDataset) -> None:
         f"{DATASET_TAG} {DATASET_VERSION} dim={h.dim} cdim={h.cond_dim} "
         f"steps={h.steps} refhash={h.ref_hash}"
     ]
-    for rec in dataset.records:
-        if rec.dim != h.dim or rec.cond.shape != (h.cond_dim,):
-            raise ShapeError("record dimensions do not match dataset header")
-        fields = [
-            _fmt_vec(rec.cond),
-            _fmt_vec(rec.x0w),
-            _fmt_vec(rec.x0l),
-            _fmt_vec(rec.xTw),
-            _fmt_vec(rec.xTl),
-            fmt17(rec.delta_r),
-        ]
-        lines.append(" | ".join(fields))
+    for i in range(len(dataset)):
+        fields = [_fmt_vec(getattr(dataset, name)[i]) for name in _FIELDS[:5]]
+        lines.append(" | ".join(fields + [fmt17(dataset.delta_r[i])]))
     write_text(path, "\n".join(lines) + "\n")
 
 
@@ -265,7 +260,7 @@ def read_dataset(path: str) -> PreferenceDataset:
         )
     except (ValueError, RfpnapoError) as exc:
         raise ParseError(f"bad dataset header: {exc}", line=1) from None
-    records: list[PreferenceRecord] = []
+    columns: list[list[np.ndarray]] = [[] for _ in range(6)]
     for lineno, raw in enumerate(lines[1:], start=2):
         if raw == "":
             continue
@@ -277,13 +272,11 @@ def read_dataset(path: str) -> PreferenceDataset:
         if not (np.all((cond == 0.0) | (cond == 1.0)) and np.sum(cond) == 1.0):
             raise ParseError(f"condition {fields[0]!r} is not one-hot", line=lineno)
         vecs = [_parse_vec(f, header.dim, lineno) for f in fields[1:5]]
-        delta = _parse_vec(fields[5], 1, lineno)[0]
-        try:
-            records.append(
-                PreferenceRecord(
-                    cond=cond, x0w=vecs[0], x0l=vecs[1], xTw=vecs[2], xTl=vecs[3], delta_r=delta
-                )
-            )
-        except RfpnapoError as exc:
-            raise ParseError(str(exc), line=lineno) from None
-    return PreferenceDataset(header=header, records=records)
+        delta = _parse_vec(fields[5], 1, lineno)
+        if delta[0] < 0.0:
+            raise ParseError(f"preference gap must be >= 0, got {delta[0]}", line=lineno)
+        for column, vec in zip(columns, (cond, *vecs, delta)):
+            column.append(vec)
+    widths = (header.cond_dim,) + (header.dim,) * 4 + (1,)
+    arrays = [np.array(column).reshape(-1, width) for column, width in zip(columns, widths)]
+    return PreferenceDataset(header, *arrays[:5], delta_r=arrays[5][:, 0])

@@ -75,14 +75,8 @@ def interpolate(x0: np.ndarray, xT: np.ndarray, t) -> np.ndarray:
     return (1.0 - t_arr) * x0 + t_arr * xT
 
 
-def rf_weight(t: float) -> float:
-    """The time weight t / (1 - t). Diagnostic only; no loss here applies it."""
-    if not 0.0 <= t < 1.0:
-        raise ValueError(f"weight defined on [0, 1), got {t!r}")
-    return t / (1.0 - t)
-
-
-def _batch_inputs(spec: MlpSpec, batch: FlowBatch) -> tuple[np.ndarray, np.ndarray]:
+def path_inputs(spec: MlpSpec, batch: FlowBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Network input rows (x_t, c, t) on each row's straight path, and its velocity xT - x0."""
     if batch.x0.shape[1] != spec.data_dim or batch.cond.shape[1] != spec.cond_dim:
         raise ShapeError(
             f"batch dims ({batch.x0.shape[1]}, {batch.cond.shape[1]}) do not match "
@@ -99,22 +93,13 @@ def cfm_loss(params: ParamVector, spec: MlpSpec, batch: FlowBatch) -> float:
 
     loss = mean_i || v(x_t_i, t_i, c_i) - (xT_i - x0_i) ||^2
     """
-    inputs, target = _batch_inputs(spec, batch)
-    v, _ = forward_batch_cached(params, spec, inputs)
-    residual = v - target
-    per_row = np.sum(residual * residual, axis=1)
-    return float(np.mean(per_row))
+    return cfm_objective(spec, batch).value(params)
 
 
 def cfm_objective(spec: MlpSpec, batch: FlowBatch) -> FunctionLoss:
     """The matching loss as a differentiable objective of the parameters."""
-    inputs, target = _batch_inputs(spec, batch)
+    inputs, target = path_inputs(spec, batch)
     b = inputs.shape[0]
-
-    def value(params: ParamVector) -> float:
-        v, _ = forward_batch_cached(params, spec, inputs)
-        residual = v - target
-        return float(np.mean(np.sum(residual * residual, axis=1)))
 
     def value_and_grad(params: ParamVector) -> tuple[float, ParamVector]:
         v, cache = forward_batch_cached(params, spec, inputs)
@@ -123,7 +108,7 @@ def cfm_objective(spec: MlpSpec, batch: FlowBatch) -> FunctionLoss:
         grad = vjp_batch(params, spec, cache, (2.0 / b) * residual)
         return loss, grad
 
-    return FunctionLoss(value, value_and_grad)
+    return FunctionLoss(value_and_grad)
 
 
 def euler_sample(

@@ -1,7 +1,9 @@
 """The one trainer every method shares: batch loop, AdamW, metrics rows.
 
-Preference methods differ only in the per-record loss functional they hand to
+Preference methods differ only in the batch loss functional they hand to
 step_with_terms; the optimizer path and the metrics schema are identical.
+An align step is one call of that functional on the whole batch, and its
+bytes equal those of the loop over records it replaces.
 """
 from __future__ import annotations
 
@@ -23,30 +25,26 @@ from .rectflow import ConditionalMixture, FlowBatch, cfm_objective
 
 if TYPE_CHECKING:
     from .pnapo import AlignConfig
-    from .prefdata import PreferenceRecord
+    from .prefdata import PreferenceDataset
 
-# A term maps (params, record) -> (loss, gradient, extras) where extras carries
-# "margin" and "beta_eff" for the metrics row.
-Term = Callable[[ParamVector, "PreferenceRecord"], tuple[float, ParamVector, dict]]
+# A term maps (params, batch of B pairs) -> (per-pair losses (B,), gradient of
+# their sum, per-pair margins (B,), per-pair beta_eff (B,)).
+Term = Callable[
+    [ParamVector, "PreferenceDataset"], tuple[np.ndarray, ParamVector, np.ndarray, np.ndarray]
+]
 
 
 def step_with_terms(
     params: ParamVector,
     optim: OptimState,
-    batch: list,
+    batch: "PreferenceDataset",
     term: Term,
     step_index: int,
 ) -> tuple[ParamVector, OptimState, dict]:
-    """Average per-record losses/gradients over a batch and apply one AdamW step."""
-    losses, margins, betas, grads = [], [], [], []
-    for rec in batch:
-        loss, grad, extras = term(params, rec)
-        losses.append(loss)
-        grads.append(grad)
-        margins.append(extras.get("margin", 0.0))
-        betas.append(extras.get("beta_eff", 0.0))
+    """Average the term's per-pair losses and gradient over a batch and apply one AdamW step."""
+    losses, grad_sum, margins, betas = term(params, batch)
     loss = float(np.mean(losses))
-    grad = np.mean(np.stack(grads), axis=0)
+    grad = grad_sum / len(losses)
     if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
         raise NumericError(f"non-finite loss or gradient at step {step_index}")
     metrics = {
@@ -63,29 +61,32 @@ def step_with_terms(
 def run_alignment(
     ref_params: ParamVector,
     spec: MlpSpec,
-    records: list,
+    dataset: "PreferenceDataset",
     cfg: "AlignConfig",
 ) -> tuple[ParamVector, list[dict]]:
-    """Train a copy of the reference on preference records; returns (params, metric rows).
+    """Train a copy of the reference on preference pairs; returns (params, metric rows).
 
-    RNG order per step: batch index draw, then whatever the method's term
-    draws per record in batch order.
+    Every step draws, from one default_rng(cfg.seed) stream: first the batch
+    indices, rng.choice(n, size=min(batch, n), replace=False); then the
+    method's draws for each pair in batch order:
+      - pnapo: the time t (t_w then t_l when pnapo.shared_t is false)
+      - dpo: the time t, then the winner's prior noise, then the loser's
+      - sft: the winner's prior noise, then the time t
     """
     # late imports keep the module graph acyclic; the term builders live with
     # their losses
     from . import baselines, pnapo
 
-    if not records:
+    n = len(dataset)
+    if n == 0:
         raise ConfigurationError("alignment needs at least one preference record")
     params = np.array(ref_params, dtype=np.float64, copy=True)
     optim = optim_init(params.size, cfg.lr, weight_decay=cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed)
-    n = len(records)
     batch_size = min(cfg.batch, n)
     rows: list[dict] = []
     for step_index in range(1, cfg.steps + 1):
-        idx = rng.choice(n, size=batch_size, replace=False)
-        batch = [records[int(i)] for i in idx]
+        batch = dataset.take(rng.choice(n, size=batch_size, replace=False))
         if cfg.method == "pnapo":
             term = pnapo.make_pnapo_term(
                 ref_params, spec, cfg.schedule, step_index, rng, cfg.shared_t

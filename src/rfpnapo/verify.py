@@ -17,10 +17,10 @@ from .analytics import (
     random_chain,
     tabular_kl_check,
 )
-from .baselines import DpoSampleDraw, dpo_objective
+from .baselines import dpo_objective, sft_objective
 from .numerics import MlpSpec, finite_diff_check, mlp_init
 from .pnapo import f_controller, g_controller, pnapo_objective
-from .prefdata import PreferenceRecord, RewardSpec, build_dataset
+from .prefdata import DatasetHeader, PreferenceDataset, RewardSpec, build_dataset
 from .rectflow import FlowBatch, SamplerConfig, cfm_objective, default_mixture, one_hot
 from .training import run_pretrain
 
@@ -43,16 +43,12 @@ class CheckResult:
         return "PASS" if self.ok else "FAIL"
 
 
-def _random_record(rng: np.random.Generator, spec: MlpSpec, delta_r: float) -> PreferenceRecord:
+def _random_pair(rng: np.random.Generator, spec: MlpSpec, delta_r: float) -> PreferenceDataset:
     d = spec.data_dim
-    return PreferenceRecord(
-        cond=one_hot(int(rng.integers(spec.cond_dim)), spec.cond_dim),
-        x0w=rng.standard_normal(d),
-        x0l=rng.standard_normal(d),
-        xTw=rng.standard_normal(d),
-        xTl=rng.standard_normal(d),
-        delta_r=delta_r,
-    )
+    header = DatasetHeader(dim=d, cond_dim=spec.cond_dim, steps=1, ref_hash="verify")
+    cond = one_hot(int(rng.integers(spec.cond_dim)), spec.cond_dim)
+    x0w, x0l, xTw, xTl = (rng.standard_normal(d) for _ in range(4))
+    return PreferenceDataset(header, cond[None], x0w[None], x0l[None], xTw[None], xTl[None], [delta_r])
 
 
 def suite_gradcheck() -> list[CheckResult]:
@@ -68,19 +64,14 @@ def suite_gradcheck() -> list[CheckResult]:
         cond=np.eye(3)[rng.integers(3, size=4)],
         t=rng.random(4) * 0.95,
     )
-    rec = _random_record(rng, spec, delta_r=0.7)
-    draw = DpoSampleDraw(eps_w=rng.standard_normal(2), eps_l=rng.standard_normal(2), t=0.53)
-    sft_batch = FlowBatch(
-        x0=np.stack([rec.x0w] * 3),
-        xT=rng.standard_normal((3, 2)),
-        cond=np.stack([rec.cond] * 3),
-        t=rng.random(3) * 0.95,
-    )
+    pair = _random_pair(rng, spec, delta_r=0.7)
+    eps = rng.standard_normal((1, 2, 2))
+    sft_pairs = pair.take([0, 0, 0])
     objectives = {
         "gradcheck_cfm": cfm_objective(spec, batch),
-        "gradcheck_pnapo": pnapo_objective(ref, spec, rec, t=0.37, beta_eff=3.0),
-        "gradcheck_dpo": dpo_objective(ref, spec, rec, draw, beta=2.5),
-        "gradcheck_sft": cfm_objective(spec, sft_batch),
+        "gradcheck_pnapo": pnapo_objective(ref, spec, pair, t=0.37, beta_eff=np.array([3.0])),
+        "gradcheck_dpo": dpo_objective(ref, spec, pair, eps, t=0.53, beta=2.5),
+        "gradcheck_sft": sft_objective(spec, sft_pairs, rng.standard_normal((3, 2)), rng.random(3) * 0.95),
     }
     results = []
     for name, obj in objectives.items():
@@ -116,11 +107,9 @@ def suite_variance() -> list[CheckResult]:
     dataset = build_dataset(
         ref, spec, rspec, SamplerConfig(steps=25), n_records=1, base_seed=5, ref_hash="verify"
     )
-    rec = dataset.records[0]
-
-    base = pnapo_delta(model, ref, spec, rec, t=0.37)
-    worst = max(abs(pnapo_delta(model, ref, spec, rec, t=0.37) - base) for _ in range(100))
-    var_stored, var_fresh = estimator_variance(model, ref, spec, rec, n_draws=1000, seed=123)
+    base = pnapo_delta(model, ref, spec, dataset, t=0.37)[0]
+    worst = max(abs(pnapo_delta(model, ref, spec, dataset, t=0.37)[0] - base) for _ in range(100))
+    var_stored, var_fresh = estimator_variance(model, ref, spec, dataset, n_draws=1000, seed=123)
     return [
         CheckResult("variance_pinned_t_bitident", worst == 0.0, worst, 0.0, 0.0),
         CheckResult("variance_fresh_noise_positive", var_fresh > 0.0, var_fresh, 0.0, 0.0),

@@ -4,25 +4,68 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from rfpnapo.numerics import MlpSpec, mlp_init
-from rfpnapo.prefdata import PreferenceRecord
+from rfpnapo.numerics import FunctionLoss, MlpSpec, mlp_init
+from rfpnapo.prefdata import DatasetHeader, PreferenceDataset
 from rfpnapo.rectflow import default_mixture, one_hot
 from rfpnapo.training import run_pretrain
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def make_record(rng: np.random.Generator, spec: MlpSpec, delta_r: float = 0.5) -> PreferenceRecord:
+def make_pairs(
+    rng: np.random.Generator, spec: MlpSpec, n: int = 1, delta_r=0.5
+) -> PreferenceDataset:
+    """n random pairs; per pair the draws are condition, x0w, x0l, xTw, xTl."""
     d = spec.data_dim
-    return PreferenceRecord(
-        cond=one_hot(int(rng.integers(spec.cond_dim)), spec.cond_dim),
-        x0w=rng.standard_normal(d),
-        x0l=rng.standard_normal(d),
-        xTw=rng.standard_normal(d),
-        xTl=rng.standard_normal(d),
-        delta_r=delta_r,
+    cond, fields = [], []
+    for _ in range(n):
+        cond.append(one_hot(int(rng.integers(spec.cond_dim)), spec.cond_dim))
+        fields.append(rng.standard_normal((4, d)))
+    cond = np.array(cond).reshape(n, spec.cond_dim)
+    fields = np.array(fields).reshape(n, 4, d)
+    header = DatasetHeader(dim=d, cond_dim=spec.cond_dim, steps=1, ref_hash="test")
+    return PreferenceDataset(
+        header, cond, fields[:, 0], fields[:, 1], fields[:, 2], fields[:, 3],
+        np.broadcast_to(np.asarray(delta_r, dtype=np.float64), (n,)).copy(),
     )
+
+
+def along_directions(loss, params: np.ndarray, rng: np.random.Generator, k: int = 3) -> FunctionLoss:
+    """loss restricted to params + V @ a for k random unit directions V, as a loss of a.
+
+    Its gradient is V^T grad, so finite_diff_check at a = 0 compares central
+    differences with the analytic gradient along each direction. On random
+    batches some coordinates' true derivatives lie below the finite-difference
+    noise floor (eps * |loss| / h), where a coordinate-wise relative error
+    fails a correct gradient; a random direction's derivative is of the order
+    of the whole gradient's norm, far above that floor.
+    """
+    directions = rng.standard_normal((params.size, k))
+    directions /= np.linalg.norm(directions, axis=0)
+
+    def value_and_grad(a: np.ndarray):
+        value, grad = loss.value_and_grad(params + directions @ a)
+        return value, directions.T @ grad
+
+    return FunctionLoss(value_and_grad)
+
+
+@st.composite
+def pair_batches(draw, max_pairs: int = 6):
+    """(spec, rng, pairs): a random small spec and 1..max_pairs random pairs.
+
+    Specs include hidden=() and dims of 1; reward gaps lie in [0, 3).
+    """
+    spec = MlpSpec(
+        data_dim=draw(st.integers(1, 3)),
+        cond_dim=draw(st.integers(1, 3)),
+        hidden=tuple(draw(st.lists(st.integers(1, 6), max_size=2))),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, max_pairs))
+    return spec, rng, make_pairs(rng, spec, n, delta_r=rng.random(n) * 3.0)
 
 
 @pytest.fixture(scope="session")

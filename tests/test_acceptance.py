@@ -17,11 +17,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, make_record
-from rfpnapo.baselines import DpoSampleDraw, dpo_loss
+from conftest import FIXTURES, make_pairs
+from rfpnapo.baselines import dpo_value_grad
 from rfpnapo.analytics import estimator_variance, pnapo_delta
 from rfpnapo.numerics import MlpSpec, mlp_init, read_checkpoint
-from rfpnapo.pnapo import f_controller, g_controller, pnapo_loss
+from rfpnapo.pnapo import f_controller, g_controller, pnapo_value_grad
 from rfpnapo.prefdata import audit_dataset, read_dataset
 
 SEEDS = (11, 22, 33, 44, 55)
@@ -132,17 +132,13 @@ def test_c01_reference_point_identity(capsys):
     spec = MlpSpec(data_dim=3, cond_dim=4, hidden=(10, 8))
     params = mlp_init(spec, 500)
     rng = np.random.default_rng(501)
-    worst = 0.0
-    for _ in range(100):
-        rec = make_record(rng, spec, delta_r=float(rng.random() * 2))
-        t = float(rng.random())
-        beta = float(rng.random() * 80 + 0.01)
-        a = pnapo_loss(params, params, spec, rec, t, beta)
-        draw = DpoSampleDraw(
-            eps_w=rng.standard_normal(3), eps_l=rng.standard_normal(3), t=t
-        )
-        b = dpo_loss(params, params, spec, rec, draw, beta)
-        worst = max(worst, abs(a - math.log(2.0)), abs(b - math.log(2.0)))
+    pairs = make_pairs(rng, spec, 100, delta_r=rng.random(100) * 2)
+    t = rng.random((100, 1))
+    beta = rng.random(100) * 80 + 0.01
+    a, _, _ = pnapo_value_grad(params, params, spec, pairs, t, beta)
+    eps = rng.standard_normal((100, 2, 3))
+    b, _, _ = dpo_value_grad(params, params, spec, pairs, eps, t, beta=40.0)
+    worst = float(np.max(np.abs(np.concatenate([a, b]) - math.log(2.0))))
     ok = worst <= 1e-9
     _emit(capsys, 1, "reference-point losses equal log 2", ok, f"max |loss - log2| = {worst:.3g}")
     assert ok
@@ -205,13 +201,13 @@ def test_c05_estimator_pinning(capsys, toy_runs):
     run = toy_runs[SEEDS[0]]
     ref, spec = read_checkpoint(str(run["ref"]))
     aligned, _ = read_checkpoint(str(run["aligned"]))
-    rec = read_dataset(str(run["pairs"])).records[0]
+    pair = read_dataset(str(run["pairs"])).take([0])
 
-    base = pnapo_delta(aligned, ref, spec, rec, t=0.37)
+    base = pnapo_delta(aligned, ref, spec, pair, t=0.37)[0]
     pinned_worst = max(
-        abs(pnapo_delta(aligned, ref, spec, rec, t=0.37) - base) for _ in range(200)
+        abs(pnapo_delta(aligned, ref, spec, pair, t=0.37)[0] - base) for _ in range(200)
     )
-    var_stored, var_fresh = estimator_variance(aligned, ref, spec, rec, n_draws=1000, seed=123)
+    var_stored, var_fresh = estimator_variance(aligned, ref, spec, pair, n_draws=1000, seed=123)
     ok = pinned_worst == 0.0 and var_fresh > 0.0
     ratio = var_stored / var_fresh if var_fresh > 0 else float("inf")
     _emit(capsys, 5, "stored noise pins the score gap", ok,
@@ -225,7 +221,7 @@ def test_c06_dataset_self_consistency(capsys, toy_runs):
     ref, spec = read_checkpoint(str(run["ref"]))
     ds = read_dataset(str(run["pairs"]))
     worst = audit_dataset(ds, ref, spec)
-    gaps_ok = all(rec.delta_r >= 0.0 for rec in ds.records)
+    gaps_ok = bool(np.all(ds.delta_r >= 0.0))
     ok = worst == 0.0 and gaps_ok and len(ds) == 5000
     _emit(capsys, 6, "stored noises replay to stored samples exactly", ok,
           f"{len(ds)} records, max replay deviation = {worst}, all gaps >= 0: {gaps_ok}")

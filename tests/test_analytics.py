@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import make_record
+from conftest import make_pairs
 from rfpnapo.analytics import (
     EvalReport,
     TabularChain,
@@ -74,17 +74,21 @@ def test_kl_check_various_sizes():
 def test_pinned_time_delta_is_bit_stable(trained_pair):
     ref, later, spec = trained_pair
     rng = np.random.default_rng(60)
-    rec = make_record(rng, spec)
-    base = pnapo_delta(later, ref, spec, rec, t=0.37)
+    pairs = make_pairs(rng, spec, 5)
+    base = pnapo_delta(later, ref, spec, pairs, t=0.37)
+    assert base.shape == (5,)
     for _ in range(50):
-        assert pnapo_delta(later, ref, spec, rec, t=0.37) == base
+        assert pnapo_delta(later, ref, spec, pairs, t=0.37).tobytes() == base.tobytes()
+    # a pair's gap does not depend on the batch it is scored in
+    for i in range(5):
+        assert pnapo_delta(later, ref, spec, pairs.take([i]), t=0.37)[0] == base[i]
 
 
 def test_fresh_noise_variance_positive(trained_pair):
     ref, later, spec = trained_pair
     rng = np.random.default_rng(61)
-    rec = make_record(rng, spec)
-    var_stored, var_fresh = estimator_variance(later, ref, spec, rec, n_draws=400, seed=5)
+    pair = make_pairs(rng, spec)
+    var_stored, var_fresh = estimator_variance(later, ref, spec, pair, n_draws=400, seed=5)
     assert var_fresh > 0.0
     assert var_stored >= 0.0
     # both estimators see the same t stream, so the stored-noise one only
@@ -94,12 +98,15 @@ def test_fresh_noise_variance_positive(trained_pair):
 
 def test_estimator_variance_deterministic(trained_pair):
     ref, later, spec = trained_pair
-    rec = make_record(np.random.default_rng(62), spec)
-    a = estimator_variance(later, ref, spec, rec, n_draws=50, seed=9)
-    b = estimator_variance(later, ref, spec, rec, n_draws=50, seed=9)
+    pairs = make_pairs(np.random.default_rng(62), spec, 2)
+    pair = pairs.take([0])
+    a = estimator_variance(later, ref, spec, pair, n_draws=50, seed=9)
+    b = estimator_variance(later, ref, spec, pair, n_draws=50, seed=9)
     assert a == b
     with pytest.raises(ConfigurationError):
-        estimator_variance(later, ref, spec, rec, n_draws=1, seed=9)
+        estimator_variance(later, ref, spec, pair, n_draws=1, seed=9)
+    with pytest.raises(ShapeError):
+        estimator_variance(later, ref, spec, pairs, n_draws=50, seed=9)
 
 
 def test_eval_report_validation():

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import FIXTURES
 from rfpnapo.cli import main
-from rfpnapo.numerics import read_checkpoint
+from rfpnapo.numerics import read_checkpoint, write_checkpoint
 
 TINY_CFG = """
 seed = 9
@@ -136,12 +136,18 @@ def test_bad_pair_content_exits_parse_error_with_line(tmp_path, tiny_cfg, capsys
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_config_float_exits_config_error(tmp_path, capsys, value):
-    cfg = tmp_path / "nan.cfg"
-    cfg.write_text(TINY_CFG.replace("train.lr = 2e-3", f"train.lr = {value}"))
-    lineno = TINY_CFG.splitlines().index("train.lr = 2e-3") + 1
-    assert main(["pretrain", "--config", str(cfg), "--out", str(tmp_path / "x.ckpt")]) == 2
-    assert f"{cfg}:{lineno}: bad value for train.lr" in capsys.readouterr().err
-    assert not (tmp_path / "x.ckpt").exists()
+    lines = TINY_CFG.splitlines()
+    cases = [  # (key, line index, replacement line); an index past the end appends
+        ("train.lr", lines.index("train.lr = 2e-3"), f"train.lr = {value}"),
+        ("reward.params", lines.index("reward.params = 2,0 ; -2,0"), f"reward.params = {value},0 ; -2,0"),
+        ("data.mixture.modes", len(lines), f"data.mixture.modes = 1,{value} ; 0,0"),
+    ]
+    for key, index, bad_line in cases:
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("\n".join(lines[:index] + [bad_line] + lines[index + 1:]) + "\n")
+        assert main(["pretrain", "--config", str(cfg), "--out", str(tmp_path / "x.ckpt")]) == 2
+        assert f"{cfg}:{index + 1}: bad value for {key}" in capsys.readouterr().err
+        assert not (tmp_path / "x.ckpt").exists()
 
 
 def test_dpo_alignment_ignores_stored_noise_fields(tmp_path, tiny_cfg, capsys):
@@ -223,6 +229,16 @@ def test_exit_codes(tmp_path, tiny_cfg, capsys):
     rc = main(["align", "--config", tiny_cfg, "--model", ref,
                "--pairs", str(mismatched), "--out", str(tmp_path / "a.ckpt")])
     assert rc in (4, 5)  # header-vs-record width may parse-fail first
+
+    # 5: a checkpoint with a non-finite parameter fails at load, not in the sampler
+    params, spec = read_checkpoint(ref)
+    params[0] = np.nan
+    nan_ckpt = str(tmp_path / "nan.ckpt")
+    write_checkpoint(nan_ckpt, params, spec)
+    capsys.readouterr()
+    assert main(["gen-pairs", "--config", tiny_cfg, "--model", nan_ckpt,
+                 "--n", "2", "--out", str(tmp_path / "p.txt")]) == 5
+    assert "non-finite" in capsys.readouterr().err
 
     # 5: corrupt checkpoint bytes
     bad_ckpt = tmp_path / "bad.ckpt"

@@ -60,12 +60,23 @@ def test_bad_value_rejected(tmp_path):
 @pytest.mark.parametrize(
     "key",
     ["data.mixture.std", "train.lr", "pnapo.beta", "corpus.toxicity_threshold",
-     "corpus.jaccard_threshold", "corpus.cosine_threshold"],
+     "corpus.jaccard_threshold", "corpus.cosine_threshold", "reward.params", "data.mixture.modes"],
 )
 @pytest.mark.parametrize("raw", ["nan", "NaN", "inf", "-inf", "1e999"])
 def test_non_finite_float_rejected_with_position(tmp_path, key, raw):
     path = _write(tmp_path, f"seed = 1\n\n{key} = {raw}\n")
     with pytest.raises(ConfigurationError, match=f"{re.escape(path)}:3: bad value for {key}: .*finite"):
+        load_config(path)
+
+
+@pytest.mark.parametrize(
+    "key, raw, vector",
+    [("reward.params", "2,0 ; 0,nan", 1), ("data.mixture.modes", "1,1 | -1,inf ; 3,0", 0),
+     ("data.mixture.modes", "1,1 ; 3,-inf", 1)],
+)
+def test_non_finite_vector_entry_names_the_vector(tmp_path, key, raw, vector):
+    path = _write(tmp_path, f"seed = 1\n{key} = {raw}\n")
+    with pytest.raises(ConfigurationError, match=f":2: bad value for {key}: vector {vector}: .*finite"):
         load_config(path)
 
 

@@ -69,10 +69,7 @@ def test_forward_shapes_and_batch_consistency(small_spec, small_params):
 
 def test_quadratic_loss_gradient_is_exact():
     # value 0.5*||p||^2 has gradient p; the checked entry point must agree
-    loss = FunctionLoss(
-        value=lambda p: 0.5 * float(p @ p),
-        value_and_grad=lambda p: (0.5 * float(p @ p), p.copy()),
-    )
+    loss = FunctionLoss(lambda p: (0.5 * float(p @ p), p.copy()))
     p = np.linspace(-1.0, 1.0, 11)
     v, g = loss_value_and_grad(loss, p)
     assert v == 0.5 * float(p @ p)
@@ -81,18 +78,12 @@ def test_quadratic_loss_gradient_is_exact():
 
 
 def test_constant_loss_has_zero_gradient():
-    loss = FunctionLoss(
-        value=lambda p: 3.5,
-        value_and_grad=lambda p: (3.5, np.zeros_like(p)),
-    )
+    loss = FunctionLoss(lambda p: (3.5, np.zeros_like(p)))
     assert finite_diff_check(loss, np.ones(5)) == 0.0
 
 
 def test_non_finite_loss_raises():
-    loss = FunctionLoss(
-        value=lambda p: float("nan"),
-        value_and_grad=lambda p: (float("nan"), np.zeros_like(p)),
-    )
+    loss = FunctionLoss(lambda p: (float("nan"), np.zeros_like(p)))
     with pytest.raises(NumericError):
         loss_value_and_grad(loss, np.ones(3))
 
@@ -103,18 +94,14 @@ def test_vjp_single_matches_finite_differences(small_spec, small_params):
         x = rng.standard_normal(2)
         c = np.eye(3)[int(rng.integers(3))]
         t = float(rng.random())
-        dy = rng.standard_normal(2)
-        inp = np.concatenate([x, c, [t]])
-
-        def value(p):
-            y, _ = forward_single_cached(p, small_spec, inp)
-            return float(dy @ y)
+        dy = rng.standard_normal((1, 1, 2))
+        inp = np.concatenate([x, c, [t]])[None, :]
 
         def value_and_grad(p):
             y, cache = forward_single_cached(p, small_spec, inp)
-            return float(dy @ y), vjp_single(p, small_spec, cache, dy)
+            return float(dy[0, 0] @ y[0]), vjp_single(p, small_spec, cache, dy)
 
-        err = finite_diff_check(FunctionLoss(value, value_and_grad), small_params)
+        err = finite_diff_check(FunctionLoss(value_and_grad), small_params)
         assert err < 1e-6
 
 
@@ -124,11 +111,20 @@ def test_vjp_batch_sums_per_sample_gradients(small_spec, small_params):
     dys = rng.standard_normal((4, 2))
     _, cache = forward_batch_cached(small_params, small_spec, inputs)
     batched = vjp_batch(small_params, small_spec, cache, dys)
-    summed = np.zeros_like(small_params)
-    for i in range(4):
-        _, single_cache = forward_single_cached(small_params, small_spec, inputs[i])
-        summed += vjp_single(small_params, small_spec, single_cache, dys[i])
-    assert np.allclose(batched, summed, rtol=1e-12, atol=1e-14)
+    _, row_cache = forward_single_cached(small_params, small_spec, inputs)
+    # as 4 records of one row each, and as 2 records of two rows each
+    for records, rows in ((4, 1), (2, 2)):
+        summed = vjp_single(small_params, small_spec, row_cache, dys.reshape(records, rows, 2))
+        assert np.allclose(batched, summed, rtol=1e-12, atol=1e-14)
+
+
+def test_single_row_kernels_reject_mismatched_shapes(small_spec, small_params):
+    with pytest.raises(ShapeError):
+        forward_single_cached(small_params, small_spec, np.zeros(small_spec.input_dim))
+    _, cache = forward_single_cached(small_params, small_spec, np.zeros((4, small_spec.input_dim)))
+    for dy in (np.zeros((4, 2)), np.zeros((3, 1, 2)), np.zeros((2, 2, 3))):
+        with pytest.raises(ShapeError):
+            vjp_single(small_params, small_spec, cache, dy)
 
 
 def test_sigmoid_softplus_stable_and_consistent():
@@ -217,6 +213,16 @@ def test_checkpoint_rejects_corruption(tmp_path, small_spec, small_params):
     bad_version.write_bytes(bytes(vers))
     with pytest.raises(ParseError):
         read_checkpoint(str(bad_version))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_rejects_non_finite_parameters(tmp_path, small_spec, small_params, bad):
+    params = small_params.copy()
+    params[3] = bad
+    path = str(tmp_path / "model.ckpt")
+    write_checkpoint(path, params, small_spec)
+    with pytest.raises(ParseError, match="non-finite"):
+        read_checkpoint(path)
 
 
 def test_checkpoint_rejects_inconsistent_dims(tmp_path, small_spec, small_params):

@@ -4,22 +4,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import make_record
+from conftest import along_directions, make_pairs, pair_batches
 from rfpnapo.errors import ConfigurationError
 from rfpnapo.numerics import finite_diff_check, mlp_init, optim_init, sigmoid
 from rfpnapo.pnapo import (
     AlignConfig,
     BetaSchedule,
-    align_step,
     effective_beta,
     f_controller,
     g_controller,
-    pnapo_loss,
+    make_pnapo_term,
+    pair_rows,
     pnapo_objective,
     pnapo_value_grad,
     score,
 )
+from rfpnapo.training import step_with_terms
 
 LOG2 = math.log(2.0)
 
@@ -90,31 +92,35 @@ def test_schedule_validation():
 
 def test_score_zero_when_params_equal_reference(small_spec, small_params):
     rng = np.random.default_rng(14)
-    for _ in range(10):
-        rec = make_record(rng, small_spec)
-        t = float(rng.random())
-        s_w = score(small_params, small_params, small_spec, rec.x0w, rec.xTw, rec.cond, t)
-        assert s_w == 0.0
+    pairs = make_pairs(rng, small_spec, 10)
+    s = score(small_params, small_params, small_spec, pair_rows(pairs, rng.random((10, 2))))
+    assert s.shape == (20,)
+    assert np.all(s == 0.0)
 
 
-def test_loss_at_reference_is_log_two(small_spec, small_params):
-    rng = np.random.default_rng(15)
-    for trial in range(50):
-        rec = make_record(rng, small_spec, delta_r=float(rng.random() * 3))
-        t = float(rng.random())
-        beta_eff = float(rng.random() * 60 + 1e-3)
-        loss = pnapo_loss(small_params, small_params, small_spec, rec, t, beta_eff)
-        assert loss == pytest.approx(LOG2, abs=1e-9)
+@settings(max_examples=40, deadline=None)
+@given(case=pair_batches(max_pairs=8))
+def test_loss_at_reference_is_log_two(case):
+    # at params == ref both branch scores vanish, whatever the pairs, times or
+    # weights: the batch loss is log 2 per pair
+    spec, rng, pairs = case
+    n = len(pairs)
+    params = mlp_init(spec, int(rng.integers(1000)))
+    t = rng.random((n, 2))
+    beta_eff = rng.random(n) * 60 + 1e-3
+    losses, _, margins = pnapo_value_grad(params, params, spec, pairs, t, beta_eff)
+    assert losses.shape == margins.shape == (n,)
+    assert np.all(np.abs(losses - LOG2) <= 1e-9)
 
 
 def test_gradient_coefficient_is_half_beta_at_reference(small_spec, small_params):
     rng = np.random.default_rng(16)
-    rec = make_record(rng, small_spec)
-    loss, grad, margin = pnapo_value_grad(
-        small_params, small_params, small_spec, rec, t_w=0.4, beta_eff=8.0
+    pairs = make_pairs(rng, small_spec)
+    losses, grad, margins = pnapo_value_grad(
+        small_params, small_params, small_spec, pairs, t=0.4, beta_eff=np.array([8.0])
     )
-    assert loss == pytest.approx(LOG2, abs=1e-12)
-    assert margin == 0.0
+    assert losses[0] == pytest.approx(LOG2, abs=1e-12)
+    assert margins[0] == 0.0
     # gradient need not vanish at the reference; the branch pulls are distinct
     assert np.linalg.norm(grad) > 0.0
 
@@ -123,55 +129,55 @@ def test_stable_softplus_matches_naive_composition(small_spec, small_params):
     # the loss equals -log sigmoid(-z); check against that form away from overflow
     rng = np.random.default_rng(17)
     ref = mlp_init(small_spec, 23)
-    for trial in range(30):
-        rec = make_record(rng, small_spec)
-        t = float(rng.random())
-        beta_eff = float(rng.random() * 20 + 0.1)
-        loss, _, margin = pnapo_value_grad(small_params, ref, small_spec, rec, t, beta_eff)
-        z = -margin
+    pairs = make_pairs(rng, small_spec, 30)
+    t = rng.random((30, 1))
+    beta_eff = rng.random(30) * 20 + 0.1
+    losses, _, margins = pnapo_value_grad(small_params, ref, small_spec, pairs, t, beta_eff)
+    for loss, z in zip(losses, -margins):
         if abs(z) < 30:
-            naive = -math.log(sigmoid(-z))
-            assert loss == pytest.approx(naive, abs=1e-9)
+            assert loss == pytest.approx(-math.log(sigmoid(-z)), abs=1e-9)
 
 
 def test_extreme_margins_do_not_overflow(small_spec, small_params):
     rng = np.random.default_rng(18)
     ref = mlp_init(small_spec, 24)
-    rec = make_record(rng, small_spec)
-    loss, grad, _ = pnapo_value_grad(small_params, ref, small_spec, rec, 0.5, beta_eff=1e6)
-    assert np.isfinite(loss)
+    pairs = make_pairs(rng, small_spec, 4)
+    losses, grad, _ = pnapo_value_grad(small_params, ref, small_spec, pairs, 0.5, np.full(4, 1e6))
+    assert np.all(np.isfinite(losses))
     assert np.all(np.isfinite(grad))
 
 
-def test_pnapo_gradient_finite_differences(small_spec, small_params):
-    rng = np.random.default_rng(19)
-    ref = mlp_init(small_spec, 25)
-    for trial in range(4):
-        rec = make_record(rng, small_spec)
-        t = float(rng.random() * 0.98)
-        obj = pnapo_objective(ref, small_spec, rec, t, beta_eff=float(1 + trial * 3))
-        assert finite_diff_check(obj, small_params) < 1e-5
+@settings(max_examples=40, deadline=None)
+@given(case=pair_batches())
+def test_pnapo_gradient_finite_differences(case):
+    spec, rng, pairs = case
+    n = len(pairs)
+    params, ref = mlp_init(spec, int(rng.integers(1000))), mlp_init(spec, 1000 + int(rng.integers(1000)))
+    obj = pnapo_objective(ref, spec, pairs, rng.random((n, 2)) * 0.98, 1.0 + 9.0 * rng.random(n))
+    assert finite_diff_check(along_directions(obj, params, rng), np.zeros(3)) < 1e-5
 
 
 def test_separate_branch_times_supported(small_spec, small_params):
     rng = np.random.default_rng(20)
     ref = mlp_init(small_spec, 26)
-    rec = make_record(rng, small_spec)
-    shared = pnapo_value_grad(small_params, ref, small_spec, rec, t_w=0.3, beta_eff=2.0)
-    split = pnapo_value_grad(small_params, ref, small_spec, rec, t_w=0.3, beta_eff=2.0, t_l=0.9)
-    assert shared[0] != split[0]
+    pairs = make_pairs(rng, small_spec)
+    beta = np.array([2.0])
+    shared = pnapo_value_grad(small_params, ref, small_spec, pairs, np.array([[0.3]]), beta)
+    split = pnapo_value_grad(small_params, ref, small_spec, pairs, np.array([[0.3, 0.9]]), beta)
+    assert shared[0][0] != split[0][0]
+
+
+def _align_step(params, ref, spec, pairs, sched, step_index, seed, lr):
+    term = make_pnapo_term(ref, spec, sched, step_index, np.random.default_rng(seed))
+    return step_with_terms(np.array(params), optim_init(params.size, lr), pairs, term, step_index)
 
 
 def test_zero_gap_records_with_dynamic_schedule_freeze_params(small_spec, small_params):
     # delta_r = 0 -> f(0) = 0 -> beta_eff = 0 -> z = 0, sigmoid'(0)*0 = 0 gradient
     rng = np.random.default_rng(21)
-    records = [make_record(rng, small_spec, delta_r=0.0) for _ in range(4)]
+    pairs = make_pairs(rng, small_spec, 4, delta_r=0.0)
     sched = BetaSchedule(beta=50.0, n1=10, n2=20, dynamic=True)
-    optim = optim_init(small_params.size, lr=0.1)
-    params, _, metrics = align_step(
-        np.array(small_params), small_params, small_spec, optim, records, sched,
-        step_index=1, rng=np.random.default_rng(0),
-    )
+    params, _, metrics = _align_step(small_params, small_params, small_spec, pairs, sched, 1, 0, lr=0.1)
     assert metrics["loss"] == pytest.approx(LOG2, abs=1e-15)
     assert metrics["beta_eff_mean"] == 0.0
     assert np.array_equal(params, small_params)  # zero gradient => Adam no-op
@@ -179,13 +185,9 @@ def test_zero_gap_records_with_dynamic_schedule_freeze_params(small_spec, small_
 
 def test_align_step_metrics_shape(small_spec, small_params):
     rng = np.random.default_rng(22)
-    records = [make_record(rng, small_spec, delta_r=0.5) for _ in range(6)]
+    pairs = make_pairs(rng, small_spec, 6, delta_r=0.5)
     sched = BetaSchedule(beta=5.0, n1=10, n2=20, dynamic=True)
-    optim = optim_init(small_params.size, lr=1e-3)
-    params, optim2, metrics = align_step(
-        np.array(small_params), small_params, small_spec, optim, records, sched,
-        step_index=3, rng=np.random.default_rng(5),
-    )
+    params, optim2, metrics = _align_step(small_params, small_params, small_spec, pairs, sched, 3, 5, lr=1e-3)
     assert set(metrics) == {"step", "loss", "margin_mean", "beta_eff_mean", "grad_norm"}
     assert metrics["step"] == 3
     assert optim2.step_count == 1

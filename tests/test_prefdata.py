@@ -4,16 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from conftest import pair_batches
 from rfpnapo.errors import ConfigurationError, DataError, ParseError, ShapeError
 from rfpnapo.numerics import MlpSpec, mlp_init
 from rfpnapo.prefdata import (
+    DatasetHeader,
     PreferenceDataset,
-    PreferenceRecord,
     RewardSpec,
     audit_dataset,
     build_dataset,
-    label_pair,
+    label_pairs,
     read_dataset,
     reward_eval,
     write_dataset,
@@ -53,41 +55,47 @@ def test_reward_unknown_kind_rejected():
 def test_label_pair_tie_prefers_first_and_gap_nonnegative():
     rng = np.random.default_rng(3)
     rspec = RewardSpec(kind="direction_dot", params=np.array([[1.0, 0.0]]))
-    cond = one_hot(0, 1)
+    header = DatasetHeader(dim=2, cond_dim=1, steps=1, ref_hash="h")
     xa, xta = np.array([2.0, 0.0]), np.array([0.5, 0.5])
     xb, xtb = np.array([1.0, 0.0]), np.array([-0.5, 0.5])
-    rec = label_pair(rspec, cond, xa, xta, xb, xtb)
-    assert np.array_equal(rec.x0w, xa) and np.array_equal(rec.xTw, xta)
-    assert rec.delta_r == 1.0
-    # swap so b wins
-    rec2 = label_pair(rspec, cond, xb, xtb, xa, xta)
-    assert np.array_equal(rec2.x0w, xa)
+    # pair 0: a wins; pair 1: b listed first, a still wins; pair 2: exact tie
+    x0 = np.array([[xa, xb], [xb, xa], [xa, xa.copy()]])
+    xT = np.array([[xta, xtb], [xtb, xta], [xta, xta.copy()]])
+    ds = label_pairs(rspec, header, np.ones((3, 1)), x0, xT)
+    assert np.array_equal(ds.x0w[0], xa) and np.array_equal(ds.xTw[0], xta)
+    assert np.array_equal(ds.x0l[0], xb) and np.array_equal(ds.xTl[0], xtb)
+    assert ds.delta_r[0] == 1.0
+    assert np.array_equal(ds.x0w[1], xa) and np.array_equal(ds.xTw[1], xta)
     # exact tie -> first entry wins, gap zero
-    rec3 = label_pair(rspec, cond, xa, xta, xa.copy(), xta.copy())
-    assert rec3.delta_r == 0.0
-    assert np.array_equal(rec3.x0w, xa)
-    for _ in range(20):
-        x0a, x0b = rng.standard_normal(2), rng.standard_normal(2)
-        r = label_pair(rspec, cond, x0a, xta, x0b, xtb)
-        assert r.delta_r >= 0.0
+    assert ds.delta_r[2] == 0.0
+    assert np.array_equal(ds.x0w[2], xa)
+    x0 = rng.standard_normal((20, 2, 2))
+    ds = label_pairs(rspec, header, np.ones((20, 1)), x0, rng.standard_normal((20, 2, 2)))
+    assert np.all(ds.delta_r >= 0.0)
 
 
 def test_record_validation():
+    header = DatasetHeader(dim=3, cond_dim=2, steps=1, ref_hash="h")
     ok = dict(
-        cond=one_hot(0, 2),
-        x0w=np.zeros(3),
-        x0l=np.zeros(3),
-        xTw=np.zeros(3),
-        xTl=np.zeros(3),
-        delta_r=0.1,
+        header=header,
+        cond=np.eye(2)[[0]],
+        x0w=np.zeros((1, 3)),
+        x0l=np.zeros((1, 3)),
+        xTw=np.zeros((1, 3)),
+        xTl=np.zeros((1, 3)),
+        delta_r=[0.1],
     )
-    PreferenceRecord(**ok)
+    PreferenceDataset(**ok)
     with pytest.raises(ShapeError):
-        PreferenceRecord(**{**ok, "x0l": np.zeros(2)})
+        PreferenceDataset(**{**ok, "x0l": np.zeros((1, 2))})
+    with pytest.raises(ShapeError):
+        PreferenceDataset(**{**ok, "cond": np.eye(3)[[0]]})
+    with pytest.raises(ShapeError):
+        PreferenceDataset(**{**ok, "delta_r": [0.1, 0.2]})
     with pytest.raises(DataError):
-        PreferenceRecord(**{**ok, "delta_r": -0.5})
+        PreferenceDataset(**{**ok, "delta_r": [-0.5]})
     with pytest.raises(DataError):
-        PreferenceRecord(**{**ok, "delta_r": float("nan")})
+        PreferenceDataset(**{**ok, "delta_r": [float("nan")]})
 
 
 def _tiny_setup():
@@ -101,9 +109,8 @@ def _tiny_setup():
 
 def _record_bytes(ds):
     return [
-        b"".join(getattr(rec, f).tobytes() for f in ("cond", "x0w", "x0l", "xTw", "xTl"))
-        + np.float64(rec.delta_r).tobytes()
-        for rec in ds.records
+        b"".join(getattr(ds, f)[i].tobytes() for f in ("cond", "x0w", "x0l", "xTw", "xTl", "delta_r"))
+        for i in range(len(ds))
     ]
 
 
@@ -125,13 +132,13 @@ def test_build_dataset_stores_drawn_noises_bitwise():
     spec, ref, rspec = _tiny_setup()
     cfg = SamplerConfig(steps=7)
     ds = build_dataset(ref, spec, rspec, cfg, n_records=6, base_seed=33, ref_hash="h")
-    for i, rec in enumerate(ds.records):
+    for i in range(len(ds)):
         rng = np.random.default_rng(33 + i)
         cond = one_hot(int(rng.integers(spec.cond_dim)), spec.cond_dim)
         draws = [rng.standard_normal(spec.data_dim) for _ in range(2)]
-        assert rec.cond.tobytes() == cond.tobytes()
-        assert sorted([rec.xTw.tobytes(), rec.xTl.tobytes()]) == sorted(d.tobytes() for d in draws)
-        for x0, xT in ((rec.x0w, rec.xTw), (rec.x0l, rec.xTl)):
+        assert ds.cond[i].tobytes() == cond.tobytes()
+        assert sorted([ds.xTw[i].tobytes(), ds.xTl[i].tobytes()]) == sorted(d.tobytes() for d in draws)
+        for x0, xT in ((ds.x0w[i], ds.xTw[i]), (ds.x0l[i], ds.xTl[i])):
             alone = euler_sample(ref, spec, xT[None, :], cond[None, :], cfg)[0]
             assert x0.tobytes() == alone.tobytes()
 
@@ -152,7 +159,7 @@ def test_audit_flags_non_finite_values(field, bad):
     spec, ref, rspec = _tiny_setup()
     ds = build_dataset(ref, spec, rspec, SamplerConfig(steps=4), n_records=5, base_seed=60, ref_hash="h")
     assert audit_dataset(ds, ref, spec) == 0.0
-    getattr(ds.records[3], field)[1] = bad
+    getattr(ds, field)[3, 1] = bad
     assert audit_dataset(ds, ref, spec) == math.inf
 
 
@@ -163,20 +170,21 @@ def test_build_dataset_rejects_mismatched_reward_params():
         build_dataset(ref, spec, bad, SamplerConfig(steps=3), 2, 0, "h")
 
 
-def test_dataset_file_round_trip_value_exact(tmp_path):
-    spec, ref, rspec = _tiny_setup()
-    ds = build_dataset(ref, spec, rspec, SamplerConfig(steps=5), 7, 400, "cafe01")
-    path = str(tmp_path / "pairs.txt")
+@settings(max_examples=40, deadline=None)
+@given(case=pair_batches(max_pairs=10))
+def test_dataset_file_round_trip_value_exact(tmp_path_factory, case):
+    # write -> read gives every array back bit for bit, signed zeros and
+    # subnormals included
+    spec, rng, ds = case
+    ds.x0w[0, 0] = -0.0
+    ds.x0l[0, -1] = 5e-324
+    ds.xTw[-1, 0] = -1.7976931348623157e308
+    path = str(tmp_path_factory.mktemp("pairs") / "pairs.txt")
     write_dataset(path, ds)
     back = read_dataset(path)
     assert back.header == ds.header
-    assert len(back) == len(ds)
-    for a, b in zip(ds.records, back.records):
-        for field in ("cond", "x0w", "x0l", "xTw", "xTl"):
-            assert np.array_equal(getattr(a, field), getattr(b, field))
-        assert a.delta_r == b.delta_r
-    # and the reloaded records still replay exactly
-    assert audit_dataset(back, ref, spec) == 0.0
+    for field in ("cond", "x0w", "x0l", "xTw", "xTl", "delta_r"):
+        assert getattr(back, field).tobytes() == getattr(ds, field).tobytes(), field
 
 
 def test_dataset_write_is_byte_stable(tmp_path):
@@ -248,8 +256,8 @@ def test_read_dataset_empty_is_header_only(tmp_path):
 def test_delta_r_reflects_reward_ordering():
     spec, ref, rspec = _tiny_setup()
     ds = build_dataset(ref, spec, rspec, SamplerConfig(steps=5), 30, 7, "h")
-    for rec in ds.records:
-        rw = reward_eval(rspec, rec.x0w, rec.cond)
-        rl = reward_eval(rspec, rec.x0l, rec.cond)
+    for i in range(len(ds)):
+        rw = reward_eval(rspec, ds.x0w[i], ds.cond[i])
+        rl = reward_eval(rspec, ds.x0l[i], ds.cond[i])
         assert rw >= rl
-        assert rec.delta_r == pytest.approx(rw - rl, abs=1e-15)
+        assert ds.delta_r[i] == pytest.approx(rw - rl, abs=1e-15)

@@ -17,7 +17,6 @@ from rfpnapo.rectflow import (
     euler_sample,
     interpolate,
     one_hot,
-    rf_weight,
 )
 
 
@@ -45,15 +44,6 @@ def test_interpolate_rejects_out_of_range_t():
     for bad in (-0.1, 1.1, float("nan")):
         with pytest.raises(ValueError):
             interpolate(x, x, bad)
-
-
-def test_rf_weight_values():
-    assert rf_weight(0.0) == 0.0
-    assert rf_weight(0.5) == 1.0
-    assert rf_weight(0.75) == pytest.approx(3.0, rel=1e-15)
-    for bad in (1.0, -0.01, 2.0):
-        with pytest.raises(ValueError):
-            rf_weight(bad)
 
 
 def test_cfm_loss_matches_per_sample_recomputation():
