@@ -277,7 +277,7 @@ def eval_reward(
     conds = np.repeat(np.eye(spec.cond_dim), n_per_condition, axis=0)
     noise = np.random.default_rng(seed).standard_normal((conds.shape[0], spec.data_dim))
     x0 = euler_sample(params, spec, noise, conds, sampler_cfg)
-    rewards = [reward_eval(rspec, x, c) for x, c in zip(x0, conds)]
+    rewards = reward_eval(rspec, x0, conds)
     return EvalReport(
         model=label,
         mean_reward=float(np.mean(rewards)),
@@ -325,12 +325,6 @@ def win_rate(
     noise = np.random.default_rng(seed).standard_normal((n_trials, spec.data_dim))
     xa = euler_sample(params_a, spec, noise, conds, sampler_cfg)
     xb = euler_sample(params_b, spec, noise, conds, sampler_cfg)
-    points = 0.0
-    for i in range(n_trials):
-        ra = reward_eval(rspec, xa[i], conds[i])
-        rb = reward_eval(rspec, xb[i], conds[i])
-        if ra > rb:
-            points += 1.0
-        elif ra == rb:
-            points += 0.5
-    return points / n_trials
+    rewards = reward_eval(rspec, np.concatenate([xa, xb]), np.concatenate([conds, conds]))
+    ra, rb = rewards[:n_trials], rewards[n_trials:]
+    return float(np.count_nonzero(ra > rb) + 0.5 * np.count_nonzero(ra == rb)) / n_trials

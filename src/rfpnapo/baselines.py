@@ -15,8 +15,8 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .errors import ShapeError
-from .numerics import FunctionLoss, MlpSpec, ParamVector, forward_single_cached, vjp_single
-from .pnapo import pnapo_value_grad, row_dot
+from .numerics import FunctionLoss, MlpSpec, ParamVector, forward_single_cached, row_dot, vjp_single
+from .pnapo import pnapo_value_grad
 from .rectflow import FlowBatch, path_inputs
 
 if TYPE_CHECKING:
@@ -91,7 +91,7 @@ def sft_value_grad(
     inp, target = path_inputs(spec, FlowBatch(x0=pairs.x0w, xT=xT, cond=pairs.cond, t=t))
     v, cache = forward_single_cached(params, spec, inp)
     residual = v - target
-    return row_dot(residual), vjp_single(params, spec, cache, (2.0 * residual)[:, None, :])
+    return row_dot(residual, residual), vjp_single(params, spec, cache, (2.0 * residual)[:, None, :])
 
 
 def sft_objective(

@@ -228,9 +228,9 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     cfg.require("seed")
     require_file(args.input, "corpus TSV")
-    records, dim = read_corpus(args.input)
-    survivors, counts = run_pipeline(records, cfg.corpus_config(), seed=cfg.get("seed"))
-    write_corpus(args.out, survivors, dim=dim)
+    corpus = read_corpus(args.input)
+    survivors, counts = run_pipeline(corpus, cfg.corpus_config(), seed=cfg.get("seed"))
+    write_corpus(args.out, survivors)
     _write_manifest(
         args.out,
         ["corpus", args.input, "--config", args.config, "--out", args.out],

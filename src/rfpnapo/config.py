@@ -2,13 +2,14 @@
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .corpus import CorpusPipelineConfig
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ShapeError
 from .fileio import read_text
 from .numerics import MlpSpec
 from .pnapo import BetaSchedule
@@ -46,6 +47,20 @@ def _parse_finite_vectors(raw: str) -> str:
             except ValueError as exc:
                 raise ValueError(f"vector {k}: {exc}") from None
     return raw
+
+
+@contextmanager
+def _checked_by_builder(*keys: str) -> Iterator[None]:
+    """Report a ShapeError from the objects built out of keys as a config error naming them.
+
+    MlpSpec, ConditionalMixture and SamplerConfig own the value checks; a bad
+    value in the file is still a configuration problem, not a shape mismatch
+    between artifacts.
+    """
+    try:
+        yield
+    except ShapeError as exc:
+        raise ConfigurationError(f"bad value for {' / '.join(keys)}: {exc}") from None
 
 
 def _parse_hidden(raw: str) -> tuple[int, ...]:
@@ -121,11 +136,12 @@ class RunConfig:
     # --- typed builders ---
 
     def mlp_spec(self) -> MlpSpec:
-        return MlpSpec(
-            data_dim=self.get("data.dim"),
-            cond_dim=self.get("data.conditions"),
-            hidden=self.get("model.hidden"),
-        )
+        with _checked_by_builder("data.dim", "data.conditions", "model.hidden"):
+            return MlpSpec(
+                data_dim=self.get("data.dim"),
+                cond_dim=self.get("data.conditions"),
+                hidden=self.get("model.hidden"),
+            )
 
     def mixture(self) -> ConditionalMixture:
         dim = self.get("data.dim")
@@ -133,7 +149,8 @@ class RunConfig:
         std = self.get("data.mixture.std")
         modes_raw = self.get("data.mixture.modes")
         if modes_raw == "":
-            return default_mixture(dim, n_conditions, std)
+            with _checked_by_builder("data.dim", "data.conditions", "data.mixture.std"):
+                return default_mixture(dim, n_conditions, std)
         groups = []
         for k, group_raw in enumerate(modes_raw.split(";")):
             centers = []
@@ -156,7 +173,8 @@ class RunConfig:
                 f"data.mixture.modes defines {len(groups)} conditions, "
                 f"data.conditions is {n_conditions}"
             )
-        return ConditionalMixture(modes=tuple(groups), std=std)
+        with _checked_by_builder("data.mixture.std"):
+            return ConditionalMixture(modes=tuple(groups), std=std)
 
     def reward(self, data_dim: int, cond_dim: int) -> RewardSpec:
         kind = self.get("reward.kind")
@@ -196,7 +214,8 @@ class RunConfig:
         )
 
     def sampler(self) -> SamplerConfig:
-        return SamplerConfig(steps=self.get("sampler.steps"))
+        with _checked_by_builder("sampler.steps"):
+            return SamplerConfig(steps=self.get("sampler.steps"))
 
     def corpus_config(self) -> CorpusPipelineConfig:
         return CorpusPipelineConfig(

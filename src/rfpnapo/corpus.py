@@ -2,31 +2,52 @@
 
 Stage order is fixed: toxicity -> token-set dedup -> embedding dedup ->
 k-means -> per-cluster resampling. Both dedup passes are keep-first greedy
-scans, so earlier records win ties.
+scans, so earlier records win ties. One `Corpus` of arrays flows from
+read_corpus through every stage to write_corpus.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, DataError, ParseError, ShapeError
 from .fileio import fmt17, parse_float, read_text, write_text
+from .numerics import row_dot
 
 
 @dataclass
-class PromptRecord:
-    """One corpus row: stable id, prompt text, toxicity score, embedding."""
+class Corpus:
+    """Prompt records as arrays, one row per record.
 
-    id: str
-    text: str
-    toxicity: float
-    embedding: np.ndarray
+    Row i holds a stable id, the prompt text, a toxicity score and an
+    embedding; every record has the same embedding dimension d >= 0.
+    """
+
+    ids: np.ndarray  # (n,) str objects
+    texts: np.ndarray  # (n,) str objects
+    toxicity: np.ndarray  # (n,)
+    embeddings: np.ndarray  # (n, d)
 
     def __post_init__(self):
-        self.embedding = np.asarray(self.embedding, dtype=np.float64)
-        if self.embedding.ndim != 1:
-            raise ShapeError(f"embedding for {self.id!r} must be 1-D")
+        self.ids = np.asarray(self.ids, dtype=object)
+        self.texts = np.asarray(self.texts, dtype=object)
+        self.toxicity = np.asarray(self.toxicity, dtype=np.float64)
+        self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
+        if self.embeddings.ndim != 2:
+            raise ShapeError(f"embeddings have shape {self.embeddings.shape}, expected (n, d)")
+        n = self.embeddings.shape[0]
+        for name in ("ids", "texts", "toxicity"):
+            if getattr(self, name).shape != (n,):
+                raise ShapeError(f"{name} has shape {getattr(self, name).shape}, expected ({n},)")
+
+    def __len__(self) -> int:
+        return self.ids.shape[0]
+
+    def take(self, idx) -> "Corpus":
+        """The records at the given row indices (or boolean mask), in that order."""
+        return Corpus(self.ids[idx], self.texts[idx], self.toxicity[idx], self.embeddings[idx])
 
 
 @dataclass(frozen=True)
@@ -47,9 +68,9 @@ class CorpusPipelineConfig:
             raise ConfigurationError("cluster counts and iteration cap must be >= 1")
 
 
-def toxicity_filter(records: list[PromptRecord], threshold: float) -> list[PromptRecord]:
+def toxicity_filter(corpus: Corpus, threshold: float) -> Corpus:
     """Keep exactly the records with toxicity <= threshold, preserving order."""
-    return [r for r in records if r.toxicity <= threshold]
+    return corpus.take(corpus.toxicity <= threshold)
 
 
 def _token_set(text: str) -> frozenset[str]:
@@ -63,35 +84,41 @@ def jaccard(a: frozenset[str], b: frozenset[str]) -> float:
     return len(a & b) / union
 
 
-def jaccard_dedup(records: list[PromptRecord], threshold: float) -> list[PromptRecord]:
+def jaccard_dedup(corpus: Corpus, threshold: float) -> Corpus:
     """Drop any record whose token-set similarity with an earlier kept one exceeds threshold."""
-    kept: list[PromptRecord] = []
+    keep = np.zeros(len(corpus), dtype=bool)
     kept_tokens: list[frozenset[str]] = []
-    for rec in records:
-        tokens = _token_set(rec.text)
+    for i, text in enumerate(corpus.texts):
+        tokens = _token_set(text)
         if any(jaccard(tokens, seen) > threshold for seen in kept_tokens):
             continue
-        kept.append(rec)
+        keep[i] = True
         kept_tokens.append(tokens)
-    return kept
+    return corpus.take(keep)
 
 
-def embedding_dedup(records: list[PromptRecord], threshold: float) -> list[PromptRecord]:
-    """Drop records with cosine similarity > threshold against an earlier kept one."""
-    units = []
-    for rec in records:
-        norm = float(np.linalg.norm(rec.embedding))
-        if norm == 0.0:
-            raise DataError(f"zero-norm embedding for record {rec.id!r}")
-        units.append(rec.embedding / norm)
-    kept: list[PromptRecord] = []
-    kept_units: list[np.ndarray] = []
-    for rec, unit in zip(records, units):
-        if kept_units and float(np.max(np.stack(kept_units) @ unit)) > threshold:
+def embedding_dedup(corpus: Corpus, threshold: float) -> Corpus:
+    """Drop records with cosine similarity > threshold against an earlier kept one.
+
+    The kept unit vectors are compacted into the head of the unit-vector
+    array itself (row m <= i is written only after row i is read), so each
+    record is one matrix-vector product against `units[:m]`, the same BLAS
+    call with the same strides as on a freshly stacked copy.
+    """
+    norms = np.sqrt(row_dot(corpus.embeddings, corpus.embeddings))
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise DataError(f"zero-norm embedding for record {corpus.ids[zero[0]]!r}")
+    units = corpus.embeddings / norms[:, None]
+    keep = np.zeros(len(corpus), dtype=bool)
+    m = 0
+    for i, unit in enumerate(units):
+        if m and float(np.max(units[:m] @ unit)) > threshold:
             continue
-        kept.append(rec)
-        kept_units.append(unit)
-    return kept
+        keep[i] = True
+        units[m] = unit
+        m += 1
+    return corpus.take(keep)
 
 
 def lloyd_iterations(
@@ -132,23 +159,20 @@ def lloyd_iterations(
     return assignments, centers, trace
 
 
-def kmeans_cluster(records: list[PromptRecord], k: int, iters: int, seed: int) -> np.ndarray:
+def kmeans_cluster(corpus: Corpus, k: int, iters: int, seed: int) -> np.ndarray:
     """Assign each record to one of k clusters by its embedding. Deterministic per seed."""
-    n = len(records)
+    n = len(corpus)
     if k < 1:
         raise ConfigurationError(f"cluster count must be >= 1, got {k}")
     if k > n:
         raise ConfigurationError(f"cannot form {k} clusters from {n} records")
     if iters < 1:
         raise ConfigurationError(f"iteration cap must be >= 1, got {iters}")
-    x = np.stack([r.embedding for r in records])
-    assignments, _, _ = lloyd_iterations(x, k, iters, np.random.default_rng(seed))
+    assignments, _, _ = lloyd_iterations(corpus.embeddings, k, iters, np.random.default_rng(seed))
     return assignments
 
 
-def cluster_resample(
-    records: list[PromptRecord], assignments: np.ndarray, per_cluster: int, seed: int
-) -> list[PromptRecord]:
+def cluster_resample(corpus: Corpus, assignments: np.ndarray, per_cluster: int, seed: int) -> Corpus:
     """Uniformly keep min(per_cluster, size) records per cluster, without replacement.
 
     Output is ordered by (cluster id, original index). RNG consumption order:
@@ -157,33 +181,31 @@ def cluster_resample(
     if per_cluster < 1:
         raise ConfigurationError(f"per-cluster quota must be >= 1, got {per_cluster}")
     assignments = np.asarray(assignments)
-    if assignments.shape != (len(records),):
+    if assignments.shape != (len(corpus),):
         raise ShapeError("assignments must align with records")
     rng = np.random.default_rng(seed)
-    out: list[PromptRecord] = []
-    for cid in sorted(set(int(a) for a in assignments)):
+    chosen: list[int] = []
+    for cid in np.unique(assignments):
         members = np.flatnonzero(assignments == cid)
-        take = min(per_cluster, members.size)
-        chosen = rng.choice(members, size=take, replace=False)
-        out.extend(records[i] for i in sorted(int(i) for i in chosen))
-    return out
+        chosen.extend(np.sort(rng.choice(members, size=min(per_cluster, members.size), replace=False)))
+    return corpus.take(np.array(chosen, dtype=np.intp))
 
 
 def run_pipeline(
-    records: list[PromptRecord], cfg: CorpusPipelineConfig, seed: int
-) -> tuple[list[PromptRecord], dict[str, int]]:
+    corpus: Corpus, cfg: CorpusPipelineConfig, seed: int
+) -> tuple[Corpus, dict[str, int]]:
     """Run all stages in order; returns (survivors, per-stage counts)."""
-    counts = {"input": len(records)}
-    survivors = toxicity_filter(records, cfg.toxicity_threshold)
+    counts = {"input": len(corpus)}
+    survivors = toxicity_filter(corpus, cfg.toxicity_threshold)
     counts["after_toxicity"] = len(survivors)
     survivors = jaccard_dedup(survivors, cfg.jaccard_threshold)
     counts["after_jaccard"] = len(survivors)
     survivors = embedding_dedup(survivors, cfg.cosine_threshold)
     counts["after_cosine"] = len(survivors)
-    if not survivors:  # nothing left to cluster; empty in, empty out
+    if len(survivors) == 0:  # nothing left to cluster; empty in, empty out
         counts["clusters"] = 0
         counts["output"] = 0
-        return [], counts
+        return survivors, counts
     assignments = kmeans_cluster(survivors, cfg.n_clusters, cfg.kmeans_iters, seed)
     counts["clusters"] = cfg.n_clusters
     survivors = cluster_resample(survivors, assignments, cfg.per_cluster, seed)
@@ -192,55 +214,52 @@ def run_pipeline(
 
 
 # --- TSV format ---------------------------------------------------------------
-# header: id<TAB>text<TAB>tox<TAB>e0..e{m-1}; floats carry 17 significant digits.
+# header: id<TAB>text<TAB>tox<TAB>e0..e{d-1}; floats carry 17 significant digits.
+
+# the column separator and every character str.splitlines ends a line at
+_UNWRITABLE = frozenset("\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 
-def write_corpus(path: str, records: list[PromptRecord], dim: int | None = None) -> None:
-    if records:
-        dims = {r.embedding.size for r in records}
-        if len(dims) != 1:
-            raise ShapeError(f"records disagree on embedding dimension: {sorted(dims)}")
-        actual = dims.pop()
-        if dim is not None and dim != actual:
-            raise ShapeError(f"requested dimension {dim} != record dimension {actual}")
-        dim = actual
-    elif dim is None:
-        dim = 0
-    header = ["id", "text", "tox"] + [f"e{i}" for i in range(dim)]
+def write_corpus(path: str, corpus: Corpus) -> None:
+    header = ["id", "text", "tox"] + [f"e{i}" for i in range(corpus.embeddings.shape[1])]
     lines = ["\t".join(header)]
-    for rec in records:
-        if "\t" in rec.text or "\n" in rec.text or "\t" in rec.id or "\n" in rec.id:
-            raise DataError(f"record {rec.id!r} contains tab/newline; not representable")
-        cells = [rec.id, rec.text, fmt17(rec.toxicity)] + [fmt17(v) for v in rec.embedding]
-        lines.append("\t".join(cells))
+    for rec_id, text, tox, embedding in zip(corpus.ids, corpus.texts, corpus.toxicity, corpus.embeddings):
+        if not _UNWRITABLE.isdisjoint(rec_id) or not _UNWRITABLE.isdisjoint(text):
+            raise DataError(f"record {rec_id!r} contains a tab or line break; not representable")
+        lines.append("\t".join([rec_id, text, fmt17(tox), *map(fmt17, embedding.tolist())]))
     write_text(path, "\n".join(lines) + "\n")
 
 
-def read_corpus(path: str) -> tuple[list[PromptRecord], int]:
-    """Parse a corpus TSV. Returns (records, embedding_dim)."""
+def read_corpus(path: str) -> Corpus:
+    """Parse a corpus TSV; an empty file is an empty corpus with d = 0."""
     content = read_text(path, "corpus")
     lines = content.splitlines()
     if not lines:
-        return [], 0
+        return Corpus([], [], np.empty(0), np.empty((0, 0)))
     header = lines[0].split("\t")
     if header[:3] != ["id", "text", "tox"]:
         raise ParseError(f"bad header columns {header[:3]}", line=1)
     dim = len(header) - 3
     if header[3:] != [f"e{i}" for i in range(dim)]:
-        raise ParseError("embedding columns must be e0..e{m-1} in order", line=1)
-    records: list[PromptRecord] = []
+        raise ParseError("embedding columns must be e0..e{d-1} in order", line=1)
+    ids, texts, toxicity = [], [], []
+    embeddings = np.empty((len(lines) - 1, dim))  # blank lines leave rows unused
     for lineno, raw in enumerate(lines[1:], start=2):
         if raw == "":
             continue
         cells = raw.split("\t")
         if len(cells) != 3 + dim:
             raise ParseError(f"expected {3 + dim} columns, found {len(cells)}", line=lineno)
-        rec_id, text = cells[0], cells[1]
-        if not rec_id:
+        if not cells[0]:
             raise ParseError("empty record id", line=lineno)
         tox = parse_float(cells[2], line=lineno)
         if not 0.0 <= tox <= 1.0:
             raise ParseError(f"toxicity {tox} outside [0, 1]", line=lineno)
-        embedding = np.array([parse_float(c, line=lineno) for c in cells[3:]])
-        records.append(PromptRecord(id=rec_id, text=text, toxicity=tox, embedding=embedding))
-    return records, dim
+        embedding = [parse_float(c, line=lineno) for c in cells[3:]]
+        if not all(map(math.isfinite, embedding)):
+            raise ParseError("non-finite embedding value", line=lineno)
+        embeddings[len(ids)] = embedding
+        ids.append(cells[0])
+        texts.append(cells[1])
+        toxicity.append(tox)
+    return Corpus(ids, texts, toxicity, embeddings[: len(ids)])

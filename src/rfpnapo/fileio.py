@@ -30,12 +30,32 @@ def require_file(path: str, what: str = "input") -> str:
     return path
 
 
-def write_text(path: str, content: str) -> None:
-    """Write UTF-8 text with LF line endings, creating parent dirs."""
+def write_bytes(path: str, data: bytes) -> None:
+    """Replace path with data atomically, creating parent dirs.
+
+    The bytes go to a temp file in the target directory, are fsynced, and
+    os.replace puts the file in place: a reader sees the previous file or the
+    whole new one, never a truncated write. A failed write leaves the previous
+    file as it was and removes the temp file.
+    """
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(content)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def write_text(path: str, content: str) -> None:
+    """Write UTF-8 text as given (LF line endings stay LF), atomically."""
+    write_bytes(path, content.encode("utf-8"))
 
 
 def read_text(path: str, what: str = "input") -> str:

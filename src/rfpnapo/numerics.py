@@ -19,6 +19,7 @@ from typing import Callable, Protocol
 import numpy as np
 
 from .errors import NumericError, ParseError, ShapeError
+from .fileio import require_file, write_bytes
 
 CHECKPOINT_MAGIC = b"RFPK"
 CHECKPOINT_VERSION = 1
@@ -236,6 +237,15 @@ def vjp_batch(
     return pack_params(d_weights, d_biases)
 
 
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-row <a[i], b[i]> of two (R, d) arrays.
+
+    Each row is the same BLAS dot product as `a[i] @ b[i]`, bit for bit;
+    `np.sum(a * b, axis=1)` and einsum add in another order.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
 def sigmoid(z: float) -> float:
     """Numerically stable logistic function for scalars."""
     if z >= 0.0:
@@ -364,8 +374,6 @@ def adam_step(
 
 
 def write_checkpoint(path: str, params: ParamVector, spec: MlpSpec) -> None:
-    import os
-
     weights, biases = unpack_params(params, spec)
     parts = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(weights))]
     for w in weights:
@@ -375,17 +383,11 @@ def write_checkpoint(path: str, params: ParamVector, spec: MlpSpec) -> None:
     for b in biases:
         parts.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
     parts.append(struct.pack("<III", spec.input_dim, spec.cond_dim, spec.output_dim))
-    blob = b"".join(parts)
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    write_bytes(path, b"".join(parts))
 
 
 def read_checkpoint(path: str) -> tuple[ParamVector, MlpSpec]:
     """Load a checkpoint, validating structure. Returns (params, spec)."""
-    from .fileio import require_file
-
     require_file(path, "checkpoint")
     with open(path, "rb") as fh:
         blob = fh.read()

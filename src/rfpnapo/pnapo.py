@@ -27,6 +27,7 @@ from .numerics import (
     MlpSpec,
     ParamVector,
     forward_single_cached,
+    row_dot,
     sigmoid,
     softplus,
     vjp_single,
@@ -91,14 +92,6 @@ def pair_rows(pairs: "PreferenceDataset", t: np.ndarray | float) -> FlowBatch:
     )
 
 
-def row_dot(a: np.ndarray) -> np.ndarray:
-    """Per-row <a, a> of a C-contiguous (R, d) array.
-
-    Each row is the same BLAS dot product as `a[i] @ a[i]`, bit for bit.
-    """
-    return np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0]
-
-
 def _scores(
     params: ParamVector, ref_params: ParamVector, spec: MlpSpec, rows: FlowBatch
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
@@ -106,8 +99,8 @@ def _scores(
     inp, u = path_inputs(spec, rows)
     v, cache = forward_single_cached(params, spec, inp)
     v_ref, _ = forward_single_cached(ref_params, spec, inp)
-    res = u - v
-    return row_dot(res) - row_dot(u - v_ref), res, cache
+    res, ref_res = u - v, u - v_ref
+    return row_dot(res, res) - row_dot(ref_res, ref_res), res, cache
 
 
 def score(params: ParamVector, ref_params: ParamVector, spec: MlpSpec, rows: FlowBatch) -> np.ndarray:

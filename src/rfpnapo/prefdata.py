@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError, ParseError, RfpnapoError, ShapeError
 from .fileio import fmt17, read_text, write_text
-from .numerics import MlpSpec, ParamVector
+from .numerics import MlpSpec, ParamVector, row_dot
 from .rectflow import SamplerConfig, euler_sample, one_hot
 
 REWARD_KINDS = ("mode_distance", "quadratic_bowl", "direction_dot")
@@ -54,25 +54,28 @@ class RewardSpec:
             object.__setattr__(self, "quad", quad)
 
 
-def reward_eval(rspec: RewardSpec, x: np.ndarray, cond: np.ndarray) -> float:
+def reward_eval(rspec: RewardSpec, x: np.ndarray, cond: np.ndarray) -> np.ndarray:
+    """Reward of every row x[i] under condition cond[i]: (n, d), (n, k) -> (n,).
+
+    Row i is bit for bit the single-row formula of the RewardSpec docstring
+    (a BLAS dot for norms and inner products, a matrix-vector product for the
+    quadratic form), whatever the batch.
+    """
     x = np.asarray(x, dtype=np.float64)
     cond = np.asarray(cond, dtype=np.float64)
-    if cond.shape != (rspec.params.shape[0],):
-        raise ShapeError(
-            f"condition has shape {cond.shape}, reward defines {rspec.params.shape[0]} conditions"
-        )
-    if x.shape != (rspec.params.shape[1],):
-        raise ShapeError(f"sample has shape {x.shape}, reward expects ({rspec.params.shape[1]},)")
-    k = int(np.argmax(cond))
-    if rspec.kind == "mode_distance":
-        return float(-np.linalg.norm(x - rspec.params[k]))
-    if rspec.kind == "quadratic_bowl":
-        delta = x - rspec.params[k]
-        quad = rspec.quad if rspec.quad is not None else np.eye(x.size)
-        return float(-(delta @ quad @ delta))
+    k, d = rspec.params.shape
+    if cond.ndim != 2 or cond.shape[1] != k:
+        raise ShapeError(f"conditions have shape {cond.shape}, reward defines {k} conditions")
+    if x.shape != (cond.shape[0], d):
+        raise ShapeError(f"samples have shape {x.shape}, reward expects ({cond.shape[0]}, {d})")
+    target = rspec.params[np.argmax(cond, axis=1)]
     if rspec.kind == "direction_dot":
-        return float(np.dot(rspec.params[k], x))
-    raise ConfigurationError(f"unknown reward kind {rspec.kind!r}")
+        return row_dot(target, x)
+    delta = x - target
+    if rspec.kind == "mode_distance":
+        return -np.sqrt(row_dot(delta, delta))
+    quad = rspec.quad if rspec.quad is not None else np.eye(d)
+    return -row_dot(np.matmul(delta[:, None, :], quad)[:, 0, :], delta)
 
 
 @dataclass(frozen=True)
@@ -134,8 +137,8 @@ def label_pairs(
         cond: (n, cond_dim) conditions.
         x0, xT: (n, 2, dim) samples and their prior noises, candidates A then B.
     """
-    ra = np.array([reward_eval(rspec, x, c) for x, c in zip(x0[:, 0], cond)])
-    rb = np.array([reward_eval(rspec, x, c) for x, c in zip(x0[:, 1], cond)])
+    rewards = reward_eval(rspec, x0.reshape(-1, header.dim), np.repeat(cond, 2, axis=0))
+    ra, rb = rewards[0::2], rewards[1::2]
     a_wins = (ra >= rb)[:, None]
     return PreferenceDataset(
         header,

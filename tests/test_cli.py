@@ -206,6 +206,23 @@ def test_exit_codes(tmp_path, tiny_cfg, capsys):
     unk_cfg.write_text(TINY_CFG + "quantum.flux = 1\n")
     assert main(["pretrain", "--config", str(unk_cfg), "--out", str(tmp_path / "x.ckpt")]) == 2
 
+    # 2: a value the model, mixture or sampler rejects, reported under its key
+    capsys.readouterr()
+    for command, key, old, new in (
+        ("pretrain", "data.dim", "data.dim = 2", "data.dim = 0"),
+        ("pretrain", "model.hidden", "model.hidden = 8,8", "model.hidden = 0"),
+        ("pretrain", "data.mixture.std", "seed = 9", "seed = 9\ndata.mixture.std = -1"),
+        ("gen-pairs", "sampler.steps", "sampler.steps = 5", "sampler.steps = 0"),
+    ):
+        bad_value = tmp_path / "bad_value.cfg"
+        bad_value.write_text(TINY_CFG.replace(old, new))
+        argv = ["--config", str(bad_value), "--out", str(tmp_path / "x.out")]
+        if command == "gen-pairs":
+            argv += ["--model", ref, "--n", "2"]
+        assert main([command, *argv]) == 2, key
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "x.out").exists()
+
     # 3: missing checkpoint
     assert main(["gen-pairs", "--config", tiny_cfg, "--model", str(tmp_path / "nope.ckpt"),
                  "--n", "2", "--out", str(tmp_path / "p.txt")]) == 3
@@ -303,6 +320,11 @@ corpus.kmeans_iters = 10
     broken.write_text("id\ttext\ttox\te0\ne1\tx\tnot_a_number\t0\n")
     assert main(["corpus", str(broken), "--config", str(cfg), "--out", out]) == 5
     capsys.readouterr()
+
+    # so does a non-finite embedding, before it reaches k-means
+    broken.write_text("\n".join(rows[:3] + ["r9\tnan row\t0.01\tnan\t1.0"] + rows[3:]) + "\n")
+    assert main(["corpus", str(broken), "--config", str(cfg), "--out", out]) == 5
+    assert "line 4: non-finite" in capsys.readouterr().err
 
 
 def test_corpus_empty_input(tmp_path, capsys):

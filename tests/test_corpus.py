@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rfpnapo.corpus import (
+    Corpus,
     CorpusPipelineConfig,
-    PromptRecord,
     cluster_resample,
     embedding_dedup,
     jaccard,
@@ -20,16 +22,22 @@ from rfpnapo.corpus import (
 from rfpnapo.errors import ConfigurationError, DataError, ParseError
 
 
-def _rec(i: int, text: str = "hello world", tox: float = 0.0, emb=None) -> PromptRecord:
+def _rec(i: int, text: str = "hello world", tox: float = 0.0, emb=None) -> tuple:
     if emb is None:
         emb = np.array([1.0, 0.0]) * (1.0 + i)
-    return PromptRecord(id=f"p{i}", text=text, toxicity=tox, embedding=np.asarray(emb, dtype=np.float64))
+    return (f"p{i}", text, tox, emb)
+
+
+def _corpus(rows: list[tuple]) -> Corpus:
+    """A Corpus from (id, text, toxicity, embedding) rows of one dimension."""
+    ids, texts, tox, embs = zip(*rows)
+    return Corpus(list(ids), list(texts), list(tox), np.array(embs, dtype=np.float64))
 
 
 def test_toxicity_filter_keeps_boundary():
     records = [_rec(0, tox=0.05), _rec(1, tox=0.1), _rec(2, tox=0.10001), _rec(3, tox=0.5)]
-    kept = toxicity_filter(records, 0.1)
-    assert [r.id for r in kept] == ["p0", "p1"]
+    kept = toxicity_filter(_corpus(records), 0.1)
+    assert list(kept.ids) == ["p0", "p1"]
 
 
 def test_jaccard_examples():
@@ -47,8 +55,8 @@ def test_jaccard_dedup_keeps_first_of_pair():
         _rec(1, text="the quick brown fox"),  # exact duplicate -> dropped
         _rec(2, text="an unrelated sentence entirely"),
     ]
-    kept = jaccard_dedup(records, 0.8)
-    assert [r.id for r in kept] == ["p0", "p2"]
+    kept = jaccard_dedup(_corpus(records), 0.8)
+    assert list(kept.ids) == ["p0", "p2"]
 
 
 def test_jaccard_dedup_threshold_is_strict():
@@ -57,8 +65,8 @@ def test_jaccard_dedup_threshold_is_strict():
         _rec(0, text="a b c d e"),
         _rec(1, text="a b c d f"),  # jaccard 4/6 = 0.667
     ]
-    assert len(jaccard_dedup(records, 4.0 / 6.0)) == 2
-    assert len(jaccard_dedup(records, 0.6)) == 1
+    assert len(jaccard_dedup(_corpus(records), 4.0 / 6.0)) == 2
+    assert len(jaccard_dedup(_corpus(records), 0.6)) == 1
 
 
 def test_embedding_dedup_orthogonal_vs_parallel():
@@ -67,24 +75,24 @@ def test_embedding_dedup_orthogonal_vs_parallel():
         _rec(1, emb=[0.0, 1.0]),  # cosine 0, kept
         _rec(2, emb=[2.0, 0.0]),  # cosine 1 with p0, dropped
     ]
-    kept = embedding_dedup(records, 0.8)
-    assert [r.id for r in kept] == ["p0", "p1"]
+    kept = embedding_dedup(_corpus(records), 0.8)
+    assert list(kept.ids) == ["p0", "p1"]
 
 
 def test_embedding_dedup_zero_norm_is_an_error():
     records = [_rec(0), _rec(1, emb=[0.0, 0.0])]
     with pytest.raises(DataError, match="p1"):
-        embedding_dedup(records, 0.8)
+        embedding_dedup(_corpus(records), 0.8)
 
 
 def test_kmeans_rejects_bad_counts():
     records = [_rec(i, emb=np.random.default_rng(i).standard_normal(2)) for i in range(3)]
     with pytest.raises(ConfigurationError):
-        kmeans_cluster(records, k=4, iters=5, seed=0)
+        kmeans_cluster(_corpus(records), k=4, iters=5, seed=0)
     with pytest.raises(ConfigurationError):
-        kmeans_cluster(records, k=0, iters=5, seed=0)
+        kmeans_cluster(_corpus(records), k=0, iters=5, seed=0)
     with pytest.raises(ConfigurationError):
-        kmeans_cluster(records, k=2, iters=0, seed=0)
+        kmeans_cluster(_corpus(records), k=2, iters=0, seed=0)
 
 
 def test_kmeans_recovers_separated_blobs():
@@ -96,7 +104,7 @@ def test_kmeans_recovers_separated_blobs():
         c = i % 3
         truth.append(c)
         records.append(_rec(i, emb=centers[c] + 0.1 * rng.standard_normal(2)))
-    assignments = kmeans_cluster(records, k=3, iters=30, seed=1)
+    assignments = kmeans_cluster(_corpus(records), k=3, iters=30, seed=1)
     # same ground-truth blob -> same label, different blob -> different label
     for i in range(90):
         for j in range(i + 1, 90):
@@ -116,9 +124,9 @@ def test_lloyd_objective_trace_nonincreasing():
 def test_cluster_resample_quota_and_order():
     records = [_rec(i, emb=[float(i), 0.0]) for i in range(10)]
     assignments = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1, 1])
-    out = cluster_resample(records, assignments, per_cluster=3, seed=5)
+    out = cluster_resample(_corpus(records), assignments, per_cluster=3, seed=5)
     assert len(out) == 6
-    ids = [r.id for r in out]
+    ids = list(out.ids)
     # cluster 0 members precede cluster 1 members, original order within
     first, second = ids[:3], ids[3:]
     assert all(i in {"p0", "p1", "p2", "p3", "p4"} for i in first)
@@ -126,34 +134,67 @@ def test_cluster_resample_quota_and_order():
     assert first == sorted(first, key=lambda s: int(s[1:]))
     assert second == sorted(second, key=lambda s: int(s[1:]))
     # quota above cluster size keeps everything
-    out_all = cluster_resample(records, assignments, per_cluster=50, seed=5)
-    assert [r.id for r in out_all] == [r.id for r in records]
+    out_all = cluster_resample(_corpus(records), assignments, per_cluster=50, seed=5)
+    assert list(out_all.ids) == [r[0] for r in records]
     # deterministic under the same seed
-    again = cluster_resample(records, assignments, per_cluster=3, seed=5)
-    assert [r.id for r in again] == ids
+    again = cluster_resample(_corpus(records), assignments, per_cluster=3, seed=5)
+    assert list(again.ids) == ids
 
 
-def test_corpus_round_trip_exact(tmp_path):
-    records = [
-        PromptRecord(id="a1", text="draw a cat", toxicity=0.03, embedding=np.array([0.1, -0.2, 0.7])),
-        PromptRecord(id="b2", text="čšž unicode prompt", toxicity=0.0, embedding=np.array([1e-17, 2.0, -3.5])),
-    ]
-    path = str(tmp_path / "corpus.tsv")
-    write_corpus(path, records)
-    back, dim = read_corpus(path)
-    assert dim == 3
-    assert len(back) == 2
-    for orig, rt in zip(records, back):
-        assert rt.id == orig.id
-        assert rt.text == orig.text
-        assert rt.toxicity == orig.toxicity
-        assert np.array_equal(rt.embedding, orig.embedding)
+def _writable(text: str) -> bool:
+    return "\t" not in text and len(f"x{text}x".splitlines()) == 1
+
+
+@st.composite
+def corpora(draw, max_n: int = 6, max_d: int = 4) -> Corpus:
+    """A random writable corpus: n >= 0, d >= 0, any non-surrogate text, finite floats."""
+    n = draw(st.integers(0, max_n))
+    d = draw(st.integers(0, max_d))
+    texts = st.text().filter(_writable)
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    return Corpus(
+        draw(st.lists(texts.filter(bool), min_size=n, max_size=n)),
+        draw(st.lists(texts, min_size=n, max_size=n)),
+        draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)),
+        np.array(draw(st.lists(st.lists(floats, min_size=d, max_size=d), min_size=n, max_size=n)),
+                 dtype=np.float64).reshape(n, d),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(corpus=corpora())
+@example(corpus=Corpus(["a1", "b2"], ["draw a cat", "čšž unicode prompt"], [0.03, 0.0],
+                       [[0.1, -0.2, 0.7], [1e-17, 2.0, -3.5]]))
+@example(corpus=Corpus(["z"], ["ž"], [1.0], [[-0.0, 5e-324, -2.2250738585072014e-308]]))
+def test_corpus_round_trip_exact(tmp_path_factory, corpus):
+    path = str(tmp_path_factory.getbasetemp() / "round_trip.tsv")
+    write_corpus(path, corpus)
+    back = read_corpus(path)
+    assert list(back.ids) == list(corpus.ids)
+    assert list(back.texts) == list(corpus.texts)
+    assert back.toxicity.tobytes() == corpus.toxicity.tobytes()
+    assert back.embeddings.shape == corpus.embeddings.shape
+    assert back.embeddings.tobytes() == corpus.embeddings.tobytes()
+
+
+def test_empty_corpus_round_trip(tmp_path):
+    path = str(tmp_path / "empty.tsv")
+    write_corpus(path, Corpus([], [], np.empty(0), np.empty((0, 4))))
+    back = read_corpus(path)
+    assert len(back) == 0 and back.embeddings.shape == (0, 4)
 
 
 def test_corpus_rejects_tabs_in_text(tmp_path):
-    bad = [PromptRecord(id="x", text="has\ttab", toxicity=0.0, embedding=np.ones(2))]
-    with pytest.raises(DataError):
-        write_corpus(str(tmp_path / "bad.tsv"), bad)
+    # a tab splits a column and every character splitlines breaks on ends
+    # the line, so the reader could not get the record back
+    breaks = [c for c in map(chr, range(0x110000)) if len(f"a{c}b".splitlines()) > 1]
+    assert {"\r", "\x0c", "\x85", "\u2028"} <= set(breaks)
+    path = tmp_path / "bad.tsv"
+    for bad in ["\t", *breaks]:
+        for rec_id, text in ((f"x{bad}", "ok"), ("x", f"has{bad}break")):
+            with pytest.raises(DataError):
+                write_corpus(str(path), _corpus([(rec_id, text, 0.0, np.ones(2))]))
+            assert not path.exists()
 
 
 def test_corpus_parse_errors_carry_line_numbers(tmp_path):
@@ -170,13 +211,56 @@ def test_corpus_parse_errors_carry_line_numbers(tmp_path):
     path.write_text("id\ttext\ttox\te0\nr1\tok\t0.5\n")  # missing column
     with pytest.raises(ParseError, match="line 2"):
         read_corpus(str(path))
+    for value in ("nan", "inf", "-inf"):  # non-finite embedding entry
+        path.write_text(f"id\ttext\ttox\te0\te1\nr1\tok\t0.5\t1.0\t2.0\nr2\tok\t0.5\t1.0\t{value}\n")
+        with pytest.raises(ParseError, match="line 3: non-finite"):
+            read_corpus(str(path))
 
 
-def test_empty_corpus_round_trip(tmp_path):
-    path = str(tmp_path / "empty.tsv")
-    write_corpus(path, [], dim=4)
-    back, dim = read_corpus(path)
-    assert back == [] and dim == 4
+def _stacked_dedup(embeddings: np.ndarray, threshold: float) -> tuple[list[int], list[float]]:
+    """The per-record loop that re-stacks every kept unit vector.
+
+    Returns the kept row indices and the largest cosine each later record
+    was compared at.
+    """
+    units = [e / float(np.linalg.norm(e)) for e in embeddings]
+    kept: list[int] = []
+    kept_units: list[np.ndarray] = []
+    maxima: list[float] = []
+    for i, unit in enumerate(units):
+        if kept_units:
+            maxima.append(float(np.max(np.stack(kept_units) @ unit)))
+            if maxima[-1] > threshold:
+                continue
+        kept.append(i)
+        kept_units.append(unit)
+    return kept, maxima
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(0, 40),
+    d=st.sampled_from([1, 2, 3, 5, 16, 33, 240]),
+    seed=st.integers(0, 2**32 - 1),
+    pick=st.floats(0.0, 1.0),
+    below=st.booleans(),
+)
+def test_embedding_dedup_keeps_the_rows_of_the_stacked_loop(n, d, seed, pick, below):
+    # near-duplicates of earlier rows put cosines close to 1. The threshold is
+    # a cosine the loop itself compared, or the float just below it, so a
+    # comparison whose bits moved by one ulp either way flips a decision.
+    rng = np.random.default_rng(seed)
+    emb = rng.standard_normal((n, d))
+    for i in range(1, n):
+        if rng.random() < 0.5:
+            emb[i] = rng.uniform(0.1, 3.0) * emb[rng.integers(i)] + rng.uniform(0.0, 0.3) * rng.standard_normal(d)
+    _, maxima = _stacked_dedup(emb, 1.0)  # keeps all: every comparison is recorded
+    threshold = maxima[int(pick * (len(maxima) - 1))] if maxima else pick
+    if below:
+        threshold = float(np.nextafter(threshold, -np.inf))
+    corpus = Corpus([f"p{i}" for i in range(n)], [""] * n, np.zeros(n), emb)
+    kept = embedding_dedup(corpus, threshold)
+    assert list(kept.ids) == [f"p{i}" for i in _stacked_dedup(emb, threshold)[0]]
 
 
 def test_pipeline_counts_small():
@@ -186,11 +270,11 @@ def test_pipeline_counts_small():
     # pairwise angles differ by >= 0.7 rad -> all pairwise cosines <= 0.765 < 0.8
     embs = [np.array([np.cos(a), np.sin(a)]) for a in np.arange(6) * 0.7]
     for i in range(6):
-        records.append(PromptRecord(f"c{i}", base_texts[i], 0.02, embs[i]))
-    records.append(PromptRecord("t0", "some toxic text one", 0.9, np.array([0.5, -0.5])))
-    records.append(PromptRecord("t1", "other toxic text two", 0.2, np.array([-0.5, 0.5])))
-    records.append(PromptRecord("d0", base_texts[0], 0.01, np.array([-1.0, -1.0])))
-    records.append(PromptRecord("e0", "completely fresh words here", 0.01, 3.0 * embs[2]))
+        records.append((f"c{i}", base_texts[i], 0.02, embs[i]))
+    records.append(("t0", "some toxic text one", 0.9, np.array([0.5, -0.5])))
+    records.append(("t1", "other toxic text two", 0.2, np.array([-0.5, 0.5])))
+    records.append(("d0", base_texts[0], 0.01, np.array([-1.0, -1.0])))
+    records.append(("e0", "completely fresh words here", 0.01, 3.0 * embs[2]))
     cfg = CorpusPipelineConfig(
         toxicity_threshold=0.1,
         jaccard_threshold=0.8,
@@ -199,7 +283,7 @@ def test_pipeline_counts_small():
         per_cluster=3,
         kmeans_iters=10,
     )
-    survivors, counts = run_pipeline(records, cfg, seed=9)
+    survivors, counts = run_pipeline(_corpus(records), cfg, seed=9)
     assert counts["input"] == 10
     assert counts["after_toxicity"] == 8
     assert counts["after_jaccard"] == 7
@@ -210,8 +294,8 @@ def test_pipeline_counts_small():
 
 def test_pipeline_empty_input():
     cfg = CorpusPipelineConfig()
-    survivors, counts = run_pipeline([], cfg, seed=0)
-    assert survivors == []
+    survivors, counts = run_pipeline(Corpus([], [], np.empty(0), np.empty((0, 3))), cfg, seed=0)
+    assert len(survivors) == 0 and survivors.embeddings.shape == (0, 3)
     assert counts == {
         "input": 0,
         "after_toxicity": 0,

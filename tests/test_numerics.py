@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rfpnapo.errors import NumericError, ParseError, ShapeError
 from rfpnapo.numerics import (
@@ -175,15 +177,36 @@ def test_adam_converges_on_quadratic():
     assert np.linalg.norm(params) < 1e-3
 
 
-def test_checkpoint_round_trip_bit_exact(tmp_path, small_spec, small_params):
-    path = str(tmp_path / "model.ckpt")
-    write_checkpoint(path, small_params, small_spec)
+@st.composite
+def specs_with_params(draw):
+    """A random small spec (hidden=() and dims of 1 included) and finite float64 parameters.
+
+    The values cover -0.0, subnormals and the extremes of the finite range.
+    """
+    spec = MlpSpec(
+        data_dim=draw(st.integers(1, 3)),
+        cond_dim=draw(st.integers(1, 3)),
+        hidden=tuple(draw(st.lists(st.integers(1, 5), max_size=2))),
+    )
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    n = spec.param_count()
+    return spec, np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=np.float64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=specs_with_params())
+@example(case=(MlpSpec(data_dim=2, cond_dim=3, hidden=(8, 6)), mlp_init(MlpSpec(2, 3, (8, 6)), 7)))
+@example(case=(MlpSpec(data_dim=1, cond_dim=1, hidden=()), np.array([-0.0, 5e-324, -1.7976931348623157e308, 0.0])))
+def test_checkpoint_round_trip_bit_exact(tmp_path_factory, case):
+    spec, params = case
+    path = str(tmp_path_factory.getbasetemp() / "model.ckpt")
+    write_checkpoint(path, params, spec)
     params2, spec2 = read_checkpoint(path)
-    assert spec2 == small_spec
-    assert np.array_equal(params2, small_params)
+    assert spec2 == spec
+    assert params2.tobytes() == params.tobytes()
     # rewriting produces identical bytes
     data1 = open(path, "rb").read()
-    write_checkpoint(path, small_params, small_spec)
+    write_checkpoint(path, params2, spec2)
     assert open(path, "rb").read() == data1
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import pair_batches
 from rfpnapo.errors import ConfigurationError, DataError, ParseError, ShapeError
@@ -23,28 +24,80 @@ from rfpnapo.prefdata import (
 from rfpnapo.rectflow import SamplerConfig, euler_sample, one_hot
 
 
+def _reward(rspec: RewardSpec, x, k: int) -> float:
+    """The reward of one sample under condition k, as a batch of one row."""
+    cond = one_hot(k, rspec.params.shape[0])[None]
+    return float(reward_eval(rspec, np.asarray(x, dtype=np.float64)[None], cond)[0])
+
+
 def test_reward_mode_distance():
     rspec = RewardSpec(kind="mode_distance", params=np.array([[1.0, 0.0], [0.0, 2.0]]))
-    assert reward_eval(rspec, np.array([1.0, 0.0]), one_hot(0, 2)) == 0.0
-    assert reward_eval(rspec, np.array([4.0, 4.0]), one_hot(0, 2)) == -5.0
-    assert reward_eval(rspec, np.array([0.0, 0.0]), one_hot(1, 2)) == -2.0
+    assert _reward(rspec, [1.0, 0.0], 0) == 0.0
+    assert _reward(rspec, [4.0, 4.0], 0) == -5.0
+    assert _reward(rspec, [0.0, 0.0], 1) == -2.0
 
 
 def test_reward_quadratic_bowl():
     rspec = RewardSpec(kind="quadratic_bowl", params=np.array([[1.0, 1.0]]))
     # default curvature is the identity: r = -||x - target||^2
-    assert reward_eval(rspec, np.array([2.0, 0.0]), one_hot(0, 1)) == -2.0
+    assert _reward(rspec, [2.0, 0.0], 0) == -2.0
     curved = RewardSpec(
         kind="quadratic_bowl",
         params=np.array([[0.0, 0.0]]),
         quad=np.array([[2.0, 0.0], [0.0, 1.0]]),
     )
-    assert reward_eval(curved, np.array([1.0, 1.0]), one_hot(0, 1)) == -3.0
+    assert _reward(curved, [1.0, 1.0], 0) == -3.0
 
 
 def test_reward_direction_dot():
     rspec = RewardSpec(kind="direction_dot", params=np.array([[0.0, 1.0]]))
-    assert reward_eval(rspec, np.array([3.0, 2.5]), one_hot(0, 1)) == 2.5
+    assert _reward(rspec, [3.0, 2.5], 0) == 2.5
+
+
+def _reward_row(rspec: RewardSpec, x: np.ndarray, cond: np.ndarray) -> float:
+    """One row's reward by the single-row formulas the batch must reproduce."""
+    k = int(np.argmax(cond))
+    if rspec.kind == "mode_distance":
+        return float(-np.linalg.norm(x - rspec.params[k]))
+    if rspec.kind == "quadratic_bowl":
+        delta = x - rspec.params[k]
+        quad = rspec.quad if rspec.quad is not None else np.eye(x.size)
+        return float(-(delta @ quad @ delta))
+    return float(np.dot(rspec.params[k], x))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["mode_distance", "quadratic_bowl", "direction_dot"]),
+    n=st.integers(0, 30),
+    d=st.sampled_from([1, 2, 3, 5, 16, 33, 240]),
+    k=st.integers(1, 4),
+    curved=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_reward_is_bitwise_the_per_row_formula(kind, n, d, k, curved, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d))
+    quad = a @ a.T if curved and kind == "quadratic_bowl" else None
+    rspec = RewardSpec(kind=kind, params=rng.standard_normal((k, d)), quad=quad)
+    x = rng.standard_normal((n, d)) * 3.0
+    cond = np.eye(k)[rng.integers(k, size=n)]
+    batch = reward_eval(rspec, x, cond)
+    reference = np.array([_reward_row(rspec, x[i], cond[i]) for i in range(n)])
+    assert batch.shape == (n,)
+    assert batch.tobytes() == reference.tobytes()
+
+
+def test_reward_eval_rejects_mismatched_shapes():
+    rspec = RewardSpec(kind="mode_distance", params=np.zeros((2, 3)))
+    for x, cond in (
+        (np.zeros(3), one_hot(0, 2)),  # one unbatched row
+        (np.zeros((4, 2)), np.eye(2)[[0, 1, 0, 1]]),  # wrong sample width
+        (np.zeros((4, 3)), np.eye(3)[[0, 1, 0, 1]]),  # wrong condition count
+        (np.zeros((4, 3)), np.eye(2)[[0, 1, 0]]),  # rows disagree
+    ):
+        with pytest.raises(ShapeError):
+            reward_eval(rspec, x, cond)
 
 
 def test_reward_unknown_kind_rejected():
@@ -256,8 +309,7 @@ def test_read_dataset_empty_is_header_only(tmp_path):
 def test_delta_r_reflects_reward_ordering():
     spec, ref, rspec = _tiny_setup()
     ds = build_dataset(ref, spec, rspec, SamplerConfig(steps=5), 30, 7, "h")
-    for i in range(len(ds)):
-        rw = reward_eval(rspec, ds.x0w[i], ds.cond[i])
-        rl = reward_eval(rspec, ds.x0l[i], ds.cond[i])
-        assert rw >= rl
-        assert ds.delta_r[i] == pytest.approx(rw - rl, abs=1e-15)
+    rw = reward_eval(rspec, ds.x0w, ds.cond)
+    rl = reward_eval(rspec, ds.x0l, ds.cond)
+    assert np.all(rw >= rl)
+    np.testing.assert_allclose(ds.delta_r, rw - rl, rtol=0.0, atol=1e-15)
