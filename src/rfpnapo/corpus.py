@@ -2,13 +2,18 @@
 
 Stage order is fixed: toxicity -> token-set dedup -> embedding dedup ->
 k-means -> per-cluster resampling. Both dedup passes are keep-first greedy
-scans, so earlier records win ties. One `Corpus` of arrays flows from
+scans, so earlier records win ties. The token-set scan compares a record only
+with kept records that share a token of its frequency-ordered prefix, whose
+length comes from an exact rational bound, so it keeps exactly the records a
+scan over every kept pair would. One `Corpus` of arrays flows from
 read_corpus through every stage to write_corpus.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -85,15 +90,38 @@ def jaccard(a: frozenset[str], b: frozenset[str]) -> float:
 
 
 def jaccard_dedup(corpus: Corpus, threshold: float) -> Corpus:
-    """Drop any record whose token-set similarity with an earlier kept one exceeds threshold."""
-    keep = np.zeros(len(corpus), dtype=bool)
-    kept_tokens: list[frozenset[str]] = []
-    for i, text in enumerate(corpus.texts):
-        tokens = _token_set(text)
-        if any(jaccard(tokens, seen) > threshold for seen in kept_tokens):
+    """Drop any record whose token-set similarity with an earlier kept one exceeds threshold.
+
+    Kept records are indexed under a prefix of their tokens ranked by (document
+    frequency, token): p = s - floor(t * s) of a set of size s, with t the
+    threshold as an exact rational, and a record is compared only with kept
+    records sharing one of its prefix tokens (Bayardo et al., WWW 2007). The
+    decisions are those of the all-pairs scan: t is a double and rounding is
+    monotone, so jaccard(a, b) > t implies an overlap above t * |a| and
+    t * |b|, which puts the first shared token in both prefixes.
+    """
+    if not 0.0 <= threshold <= 1.0:
+        raise ConfigurationError(f"jaccard threshold must lie in [0, 1], got {threshold}")
+    sets = [_token_set(text) for text in corpus.texts]
+    freq = Counter(token for tokens in sets for token in tokens)
+    rank = {token: r for r, token in enumerate(sorted(freq, key=lambda token: (freq[token], token)))}
+    t = Fraction(threshold)
+    index: dict[str, list[int]] = {}
+    keep = np.zeros(len(sets), dtype=bool)
+    kept_empty = False
+    for i, tokens in enumerate(sets):
+        if not tokens:  # jaccard(empty, empty) = 1.0; an empty set shares nothing else
+            keep[i] = not (kept_empty and threshold < 1.0)
+            kept_empty = True
+            continue
+        s = len(tokens)
+        prefix = sorted(tokens, key=rank.__getitem__)[: s - t.numerator * s // t.denominator]
+        candidates = {j for token in prefix for j in index.get(token, ())}
+        if any(jaccard(tokens, sets[j]) > threshold for j in candidates):
             continue
         keep[i] = True
-        kept_tokens.append(tokens)
+        for token in prefix:
+            index.setdefault(token, []).append(i)
     return corpus.take(keep)
 
 
@@ -221,11 +249,21 @@ _UNWRITABLE = frozenset("\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 
 def write_corpus(path: str, corpus: Corpus) -> None:
+    """Write a corpus TSV; a record read_corpus would reject raises DataError before any write."""
     header = ["id", "text", "tox"] + [f"e{i}" for i in range(corpus.embeddings.shape[1])]
     lines = ["\t".join(header)]
-    for rec_id, text, tox, embedding in zip(corpus.ids, corpus.texts, corpus.toxicity, corpus.embeddings):
+    finite = np.isfinite(corpus.embeddings).all(axis=1)
+    for row, (rec_id, text, tox, embedding) in enumerate(
+        zip(corpus.ids, corpus.texts, corpus.toxicity, corpus.embeddings)
+    ):
+        if not rec_id:
+            raise DataError(f"record at row {row} has an empty id; not representable")
         if not _UNWRITABLE.isdisjoint(rec_id) or not _UNWRITABLE.isdisjoint(text):
             raise DataError(f"record {rec_id!r} contains a tab or line break; not representable")
+        if not 0.0 <= tox <= 1.0:
+            raise DataError(f"record {rec_id!r} has toxicity {tox} outside [0, 1]; not representable")
+        if not finite[row]:
+            raise DataError(f"record {rec_id!r} has a non-finite embedding value; not representable")
         lines.append("\t".join([rec_id, text, fmt17(tox), *map(fmt17, embedding.tolist())]))
     write_text(path, "\n".join(lines) + "\n")
 

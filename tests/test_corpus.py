@@ -69,6 +69,76 @@ def test_jaccard_dedup_threshold_is_strict():
     assert len(jaccard_dedup(_corpus(records), 0.6)) == 1
 
 
+@pytest.mark.parametrize("threshold", [-0.1, 1.5, float("nan")])
+def test_jaccard_dedup_rejects_threshold_outside_unit_interval(threshold):
+    # below 0, records sharing no token would compare 0 > t and drop
+    with pytest.raises(ConfigurationError, match="jaccard threshold"):
+        jaccard_dedup(_corpus([_rec(0), _rec(1, text="other words")]), threshold)
+
+
+def _tokens(text: str) -> frozenset[str]:
+    return frozenset(text.lower().split())
+
+
+def _pairwise_dedup(texts: list[str], threshold: float) -> list[int]:
+    """The keep-first scan that compares each record with every kept one.
+
+    Returns the kept row indices.
+    """
+    kept: list[int] = []
+    kept_tokens: list[frozenset[str]] = []
+    for i, text in enumerate(texts):
+        tokens = _tokens(text)
+        if any(jaccard(tokens, seen) > threshold for seen in kept_tokens):
+            continue
+        kept.append(i)
+        kept_tokens.append(tokens)
+    return kept
+
+
+@st.composite
+def dedup_cases(draw) -> tuple[list[str], float]:
+    """0-40 texts over at most 12 tokens, and a threshold in [0, 1].
+
+    Texts include empty ones, repeated tokens and mixed case. About half are
+    an earlier text with a word appended. The threshold is a small-integer
+    ratio o/u or a float next to it, or 0.0 or 1.0; the ratio is mostly the
+    similarity of such a text and its source, so a near-duplicate pair sits
+    exactly at the threshold or one float either side of it.
+    """
+    vocab = draw(st.lists(st.text("abcAB", min_size=1, max_size=2), min_size=1, max_size=12, unique=True))
+    word = st.sampled_from(vocab)
+    texts: list[str] = []
+    ratios: list[float] = []
+    for _ in range(draw(st.integers(0, 40))):
+        if texts and draw(st.booleans()):
+            source = draw(st.sampled_from(texts))
+            texts.append(f"{source} {draw(word)}".strip())
+            ratios.append(jaccard(_tokens(source), _tokens(texts[-1])))
+        else:
+            texts.append(" ".join(draw(st.lists(word, max_size=14))))
+    if ratios and draw(st.booleans()):
+        ratio = draw(st.sampled_from(ratios))
+    else:
+        u = draw(st.integers(1, 12))
+        ratio = draw(st.integers(0, u)) / u
+    t = draw(st.sampled_from([ratio, np.nextafter(ratio, -np.inf), np.nextafter(ratio, np.inf), 0.0, 1.0]))
+    return texts, min(max(float(t), 0.0), 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=dedup_cases())
+# 9/10 rounds to 0.9 > t, but t * 10 rounds to 9.0: a float prefix bound
+# indexes one token too few and keeps both
+@example(case=(["a b c d e f g h i", "a b c d e f g h i z"], 0.8999999999999999))
+def test_jaccard_dedup_keeps_the_rows_of_the_pairwise_scan(case):
+    texts, threshold = case
+    n = len(texts)
+    corpus = Corpus([f"p{i}" for i in range(n)], texts, np.zeros(n), np.empty((n, 0)))
+    kept = jaccard_dedup(corpus, threshold)
+    assert list(kept.ids) == [f"p{i}" for i in _pairwise_dedup(texts, threshold)]
+
+
 def test_embedding_dedup_orthogonal_vs_parallel():
     records = [
         _rec(0, emb=[1.0, 0.0]),
@@ -195,6 +265,23 @@ def test_corpus_rejects_tabs_in_text(tmp_path):
             with pytest.raises(DataError):
                 write_corpus(str(path), _corpus([(rec_id, text, 0.0, np.ones(2))]))
             assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        (("", "ok", 0.0, [1.0, 2.0]), "row 1 has an empty id"),
+        *((("x", "ok", tox, [1.0, 2.0]), "'x' has toxicity") for tox in (-0.5, 1.5, np.nan, np.inf)),
+        *((("x", "ok", 0.0, [1.0, v]), "'x' has a non-finite embedding") for v in (np.nan, np.inf, -np.inf)),
+    ],
+)
+def test_corpus_writer_rejects_what_the_reader_rejects(tmp_path, row, message):
+    # each of these rows read_corpus refuses, so writing one would leave a
+    # file that cannot be read back
+    path = tmp_path / "bad.tsv"
+    with pytest.raises(DataError, match=message):
+        write_corpus(str(path), _corpus([_rec(0, emb=[1.0, 2.0]), row]))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_corpus_parse_errors_carry_line_numbers(tmp_path):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import pair_batches
@@ -196,14 +196,33 @@ def test_build_dataset_stores_drawn_noises_bitwise():
             assert x0.tobytes() == alone.tobytes()
 
 
-def test_build_dataset_and_exact_replay():
-    spec, ref, rspec = _tiny_setup()
-    cfg = SamplerConfig(steps=5)
-    ds = build_dataset(ref, spec, rspec, cfg, n_records=12, base_seed=900, ref_hash="h")
-    assert len(ds) == 12
-    assert ds.header.dim == 2 and ds.header.cond_dim == 3 and ds.header.steps == 5
-    # stored samples replay bit-exactly from the stored noise
+@settings(max_examples=40, deadline=None)
+@given(
+    data_dim=st.integers(1, 3),
+    cond_dim=st.integers(1, 3),
+    hidden=st.lists(st.integers(1, 6), max_size=2),
+    steps=st.integers(1, 6),
+    n=st.integers(0, 12),
+    init_seed=st.integers(0, 2**32 - 1),
+    base_seed=st.integers(0, 2**32 - 1),
+)
+@example(data_dim=2, cond_dim=3, hidden=[8], steps=5, n=12, init_seed=44, base_seed=900)
+def test_build_dataset_and_exact_replay(
+    tmp_path_factory, data_dim, cond_dim, hidden, steps, n, init_seed, base_seed
+):
+    spec = MlpSpec(data_dim=data_dim, cond_dim=cond_dim, hidden=tuple(hidden))
+    ref = mlp_init(spec, init_seed)
+    modes = np.random.default_rng(init_seed).standard_normal((cond_dim, data_dim))
+    rspec = RewardSpec(kind="mode_distance", params=modes)
+    ds = build_dataset(ref, spec, rspec, SamplerConfig(steps=steps), n, base_seed, ref_hash="h")
+    assert len(ds) == n
+    assert ds.header.dim == data_dim and ds.header.cond_dim == cond_dim and ds.header.steps == steps
+    # stored samples replay bit-exactly from the stored noise, before and
+    # after a round trip through the pair file
     assert audit_dataset(ds, ref, spec) == 0.0
+    path = str(tmp_path_factory.mktemp("replay") / "pairs.txt")
+    write_dataset(path, ds)
+    assert audit_dataset(read_dataset(path), ref, spec) == 0.0
 
 
 @pytest.mark.parametrize("field", ["x0w", "x0l", "xTw", "xTl"])
