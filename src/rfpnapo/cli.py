@@ -152,6 +152,16 @@ def cmd_align(args: argparse.Namespace) -> int:
         seed=cfg.get("seed"),
         shared_t=cfg.get("pnapo.shared_t"),
     )
+    # pairs sampled from another checkpoint are the paper's off-policy
+    # setting, so a mismatch is recorded and noted, never an error
+    ref_hash = sha256_file(args.model)
+    pairs_ref_hash = dataset.header.ref_hash
+    if pairs_ref_hash != ref_hash:
+        print(
+            f"rfpnapo: note: {args.pairs} was sampled from refhash {pairs_ref_hash}, "
+            f"not from {args.model} (sha256 {ref_hash})",
+            file=sys.stderr,
+        )
     params, rows = run_alignment(ref_params, spec, dataset, acfg)
     write_checkpoint(args.out, params, spec)
     metrics_path = args.out + ".metrics.csv"
@@ -164,7 +174,12 @@ def cmd_align(args: argparse.Namespace) -> int:
         inputs=[args.config, args.model, args.pairs],
         outputs=[args.out, metrics_path],
         wall_time_s=time.monotonic() - start,
-        extras={"method": args.method},
+        extras={
+            "method": args.method,
+            "ref_hash": ref_hash,
+            "pairs_ref_hash": pairs_ref_hash,
+            "ref_hash_match": pairs_ref_hash == ref_hash,
+        },
     )
     print(
         f"align[{args.method}]: {len(rows)} steps on {len(dataset)} records, "

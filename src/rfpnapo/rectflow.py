@@ -7,7 +7,7 @@ xT - x0; the network regresses that constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -160,6 +160,11 @@ class ConditionalMixture:
 
     modes: tuple[tuple[np.ndarray, ...], ...]
     std: float
+    # every center stacked condition by condition; condition k's modes are
+    # rows first[k] .. first[k] + counts[k] - 1
+    _centers: np.ndarray = field(init=False, repr=False, compare=False)
+    _first: np.ndarray = field(init=False, repr=False, compare=False)
+    _counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.modes) == 0 or any(len(group) == 0 for group in self.modes):
@@ -169,6 +174,11 @@ class ConditionalMixture:
         dims = {center.shape for group in self.modes for center in group}
         if len(dims) != 1:
             raise ShapeError(f"mode centers disagree on dimension: {sorted(dims)}")
+        counts = np.array([len(group) for group in self.modes], dtype=np.int64)
+        centers = np.array([c for group in self.modes for c in group], dtype=np.float64)
+        object.__setattr__(self, "_centers", centers)
+        object.__setattr__(self, "_counts", counts)
+        object.__setattr__(self, "_first", np.cumsum(counts) - counts)
 
     @property
     def n_conditions(self) -> int:
@@ -178,14 +188,18 @@ class ConditionalMixture:
     def dim(self) -> int:
         return self.modes[0][0].shape[0]
 
-    def sample(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        """One draw for condition k. RNG order: mode choice, then noise."""
-        group = self.modes[k]
-        center = group[int(rng.integers(len(group)))]
-        return center + self.std * rng.standard_normal(self.dim)
-
     def sample_batch(self, rng: np.random.Generator, ks: np.ndarray) -> np.ndarray:
-        return np.stack([self.sample(rng, int(k)) for k in ks])
+        """One draw per entry of the condition indices ks; returns (len(ks), dim).
+
+        RNG order: every row's mode pick, then one (len(ks), dim) noise block.
+        A condition with one mode draws no pick (`integers` with high 1 draws
+        nothing), so for single-mode mixtures the stream and every output bit
+        equal a per-row loop of `center + std * rng.standard_normal(dim)`.
+        """
+        ks = np.asarray(ks, dtype=np.int64)
+        picks = rng.integers(self._counts[ks])
+        noise = rng.standard_normal((ks.shape[0], self.dim))
+        return self._centers[self._first[ks] + picks] + self.std * noise
 
 
 def default_mixture(dim: int, n_conditions: int, std: float = 0.4) -> ConditionalMixture:

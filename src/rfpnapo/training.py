@@ -112,8 +112,9 @@ def run_pretrain(
     """Fit the velocity field by regression on straight paths from the mixture.
 
     Init uses `seed`; the data stream uses seed+1 so the two draws stay
-    distinct. RNG order per step: condition indices, mixture draws, prior
-    noise, times.
+    distinct. RNG order per step, each a block over the batch: condition
+    indices, mode picks (none when every condition has one mode), mixture
+    noise (batch, dim), prior noise (batch, dim), times (batch,).
     """
     if steps < 1 or batch < 1 or lr <= 0:
         raise ConfigurationError("pretraining needs steps >= 1, batch >= 1, lr > 0")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from rfpnapo.numerics import FunctionLoss, MlpSpec, mlp_init
+from rfpnapo.numerics import MlpSpec, mlp_init
 from rfpnapo.prefdata import DatasetHeader, PreferenceDataset
 from rfpnapo.rectflow import default_mixture, one_hot
 from rfpnapo.training import run_pretrain
@@ -30,26 +30,6 @@ def make_pairs(
         header, cond, fields[:, 0], fields[:, 1], fields[:, 2], fields[:, 3],
         np.broadcast_to(np.asarray(delta_r, dtype=np.float64), (n,)).copy(),
     )
-
-
-def along_directions(loss, params: np.ndarray, rng: np.random.Generator, k: int = 3) -> FunctionLoss:
-    """loss restricted to params + V @ a for k random unit directions V, as a loss of a.
-
-    Its gradient is V^T grad, so finite_diff_check at a = 0 compares central
-    differences with the analytic gradient along each direction. On random
-    batches some coordinates' true derivatives lie below the finite-difference
-    noise floor (eps * |loss| / h), where a coordinate-wise relative error
-    fails a correct gradient; a random direction's derivative is of the order
-    of the whole gradient's norm, far above that floor.
-    """
-    directions = rng.standard_normal((params.size, k))
-    directions /= np.linalg.norm(directions, axis=0)
-
-    def value_and_grad(a: np.ndarray):
-        value, grad = loss.value_and_grad(params + directions @ a)
-        return value, directions.T @ grad
-
-    return FunctionLoss(value_and_grad)
 
 
 @st.composite

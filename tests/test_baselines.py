@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import along_directions, make_pairs, pair_batches
+from conftest import make_pairs, pair_batches
 from rfpnapo.baselines import (
     dpo_objective,
     dpo_value_grad,
@@ -70,7 +70,7 @@ def test_dpo_gradient_finite_differences(case):
     params, ref = mlp_init(spec, int(rng.integers(1000))), mlp_init(spec, 1000 + int(rng.integers(1000)))
     eps = rng.standard_normal((n, 2, spec.data_dim))
     obj = dpo_objective(ref, spec, pairs, eps, rng.random((n, 1)) * 0.98, beta=4.0)
-    assert finite_diff_check(along_directions(obj, params, rng), np.zeros(3)) < 1e-5
+    assert finite_diff_check(obj, params) < 1e-5
 
 
 @settings(max_examples=40, deadline=None)
@@ -80,7 +80,7 @@ def test_sft_gradient_finite_differences(case):
     n = len(pairs)
     params = mlp_init(spec, int(rng.integers(1000)))
     obj = sft_objective(spec, pairs, rng.standard_normal((n, spec.data_dim)), rng.random(n) * 0.98)
-    assert finite_diff_check(along_directions(obj, params, rng), np.zeros(3)) < 1e-5
+    assert finite_diff_check(obj, params) < 1e-5
 
 
 def test_dpo_draw_dimension_checked(small_spec, small_params):

@@ -171,6 +171,40 @@ def test_dpo_alignment_ignores_stored_noise_fields(tmp_path, tiny_cfg, capsys):
     assert Path(aligned2).read_bytes() == Path(tmp_path / "aligned_dpo.ckpt").read_bytes()
 
 
+def test_align_manifest_records_matching_ref_hash(tmp_path, tiny_cfg, capsys):
+    ref, pairs, aligned = _run_pipeline(tmp_path, tiny_cfg)
+    assert "note" not in capsys.readouterr().err
+    doc = json.loads(Path(aligned + ".manifest.json").read_text())
+    assert doc["ref_hash"] == doc["pairs_ref_hash"] == _sha(ref)
+    assert doc["ref_hash_match"] is True
+
+
+def test_align_on_pairs_from_another_model_notes_the_mismatch(tmp_path, tiny_cfg, capsys):
+    ref, pairs, aligned = _run_pipeline(tmp_path, tiny_cfg)
+    stdout_match = capsys.readouterr().out.splitlines()[-1]
+    # the same pairs, labelled as sampled from some other checkpoint
+    lines = Path(pairs).read_text().splitlines()
+    other_hash = "0" * 64
+    lines[0] = lines[0].replace(f"refhash={_sha(ref)}", f"refhash={other_hash}")
+    assert lines[0].endswith(other_hash)
+    foreign = str(tmp_path / "foreign_pairs.txt")
+    Path(foreign).write_text("\n".join(lines) + "\n")
+    aligned2 = str(tmp_path / "aligned2.ckpt")
+    assert main(["align", "--config", tiny_cfg, "--model", ref, "--pairs", foreign,
+                 "--out", aligned2]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert "note" in captured.err and other_hash in captured.err and _sha(ref) in captured.err
+    doc = json.loads(Path(aligned2 + ".manifest.json").read_text())
+    assert doc["ref_hash"] == _sha(ref)
+    assert doc["pairs_ref_hash"] == other_hash
+    assert doc["ref_hash_match"] is False
+    # a mismatch is not an error: stdout and the artifacts are those of the matching run
+    assert captured.out.splitlines()[-1] == stdout_match.replace(aligned, aligned2)
+    assert Path(aligned2).read_bytes() == Path(aligned).read_bytes()
+    assert Path(aligned2 + ".metrics.csv").read_bytes() == Path(aligned + ".metrics.csv").read_bytes()
+
+
 def test_eval_model_against_itself_wins_half(tmp_path, tiny_cfg, capsys):
     ref = str(tmp_path / "ref.ckpt")
     assert main(["pretrain", "--config", tiny_cfg, "--out", ref]) == 0

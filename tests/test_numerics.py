@@ -79,6 +79,43 @@ def test_quadratic_loss_gradient_is_exact():
     assert finite_diff_check(loss, p) < 1e-8
 
 
+def test_finite_diff_check_passes_a_derivative_below_the_noise_floor():
+    # the case that failed the per-coordinate check: at loss 43 a derivative
+    # of 1.7e-10 moves the loss by less than half an ulp at h = 1e-5, so its
+    # central difference reads exactly 0.0
+    slope = np.array([0.8, 1.7e-10, -0.3])
+    loss = FunctionLoss(lambda p: (43.0 + float(slope @ p), slope.copy()))
+    p = np.zeros(3)
+    h = 1e-5
+    assert (loss.value(p + h * np.eye(3)[1]) - loss.value(p - h * np.eye(3)[1])) / (2 * h) == 0.0
+    assert finite_diff_check(loss, p, h=h) < 1e-5
+
+
+def test_finite_diff_check_fails_a_perturbed_coordinate(small_spec, small_params):
+    rng = np.random.default_rng(3)
+    inputs = rng.standard_normal((5, small_spec.input_dim))
+    dy = rng.standard_normal((5, 2))
+
+    def value_and_grad(p):
+        y, cache = forward_batch_cached(p, small_spec, inputs)
+        return float(np.sum(dy * y)), vjp_batch(p, small_spec, cache, dy)
+
+    assert finite_diff_check(FunctionLoss(value_and_grad), small_params) < 1e-6
+    _, grad = value_and_grad(small_params)
+    # the largest coordinate, and one of about half its size
+    order = np.argsort(np.abs(grad))
+    half = order[np.searchsorted(np.abs(grad)[order], 0.5 * np.max(np.abs(grad)))]
+    for i in (order[-1], half):
+        bump = np.zeros_like(grad)
+        bump[i] = 1e-4 * grad[i]
+
+        def perturbed(p, bump=bump):
+            value, g = value_and_grad(p)
+            return value, g + bump
+
+        assert finite_diff_check(FunctionLoss(perturbed), small_params) > 1e-5
+
+
 def test_constant_loss_has_zero_gradient():
     loss = FunctionLoss(lambda p: (3.5, np.zeros_like(p)))
     assert finite_diff_check(loss, np.ones(5)) == 0.0
@@ -175,6 +212,47 @@ def test_adam_converges_on_quadratic():
     for _ in range(400):
         state, params = adam_step(state, params, params)  # grad of 0.5||p||^2
     assert np.linalg.norm(params) < 1e-3
+
+
+def _adam_step_reference(state, params, grad):
+    """The AdamW step as one expression with temporaries: the reference for adam_step."""
+    t = state.step_count + 1
+    m = state.beta1 * state.first_moment + (1.0 - state.beta1) * grad
+    v = state.beta2 * state.second_moment + (1.0 - state.beta2) * (grad * grad)
+    m_hat = m / (1.0 - state.beta1**t)
+    v_hat = v / (1.0 - state.beta2**t)
+    update = state.lr * (m_hat / (np.sqrt(v_hat) + state.eps) + state.weight_decay * params)
+    return m, v, params - update
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    size=st.integers(1, 300),
+    lr=st.floats(1e-5, 1.0),
+    weight_decay=st.sampled_from([0.0, 1e-4, 0.01, 0.3]),
+    steps=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_adam_step_is_bitwise_the_expression(size, lr, weight_decay, steps, seed):
+    rng = np.random.default_rng(seed)
+    state = optim_init(size, lr=lr, weight_decay=weight_decay)
+    params = rng.standard_normal(size) * 10.0 ** rng.integers(-3, 3, size)
+    params[rng.random(size) < 0.1] = -0.0
+    for _ in range(steps):
+        grad = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 3, size)
+        grad[rng.random(size) < 0.1] = 0.0
+        inputs = [a.copy() for a in (state.first_moment, state.second_moment, params, grad)]
+        new_state, new_params = adam_step(state, params, grad)
+        # no input array is written
+        for before, after in zip(inputs, (state.first_moment, state.second_moment, params, grad)):
+            assert after.tobytes() == before.tobytes()
+        m_ref, v_ref, p_ref = _adam_step_reference(state, params, grad)
+        assert new_state.first_moment.tobytes() == m_ref.tobytes()
+        assert new_state.second_moment.tobytes() == v_ref.tobytes()
+        assert new_params.tobytes() == p_ref.tobytes()
+        assert new_state.step_count == state.step_count + 1
+        assert new_params is not params and new_state.first_moment is not state.first_moment
+        state, params = new_state, new_params
 
 
 @st.composite

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import along_directions, make_pairs, pair_batches
+from conftest import make_pairs, pair_batches
 from rfpnapo.errors import ConfigurationError
 from rfpnapo.numerics import finite_diff_check, mlp_init, optim_init, sigmoid
 from rfpnapo.pnapo import (
@@ -154,7 +154,7 @@ def test_pnapo_gradient_finite_differences(case):
     n = len(pairs)
     params, ref = mlp_init(spec, int(rng.integers(1000))), mlp_init(spec, 1000 + int(rng.integers(1000)))
     obj = pnapo_objective(ref, spec, pairs, rng.random((n, 2)) * 0.98, 1.0 + 9.0 * rng.random(n))
-    assert finite_diff_check(along_directions(obj, params, rng), np.zeros(3)) < 1e-5
+    assert finite_diff_check(obj, params) < 1e-5
 
 
 def test_separate_branch_times_supported(small_spec, small_params):

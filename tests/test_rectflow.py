@@ -215,14 +215,49 @@ def test_mixture_sampling_deterministic_and_near_modes():
 
 
 def test_mixture_multi_mode_condition():
-    # one condition with two modes: samples concentrate near one of them
-    mixture = ConditionalMixture(
-        modes=((np.array([5.0, 0.0]), np.array([-5.0, 0.0])),), std=0.05
+    # condition 0 has two modes, condition 1 three: every draw lies near one
+    # of its own condition's modes, and every mode is hit
+    modes = (
+        (np.array([5.0, 0.0]), np.array([-5.0, 0.0])),
+        (np.array([0.0, 5.0]), np.array([0.0, -5.0]), np.array([0.0, 15.0])),
     )
-    rng = np.random.default_rng(4)
-    draws = np.array([mixture.sample(rng, 0) for _ in range(200)])
-    dist_pos = np.linalg.norm(draws - [5.0, 0.0], axis=1)
-    dist_neg = np.linalg.norm(draws - [-5.0, 0.0], axis=1)
-    near = np.minimum(dist_pos, dist_neg)
-    assert np.all(near < 1.0)
-    assert (dist_pos < dist_neg).any() and (dist_neg < dist_pos).any()
+    mixture = ConditionalMixture(modes=modes, std=0.05)
+    ks = np.random.default_rng(3).integers(2, size=400)
+    draws = mixture.sample_batch(np.random.default_rng(4), ks)
+    assert draws.shape == (400, 2)
+    hit = set()
+    for k, x in zip(ks, draws):
+        dists = [np.linalg.norm(x - center) for center in modes[k]]
+        assert min(dists) < 1.0
+        hit.add((int(k), int(np.argmin(dists))))
+    assert hit == {(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)}
+    again = mixture.sample_batch(np.random.default_rng(4), ks)
+    assert again.tobytes() == draws.tobytes()
+
+
+def _mixture_per_row(mixture, rng, ks):
+    """The per-row single-mode draw, one noise vector per row: the reference for sample_batch."""
+    rows = [mixture.modes[k][0] + mixture.std * rng.standard_normal(mixture.dim) for k in ks]
+    return np.array(rows).reshape(len(ks), mixture.dim)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dim=st.integers(1, 20),
+    n_conditions=st.integers(1, 10),
+    std=st.floats(1e-3, 10.0),
+    batch=st.integers(0, 80),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_single_mode_sample_batch_is_bitwise_the_per_row_loop(dim, n_conditions, std, batch, seed):
+    setup = np.random.default_rng(seed)
+    centers = setup.standard_normal((n_conditions, dim)) * 10.0 ** setup.integers(-2, 3, (n_conditions, 1))
+    mixture = ConditionalMixture(modes=tuple((c,) for c in centers), std=std)
+    ks = setup.integers(n_conditions, size=batch)
+    stream, reference = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    got = mixture.sample_batch(stream, ks)
+    expected = _mixture_per_row(mixture, reference, ks)
+    assert got.shape == (batch, dim)
+    assert got.tobytes() == expected.tobytes()
+    # both generators stand at the same point of the stream
+    assert stream.bit_generator.state == reference.bit_generator.state
