@@ -307,8 +307,9 @@ def write_eval_csv(path: str, reports: list[EvalReport]) -> None:
 
 def win_rate(
     params_a: ParamVector,
+    spec_a: MlpSpec,
     params_b: ParamVector,
-    spec: MlpSpec,
+    spec_b: MlpSpec,
     rspec: RewardSpec,
     n_trials: int,
     sampler_cfg: SamplerConfig,
@@ -316,15 +317,16 @@ def win_rate(
 ) -> float:
     """Paired comparison: both models decode the same noise; ties score half.
 
+    The models may differ in width but must share data and condition dims.
     Conditions rotate round-robin; one prior draw per trial. Comparing a model
     against itself gives exactly 0.5.
     """
     if n_trials < 1:
         raise ConfigurationError(f"need n_trials >= 1, got {n_trials}")
-    conds = np.eye(spec.cond_dim)[np.arange(n_trials) % spec.cond_dim]
-    noise = np.random.default_rng(seed).standard_normal((n_trials, spec.data_dim))
-    xa = euler_sample(params_a, spec, noise, conds, sampler_cfg)
-    xb = euler_sample(params_b, spec, noise, conds, sampler_cfg)
+    conds = np.eye(spec_a.cond_dim)[np.arange(n_trials) % spec_a.cond_dim]
+    noise = np.random.default_rng(seed).standard_normal((n_trials, spec_a.data_dim))
+    xa = euler_sample(params_a, spec_a, noise, conds, sampler_cfg)
+    xb = euler_sample(params_b, spec_b, noise, conds, sampler_cfg)
     rewards = reward_eval(rspec, np.concatenate([xa, xb]), np.concatenate([conds, conds]))
     ra, rb = rewards[:n_trials], rewards[n_trials:]
     return float(np.count_nonzero(ra > rb) + 0.5 * np.count_nonzero(ra == rb)) / n_trials

@@ -5,7 +5,8 @@ instead of the stored one: it is the noise-aware batch function with the
 pairs' xT arrays swapped for fresh draws, which is exactly how the two are
 compared. SFT is the winner-only case: flow matching on each pair's winner
 from fresh noise, one row per pair. Like the noise-aware loss, each is one
-batch call whose bits equal looping over the pairs one by one.
+batch call: per-pair losses are bitwise those of scoring each pair alone, and
+the gradient of their sum is the backward GEMM's.
 """
 from __future__ import annotations
 
@@ -91,7 +92,7 @@ def sft_value_grad(
     inp, target = path_inputs(spec, FlowBatch(x0=pairs.x0w, xT=xT, cond=pairs.cond, t=t))
     v, cache = forward_single_cached(params, spec, inp)
     residual = v - target
-    return row_dot(residual, residual), vjp_single(params, spec, cache, (2.0 * residual)[:, None, :])
+    return row_dot(residual, residual), vjp_single(params, spec, cache, 2.0 * residual)
 
 
 def sft_objective(

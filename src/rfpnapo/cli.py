@@ -206,9 +206,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     seed = cfg.get("seed")
     rep_a = eval_reward(params_a, spec_a, rspec, args.n, sampler, seed, label="model")
     rep_b = eval_reward(params_b, spec_b, rspec, args.n, sampler, seed, label="against")
-    wr = win_rate(
-        params_a, params_b, spec_a, rspec, args.n * spec_a.cond_dim, sampler, seed
-    )
+    wr = win_rate(params_a, spec_a, params_b, spec_b, rspec, args.n * spec_a.cond_dim, sampler, seed)
     rep_a = dataclasses.replace(rep_a, win_rate=wr)
     rep_b = dataclasses.replace(rep_b, win_rate=1.0 - wr)
     write_eval_csv(args.out, [rep_a, rep_b])

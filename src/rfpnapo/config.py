@@ -9,7 +9,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .corpus import CorpusPipelineConfig
-from .errors import ConfigurationError, ShapeError
+from .errors import ConfigurationError, ParseError, ShapeError
 from .fileio import read_text
 from .numerics import MlpSpec
 from .pnapo import BetaSchedule
@@ -29,6 +29,14 @@ def _parse_finite_float(raw: str) -> float:
     value = float(raw)
     if not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
+
+
+def _parse_seed(raw: str) -> int:
+    # numpy's generators take no negative seed
+    value = int(raw)
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {raw!r}")
     return value
 
 
@@ -72,7 +80,7 @@ def _parse_hidden(raw: str) -> tuple[int, ...]:
 # key -> (parser, default); a None default means the key has no default and
 # commands that need it must see it in the file.
 _KEYS: dict[str, tuple[Callable[[str], object], object]] = {
-    "seed": (int, None),
+    "seed": (_parse_seed, None),
     "data.dim": (int, 2),
     "data.conditions": (int, 4),
     "data.mixture.modes": (_parse_finite_vectors, ""),
@@ -238,7 +246,10 @@ def _to_str(value) -> str:
 
 def load_config(path: str) -> RunConfig:
     """Parse a key=value file; '#' starts a comment, unknown/duplicate keys reject."""
-    content = read_text(path, "config")
+    try:
+        content = read_text(path, "config")
+    except ParseError as exc:
+        raise ConfigurationError(f"{path}:{exc.line}: {exc.reason}") from None
     values: dict[str, object] = {}
     for lineno, raw in enumerate(content.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -30,10 +30,11 @@ class ParseError(RfpnapoError):
     """Malformed file content. Carries a 1-based line number when known."""
 
     def __init__(self, message: str, line: int | None = None):
+        self.reason = message
+        self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line
 
 
 class NumericError(RfpnapoError):

@@ -59,6 +59,17 @@ def write_text(path: str, content: str) -> None:
 
 
 def read_text(path: str, what: str = "input") -> str:
+    """Read a UTF-8 text file with universal newlines, as text-mode open does.
+
+    A byte that is not UTF-8 raises ParseError on its 1-based line, counted as
+    str.splitlines counts them.
+    """
     require_file(path, what)
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"{what} is not UTF-8 (byte 0x{data[exc.start]:02x})", line=line) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")

@@ -134,7 +134,7 @@ def forward_single_cached(
 
     Returns:
         (output (R, output_dim), cache) where cache[i] is the (R, width) input
-        to layer i (post-tanh for i > 0). The cache feeds vjp_single.
+        to layer i (post-tanh for i > 0). The cache feeds vjp_batch.
 
     Batch invariance: activations are kept as columns, shape (R, width, 1), so
     each layer is `np.matmul(w, h)`, which numpy runs as one matrix-vector
@@ -152,52 +152,6 @@ def forward_single_cached(
         cache.append(h[:, :, 0])
     y = (np.matmul(weights[-1], h) + biases[-1][:, None])[:, :, 0]
     return y, cache
-
-
-def vjp_single(
-    params: ParamVector, spec: MlpSpec, cache: list[np.ndarray], dy: np.ndarray
-) -> ParamVector:
-    """Parameter gradient of sum <dy, output> over the rows of a cached forward.
-
-    Args:
-        cache: from forward_single_cached on B * m rows, record-major: the m
-            rows (branches) of record 0, then those of record 1, and so on.
-        dy: (B, m, output_dim) cotangent of each row's output.
-
-    The result equals summing, in record order and starting from zero, each
-    record's branch-summed single-row gradient, as np.add.reduce over a stack
-    of per-record gradients does. Input gradients are one matrix-vector
-    product per row; each weight gradient adds every record's outer products
-    into one buffer per layer. A single GEMM over the rows would reorder those
-    sums and change the bits.
-    """
-    weights, _ = unpack_params(params, spec)
-    dy = np.asarray(dy, dtype=np.float64)
-    if dy.ndim != 3 or dy.shape[2] != spec.output_dim or dy.shape[0] * dy.shape[1] != cache[0].shape[0]:
-        raise ShapeError(f"cotangent has shape {dy.shape}, expected (B, m, {spec.output_dim}) "
-                         f"over {cache[0].shape[0]} cached rows")
-    n_rec, m = dy.shape[:2]
-    n_layers = len(weights)
-    d_weights: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
-    d_biases: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
-    dz = dy.reshape(n_rec * m, -1)
-    for i in range(n_layers - 1, -1, -1):
-        if i < n_layers - 1:
-            dz = dh * (1.0 - cache[i + 1] ** 2)  # tanh'(z) = 1 - tanh(z)^2
-        dz_rec = dz.reshape(n_rec, m, -1)
-        h_rec = cache[i].reshape(n_rec, m, -1)
-        # branch sums: numpy reduces fewer than 8 items in order, and a zero
-        # sign they differ in vanishes in the record sum, which starts at +0.0
-        bias_rec = dz_rec.sum(axis=1)
-        d_w = np.zeros(weights[i].shape)
-        d_b = np.zeros(weights[i].shape[0])
-        for r in range(n_rec):
-            d_w += (dz_rec[r][:, :, None] * h_rec[r][:, None, :]).sum(axis=0)
-            d_b += bias_rec[r]
-        d_weights[i], d_biases[i] = d_w, d_b
-        if i > 0:
-            dh = np.matmul(weights[i].T, dz[:, :, None])[:, :, 0]
-    return pack_params(d_weights, d_biases)
 
 
 def forward_batch_cached(
@@ -219,21 +173,43 @@ def forward_batch_cached(
 def vjp_batch(
     params: ParamVector, spec: MlpSpec, cache: list[np.ndarray], dy: np.ndarray
 ) -> ParamVector:
-    """Parameter gradient of sum_b <dy[b], output[b]> for a cached batch forward."""
+    """Parameter gradient of sum_r <dy[r], output[r]> over the rows of a cached forward.
+
+    Args:
+        cache: from forward_batch_cached or forward_single_cached on R rows.
+        dy: (R, output_dim) cotangent of each row's output.
+
+    Each layer takes one GEMM for its weight gradient and one for the gradient
+    of its input, so the rows' contributions add in the GEMM's order.
+    """
     weights, _ = unpack_params(params, spec)
+    dz = np.asarray(dy, dtype=np.float64)
+    if dz.shape != (cache[0].shape[0], spec.output_dim):
+        raise ShapeError(f"cotangent has shape {dz.shape}, expected "
+                         f"({cache[0].shape[0]}, {spec.output_dim}) for the cached rows")
     n_layers = len(weights)
     d_weights: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
     d_biases: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
-    dz = np.asarray(dy, dtype=np.float64)
-    d_weights[-1] = dz.T @ cache[-1]
-    d_biases[-1] = dz.sum(axis=0)
-    dh = dz @ weights[-1]
-    for i in range(n_layers - 2, -1, -1):
-        dz = dh * (1.0 - cache[i + 1] ** 2)
+    for i in range(n_layers - 1, -1, -1):
+        if i < n_layers - 1:
+            dz = dh * (1.0 - cache[i + 1] ** 2)  # tanh'(z) = 1 - tanh(z)^2
         d_weights[i] = dz.T @ cache[i]
         d_biases[i] = dz.sum(axis=0)
-        dh = dz @ weights[i]
+        if i > 0:
+            dh = dz @ weights[i]
     return pack_params(d_weights, d_biases)
+
+
+def vjp_single(
+    params: ParamVector, spec: MlpSpec, cache: list[np.ndarray], dy: np.ndarray
+) -> ParamVector:
+    """vjp_batch under the name align's backward is traced by.
+
+    perfbench/tracing.py times this name and BENCHMARK.json lists
+    numerics.vjp_single.{calls,busy_s}; once the benchmark drops that metric,
+    callers use vjp_batch and this name goes.
+    """
+    return vjp_batch(params, spec, cache, dy)
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -9,9 +9,10 @@ anneals over training steps.
 
 Every function here works on a batch of pairs at once: the winner and loser
 rows of all B pairs go through one trained and one reference forward pass
-and one backward pass. Each row's arithmetic is that of scoring it alone,
-and the gradient sums records in order, so a batch call gives the same bits
-as looping over its pairs one by one.
+and one backward pass. Each row's score is that of scoring it alone, bit for
+bit, so per-pair losses and margins do not depend on the batch; the gradient
+of their sum is one GEMM per layer, equal to the sum of the pairs' gradients
+up to the order of addition.
 """
 from __future__ import annotations
 
@@ -127,7 +128,8 @@ def pnapo_value_grad(
     z = beta_eff * (s[0::2] - s[1::2])
     losses = np.array([softplus(v) for v in z.tolist()])
     coef = np.array([sigmoid(v) for v in z.tolist()]) * beta_eff  # d softplus(z) / d(s_w - s_l)
-    dy = np.stack([(-2.0 * coef)[:, None] * res[0::2], (2.0 * coef)[:, None] * res[1::2]], axis=1)
+    # each row's cotangent, rows in pair_rows order: winner -2 * coef * res, loser +2 * coef * res
+    dy = np.stack([-2.0 * coef, 2.0 * coef], axis=1).reshape(-1, 1) * res
     return losses, vjp_single(params, spec, cache, dy), -z
 
 

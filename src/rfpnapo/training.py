@@ -2,8 +2,7 @@
 
 Preference methods differ only in the batch loss functional they hand to
 step_with_terms; the optimizer path and the metrics schema are identical.
-An align step is one call of that functional on the whole batch, and its
-bytes equal those of the loop over records it replaces.
+An align step is one call of that functional on the whole batch.
 """
 from __future__ import annotations
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from rfpnapo.numerics import MlpSpec, mlp_init
+from rfpnapo.numerics import MlpSpec, mlp_init, pack_params, unpack_params
 from rfpnapo.prefdata import DatasetHeader, PreferenceDataset
 from rfpnapo.rectflow import default_mixture, one_hot
 from rfpnapo.training import run_pretrain
@@ -30,6 +30,26 @@ def make_pairs(
         header, cond, fields[:, 0], fields[:, 1], fields[:, 2], fields[:, 3],
         np.broadcast_to(np.asarray(delta_r, dtype=np.float64), (n,)).copy(),
     )
+
+
+def vjp_row(params, spec: MlpSpec, cache: list[np.ndarray], dy: np.ndarray) -> np.ndarray:
+    """One row's parameter gradient of <dy, output>: outer products and matrix-vector products.
+
+    cache[i] is the row's input to layer i; the reference the batch backward is checked against.
+    """
+    weights, _ = unpack_params(params, spec)
+    n_layers = len(weights)
+    d_weights, d_biases = [None] * n_layers, [None] * n_layers
+    dz = dy
+    d_weights[-1] = np.outer(dz, cache[-1])
+    d_biases[-1] = dz
+    dh = weights[-1].T @ dz
+    for i in range(n_layers - 2, -1, -1):
+        dz = dh * (1.0 - cache[i + 1] ** 2)
+        d_weights[i] = np.outer(dz, cache[i])
+        d_biases[i] = dz
+        dh = weights[i].T @ dz
+    return pack_params(d_weights, d_biases)
 
 
 @st.composite

@@ -131,7 +131,7 @@ def test_eval_reward_and_self_win_rate(trained_pair):
     rep2 = eval_reward(ref, spec, rspec, n_per_condition=5, sampler_cfg=cfg, seed=3, label="ref")
     assert rep == rep2
     # a model against itself never wins or loses a pair
-    assert win_rate(ref, ref, spec, rspec, n_trials=12, sampler_cfg=cfg, seed=4) == 0.5
+    assert win_rate(ref, spec, ref, spec, rspec, n_trials=12, sampler_cfg=cfg, seed=4) == 0.5
 
 
 def test_win_rate_detects_strictly_better_model(trained_pair):
@@ -141,8 +141,8 @@ def test_win_rate_detects_strictly_better_model(trained_pair):
         params=np.array([[2.0, 0.0], [0.0, 2.0], [-2.0, 0.0], [0.0, -2.0]]),
     )
     cfg = SamplerConfig(steps=8)
-    wr_later = win_rate(later, ref, spec, rspec, n_trials=80, sampler_cfg=cfg, seed=5)
-    wr_ref = win_rate(ref, later, spec, rspec, n_trials=80, sampler_cfg=cfg, seed=5)
+    wr_later = win_rate(later, spec, ref, spec, rspec, n_trials=80, sampler_cfg=cfg, seed=5)
+    wr_ref = win_rate(ref, spec, later, spec, rspec, n_trials=80, sampler_cfg=cfg, seed=5)
     assert wr_later + wr_ref == pytest.approx(1.0, abs=1e-15)
     # the longer-trained snapshot should be the better sampler
     assert wr_later > 0.5

@@ -235,6 +235,17 @@ def test_exit_codes(tmp_path, tiny_cfg, capsys):
     bad_cfg.write_text("seed = 1\n")
     assert main(["pretrain", "--config", str(bad_cfg), "--out", str(tmp_path / "x.ckpt")]) == 2
 
+    # 2: a negative seed, which numpy's generators reject, fails at parse time
+    for command in ("pretrain", "gen-pairs"):
+        neg_cfg = tmp_path / "neg_seed.cfg"
+        neg_cfg.write_text(TINY_CFG.replace("seed = 9", "seed = -1"))
+        argv = ["--config", str(neg_cfg), "--out", str(tmp_path / "x.out")]
+        if command == "gen-pairs":
+            argv += ["--model", ref, "--n", "2"]
+        capsys.readouterr()
+        assert main([command, *argv]) == 2, command
+        assert f"{neg_cfg}:2: bad value for seed: expected a non-negative integer" in capsys.readouterr().err
+
     # 2: unknown config key
     unk_cfg = tmp_path / "unk.cfg"
     unk_cfg.write_text(TINY_CFG + "quantum.flux = 1\n")
@@ -297,6 +308,47 @@ def test_exit_codes(tmp_path, tiny_cfg, capsys):
     assert main(["eval", "--config", tiny_cfg, "--model", str(bad_ckpt),
                  "--against", ref, "--out", str(tmp_path / "r.csv")]) == 5
     capsys.readouterr()
+
+
+def test_eval_compares_checkpoints_of_different_widths(tmp_path, tiny_cfg, capsys):
+    ref, _, aligned = _run_pipeline(tmp_path, tiny_cfg)
+    narrow_cfg = tmp_path / "narrow.cfg"
+    narrow_cfg.write_text(TINY_CFG.replace("model.hidden = 8,8", "model.hidden = 16"))
+    narrow = str(tmp_path / "narrow.ckpt")
+    assert main(["pretrain", "--config", str(narrow_cfg), "--out", narrow]) == 0
+    report = str(tmp_path / "report.csv")
+    for model, against in ((aligned, narrow), (narrow, ref)):
+        assert main(["eval", "--config", tiny_cfg, "--model", model, "--against", against,
+                     "--n", "5", "--out", report]) == 0
+        rows = [line.split(",")[0] for line in Path(report).read_text().splitlines()[1:]]
+        assert rows == ["model", "against"]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind, code", [("config", 2), ("pairs", 5), ("corpus", 5)])
+def test_non_utf8_input_fails_on_its_line(tmp_path, tiny_cfg, capsys, kind, code):
+    out = str(tmp_path / "x.out")
+    bad = tmp_path / f"bad.{kind}"
+    if kind == "config":
+        lines = TINY_CFG.splitlines()  # line 1 is blank
+        bad.write_bytes("\n".join(lines[:3]).encode() + b"\n# caf\xff\n" + "\n".join(lines[3:]).encode())
+        argv = ["pretrain", "--config", str(bad), "--out", out]
+        where = f"{bad}:4: "
+    elif kind == "pairs":
+        ref, pairs, _ = _run_pipeline(tmp_path, tiny_cfg)
+        lines = Path(pairs).read_bytes().split(b"\n")
+        bad.write_bytes(b"\n".join(lines[:3] + [lines[3] + b"\xff"] + lines[4:]))
+        argv = ["align", "--config", tiny_cfg, "--model", ref, "--pairs", str(bad), "--out", out]
+        where = "line 4: "
+    else:
+        bad.write_bytes(b"id\ttext\ttox\te0\nr0\tok\t0.0\t1.0\nr1\tcaf\xe9\t0.0\t2.0\n")
+        argv = ["corpus", str(bad), "--config", tiny_cfg, "--out", out]
+        where = "line 3: "
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert where in err and "not UTF-8" in err
+    assert not Path(out).exists()
 
 
 def test_align_dim_mismatch_via_different_checkpoint(tmp_path, tiny_cfg, capsys):

@@ -172,3 +172,18 @@ def test_missing_file_is_missing_input():
 
     with pytest.raises(MissingInputError):
         load_config("/nonexistent/run.cfg")
+
+
+@pytest.mark.parametrize("raw", ["-1", "-12345678901234567890"])
+def test_negative_seed_rejected_with_position(tmp_path, raw):
+    path = _write(tmp_path, f"train.lr = 1e-3\nseed = {raw}\n")
+    with pytest.raises(ConfigurationError, match=f"{re.escape(path)}:2: bad value for seed: .*non-negative"):
+        load_config(path)
+    assert load_config(_write(tmp_path, "seed = 0\n")).get("seed") == 0
+
+
+def test_non_utf8_config_rejected_with_position(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"seed = 1\r\n# caf\xc3\xa9\r\ntrain.lr = 1e-3 # caf\xe9\n")
+    with pytest.raises(ConfigurationError, match=f"{re.escape(str(path))}:3: config is not UTF-8"):
+        load_config(str(path))

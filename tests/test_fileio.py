@@ -4,7 +4,8 @@ import os
 
 import pytest
 
-from rfpnapo.fileio import write_text
+from rfpnapo.errors import ParseError
+from rfpnapo.fileio import read_text, write_text
 from rfpnapo.numerics import MlpSpec, mlp_init, write_checkpoint
 
 
@@ -33,3 +34,14 @@ def test_failed_write_keeps_the_previous_artifact(tmp_path, monkeypatch, failing
         write(str(path), new=True)
         assert path.read_bytes() != before
         assert os.listdir(path.parent) == [name]
+
+
+def test_read_text_translates_newlines_and_locates_bad_bytes(tmp_path):
+    path = tmp_path / "in.txt"
+    path.write_bytes("a\r\nb\rcaf\u00e9\n".encode())
+    assert read_text(str(path)) == "a\nb\ncaf\u00e9\n"
+    for data, line in ((b"\xff", 1), (b"a\n\xffb\n", 2), (b"a\r\nb\rc\xe9", 3), (b"a\n\n\x80", 3)):
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=f"^line {line}: input is not UTF-8") as info:
+            read_text(str(path))
+        assert info.value.line == line

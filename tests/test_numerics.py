@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import vjp_row
 from rfpnapo.errors import NumericError, ParseError, ShapeError
 from rfpnapo.numerics import (
     FunctionLoss,
@@ -130,15 +131,16 @@ def test_non_finite_loss_raises():
 def test_vjp_single_matches_finite_differences(small_spec, small_params):
     rng = np.random.default_rng(5)
     for trial in range(5):
-        x = rng.standard_normal(2)
-        c = np.eye(3)[int(rng.integers(3))]
-        t = float(rng.random())
-        dy = rng.standard_normal((1, 1, 2))
-        inp = np.concatenate([x, c, [t]])[None, :]
+        rows = int(rng.integers(1, 5))
+        x = rng.standard_normal((rows, 2))
+        c = np.eye(3)[rng.integers(3, size=rows)]
+        t = rng.random((rows, 1))
+        dy = rng.standard_normal((rows, 2))
+        inp = np.hstack([x, c, t])
 
         def value_and_grad(p):
             y, cache = forward_single_cached(p, small_spec, inp)
-            return float(dy[0, 0] @ y[0]), vjp_single(p, small_spec, cache, dy)
+            return float(np.sum(dy * y)), vjp_single(p, small_spec, cache, dy)
 
         err = finite_diff_check(FunctionLoss(value_and_grad), small_params)
         assert err < 1e-6
@@ -146,24 +148,33 @@ def test_vjp_single_matches_finite_differences(small_spec, small_params):
 
 def test_vjp_batch_sums_per_sample_gradients(small_spec, small_params):
     rng = np.random.default_rng(9)
-    inputs = rng.standard_normal((4, small_spec.input_dim))
-    dys = rng.standard_normal((4, 2))
-    _, cache = forward_batch_cached(small_params, small_spec, inputs)
-    batched = vjp_batch(small_params, small_spec, cache, dys)
-    _, row_cache = forward_single_cached(small_params, small_spec, inputs)
-    # as 4 records of one row each, and as 2 records of two rows each
-    for records, rows in ((4, 1), (2, 2)):
-        summed = vjp_single(small_params, small_spec, row_cache, dys.reshape(records, rows, 2))
-        assert np.allclose(batched, summed, rtol=1e-12, atol=1e-14)
+    inputs = rng.standard_normal((6, small_spec.input_dim))
+    dys = rng.standard_normal((6, 2))
+    # the GEMM and row forwards give the same rows up to rounding
+    for forward in (forward_batch_cached, forward_single_cached):
+        _, cache = forward(small_params, small_spec, inputs)
+        expected = np.add.reduce([vjp_row(small_params, small_spec, [h[r] for h in cache], dys[r])
+                                  for r in range(len(dys))])
+        for vjp in (vjp_batch, vjp_single):
+            got = vjp(small_params, small_spec, cache, dys)
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_single_row_kernels_reject_mismatched_shapes(small_spec, small_params):
     with pytest.raises(ShapeError):
         forward_single_cached(small_params, small_spec, np.zeros(small_spec.input_dim))
     _, cache = forward_single_cached(small_params, small_spec, np.zeros((4, small_spec.input_dim)))
-    for dy in (np.zeros((4, 2)), np.zeros((3, 1, 2)), np.zeros((2, 2, 3))):
+    for dy in (np.zeros((3, 2)), np.zeros((4, 3)), np.zeros((4, 1, 2)), np.zeros((2, 2, 2))):
         with pytest.raises(ShapeError):
             vjp_single(small_params, small_spec, cache, dy)
+
+
+def test_vjp_batch_rejects_mismatched_cotangent(small_spec, small_params):
+    _, cache = forward_batch_cached(small_params, small_spec, np.zeros((4, small_spec.input_dim)))
+    assert vjp_batch(small_params, small_spec, cache, np.zeros((4, 2))).shape == small_params.shape
+    for dy in (np.zeros((5, 2)), np.zeros((4, 1)), np.zeros(8), np.zeros((4, 1, 2))):
+        with pytest.raises(ShapeError):
+            vjp_batch(small_params, small_spec, cache, dy)
 
 
 def test_sigmoid_softplus_stable_and_consistent():

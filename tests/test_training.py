@@ -7,19 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_pairs, pair_batches
+from conftest import make_pairs, pair_batches, vjp_row
 from rfpnapo.errors import ConfigurationError
 from rfpnapo.numerics import (
     MlpSpec,
-    adam_step,
     mlp_init,
-    optim_init,
-    pack_params,
     sigmoid,
     softplus,
     unpack_params,
 )
-from rfpnapo.pnapo import AlignConfig, BetaSchedule, effective_beta
+from rfpnapo.baselines import make_dpo_term, make_sft_term
+from rfpnapo.pnapo import AlignConfig, BetaSchedule, effective_beta, make_pnapo_term
 from rfpnapo.rectflow import default_mixture
 from rfpnapo.training import run_alignment, run_pretrain
 
@@ -119,7 +117,7 @@ def test_pretrain_weight_decay_changes_result():
     assert not np.array_equal(plain, decayed)
 
 
-# --- the per-record loop the batch step replaces, kept as the bitwise reference
+# --- the per-record loop the batch step replaced, kept as its reference
 
 
 def _forward_row(params, spec, inp):
@@ -130,22 +128,6 @@ def _forward_row(params, spec, inp):
         h = np.tanh(w @ h + b)
         cache.append(h)
     return weights[-1] @ h + biases[-1], cache
-
-
-def _vjp_row(params, spec, cache, dy):
-    weights, _ = unpack_params(params, spec)
-    n_layers = len(weights)
-    d_weights, d_biases = [None] * n_layers, [None] * n_layers
-    dz = dy
-    d_weights[-1] = np.outer(dz, cache[-1])
-    d_biases[-1] = dz
-    dh = weights[-1].T @ dz
-    for i in range(n_layers - 2, -1, -1):
-        dz = dh * (1.0 - cache[i + 1] ** 2)
-        d_weights[i] = np.outer(dz, cache[i])
-        d_biases[i] = dz
-        dh = weights[i].T @ dz
-    return pack_params(d_weights, d_biases)
 
 
 def _branch_row(params, ref, spec, x0, xT, cond, t):
@@ -164,8 +146,8 @@ def _preference_row(params, ref, spec, x0w, x0l, xTw, xTl, cond, t_w, t_l, beta_
     s_l, cache_l, res_l = _branch_row(params, ref, spec, x0l, xTl, cond, t_l)
     z = beta_eff * (s_w - s_l)
     coef = sigmoid(z) * beta_eff
-    grad = _vjp_row(params, spec, cache_w, -2.0 * coef * res_w)
-    grad += _vjp_row(params, spec, cache_l, 2.0 * coef * res_l)
+    grad = vjp_row(params, spec, cache_w, -2.0 * coef * res_w)
+    grad += vjp_row(params, spec, cache_l, 2.0 * coef * res_l)
     return softplus(z), grad, -z
 
 
@@ -187,49 +169,46 @@ def _record_term(params, ref, spec, pairs, i, cfg, step_index, rng):
     t = float(rng.random())
     v, cache = _forward_row(params, spec, np.concatenate([(1.0 - t) * x0w + t * xT, cond, [t]]))
     residual = v - (xT - x0w)
-    return float(residual @ residual), _vjp_row(params, spec, cache, 2.0 * residual), 0.0, 0.0
+    return float(residual @ residual), vjp_row(params, spec, cache, 2.0 * residual), 0.0, 0.0
 
 
-def _reference_alignment(ref, spec, pairs, cfg):
-    params = ref.copy()
-    optim = optim_init(params.size, cfg.lr)
-    rng = np.random.default_rng(cfg.seed)
-    rows = []
-    for step_index in range(1, cfg.steps + 1):
-        idx = rng.choice(len(pairs), size=min(cfg.batch, len(pairs)), replace=False)
-        terms = [_record_term(params, ref, spec, pairs, int(i), cfg, step_index, rng) for i in idx]
-        losses, grads, margins, betas = zip(*terms)
-        grad = np.mean(np.stack(grads), axis=0)
-        rows.append({
-            "step": step_index,
-            "loss": float(np.mean(losses)),
-            "margin_mean": float(np.mean(margins)),
-            "beta_eff_mean": float(np.mean(betas)),
-            "grad_norm": float(np.linalg.norm(grad)),
-        })
-        optim, params = adam_step(optim, params, grad)
-    return params, rows
+def _batch_term(ref, spec, cfg, step_index, rng):
+    """The term run_alignment builds for cfg.method at step_index."""
+    if cfg.method == "pnapo":
+        return make_pnapo_term(ref, spec, cfg.schedule, step_index, rng, cfg.shared_t)
+    if cfg.method == "dpo":
+        return make_dpo_term(ref, spec, cfg.schedule.beta, rng)
+    return make_sft_term(spec, rng)
 
 
 @pytest.mark.parametrize("method", ["pnapo", "dpo", "sft"])
 @pytest.mark.parametrize("shared_t", [True, False])
 @settings(max_examples=50, deadline=None)
-@given(case=pair_batches(max_pairs=8), extra_batch=st.integers(-7, 3), seed=st.integers(0, 2**16))
-def test_batch_step_is_bitwise_the_per_record_loop(method, shared_t, case, extra_batch, seed):
-    # one batch call per step must give the bits of the per-record loop: the
-    # same draws, per-row arithmetic, and gradient summed in record order
+@given(case=pair_batches(max_pairs=8), extra_batch=st.integers(-7, 3), seed=st.integers(0, 2**16),
+       step_index=st.integers(1, 4))
+def test_batch_step_matches_the_per_record_loop(method, shared_t, case, extra_batch, seed, step_index):
+    # one batch call draws, scores and weighs every pair with the bits of the
+    # per-record loop; its gradient is one GEMM per layer, which adds the
+    # pairs' contributions in another order than the loop, so it matches the
+    # record-ordered sum up to rounding
     spec, rng, pairs = case
     ref = mlp_init(spec, int(rng.integers(1000)))
-    batch = max(1, len(pairs) + extra_batch)  # batches above n clamp to n
+    params = ref + 0.3 * rng.standard_normal(ref.size)  # off the reference: scores are not all 0
     n1 = int(rng.integers(1, 3))
     cfg = AlignConfig(
-        method=method, lr=0.05, steps=3, batch=batch,
+        method=method, lr=0.05, steps=1, batch=max(1, len(pairs) + extra_batch),
         schedule=BetaSchedule(beta=float(1.0 + 20.0 * rng.random()), n1=n1, n2=n1 + 1), seed=seed,
         shared_t=shared_t,
     )
-    params, rows = run_alignment(ref, spec, pairs, cfg)
-    expected_params, expected_rows = _reference_alignment(ref, spec, pairs, cfg)
-    assert params.tobytes() == expected_params.tobytes()
-    for row, expected in zip(rows, expected_rows, strict=True):
-        assert row.keys() == expected.keys()
-        assert np.array(list(row.values())).tobytes() == np.array(list(expected.values())).tobytes()
+    idx = rng.choice(len(pairs), size=min(cfg.batch, len(pairs)), replace=False)
+    batch_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    losses, grad, margins, betas = _batch_term(ref, spec, cfg, step_index, batch_rng)(
+        params, pairs.take(idx)
+    )
+    expected = [_record_term(params, ref, spec, pairs, int(i), cfg, step_index, loop_rng) for i in idx]
+    expected_losses, grads, expected_margins, expected_betas = zip(*expected)
+    assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
+    for got, want in ((losses, expected_losses), (margins, expected_margins), (betas, expected_betas)):
+        assert np.asarray(got, dtype=np.float64).tobytes() == np.array(want, dtype=np.float64).tobytes()
+    record_sum = np.add.reduce(np.stack(grads))  # records in order, starting from zero
+    assert np.max(np.abs(grad - record_sum)) <= 1e-12 * np.max(np.abs(record_sum))
