@@ -20,7 +20,7 @@ from .errors import (
 from .numerics import MlpSpec, mlp_forward, mlp_init, read_checkpoint, write_checkpoint
 from .pnapo import AlignConfig, BetaSchedule, effective_beta, pnapo_value_grad, score
 from .prefdata import PreferenceDataset, RewardSpec, build_dataset, read_dataset, write_dataset
-from .rectflow import FlowBatch, SamplerConfig, cfm_loss, euler_sample, interpolate
+from .rectflow import FlowBatch, SamplerConfig, cfm_objective, euler_sample, interpolate
 from .training import run_alignment, run_pretrain
 
 __all__ = [
@@ -39,7 +39,7 @@ __all__ = [
     "SamplerConfig",
     "ShapeError",
     "build_dataset",
-    "cfm_loss",
+    "cfm_objective",
     "effective_beta",
     "euler_sample",
     "interpolate",

@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, ShapeError
+from .errors import ConfigurationError, DataError, ShapeError
+from .fileio import fmt17, write_text
 from .numerics import MlpSpec, ParamVector
 from .pnapo import pair_rows, score
 from .prefdata import PreferenceDataset, RewardSpec, reward_eval
@@ -290,12 +291,10 @@ def eval_reward(
 
 def write_eval_csv(path: str, reports: list[EvalReport]) -> None:
     """CSV schema: model,mean_reward,median_reward,win_rate,n,seed."""
-    from .errors import DataError
-    from .fileio import fmt17, write_text
-
     lines = ["model,mean_reward,median_reward,win_rate,n,seed"]
     for rep in reports:
-        if "," in rep.model or "\n" in rep.model:
+        # str.splitlines also breaks at \r, \v, \x85, \u2028 and other separators
+        if "," in rep.model or rep.model.splitlines() not in ([], [rep.model]):
             raise DataError(f"model label {rep.model!r} not representable in CSV")
         win = "" if rep.win_rate is None else fmt17(rep.win_rate)
         lines.append(

@@ -150,7 +150,6 @@ def cmd_align(args: argparse.Namespace) -> int:
         batch=cfg.get("train.batch"),
         schedule=cfg.schedule(),
         seed=cfg.get("seed"),
-        shared_t=cfg.get("pnapo.shared_t"),
     )
     # pairs sampled from another checkpoint are the paper's off-policy
     # setting, so a mismatch is recorded and noted, never an error

@@ -40,21 +40,40 @@ def _parse_seed(raw: str) -> int:
     return value
 
 
-def _parse_finite_vectors(raw: str) -> str:
-    """Check a vector list: ';' separates vectors, ',' numbers, '|' mixture centers.
+@dataclass(frozen=True)
+class VectorList:
+    """A vector-list value: its text as written, for snapshots, and its numbers.
 
-    The text is kept until the model dims are known to shape it, but every
-    number must be finite now.
+    groups[k] holds the vectors of entry k, the entries separated by ';' and
+    the numbers by ','. Only data.mixture.modes gives an entry several
+    vectors (its condition's centres), separated by '|'.
     """
-    if raw.strip() == "":
-        return raw
-    for k, vec_raw in enumerate(raw.split(";")):
-        for tok in vec_raw.replace("|", ",").split(","):
+
+    text: str
+    groups: tuple[tuple[tuple[float, ...], ...], ...]
+
+    def __str__(self) -> str:
+        return self.text
+
+
+def _vector_list_parser(several_per_entry: bool) -> Callable[[str], VectorList]:
+    def parse(raw: str) -> VectorList:
+        if raw.strip() == "":
+            return VectorList(raw, ())
+        groups = []
+        for k, entry in enumerate(raw.split(";")):
+            if not several_per_entry and "|" in entry:
+                raise ValueError(f"vector {k}: '|' separates mixture centres, not reward vectors")
             try:
-                _parse_finite_float(tok.strip())
+                groups.append(tuple(
+                    tuple(_parse_finite_float(tok.strip()) for tok in vec.split(","))
+                    for vec in entry.split("|")
+                ))
             except ValueError as exc:
                 raise ValueError(f"vector {k}: {exc}") from None
-    return raw
+        return VectorList(raw, tuple(groups))
+
+    return parse
 
 
 @contextmanager
@@ -83,7 +102,7 @@ _KEYS: dict[str, tuple[Callable[[str], object], object]] = {
     "seed": (_parse_seed, None),
     "data.dim": (int, 2),
     "data.conditions": (int, 4),
-    "data.mixture.modes": (_parse_finite_vectors, ""),
+    "data.mixture.modes": (_vector_list_parser(several_per_entry=True), VectorList("", ())),
     "data.mixture.std": (_parse_finite_float, 0.4),
     "model.hidden": (_parse_hidden, (32, 32)),
     "train.lr": (_parse_finite_float, None),
@@ -93,10 +112,9 @@ _KEYS: dict[str, tuple[Callable[[str], object], object]] = {
     "pnapo.n1": (int, 1000),
     "pnapo.n2": (int, 2000),
     "pnapo.dynamic": (_parse_bool, True),
-    "pnapo.shared_t": (_parse_bool, True),
     "sampler.steps": (int, 50),
     "reward.kind": (str, None),
-    "reward.params": (_parse_finite_vectors, ""),
+    "reward.params": (_vector_list_parser(several_per_entry=False), VectorList("", ())),
     "corpus.toxicity_threshold": (_parse_finite_float, 0.1),
     "corpus.jaccard_threshold": (_parse_finite_float, 0.8),
     "corpus.cosine_threshold": (_parse_finite_float, 0.8),
@@ -155,63 +173,45 @@ class RunConfig:
         dim = self.get("data.dim")
         n_conditions = self.get("data.conditions")
         std = self.get("data.mixture.std")
-        modes_raw = self.get("data.mixture.modes")
-        if modes_raw == "":
+        modes = self.get("data.mixture.modes").groups
+        if not modes:
             with _checked_by_builder("data.dim", "data.conditions", "data.mixture.std"):
                 return default_mixture(dim, n_conditions, std)
-        groups = []
-        for k, group_raw in enumerate(modes_raw.split(";")):
-            centers = []
-            for center_raw in group_raw.split("|"):
-                coords = [tok.strip() for tok in center_raw.split(",")]
-                if len(coords) != dim:
+        for k, centers in enumerate(modes):
+            for center in centers:
+                if len(center) != dim:
                     raise ConfigurationError(
-                        f"data.mixture.modes: condition {k} center has {len(coords)} "
+                        f"data.mixture.modes: condition {k} center has {len(center)} "
                         f"coordinates, data.dim is {dim}"
                     )
-                try:
-                    centers.append(np.array([float(c) for c in coords]))
-                except ValueError:
-                    raise ConfigurationError(
-                        f"data.mixture.modes: bad number in condition {k}"
-                    ) from None
-            groups.append(tuple(centers))
-        if len(groups) != n_conditions:
+        if len(modes) != n_conditions:
             raise ConfigurationError(
-                f"data.mixture.modes defines {len(groups)} conditions, "
+                f"data.mixture.modes defines {len(modes)} conditions, "
                 f"data.conditions is {n_conditions}"
             )
+        groups = tuple(tuple(np.array(center) for center in centers) for centers in modes)
         with _checked_by_builder("data.mixture.std"):
-            return ConditionalMixture(modes=tuple(groups), std=std)
+            return ConditionalMixture(modes=groups, std=std)
 
     def reward(self, data_dim: int, cond_dim: int) -> RewardSpec:
         kind = self.get("reward.kind")
-        raw = self.get("reward.params")
-        if raw == "":
+        rows = [vectors[0] for vectors in self.get("reward.params").groups]
+        if not rows:
+            params = np.zeros((cond_dim, data_dim))
             if kind == "direction_dot":
-                params = np.zeros((cond_dim, data_dim))
                 params[:, 0] = 1.0
-            else:
-                params = np.zeros((cond_dim, data_dim))
-        else:
-            rows = []
-            for k, vec_raw in enumerate(raw.split(";")):
-                coords = [tok.strip() for tok in vec_raw.split(",")]
-                if len(coords) != data_dim:
-                    raise ConfigurationError(
-                        f"reward.params: vector {k} has {len(coords)} coordinates, "
-                        f"model dimension is {data_dim}"
-                    )
-                try:
-                    rows.append([float(c) for c in coords])
-                except ValueError:
-                    raise ConfigurationError(f"reward.params: bad number in vector {k}") from None
-            if len(rows) != cond_dim:
+            return RewardSpec(kind=kind, params=params)
+        for k, row in enumerate(rows):
+            if len(row) != data_dim:
                 raise ConfigurationError(
-                    f"reward.params defines {len(rows)} conditions, model has {cond_dim}"
+                    f"reward.params: vector {k} has {len(row)} coordinates, "
+                    f"model dimension is {data_dim}"
                 )
-            params = np.array(rows)
-        return RewardSpec(kind=kind, params=params)
+        if len(rows) != cond_dim:
+            raise ConfigurationError(
+                f"reward.params defines {len(rows)} conditions, model has {cond_dim}"
+            )
+        return RewardSpec(kind=kind, params=np.array(rows))
 
     def schedule(self) -> BetaSchedule:
         return BetaSchedule(

@@ -1,4 +1,4 @@
-"""Float64 MLP numerics: parameters, forward/backward passes, AdamW, checkpoints.
+"""Float64 MLP numerics: parameters, forward/backward passes, Adam, checkpoints.
 
 The model is a plain tanh MLP with a linear output layer. It predicts a
 velocity field v(x, t, c); the time scalar t enters as one extra raw input
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, replace
-from typing import Callable, Protocol
+from typing import Callable
 
 import numpy as np
 
@@ -234,14 +234,6 @@ def softplus(z: float) -> float:
     return max(z, 0.0) + math.log1p(math.exp(-abs(z)))
 
 
-class DifferentiableLoss(Protocol):
-    """A scalar objective of a parameter vector with an analytic gradient."""
-
-    def value(self, params: ParamVector) -> float: ...
-
-    def value_and_grad(self, params: ParamVector) -> tuple[float, ParamVector]: ...
-
-
 class FunctionLoss:
     """Wrap an analytic value-and-gradient function as a differentiable loss."""
 
@@ -256,7 +248,7 @@ class FunctionLoss:
         return float(v), np.asarray(g, dtype=np.float64)
 
 
-def loss_value_and_grad(loss: DifferentiableLoss, params: ParamVector) -> tuple[float, ParamVector]:
+def loss_value_and_grad(loss: FunctionLoss, params: ParamVector) -> tuple[float, ParamVector]:
     """Evaluate a loss and its reverse-mode gradient, rejecting non-finite output."""
     value, grad = loss.value_and_grad(params)
     if not math.isfinite(value):
@@ -266,7 +258,7 @@ def loss_value_and_grad(loss: DifferentiableLoss, params: ParamVector) -> tuple[
     return value, grad
 
 
-def finite_diff_check(loss: DifferentiableLoss, params: ParamVector, h: float = 1e-5) -> float:
+def finite_diff_check(loss: FunctionLoss, params: ParamVector, h: float = 1e-5) -> float:
     """Compare the analytic gradient against central finite differences.
 
     Returns:
@@ -295,71 +287,55 @@ def finite_diff_check(loss: DifferentiableLoss, params: ParamVector, h: float = 
     return float(np.max(np.abs(analytic - numeric), initial=0.0)) / scale
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class OptimState:
-    """AdamW state: moments, step counter, and hyperparameters."""
+    """Adam state: learning rate, moments, step counter."""
 
     lr: float
     first_moment: np.ndarray
     second_moment: np.ndarray
     step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
 
 
-def optim_init(
-    n_params: int,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-    weight_decay: float = 0.0,
-) -> OptimState:
+def optim_init(n_params: int, lr: float) -> OptimState:
     if lr <= 0:
         raise ShapeError(f"learning rate must be positive, got {lr}")
-    return OptimState(
-        lr=lr,
-        first_moment=np.zeros(n_params),
-        second_moment=np.zeros(n_params),
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
-        weight_decay=weight_decay,
-    )
+    return OptimState(lr=lr, first_moment=np.zeros(n_params), second_moment=np.zeros(n_params))
 
 
 def adam_step(
     state: OptimState, params: ParamVector, grad: ParamVector
 ) -> tuple[OptimState, ParamVector]:
-    """One AdamW update (decoupled weight decay, bias-corrected moments).
+    """One Adam update with bias-corrected moments.
 
     Evaluates, operation by operation and so bit for bit,
         m = beta1 * m + (1 - beta1) * grad
         v = beta2 * v + (1 - beta2) * (grad * grad)
-        update = lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * params)
-    with m_hat = m / (1 - beta1^t) and v_hat = v / (1 - beta2^t), writing the
-    intermediates into two scratch arrays. The new moments and parameters are
-    fresh arrays; no input array is written.
+        update = lr * (m_hat / (sqrt(v_hat) + eps))
+    with m_hat = m / (1 - beta1^t), v_hat = v / (1 - beta2^t) and the ADAM_*
+    constants, writing the intermediates into two scratch arrays. The new
+    moments and parameters are fresh arrays; no input array is written.
     """
     if grad.shape != params.shape:
         raise ShapeError(f"gradient shape {grad.shape} != parameter shape {params.shape}")
     t = state.step_count + 1
-    a = np.multiply(grad, 1.0 - state.beta1)
-    m = np.multiply(state.first_moment, state.beta1)
+    a = np.multiply(grad, 1.0 - ADAM_BETA1)
+    m = np.multiply(state.first_moment, ADAM_BETA1)
     m += a
     np.multiply(grad, grad, out=a)
-    a *= 1.0 - state.beta2
-    v = np.multiply(state.second_moment, state.beta2)
+    a *= 1.0 - ADAM_BETA2
+    v = np.multiply(state.second_moment, ADAM_BETA2)
     v += a
-    np.divide(m, 1.0 - state.beta1**t, out=a)  # m_hat
-    b = np.divide(v, 1.0 - state.beta2**t)  # v_hat
+    np.divide(m, 1.0 - ADAM_BETA1**t, out=a)  # m_hat
+    b = np.divide(v, 1.0 - ADAM_BETA2**t)  # v_hat
     np.sqrt(b, out=b)
-    b += state.eps
+    b += ADAM_EPS
     a /= b
-    np.multiply(params, state.weight_decay, out=b)
-    a += b
     a *= state.lr
     new_state = replace(state, first_moment=m, second_moment=v, step_count=t)
     return new_state, np.subtract(params, a)

@@ -155,17 +155,16 @@ def make_pnapo_term(
     sched: BetaSchedule,
     step_index: int,
     rng: np.random.Generator,
-    shared_t: bool = True,
 ) -> Callable:
     """The batch loss functional for the shared trainer at one step.
 
-    RNG order: one time draw per pair (two, winner then loser, when shared_t
-    is off), pairs in batch order. The time draw is the only stochastic
-    input; everything else comes from the pairs.
+    RNG order: one time draw per pair, shared by its winner and loser, pairs
+    in batch order. The time draw is the only stochastic input; everything
+    else comes from the pairs.
     """
 
     def term(params: ParamVector, pairs: "PreferenceDataset"):
-        t = rng.random((len(pairs), 1 if shared_t else 2))
+        t = rng.random((len(pairs), 1))
         beta_eff = np.array([effective_beta(sched, dr, step_index) for dr in pairs.delta_r.tolist()])
         losses, grad, margins = pnapo_value_grad(params, ref_params, spec, pairs, t, beta_eff)
         return losses, grad, margins, beta_eff
@@ -183,8 +182,6 @@ class AlignConfig:
     batch: int
     schedule: BetaSchedule
     seed: int
-    shared_t: bool = True
-    weight_decay: float = 0.0
 
     def __post_init__(self):
         if self.method not in ("pnapo", "dpo", "sft"):

@@ -32,13 +32,12 @@ class RewardSpec:
 
     kind:
         mode_distance  -> reward = -||x - params[k]||_2
-        quadratic_bowl -> reward = -(x - params[k])^T A (x - params[k]), A = quad or I
+        quadratic_bowl -> reward = -||x - params[k]||_2^2
         direction_dot  -> reward = <params[k], x>
     """
 
     kind: str
     params: np.ndarray  # (n_conditions, data_dim)
-    quad: np.ndarray | None = None  # optional (d, d) PSD matrix for quadratic_bowl
 
     def __post_init__(self):
         if self.kind not in REWARD_KINDS:
@@ -46,20 +45,13 @@ class RewardSpec:
         object.__setattr__(self, "params", np.asarray(self.params, dtype=np.float64))
         if self.params.ndim != 2:
             raise ShapeError("reward params must be (n_conditions, data_dim)")
-        if self.quad is not None:
-            quad = np.asarray(self.quad, dtype=np.float64)
-            d = self.params.shape[1]
-            if quad.shape != (d, d):
-                raise ShapeError(f"quadratic form must be ({d}, {d}), got {quad.shape}")
-            object.__setattr__(self, "quad", quad)
 
 
 def reward_eval(rspec: RewardSpec, x: np.ndarray, cond: np.ndarray) -> np.ndarray:
     """Reward of every row x[i] under condition cond[i]: (n, d), (n, k) -> (n,).
 
     Row i is bit for bit the single-row formula of the RewardSpec docstring
-    (a BLAS dot for norms and inner products, a matrix-vector product for the
-    quadratic form), whatever the batch.
+    (a BLAS dot for norms and inner products), whatever the batch.
     """
     x = np.asarray(x, dtype=np.float64)
     cond = np.asarray(cond, dtype=np.float64)
@@ -74,8 +66,7 @@ def reward_eval(rspec: RewardSpec, x: np.ndarray, cond: np.ndarray) -> np.ndarra
     delta = x - target
     if rspec.kind == "mode_distance":
         return -np.sqrt(row_dot(delta, delta))
-    quad = rspec.quad if rspec.quad is not None else np.eye(d)
-    return -row_dot(np.matmul(delta[:, None, :], quad)[:, 0, :], delta)
+    return -row_dot(delta, delta)
 
 
 @dataclass(frozen=True)
@@ -229,6 +220,19 @@ def _parse_vec(field: str, expect: int, line: int) -> np.ndarray:
 
 
 def write_dataset(path: str, dataset: PreferenceDataset) -> None:
+    """Write the pair file; a pair read_dataset would reject raises DataError before any write."""
+    for name in _FIELDS[:5]:
+        finite = np.isfinite(getattr(dataset, name)).all(axis=1)
+        if not finite.all():
+            raise DataError(
+                f"pair {int(np.argmin(finite))} has a non-finite {name} value; not representable"
+            )
+    cond = dataset.cond
+    one_hot = ((cond == 0.0) | (cond == 1.0)).all(axis=1) & (cond.sum(axis=1) == 1.0)
+    if not one_hot.all():
+        raise DataError(
+            f"pair {int(np.argmin(one_hot))} has a condition that is not one-hot; not representable"
+        )
     h = dataset.header
     lines = [
         f"{DATASET_TAG} {DATASET_VERSION} dim={h.dim} cdim={h.cond_dim} "

@@ -88,16 +88,11 @@ def path_inputs(spec: MlpSpec, batch: FlowBatch) -> tuple[np.ndarray, np.ndarray
     return inputs, target
 
 
-def cfm_loss(params: ParamVector, spec: MlpSpec, batch: FlowBatch) -> float:
-    """Mean squared error between predicted velocity and the path constant.
+def cfm_objective(spec: MlpSpec, batch: FlowBatch) -> FunctionLoss:
+    """The matching loss as a differentiable objective of the parameters.
 
     loss = mean_i || v(x_t_i, t_i, c_i) - (xT_i - x0_i) ||^2
     """
-    return cfm_objective(spec, batch).value(params)
-
-
-def cfm_objective(spec: MlpSpec, batch: FlowBatch) -> FunctionLoss:
-    """The matching loss as a differentiable objective of the parameters."""
     inputs, target = path_inputs(spec, batch)
     b = inputs.shape[0]
 

@@ -1,4 +1,4 @@
-"""The one trainer every method shares: batch loop, AdamW, metrics rows.
+"""The one trainer every method shares: batch loop, Adam, metrics rows.
 
 Preference methods differ only in the batch loss functional they hand to
 step_with_terms; the optimizer path and the metrics schema are identical.
@@ -6,10 +6,11 @@ An align step is one call of that functional on the whole batch.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
+from .baselines import make_dpo_term, make_sft_term
 from .errors import ConfigurationError, NumericError
 from .numerics import (
     MlpSpec,
@@ -20,27 +21,25 @@ from .numerics import (
     mlp_init,
     optim_init,
 )
+from .pnapo import AlignConfig, make_pnapo_term
+from .prefdata import PreferenceDataset
 from .rectflow import ConditionalMixture, FlowBatch, cfm_objective
-
-if TYPE_CHECKING:
-    from .pnapo import AlignConfig
-    from .prefdata import PreferenceDataset
 
 # A term maps (params, batch of B pairs) -> (per-pair losses (B,), gradient of
 # their sum, per-pair margins (B,), per-pair beta_eff (B,)).
 Term = Callable[
-    [ParamVector, "PreferenceDataset"], tuple[np.ndarray, ParamVector, np.ndarray, np.ndarray]
+    [ParamVector, PreferenceDataset], tuple[np.ndarray, ParamVector, np.ndarray, np.ndarray]
 ]
 
 
 def step_with_terms(
     params: ParamVector,
     optim: OptimState,
-    batch: "PreferenceDataset",
+    batch: PreferenceDataset,
     term: Term,
     step_index: int,
 ) -> tuple[ParamVector, OptimState, dict]:
-    """Average the term's per-pair losses and gradient over a batch and apply one AdamW step."""
+    """Average the term's per-pair losses and gradient over a batch and apply one Adam step."""
     losses, grad_sum, margins, betas = term(params, batch)
     loss = float(np.mean(losses))
     grad = grad_sum / len(losses)
@@ -60,40 +59,34 @@ def step_with_terms(
 def run_alignment(
     ref_params: ParamVector,
     spec: MlpSpec,
-    dataset: "PreferenceDataset",
-    cfg: "AlignConfig",
+    dataset: PreferenceDataset,
+    cfg: AlignConfig,
 ) -> tuple[ParamVector, list[dict]]:
     """Train a copy of the reference on preference pairs; returns (params, metric rows).
 
     Every step draws, from one default_rng(cfg.seed) stream: first the batch
     indices, rng.choice(n, size=min(batch, n), replace=False); then the
     method's draws for each pair in batch order:
-      - pnapo: the time t (t_w then t_l when pnapo.shared_t is false)
+      - pnapo: the time t, shared by the winner and the loser
       - dpo: the time t, then the winner's prior noise, then the loser's
       - sft: the winner's prior noise, then the time t
     """
-    # late imports keep the module graph acyclic; the term builders live with
-    # their losses
-    from . import baselines, pnapo
-
     n = len(dataset)
     if n == 0:
         raise ConfigurationError("alignment needs at least one preference record")
     params = np.array(ref_params, dtype=np.float64, copy=True)
-    optim = optim_init(params.size, cfg.lr, weight_decay=cfg.weight_decay)
+    optim = optim_init(params.size, cfg.lr)
     rng = np.random.default_rng(cfg.seed)
     batch_size = min(cfg.batch, n)
     rows: list[dict] = []
     for step_index in range(1, cfg.steps + 1):
         batch = dataset.take(rng.choice(n, size=batch_size, replace=False))
         if cfg.method == "pnapo":
-            term = pnapo.make_pnapo_term(
-                ref_params, spec, cfg.schedule, step_index, rng, cfg.shared_t
-            )
+            term = make_pnapo_term(ref_params, spec, cfg.schedule, step_index, rng)
         elif cfg.method == "dpo":
-            term = baselines.make_dpo_term(ref_params, spec, cfg.schedule.beta, rng)
+            term = make_dpo_term(ref_params, spec, cfg.schedule.beta, rng)
         else:  # sft
-            term = baselines.make_sft_term(spec, rng)
+            term = make_sft_term(spec, rng)
         params, optim, metrics = step_with_terms(params, optim, batch, term, step_index)
         rows.append(metrics)
     return params, rows
@@ -106,7 +99,6 @@ def run_pretrain(
     batch: int,
     lr: float,
     seed: int,
-    weight_decay: float = 0.0,
 ) -> tuple[ParamVector, list[dict]]:
     """Fit the velocity field by regression on straight paths from the mixture.
 
@@ -123,7 +115,7 @@ def run_pretrain(
             f"model ({spec.data_dim}, {spec.cond_dim})"
         )
     params = mlp_init(spec, seed)
-    optim = optim_init(params.size, lr, weight_decay=weight_decay)
+    optim = optim_init(params.size, lr)
     rng = np.random.default_rng(seed + 1)
     eye = np.eye(spec.cond_dim)
     rows: list[dict] = []

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_pairs
 from rfpnapo.analytics import (
@@ -161,3 +163,42 @@ def test_write_eval_csv(tmp_path):
     assert lines[2] == "b,-1.5,-1,,10,1"
     with pytest.raises(DataError):
         write_eval_csv(path, [EvalReport(model="x,y", mean_reward=0.0, median_reward=0.0, win_rate=None, n=1, seed=0)])
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(reports=st.lists(st.builds(
+    EvalReport,
+    model=st.text(st.characters(blacklist_categories=("Cs",))),  # any text UTF-8 can encode
+    mean_reward=st.floats(allow_nan=False),
+    median_reward=st.floats(allow_nan=False),
+    win_rate=st.none() | st.floats(0.0, 1.0),
+    n=st.integers(1, 10**12),
+    seed=st.integers(0, 2**64 - 1),
+), max_size=4))
+def test_eval_csv_round_trips_bitwise(tmp_path_factory, reports):
+    path = tmp_path_factory.mktemp("eval") / "report.csv"
+    # a label a comma or any line separator would split cannot be a CSV cell
+    if any("," in rep.model or rep.model.splitlines() not in ([], [rep.model]) for rep in reports):
+        with pytest.raises(DataError):
+            write_eval_csv(str(path), reports)
+        assert not path.exists()
+        return
+    write_eval_csv(str(path), reports)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "model,mean_reward,median_reward,win_rate,n,seed"
+    assert len(lines) == len(reports) + 1
+    for rep, line in zip(reports, lines[1:]):
+        model, mean, median, win, n, seed = line.split(",")
+        assert model == rep.model
+        assert _bits(float(mean)) == _bits(rep.mean_reward)
+        assert _bits(float(median)) == _bits(rep.median_reward)
+        if rep.win_rate is None:
+            assert win == ""
+        else:
+            assert _bits(float(win)) == _bits(rep.win_rate)
+        assert (int(n), int(seed)) == (rep.n, rep.seed)
+        assert (n, seed) == (str(rep.n), str(rep.seed))

@@ -18,7 +18,7 @@ from rfpnapo.baselines import (
 from rfpnapo.errors import ShapeError
 from rfpnapo.numerics import finite_diff_check, mlp_init
 from rfpnapo.pnapo import pnapo_value_grad
-from rfpnapo.rectflow import FlowBatch, cfm_loss
+from rfpnapo.rectflow import FlowBatch, cfm_objective
 
 
 def test_dpo_equals_noise_aware_when_draw_matches_stored(small_spec, small_params):
@@ -98,7 +98,8 @@ def test_sft_loss_is_flow_matching_on_winners(small_spec, small_params):
     losses, _ = sft_value_grad(small_params, small_spec, pairs, xT, t)
     batch = FlowBatch(x0=pairs.x0w, xT=xT, cond=pairs.cond, t=t)
     # the matching loss evaluates its batch as one GEMM; agreement is numeric, not bitwise
-    assert np.mean(losses) == pytest.approx(cfm_loss(small_params, small_spec, batch), rel=1e-12)
+    cfm = cfm_objective(small_spec, batch).value(small_params)
+    assert np.mean(losses) == pytest.approx(cfm, rel=1e-12)
 
 
 def test_sft_term_uses_winner_only(small_spec, small_params):

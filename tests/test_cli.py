@@ -6,9 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES
-from rfpnapo.cli import main
+from rfpnapo.cli import ALIGN_COLUMNS, PRETRAIN_COLUMNS, _write_metrics_csv, main
 from rfpnapo.numerics import read_checkpoint, write_checkpoint
 
 TINY_CFG = """
@@ -442,3 +444,27 @@ def test_checkpoint_spec_round_trip_through_cli(tmp_path, tiny_cfg, capsys):
     capsys.readouterr()
     _, spec = read_checkpoint(ref)
     assert spec.data_dim == 2 and spec.cond_dim == 2 and spec.hidden == (8, 8)
+
+
+@pytest.mark.parametrize("columns, header", [
+    (PRETRAIN_COLUMNS, "step,loss,grad_norm"),
+    (ALIGN_COLUMNS, "step,loss,margin_mean,beta_eff_mean,grad_norm"),
+])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_metrics_csv_round_trips_bitwise(tmp_path_factory, columns, header, data):
+    cells = {col: st.integers(1, 2**63) if col == "step" else st.floats(allow_nan=False) for col in columns}
+    rows = data.draw(st.lists(st.fixed_dictionaries(cells), max_size=12))
+    path = tmp_path_factory.mktemp("metrics") / "run.metrics.csv"
+    _write_metrics_csv(str(path), rows, columns)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == header
+    assert len(lines) == len(rows) + 1
+    for row, line in zip(rows, lines[1:]):
+        back = line.split(",")
+        assert len(back) == len(columns)
+        for col, cell in zip(columns, back):
+            if col == "step":
+                assert int(cell) == row[col] and cell == str(row[col])
+            else:
+                assert np.float64(float(cell)).tobytes() == np.float64(row[col]).tobytes(), col

@@ -80,6 +80,13 @@ def test_non_finite_vector_entry_names_the_vector(tmp_path, key, raw, vector):
         load_config(path)
 
 
+def test_reward_params_reject_the_centre_separator_with_position(tmp_path):
+    # '|' separates a condition's mixture centres; a reward has one vector per condition
+    path = _write(tmp_path, "seed = 1\nreward.params = 2|0; 0,2; -2,0; 0,-2\n")
+    with pytest.raises(ConfigurationError, match=f"{re.escape(path)}:2: bad value for reward.params: vector 0: '\\|'"):
+        load_config(path)
+
+
 def test_require_reports_missing_keys(tmp_path):
     cfg = load_config(_write(tmp_path, "seed = 1\n"))
     with pytest.raises(ConfigurationError, match="train.lr"):
@@ -158,9 +165,13 @@ sampler.steps = 12
 
 
 def test_snapshot_is_complete_and_stringly(tmp_path):
-    cfg = load_config(_write(tmp_path, "seed = 3\ntrain.lr = 0.5\nreward.kind = mode_distance\n"))
+    cfg = load_config(_write(
+        tmp_path, "seed = 3\ntrain.lr = 0.5\nreward.kind = mode_distance\ndata.mixture.modes = 1,1 | -1,-1 ;3,0\n"
+    ))
     snap = cfg.snapshot()
     assert snap["seed"] == "3"
+    assert snap["data.mixture.modes"] == "1,1 | -1,-1 ;3,0"  # vector lists as written
+    assert snap["reward.params"] == ""
     assert snap["pnapo.dynamic"] == "true"
     assert snap["model.hidden"] == "32,32"
     assert "train.steps" not in snap or snap.get("train.steps") is not None

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import pair_batches
+from conftest import make_pairs, pair_batches
 from rfpnapo.errors import ConfigurationError, DataError, ParseError, ShapeError
 from rfpnapo.numerics import MlpSpec, mlp_init
 from rfpnapo.prefdata import (
@@ -39,14 +39,8 @@ def test_reward_mode_distance():
 
 def test_reward_quadratic_bowl():
     rspec = RewardSpec(kind="quadratic_bowl", params=np.array([[1.0, 1.0]]))
-    # default curvature is the identity: r = -||x - target||^2
+    # r = -||x - target||^2
     assert _reward(rspec, [2.0, 0.0], 0) == -2.0
-    curved = RewardSpec(
-        kind="quadratic_bowl",
-        params=np.array([[0.0, 0.0]]),
-        quad=np.array([[2.0, 0.0], [0.0, 1.0]]),
-    )
-    assert _reward(curved, [1.0, 1.0], 0) == -3.0
 
 
 def test_reward_direction_dot():
@@ -61,8 +55,7 @@ def _reward_row(rspec: RewardSpec, x: np.ndarray, cond: np.ndarray) -> float:
         return float(-np.linalg.norm(x - rspec.params[k]))
     if rspec.kind == "quadratic_bowl":
         delta = x - rspec.params[k]
-        quad = rspec.quad if rspec.quad is not None else np.eye(x.size)
-        return float(-(delta @ quad @ delta))
+        return float(-(delta @ delta))
     return float(np.dot(rspec.params[k], x))
 
 
@@ -72,14 +65,11 @@ def _reward_row(rspec: RewardSpec, x: np.ndarray, cond: np.ndarray) -> float:
     n=st.integers(0, 30),
     d=st.sampled_from([1, 2, 3, 5, 16, 33, 240]),
     k=st.integers(1, 4),
-    curved=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_batched_reward_is_bitwise_the_per_row_formula(kind, n, d, k, curved, seed):
+def test_batched_reward_is_bitwise_the_per_row_formula(kind, n, d, k, seed):
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal((d, d))
-    quad = a @ a.T if curved and kind == "quadratic_bowl" else None
-    rspec = RewardSpec(kind=kind, params=rng.standard_normal((k, d)), quad=quad)
+    rspec = RewardSpec(kind=kind, params=rng.standard_normal((k, d)))
     x = rng.standard_normal((n, d)) * 3.0
     cond = np.eye(k)[rng.integers(k, size=n)]
     batch = reward_eval(rspec, x, cond)
@@ -266,6 +256,28 @@ def test_dataset_write_is_byte_stable(tmp_path):
     write_dataset(p1, ds)
     write_dataset(p2, ds)
     assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+@pytest.mark.parametrize("field", ["cond", "x0w", "x0l", "xTw", "xTl"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_write_dataset_rejects_non_finite_values_and_writes_nothing(tmp_path, field, bad):
+    ds = make_pairs(np.random.default_rng(5), MlpSpec(data_dim=2, cond_dim=2, hidden=(3,)), 3)
+    getattr(ds, field)[1, 0] = bad
+    path = tmp_path / "pairs.txt"
+    with pytest.raises(DataError, match=f"pair 1 has a non-finite {field} value"):
+        write_dataset(str(path), ds)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("cond", [[0.5, 0.5], [1.0, 1.0], [0.0, 0.0], [2.0, 0.0], [1.0, -0.5]])
+def test_write_dataset_rejects_a_condition_that_is_not_one_hot(tmp_path, cond):
+    # the conditions read_dataset rejects as not one-hot
+    ds = make_pairs(np.random.default_rng(6), MlpSpec(data_dim=2, cond_dim=2, hidden=(3,)), 3)
+    ds.cond[2] = cond
+    path = tmp_path / "pairs.txt"
+    with pytest.raises(DataError, match="pair 2 has a condition that is not one-hot"):
+        write_dataset(str(path), ds)
+    assert not path.exists()
 
 
 def test_read_dataset_error_positions(tmp_path):
