@@ -2,8 +2,8 @@
 
 Every artifact-writing subcommand drops a `<out>.manifest.json` sidecar with
 the config snapshot and input/output hashes; training commands also write
-`<out>.metrics.csv`. Exit codes: 0 success, 2 config, 3 missing input,
-4 shape/consistency, 5 parse, 1 anything else that went wrong numerically.
+`<out>.metrics.csv`. A failure exits with the code its error class carries
+(see errors.py); success is 0.
 """
 from __future__ import annotations
 
@@ -16,14 +16,8 @@ import time
 from .analytics import eval_reward, win_rate, write_eval_csv
 from .config import RunConfig, load_config
 from .corpus import read_corpus, run_pipeline, write_corpus
-from .errors import (
-    ConfigurationError,
-    MissingInputError,
-    ParseError,
-    RfpnapoError,
-    ShapeError,
-)
-from .fileio import fmt17, require_file, sha256_file, write_text
+from .errors import RfpnapoError, ShapeError
+from .fileio import fmt17, sha256_file, write_text
 from .numerics import read_checkpoint, write_checkpoint
 from .pnapo import AlignConfig
 from .prefdata import build_dataset, read_dataset, write_dataset
@@ -45,10 +39,20 @@ def _write_metrics_csv(path: str, rows: list[dict], columns: tuple[str, ...]) ->
     write_text(path, "\n".join(lines) + "\n")
 
 
+def _command(args: argparse.Namespace) -> list[str]:
+    """The subcommand, then every argument in parser order, defaults included."""
+    command = [args.command]
+    for dest, value in vars(args).items():
+        if dest == "input":  # the only positional
+            command.append(value)
+        elif dest not in ("command", "func"):
+            command += [f"--{dest}", str(value)]
+    return command
+
+
 def _write_manifest(
-    out_path: str,
-    command: list[str],
-    cfg: RunConfig | None,
+    args: argparse.Namespace,
+    cfg: RunConfig,
     inputs: list[str],
     outputs: list[str],
     wall_time_s: float,
@@ -56,15 +60,15 @@ def _write_manifest(
 ) -> None:
     doc = {
         "artifact_version": 1,
-        "command": command,
-        "config": cfg.snapshot() if cfg is not None else {},
+        "command": _command(args),
+        "config": cfg.snapshot(),
         "inputs": {p: sha256_file(p) for p in inputs},
         "outputs": {p: sha256_file(p) for p in outputs},
         "wall_time_s": wall_time_s,
     }
     if extras:
         doc.update(extras)
-    write_text(out_path + ".manifest.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_text(args.out + ".manifest.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_pretrain(args: argparse.Namespace) -> int:
@@ -84,8 +88,7 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
     metrics_path = args.out + ".metrics.csv"
     _write_metrics_csv(metrics_path, rows, PRETRAIN_COLUMNS)
     _write_manifest(
-        args.out,
-        ["pretrain", "--config", args.config, "--out", args.out],
+        args,
         cfg,
         inputs=[args.config],
         outputs=[args.out, metrics_path],
@@ -102,7 +105,6 @@ def cmd_gen_pairs(args: argparse.Namespace) -> int:
     start = time.monotonic()
     cfg = load_config(args.config)
     cfg.require("seed", "reward.kind")
-    require_file(args.model, "model checkpoint")
     ref_params, spec = read_checkpoint(args.model)
     rspec = cfg.reward(spec.data_dim, spec.cond_dim)
     ref_hash = sha256_file(args.model)
@@ -117,9 +119,7 @@ def cmd_gen_pairs(args: argparse.Namespace) -> int:
     )
     write_dataset(args.out, dataset)
     _write_manifest(
-        args.out,
-        ["gen-pairs", "--config", args.config, "--model", args.model,
-         "--n", str(args.n), "--out", args.out],
+        args,
         cfg,
         inputs=[args.config, args.model],
         outputs=[args.out],
@@ -134,8 +134,6 @@ def cmd_align(args: argparse.Namespace) -> int:
     start = time.monotonic()
     cfg = load_config(args.config)
     cfg.require("seed", "train.lr", "train.steps", "train.batch", "pnapo.beta")
-    require_file(args.model, "model checkpoint")
-    require_file(args.pairs, "preference dataset")
     ref_params, spec = read_checkpoint(args.model)
     dataset = read_dataset(args.pairs)
     if dataset.header.dim != spec.data_dim or dataset.header.cond_dim != spec.cond_dim:
@@ -166,9 +164,7 @@ def cmd_align(args: argparse.Namespace) -> int:
     metrics_path = args.out + ".metrics.csv"
     _write_metrics_csv(metrics_path, rows, ALIGN_COLUMNS)
     _write_manifest(
-        args.out,
-        ["align", "--config", args.config, "--model", args.model,
-         "--pairs", args.pairs, "--out", args.out, "--method", args.method],
+        args,
         cfg,
         inputs=[args.config, args.model, args.pairs],
         outputs=[args.out, metrics_path],
@@ -191,8 +187,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     start = time.monotonic()
     cfg = load_config(args.config)
     cfg.require("seed", "reward.kind")
-    require_file(args.model, "model checkpoint")
-    require_file(args.against, "comparison checkpoint")
     params_a, spec_a = read_checkpoint(args.model)
     params_b, spec_b = read_checkpoint(args.against)
     if spec_a.data_dim != spec_b.data_dim or spec_a.cond_dim != spec_b.cond_dim:
@@ -210,9 +204,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     rep_b = dataclasses.replace(rep_b, win_rate=1.0 - wr)
     write_eval_csv(args.out, [rep_a, rep_b])
     _write_manifest(
-        args.out,
-        ["eval", "--config", args.config, "--model", args.model,
-         "--against", args.against, "--n", str(args.n), "--out", args.out],
+        args,
         cfg,
         inputs=[args.config, args.model, args.against],
         outputs=[args.out],
@@ -239,13 +231,11 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     start = time.monotonic()
     cfg = load_config(args.config)
     cfg.require("seed")
-    require_file(args.input, "corpus TSV")
     corpus = read_corpus(args.input)
     survivors, counts = run_pipeline(corpus, cfg.corpus_config(), seed=cfg.get("seed"))
     write_corpus(args.out, survivors)
     _write_manifest(
-        args.out,
-        ["corpus", args.input, "--config", args.config, "--out", args.out],
+        args,
         cfg,
         inputs=[args.config, args.input],
         outputs=[args.out],
@@ -308,18 +298,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigurationError as exc:
-        print(f"rfpnapo: {exc}", file=sys.stderr)
-        return 2
-    except MissingInputError as exc:
-        print(f"rfpnapo: {exc}", file=sys.stderr)
-        return 3
-    except ParseError as exc:
-        print(f"rfpnapo: {exc}", file=sys.stderr)
-        return 5
-    except ShapeError as exc:  # DataError included
-        print(f"rfpnapo: {exc}", file=sys.stderr)
-        return 4
     except RfpnapoError as exc:
         print(f"rfpnapo: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code

@@ -2,18 +2,17 @@
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
 from .corpus import CorpusPipelineConfig
-from .errors import ConfigurationError, ParseError, ShapeError
+from .errors import ConfigurationError, ParseError
 from .fileio import read_text
 from .numerics import MlpSpec
 from .pnapo import BetaSchedule
-from .prefdata import RewardSpec
+from .prefdata import REWARD_KINDS, RewardSpec
 from .rectflow import ConditionalMixture, SamplerConfig, default_mixture
 
 
@@ -32,12 +31,24 @@ def _parse_finite_float(raw: str) -> float:
     return value
 
 
-def _parse_seed(raw: str) -> int:
-    # numpy's generators take no negative seed
-    value = int(raw)
-    if value < 0:
-        raise ValueError(f"expected a non-negative integer, got {raw!r}")
-    return value
+def _in_range(parse: Callable[[str], object], ok: Callable, expected: str) -> Callable[[str], object]:
+    """parse, then reject a value outside the key's range, so load_config reports it with its line."""
+
+    def parse_in_range(raw: str):
+        value = parse(raw)
+        if not ok(value):
+            raise ValueError(f"expected {expected}, got {raw!r}")
+        return value
+
+    return parse_in_range
+
+
+# numpy's generators take no negative seed
+_parse_seed = _in_range(int, lambda v: v >= 0, "a non-negative integer")
+_parse_count = _in_range(int, lambda v: v >= 1, "an integer >= 1")
+_parse_positive = _in_range(_parse_finite_float, lambda v: v > 0, "a number > 0")
+_parse_fraction = _in_range(_parse_finite_float, lambda v: 0 <= v <= 1, "a number in [0, 1]")
+_parse_reward_kind = _in_range(str, lambda v: v in REWARD_KINDS, " | ".join(REWARD_KINDS))
 
 
 @dataclass(frozen=True)
@@ -76,51 +87,37 @@ def _vector_list_parser(several_per_entry: bool) -> Callable[[str], VectorList]:
     return parse
 
 
-@contextmanager
-def _checked_by_builder(*keys: str) -> Iterator[None]:
-    """Report a ShapeError from the objects built out of keys as a config error naming them.
-
-    MlpSpec, ConditionalMixture and SamplerConfig own the value checks; a bad
-    value in the file is still a configuration problem, not a shape mismatch
-    between artifacts.
-    """
-    try:
-        yield
-    except ShapeError as exc:
-        raise ConfigurationError(f"bad value for {' / '.join(keys)}: {exc}") from None
-
-
 def _parse_hidden(raw: str) -> tuple[int, ...]:
     if raw.strip() == "":
         return ()
-    return tuple(int(tok.strip()) for tok in raw.split(","))
+    return tuple(_parse_count(tok.strip()) for tok in raw.split(","))
 
 
 # key -> (parser, default); a None default means the key has no default and
 # commands that need it must see it in the file.
 _KEYS: dict[str, tuple[Callable[[str], object], object]] = {
     "seed": (_parse_seed, None),
-    "data.dim": (int, 2),
-    "data.conditions": (int, 4),
+    "data.dim": (_parse_count, 2),
+    "data.conditions": (_parse_count, 4),
     "data.mixture.modes": (_vector_list_parser(several_per_entry=True), VectorList("", ())),
-    "data.mixture.std": (_parse_finite_float, 0.4),
+    "data.mixture.std": (_parse_positive, 0.4),
     "model.hidden": (_parse_hidden, (32, 32)),
-    "train.lr": (_parse_finite_float, None),
-    "train.steps": (int, None),
-    "train.batch": (int, None),
-    "pnapo.beta": (_parse_finite_float, None),
-    "pnapo.n1": (int, 1000),
-    "pnapo.n2": (int, 2000),
+    "train.lr": (_parse_positive, None),
+    "train.steps": (_parse_count, None),
+    "train.batch": (_parse_count, None),
+    "pnapo.beta": (_parse_positive, None),
+    "pnapo.n1": (_parse_count, 1000),
+    "pnapo.n2": (_parse_count, 2000),
     "pnapo.dynamic": (_parse_bool, True),
-    "sampler.steps": (int, 50),
-    "reward.kind": (str, None),
+    "sampler.steps": (_parse_count, 50),
+    "reward.kind": (_parse_reward_kind, None),
     "reward.params": (_vector_list_parser(several_per_entry=False), VectorList("", ())),
-    "corpus.toxicity_threshold": (_parse_finite_float, 0.1),
-    "corpus.jaccard_threshold": (_parse_finite_float, 0.8),
-    "corpus.cosine_threshold": (_parse_finite_float, 0.8),
-    "corpus.k_clusters": (int, 100),
-    "corpus.per_cluster": (int, 200),
-    "corpus.kmeans_iters": (int, 50),
+    "corpus.toxicity_threshold": (_parse_fraction, 0.1),
+    "corpus.jaccard_threshold": (_parse_fraction, 0.8),
+    "corpus.cosine_threshold": (_parse_fraction, 0.8),
+    "corpus.k_clusters": (_parse_count, 100),
+    "corpus.per_cluster": (_parse_count, 200),
+    "corpus.kmeans_iters": (_parse_count, 50),
 }
 
 
@@ -162,12 +159,11 @@ class RunConfig:
     # --- typed builders ---
 
     def mlp_spec(self) -> MlpSpec:
-        with _checked_by_builder("data.dim", "data.conditions", "model.hidden"):
-            return MlpSpec(
-                data_dim=self.get("data.dim"),
-                cond_dim=self.get("data.conditions"),
-                hidden=self.get("model.hidden"),
-            )
+        return MlpSpec(
+            data_dim=self.get("data.dim"),
+            cond_dim=self.get("data.conditions"),
+            hidden=self.get("model.hidden"),
+        )
 
     def mixture(self) -> ConditionalMixture:
         dim = self.get("data.dim")
@@ -175,8 +171,7 @@ class RunConfig:
         std = self.get("data.mixture.std")
         modes = self.get("data.mixture.modes").groups
         if not modes:
-            with _checked_by_builder("data.dim", "data.conditions", "data.mixture.std"):
-                return default_mixture(dim, n_conditions, std)
+            return default_mixture(dim, n_conditions, std)
         for k, centers in enumerate(modes):
             for center in centers:
                 if len(center) != dim:
@@ -190,8 +185,7 @@ class RunConfig:
                 f"data.conditions is {n_conditions}"
             )
         groups = tuple(tuple(np.array(center) for center in centers) for centers in modes)
-        with _checked_by_builder("data.mixture.std"):
-            return ConditionalMixture(modes=groups, std=std)
+        return ConditionalMixture(modes=groups, std=std)
 
     def reward(self, data_dim: int, cond_dim: int) -> RewardSpec:
         kind = self.get("reward.kind")
@@ -222,8 +216,7 @@ class RunConfig:
         )
 
     def sampler(self) -> SamplerConfig:
-        with _checked_by_builder("sampler.steps"):
-            return SamplerConfig(steps=self.get("sampler.steps"))
+        return SamplerConfig(steps=self.get("sampler.steps"))
 
     def corpus_config(self) -> CorpusPipelineConfig:
         return CorpusPipelineConfig(

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES
 from rfpnapo.cli import ALIGN_COLUMNS, PRETRAIN_COLUMNS, _write_metrics_csv, main
-from rfpnapo.numerics import read_checkpoint, write_checkpoint
+from rfpnapo.numerics import read_checkpoint
 
 TINY_CFG = """
 seed = 9
@@ -173,6 +173,32 @@ def test_dpo_alignment_ignores_stored_noise_fields(tmp_path, tiny_cfg, capsys):
     assert Path(aligned2).read_bytes() == Path(tmp_path / "aligned_dpo.ckpt").read_bytes()
 
 
+def test_manifest_command_lists_every_argument_in_parser_order(tmp_path, tiny_cfg, capsys):
+    # options given in another order, --method and --n left at their defaults
+    ref, pairs, aligned, report, tsv, kept = (
+        str(tmp_path / name) for name in ("ref.ckpt", "pairs.txt", "al.ckpt", "r.csv", "in.tsv", "out.tsv")
+    )
+    Path(tsv).write_text("")
+    runs = [
+        (["pretrain", "--out", ref, "--config", tiny_cfg],
+         ["pretrain", "--config", tiny_cfg, "--out", ref]),
+        (["gen-pairs", "--out", pairs, "--n", "6", "--model", ref, "--config", tiny_cfg],
+         ["gen-pairs", "--config", tiny_cfg, "--model", ref, "--n", "6", "--out", pairs]),
+        (["align", "--out", aligned, "--pairs", pairs, "--config", tiny_cfg, "--model", ref],
+         ["align", "--config", tiny_cfg, "--model", ref, "--pairs", pairs, "--out", aligned,
+          "--method", "pnapo"]),
+        (["eval", "--against", ref, "--out", report, "--model", aligned, "--config", tiny_cfg],
+         ["eval", "--config", tiny_cfg, "--model", aligned, "--against", ref, "--n", "50",
+          "--out", report]),
+        (["corpus", "--out", kept, "--config", tiny_cfg, tsv],
+         ["corpus", tsv, "--config", tiny_cfg, "--out", kept]),
+    ]
+    for argv, command in runs:
+        assert main(argv) == 0, argv[0]
+        assert json.loads(Path(argv[argv.index("--out") + 1] + ".manifest.json").read_text())["command"] == command
+    capsys.readouterr()
+
+
 def test_align_manifest_records_matching_ref_hash(tmp_path, tiny_cfg, capsys):
     ref, pairs, aligned = _run_pipeline(tmp_path, tiny_cfg)
     assert "note" not in capsys.readouterr().err
@@ -253,26 +279,11 @@ def test_exit_codes(tmp_path, tiny_cfg, capsys):
     unk_cfg.write_text(TINY_CFG + "quantum.flux = 1\n")
     assert main(["pretrain", "--config", str(unk_cfg), "--out", str(tmp_path / "x.ckpt")]) == 2
 
-    # 2: a value the model, mixture or sampler rejects, reported under its key
+    # 3: missing checkpoint, reported by its reader
     capsys.readouterr()
-    for command, key, old, new in (
-        ("pretrain", "data.dim", "data.dim = 2", "data.dim = 0"),
-        ("pretrain", "model.hidden", "model.hidden = 8,8", "model.hidden = 0"),
-        ("pretrain", "data.mixture.std", "seed = 9", "seed = 9\ndata.mixture.std = -1"),
-        ("gen-pairs", "sampler.steps", "sampler.steps = 5", "sampler.steps = 0"),
-    ):
-        bad_value = tmp_path / "bad_value.cfg"
-        bad_value.write_text(TINY_CFG.replace(old, new))
-        argv = ["--config", str(bad_value), "--out", str(tmp_path / "x.out")]
-        if command == "gen-pairs":
-            argv += ["--model", ref, "--n", "2"]
-        assert main([command, *argv]) == 2, key
-        assert key in capsys.readouterr().err
-        assert not (tmp_path / "x.out").exists()
-
-    # 3: missing checkpoint
     assert main(["gen-pairs", "--config", tiny_cfg, "--model", str(tmp_path / "nope.ckpt"),
                  "--n", "2", "--out", str(tmp_path / "p.txt")]) == 3
+    assert f"checkpoint not found: {tmp_path / 'nope.ckpt'}" in capsys.readouterr().err
 
     # 3: missing config file
     assert main(["pretrain", "--config", str(tmp_path / "nope.cfg"),
@@ -295,10 +306,11 @@ def test_exit_codes(tmp_path, tiny_cfg, capsys):
     assert rc in (4, 5)  # header-vs-record width may parse-fail first
 
     # 5: a checkpoint with a non-finite parameter fails at load, not in the sampler
-    params, spec = read_checkpoint(ref)
-    params[0] = np.nan
+    blob = bytearray(Path(ref).read_bytes())
+    first_param = 12 + 8 * int.from_bytes(blob[8:12], "little")  # after the layer shape table
+    blob[first_param:first_param + 8] = np.float64(np.nan).tobytes()
     nan_ckpt = str(tmp_path / "nan.ckpt")
-    write_checkpoint(nan_ckpt, params, spec)
+    Path(nan_ckpt).write_bytes(bytes(blob))
     capsys.readouterr()
     assert main(["gen-pairs", "--config", tiny_cfg, "--model", nan_ckpt,
                  "--n", "2", "--out", str(tmp_path / "p.txt")]) == 5
@@ -309,7 +321,36 @@ def test_exit_codes(tmp_path, tiny_cfg, capsys):
     bad_ckpt.write_bytes(b"\x00" * 32)
     assert main(["eval", "--config", tiny_cfg, "--model", str(bad_ckpt),
                  "--against", ref, "--out", str(tmp_path / "r.csv")]) == 5
+
+    # 5: inputs are read in order, so a corrupt checkpoint fails before a missing pair file
+    assert main(["align", "--config", tiny_cfg, "--model", str(bad_ckpt),
+                 "--pairs", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "a.ckpt")]) == 5
     capsys.readouterr()
+
+
+# every single-key range the config checks at load, with values just outside it
+_OUT_OF_RANGE = [
+    *[(key, raw) for key in ("data.dim", "data.conditions", "train.steps", "train.batch", "pnapo.n1",
+                             "pnapo.n2", "sampler.steps", "corpus.k_clusters", "corpus.per_cluster",
+                             "corpus.kmeans_iters") for raw in ("0", "-1")],
+    ("model.hidden", "0"), ("model.hidden", "8,0"), ("model.hidden", "-3,8"),
+    *[(key, raw) for key in ("train.lr", "pnapo.beta", "data.mixture.std") for raw in ("0", "-1e-3")],
+    *[(f"corpus.{name}_threshold", raw) for name in ("toxicity", "jaccard", "cosine")
+      for raw in ("-0.1", "1.5")],
+    ("reward.kind", "mode"),
+]
+
+
+@pytest.mark.parametrize("key, raw", _OUT_OF_RANGE)
+def test_out_of_range_config_value_exits_2_with_its_line(tmp_path, capsys, key, raw):
+    # checked at load for every key in the file, also those the command does not use
+    lines = [line for line in TINY_CFG.splitlines() if not line.startswith(f"{key} =")]
+    cfg = tmp_path / "range.cfg"
+    cfg.write_text("\n".join(lines + [f"{key} = {raw}"]) + "\n")
+    out = tmp_path / "x.ckpt"
+    assert main(["pretrain", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"rfpnapo: {cfg}:{len(lines) + 1}: bad value for {key}: expected " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_compares_checkpoints_of_different_widths(tmp_path, tiny_cfg, capsys):

@@ -1,0 +1,171 @@
+"""Mutation fuzzing of the four input formats, in-process through their readers.
+
+A valid pair file, corpus TSV and config each get one token of one line
+replaced, deleted or inserted; a checkpoint gets bytes flipped or is
+truncated. Replacement tokens come from a small fixed set, so no case can ask
+for a large allocation. Each bad input must fail where it is read, with an
+RfpnapoError that names its line.
+"""
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import make_pairs
+from rfpnapo.config import _KEYS, load_config
+from rfpnapo.corpus import Corpus, read_corpus, write_corpus
+from rfpnapo.errors import ConfigurationError, ParseError, RfpnapoError
+from rfpnapo.numerics import MlpSpec, mlp_init, read_checkpoint, write_checkpoint
+from rfpnapo.pnapo import AlignConfig
+from rfpnapo.prefdata import read_dataset, write_dataset
+
+TOKENS = ("nan", "inf", "-inf", "1e999", "-1", "0", "1", "0.5", "x", "", "|")
+
+# every config key, each at a valid value
+FULL_CFG = """# all keys
+seed = 3
+data.dim = 2
+data.conditions = 2
+data.mixture.modes = 1,1 | -1,-1 ; 3,0
+data.mixture.std = 0.4
+model.hidden = 8,8
+train.lr = 1e-3
+train.steps = 40
+train.batch = 8
+
+pnapo.beta = 4.0
+pnapo.n1 = 10
+pnapo.n2 = 20
+pnapo.dynamic = true
+sampler.steps = 5
+reward.kind = mode_distance
+reward.params = 2,0 ; -2,0
+corpus.toxicity_threshold = 0.1
+corpus.jaccard_threshold = 0.8
+corpus.cosine_threshold = 0.8
+corpus.k_clusters = 4
+corpus.per_cluster = 2
+corpus.kmeans_iters = 10
+"""
+
+# the checks that compare one key with another; a line number cannot name both
+CROSS_KEY = re.compile(
+    r"data\.mixture\.modes: condition \d+ center has|data\.mixture\.modes defines"
+    r"|reward\.params: vector \d+ has|reward\.params defines|need 1 <= n1 < n2"
+)
+
+
+@st.composite
+def line_mutations(draw, lines: list[str], sep: str):
+    """(1-based line number, new line): one token of one line replaced, deleted or inserted."""
+    index = draw(st.integers(0, len(lines) - 1))
+    tokens = lines[index].split(sep)
+    op = draw(st.sampled_from(("replace", "delete", "insert")))
+    if op == "insert":
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(TOKENS)))
+    else:
+        at = draw(st.integers(0, len(tokens) - 1))
+        if op == "replace":
+            tokens[at] = draw(st.sampled_from(TOKENS))
+        else:
+            del tokens[at]
+    return index + 1, sep.join(tokens)
+
+
+@pytest.fixture(scope="module")
+def work(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.fixture(scope="module")
+def valid_lines(work) -> dict[str, list[str]]:
+    """The lines of a valid pair file and a valid corpus TSV."""
+    pairs = make_pairs(np.random.default_rng(3), MlpSpec(data_dim=2, cond_dim=2), 3, delta_r=0.5)
+    write_dataset(str(work / "valid.pairs"), pairs)
+    corpus = Corpus(["a", "b", "c"], ["hello world", "good day", "x y z"], [0.0, 0.5, 1.0],
+                    np.array([[1.0, 0.25], [-2.0, 3.0], [0.5, -0.125]]))
+    write_corpus(str(work / "valid.corpus"), corpus)
+    return {fmt: (work / f"valid.{fmt}").read_text().splitlines() for fmt in ("pairs", "corpus")}
+
+
+@pytest.mark.parametrize("fmt, read, sep", [("pairs", read_dataset, " "), ("corpus", read_corpus, "\t")])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_text_file_fails_on_its_line(work, valid_lines, fmt, read, sep, data):
+    lines = valid_lines[fmt]
+    lineno, new = data.draw(line_mutations(lines, sep))
+    path = work / f"mutated.{fmt}"
+    path.write_text("\n".join(lines[: lineno - 1] + [new] + lines[lineno:]) + "\n")
+    try:
+        read(str(path))
+    except ParseError as exc:
+        if exc.line != lineno:
+            # a header that still parses, for another width, fails at the first record
+            assert (lineno, exc.line) == (1, 2), str(exc)
+            path.write_text(new + "\n")
+            read(str(path))
+
+
+def _build_everything(cfg) -> None:
+    """Every RunConfig builder, and the AlignConfig align makes from the train.* keys."""
+    spec = cfg.mlp_spec()
+    cfg.mixture()
+    cfg.reward(spec.data_dim, spec.cond_dim)
+    cfg.sampler()
+    cfg.corpus_config()
+    AlignConfig(method="pnapo", lr=cfg.get("train.lr"), steps=cfg.get("train.steps"),
+                batch=cfg.get("train.batch"), schedule=cfg.schedule(), seed=cfg.get("seed"))
+
+
+def test_full_config_sets_every_key_and_builds(tmp_path):
+    lines = FULL_CFG.splitlines()
+    assert {line.split(" = ")[0] for line in lines if " = " in line} == set(_KEYS)
+    path = tmp_path / "full.cfg"
+    path.write_text(FULL_CFG)
+    _build_everything(load_config(str(path)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_config_fails_on_its_line(work, data):
+    lines = FULL_CFG.splitlines()
+    lineno, new = data.draw(line_mutations(lines, " "))
+    path = work / "mutated.cfg"
+    path.write_text("\n".join(lines[: lineno - 1] + [new] + lines[lineno:]) + "\n")
+    try:
+        cfg = load_config(str(path))
+    except ConfigurationError as exc:
+        assert str(exc).startswith(f"{path}:{lineno}: "), str(exc)
+        return
+    try:
+        _build_everything(cfg)
+    except ConfigurationError as exc:
+        assert CROSS_KEY.match(str(exc)), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_checkpoint_fails_or_round_trips(work, data):
+    spec = MlpSpec(data_dim=2, cond_dim=2, hidden=(3,))
+    path = work / "mutated.ckpt"
+    write_checkpoint(str(path), mlp_init(spec, 1), spec)
+    blob = bytearray(path.read_bytes())
+    if data.draw(st.booleans()):
+        blob = blob[: data.draw(st.integers(0, len(blob) - 1))]
+    else:
+        flips = st.tuples(st.integers(0, len(blob) - 1), st.integers(1, 255))
+        for at, mask in data.draw(st.lists(flips, min_size=1, max_size=4)):
+            blob[at] ^= mask
+    path.write_bytes(bytes(blob))
+    try:
+        params, spec2 = read_checkpoint(str(path))
+    except RfpnapoError:
+        return
+    # whatever the reader accepts is exactly what the writer makes of it
+    write_checkpoint(str(path), params, spec2)
+    assert path.read_bytes() == bytes(blob)

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import vjp_row
-from rfpnapo.errors import NumericError, ParseError, ShapeError
+from rfpnapo.errors import DataError, NumericError, ParseError, ShapeError
 from rfpnapo.numerics import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -323,12 +323,33 @@ def test_checkpoint_rejects_corruption(tmp_path, small_spec, small_params):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_checkpoint_rejects_non_finite_parameters(tmp_path, small_spec, small_params, bad):
+    path = tmp_path / "model.ckpt"
+    write_checkpoint(str(path), small_params, small_spec)
+    blob = bytearray(path.read_bytes())
+    param3 = 12 + 8 * len(small_spec.layer_shapes()) + 8 * 3  # after the layer shape table
+    blob[param3:param3 + 8] = np.float64(bad).tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ParseError, match="non-finite"):
+        read_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_checkpoint_rejects_non_finite_parameters_and_writes_nothing(
+    tmp_path, small_spec, small_params, bad
+):
     params = small_params.copy()
     params[3] = bad
-    path = str(tmp_path / "model.ckpt")
-    write_checkpoint(path, params, small_spec)
-    with pytest.raises(ParseError, match="non-finite"):
-        read_checkpoint(path)
+    fresh = tmp_path / "fresh.ckpt"
+    with pytest.raises(DataError, match="parameter 3 is non-finite"):
+        write_checkpoint(str(fresh), params, small_spec)
+    assert not fresh.exists()
+    existing = tmp_path / "existing.ckpt"
+    write_checkpoint(str(existing), small_params, small_spec)
+    before = existing.read_bytes()
+    with pytest.raises(DataError):
+        write_checkpoint(str(existing), params, small_spec)
+    assert existing.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["existing.ckpt"]
 
 
 def test_checkpoint_rejects_inconsistent_dims(tmp_path, small_spec, small_params):
