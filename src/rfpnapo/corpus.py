@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigurationError, DataError, ParseError, ShapeError
-from .fileio import fmt17, parse_float, read_text, write_text
+from .fileio import BLOCK_VALUES, parse_float, parse_floats, read_text, row_format, write_text
 from .numerics import row_dot
 
 
@@ -149,6 +149,20 @@ def embedding_dedup(corpus: Corpus, threshold: float) -> Corpus:
     return corpus.take(keep)
 
 
+def squared_distances(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, k) squared Euclidean distances of every row of x to every centre.
+
+    One centre at a time, so no (n, k, d) temporary; each sum reduces the
+    same contiguous row of squares as the broadcast expression, bit for bit.
+    """
+    dists = np.empty((x.shape[0], centers.shape[0]))
+    for j, center in enumerate(centers):
+        diff = x - center
+        diff *= diff
+        dists[:, j] = diff.sum(axis=1)
+    return dists
+
+
 def lloyd_iterations(
     x: np.ndarray, k: int, iters: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
@@ -174,7 +188,7 @@ def lloyd_iterations(
     assignments = np.full(n, -1, dtype=np.int64)
     trace: list[float] = []
     for _ in range(iters):
-        dists = np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        dists = squared_distances(x, centers)
         new_assignments = np.argmin(dists, axis=1)
         trace.append(float(np.sum(dists[np.arange(n), new_assignments])))
         if np.array_equal(new_assignments, assignments):
@@ -250,11 +264,13 @@ _UNWRITABLE = frozenset("\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 def write_corpus(path: str, corpus: Corpus) -> None:
     """Write a corpus TSV; a record read_corpus would reject raises DataError before any write."""
-    header = ["id", "text", "tox"] + [f"e{i}" for i in range(corpus.embeddings.shape[1])]
+    dim = corpus.embeddings.shape[1]
+    header = ["id", "text", "tox"] + [f"e{i}" for i in range(dim)]
     lines = ["\t".join(header)]
+    fmt = row_format(1 + dim, "\t")
     finite = np.isfinite(corpus.embeddings).all(axis=1)
     for row, (rec_id, text, tox, embedding) in enumerate(
-        zip(corpus.ids, corpus.texts, corpus.toxicity, corpus.embeddings)
+        zip(corpus.ids, corpus.texts, corpus.toxicity.tolist(), corpus.embeddings)
     ):
         if not rec_id:
             raise DataError(f"record at row {row} has an empty id; not representable")
@@ -264,12 +280,32 @@ def write_corpus(path: str, corpus: Corpus) -> None:
             raise DataError(f"record {rec_id!r} has toxicity {tox} outside [0, 1]; not representable")
         if not finite[row]:
             raise DataError(f"record {rec_id!r} has a non-finite embedding value; not representable")
-        lines.append("\t".join([rec_id, text, fmt17(tox), *map(fmt17, embedding.tolist())]))
+        lines.append("\t".join([rec_id, text, fmt % (tox, *embedding.tolist())]))
     write_text(path, "\n".join(lines) + "\n")
 
 
+def _parse_record(cells: list[str], lineno: int, dim: int) -> list[float]:
+    """Toxicity then embedding of one record line's cells; raises ParseError on the line's first fault."""
+    if len(cells) != 3 + dim:
+        raise ParseError(f"expected {3 + dim} columns, found {len(cells)}", line=lineno)
+    if not cells[0]:
+        raise ParseError("empty record id", line=lineno)
+    tox = parse_float(cells[2], line=lineno)
+    if not 0.0 <= tox <= 1.0:
+        raise ParseError(f"toxicity {tox} outside [0, 1]", line=lineno)
+    embedding = [parse_float(c, line=lineno) for c in cells[3:]]
+    if not all(map(math.isfinite, embedding)):
+        raise ParseError("non-finite embedding value", line=lineno)
+    return [tox, *embedding]
+
+
 def read_corpus(path: str) -> Corpus:
-    """Parse a corpus TSV; an empty file is an empty corpus with d = 0."""
+    """Parse a corpus TSV; an empty file is an empty corpus with d = 0.
+
+    The numbers of a block of rows are converted and checked as one array.
+    A block that fails is parsed again line by line by _parse_record, which
+    raises at the block's first bad line: that is the file's first error.
+    """
     content = read_text(path, "corpus")
     lines = content.splitlines()
     if not lines:
@@ -280,24 +316,25 @@ def read_corpus(path: str) -> Corpus:
     dim = len(header) - 3
     if header[3:] != [f"e{i}" for i in range(dim)]:
         raise ParseError("embedding columns must be e0..e{d-1} in order", line=1)
-    ids, texts, toxicity = [], [], []
-    embeddings = np.empty((len(lines) - 1, dim))  # blank lines leave rows unused
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if raw == "":
-            continue
-        cells = raw.split("\t")
-        if len(cells) != 3 + dim:
-            raise ParseError(f"expected {3 + dim} columns, found {len(cells)}", line=lineno)
-        if not cells[0]:
-            raise ParseError("empty record id", line=lineno)
-        tox = parse_float(cells[2], line=lineno)
-        if not 0.0 <= tox <= 1.0:
-            raise ParseError(f"toxicity {tox} outside [0, 1]", line=lineno)
-        embedding = [parse_float(c, line=lineno) for c in cells[3:]]
-        if not all(map(math.isfinite, embedding)):
-            raise ParseError("non-finite embedding value", line=lineno)
-        embeddings[len(ids)] = embedding
-        ids.append(cells[0])
-        texts.append(cells[1])
-        toxicity.append(tox)
-    return Corpus(ids, texts, toxicity, embeddings[: len(ids)])
+    records = [(lineno, raw) for lineno, raw in enumerate(lines[1:], start=2) if raw != ""]
+    ids, texts = [], []
+    toxicity, embeddings = np.empty(len(records)), np.empty((len(records), dim))
+    step = max(1, BLOCK_VALUES // (1 + dim))
+    for start in range(0, len(records), step):
+        block = records[start : start + step]
+        cells = [raw.split("\t") for _, raw in block]
+        values = None
+        if all(len(row) == 3 + dim and row[0] for row in cells):
+            values = parse_floats([token for row in cells for token in row[2:]])
+        if values is not None:
+            values = values.reshape(len(block), 1 + dim)
+            tox = values[:, 0]
+            if not (np.all((tox >= 0.0) & (tox <= 1.0)) and np.isfinite(values[:, 1:]).all()):
+                values = None
+        if values is None:
+            values = np.array([_parse_record(row, lineno, dim) for (lineno, _), row in zip(block, cells)])
+        toxicity[start : start + len(block)] = values[:, 0]
+        embeddings[start : start + len(block)] = values[:, 1:]
+        ids.extend(row[0] for row in cells)
+        texts.extend(row[1] for row in cells)
+    return Corpus(ids, texts, toxicity, embeddings)

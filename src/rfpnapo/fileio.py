@@ -4,7 +4,13 @@ from __future__ import annotations
 import hashlib
 import os
 
+import numpy as np
+
 from .errors import MissingInputError, ParseError
+
+# The text readers convert this many numbers at a time: a token list costs
+# about 190 bytes per number while it lives, so it stays one block long.
+BLOCK_VALUES = 1 << 13
 
 
 def fmt17(x: float) -> str:
@@ -12,11 +18,28 @@ def fmt17(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def row_format(width: int, sep: str) -> str:
+    """A %-format for width floats: row_format(n, sep) % tuple(row) == sep.join(map(fmt17, row))."""
+    return sep.join(["%.17g"] * width)
+
+
 def parse_float(token: str, line: int | None = None) -> float:
     try:
         return float(token)
     except ValueError:
         raise ParseError(f"bad float {token!r}", line=line) from None
+
+
+def parse_floats(tokens: list[str]) -> np.ndarray | None:
+    """float() of every token as one float64 array; None if some token is not a number.
+
+    np.array converts each str with float(), so it accepts exactly the
+    spellings parse_float accepts ("1_0", "\u0661", surrounding whitespace).
+    """
+    try:
+        return np.array(tokens, dtype=np.float64)
+    except ValueError:
+        return None
 
 
 def sha256_file(path: str) -> str:

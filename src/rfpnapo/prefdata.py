@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DataError, ParseError, RfpnapoError, ShapeError
-from .fileio import fmt17, read_text, write_text
+from .fileio import BLOCK_VALUES, parse_floats, read_text, row_format, write_text
 from .numerics import MlpSpec, ParamVector, row_dot
 from .rectflow import SamplerConfig, euler_sample, one_hot
 
@@ -202,10 +202,6 @@ def audit_dataset(dataset: PreferenceDataset, ref_params: ParamVector, spec: Mlp
 # cond | x0w | x0l | xTw | xTl | delta_r   (vectors space-separated, 17 digits)
 
 
-def _fmt_vec(v: np.ndarray) -> str:
-    return " ".join(fmt17(x) for x in v)
-
-
 def _parse_vec(field: str, expect: int, line: int) -> np.ndarray:
     tokens = field.split()
     if len(tokens) != expect:
@@ -219,6 +215,26 @@ def _parse_vec(field: str, expect: int, line: int) -> np.ndarray:
     return vec
 
 
+def _one_hot_rows(cond: np.ndarray) -> np.ndarray:
+    """Per row of (n, k) conditions: every entry 0 or 1, and they sum to 1."""
+    return ((cond == 0.0) | (cond == 1.0)).all(axis=1) & (cond.sum(axis=1) == 1.0)
+
+
+def _parse_record(fields: list[str], line: int, header: DatasetHeader) -> np.ndarray:
+    """One record line's numbers in field order; raises ParseError on the line's first fault."""
+    if len(fields) != 6:
+        raise ParseError(f"expected 6 fields, found {len(fields)}", line=line)
+    cond = _parse_vec(fields[0], header.cond_dim, line)
+    # rewards pick the condition by argmax, so anything but one-hot is ambiguous
+    if not (np.all((cond == 0.0) | (cond == 1.0)) and np.sum(cond) == 1.0):
+        raise ParseError(f"condition {fields[0]!r} is not one-hot", line=line)
+    vecs = [_parse_vec(f, header.dim, line) for f in fields[1:5]]
+    delta = _parse_vec(fields[5], 1, line)
+    if delta[0] < 0.0:
+        raise ParseError(f"preference gap must be >= 0, got {delta[0]}", line=line)
+    return np.concatenate([cond, *vecs, delta])
+
+
 def write_dataset(path: str, dataset: PreferenceDataset) -> None:
     """Write the pair file; a pair read_dataset would reject raises DataError before any write."""
     for name in _FIELDS[:5]:
@@ -227,24 +243,38 @@ def write_dataset(path: str, dataset: PreferenceDataset) -> None:
             raise DataError(
                 f"pair {int(np.argmin(finite))} has a non-finite {name} value; not representable"
             )
-    cond = dataset.cond
-    one_hot = ((cond == 0.0) | (cond == 1.0)).all(axis=1) & (cond.sum(axis=1) == 1.0)
+    one_hot = _one_hot_rows(dataset.cond)
     if not one_hot.all():
         raise DataError(
             f"pair {int(np.argmin(one_hot))} has a condition that is not one-hot; not representable"
+        )
+    # the dataclass is mutable, so a gap can have changed since __post_init__ checked it
+    gap_ok = np.isfinite(dataset.delta_r) & (dataset.delta_r >= 0.0)
+    if not gap_ok.all():
+        i = int(np.argmin(gap_ok))
+        raise DataError(
+            f"pair {i} has preference gap {dataset.delta_r[i]}, not a finite number >= 0; not representable"
         )
     h = dataset.header
     lines = [
         f"{DATASET_TAG} {DATASET_VERSION} dim={h.dim} cdim={h.cond_dim} "
         f"steps={h.steps} refhash={h.ref_hash}"
     ]
-    for i in range(len(dataset)):
-        fields = [_fmt_vec(getattr(dataset, name)[i]) for name in _FIELDS[:5]]
-        lines.append(" | ".join(fields + [fmt17(dataset.delta_r[i])]))
+    fmt = " | ".join([row_format(h.cond_dim, " "), *[row_format(h.dim, " ")] * 4, "%.17g"])
+    values = np.concatenate(
+        [getattr(dataset, name) for name in _FIELDS[:5]] + [dataset.delta_r[:, None]], axis=1
+    )
+    lines.extend(fmt % tuple(row) for row in values.tolist())
     write_text(path, "\n".join(lines) + "\n")
 
 
 def read_dataset(path: str) -> PreferenceDataset:
+    """Parse a pair file.
+
+    The numbers of a block of records are converted and checked as one array.
+    A block that fails is parsed again line by line by _parse_record, which
+    raises at the block's first bad line: that is the file's first error.
+    """
     content = read_text(path, "pair dataset")
     lines = content.splitlines()
     if not lines:
@@ -267,23 +297,26 @@ def read_dataset(path: str) -> PreferenceDataset:
         )
     except (ValueError, RfpnapoError) as exc:
         raise ParseError(f"bad dataset header: {exc}", line=1) from None
-    columns: list[list[np.ndarray]] = [[] for _ in range(6)]
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if raw == "":
-            continue
-        fields = raw.split(" | ")
-        if len(fields) != 6:
-            raise ParseError(f"expected 6 fields, found {len(fields)}", line=lineno)
-        cond = _parse_vec(fields[0], header.cond_dim, lineno)
-        # rewards pick the condition by argmax, so anything but one-hot is ambiguous
-        if not (np.all((cond == 0.0) | (cond == 1.0)) and np.sum(cond) == 1.0):
-            raise ParseError(f"condition {fields[0]!r} is not one-hot", line=lineno)
-        vecs = [_parse_vec(f, header.dim, lineno) for f in fields[1:5]]
-        delta = _parse_vec(fields[5], 1, lineno)
-        if delta[0] < 0.0:
-            raise ParseError(f"preference gap must be >= 0, got {delta[0]}", line=lineno)
-        for column, vec in zip(columns, (cond, *vecs, delta)):
-            column.append(vec)
-    widths = (header.cond_dim,) + (header.dim,) * 4 + (1,)
-    arrays = [np.array(column).reshape(-1, width) for column, width in zip(columns, widths)]
+    k, d = header.cond_dim, header.dim
+    widths = [k, d, d, d, d, 1]
+    bounds = np.cumsum(widths)[:-1]
+    records = [(lineno, raw) for lineno, raw in enumerate(lines[1:], start=2) if raw != ""]
+    arrays = [np.empty((len(records), width)) for width in widths]
+    step = max(1, BLOCK_VALUES // sum(widths))
+    for start in range(0, len(records), step):
+        block = records[start : start + step]
+        fields = [raw.split(" | ") for _, raw in block]
+        split = [[field.split() for field in row] for row in fields]
+        numbers = None
+        if all(list(map(len, row)) == widths for row in split):
+            numbers = parse_floats([token for row in split for field in row for token in field])
+        if numbers is not None:
+            numbers = numbers.reshape(len(block), -1)
+            one_hot = _one_hot_rows(numbers[:, :k])
+            if not (np.isfinite(numbers).all() and one_hot.all() and (numbers[:, -1] >= 0.0).all()):
+                numbers = None
+        if numbers is None:
+            numbers = np.array([_parse_record(row, lineno, header) for (lineno, _), row in zip(block, fields)])
+        for array, part in zip(arrays, np.split(numbers, bounds, axis=1)):
+            array[start : start + len(block)] = part
     return PreferenceDataset(header, *arrays[:5], delta_r=arrays[5][:, 0])

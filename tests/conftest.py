@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from rfpnapo.corpus import Corpus
 from rfpnapo.numerics import MlpSpec, mlp_init, pack_params, unpack_params
 from rfpnapo.prefdata import DatasetHeader, PreferenceDataset
 from rfpnapo.rectflow import default_mixture, one_hot
@@ -66,6 +67,26 @@ def pair_batches(draw, max_pairs: int = 6):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, max_pairs))
     return spec, rng, make_pairs(rng, spec, n, delta_r=rng.random(n) * 3.0)
+
+
+def _writable(text: str) -> bool:
+    return "\t" not in text and len(f"x{text}x".splitlines()) == 1
+
+
+@st.composite
+def corpora(draw, max_n: int = 6, max_d: int = 4) -> Corpus:
+    """A random writable corpus: n >= 0, d >= 0, any non-surrogate text, finite floats."""
+    n = draw(st.integers(0, max_n))
+    d = draw(st.integers(0, max_d))
+    texts = st.text().filter(_writable)
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    return Corpus(
+        draw(st.lists(texts.filter(bool), min_size=n, max_size=n)),
+        draw(st.lists(texts, min_size=n, max_size=n)),
+        draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)),
+        np.array(draw(st.lists(st.lists(floats, min_size=d, max_size=d), min_size=n, max_size=n)),
+                 dtype=np.float64).reshape(n, d),
+    )
 
 
 @pytest.fixture(scope="session")

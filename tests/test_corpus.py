@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import corpora
 from rfpnapo.corpus import (
     Corpus,
     CorpusPipelineConfig,
@@ -16,6 +17,7 @@ from rfpnapo.corpus import (
     lloyd_iterations,
     read_corpus,
     run_pipeline,
+    squared_distances,
     toxicity_filter,
     write_corpus,
 )
@@ -191,6 +193,20 @@ def test_lloyd_objective_trace_nonincreasing():
         assert np.all(diffs <= 1e-12)
 
 
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 30), k=st.integers(1, 6), d=st.integers(0, 300),
+       scale=st.sampled_from([1e-300, 1e-3, 1.0, 1e150]), seed=st.integers(0, 2**32 - 1))
+def test_squared_distances_are_the_broadcast_expression(n, k, d, scale, seed):
+    # d up to 300 crosses numpy's pairwise-summation blocks; the extreme scales
+    # underflow to subnormals and come near the largest double
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d)) * scale
+    centers = rng.standard_normal((k, d)) * scale
+    # the (n, k, d) broadcast lloyd_iterations used before, kept as the reference
+    reference = np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+    assert squared_distances(x, centers).tobytes() == reference.tobytes()
+
+
 def test_cluster_resample_quota_and_order():
     records = [_rec(i, emb=[float(i), 0.0]) for i in range(10)]
     assignments = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1, 1])
@@ -209,26 +225,6 @@ def test_cluster_resample_quota_and_order():
     # deterministic under the same seed
     again = cluster_resample(_corpus(records), assignments, per_cluster=3, seed=5)
     assert list(again.ids) == ids
-
-
-def _writable(text: str) -> bool:
-    return "\t" not in text and len(f"x{text}x".splitlines()) == 1
-
-
-@st.composite
-def corpora(draw, max_n: int = 6, max_d: int = 4) -> Corpus:
-    """A random writable corpus: n >= 0, d >= 0, any non-surrogate text, finite floats."""
-    n = draw(st.integers(0, max_n))
-    d = draw(st.integers(0, max_d))
-    texts = st.text().filter(_writable)
-    floats = st.floats(allow_nan=False, allow_infinity=False)
-    return Corpus(
-        draw(st.lists(texts.filter(bool), min_size=n, max_size=n)),
-        draw(st.lists(texts, min_size=n, max_size=n)),
-        draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)),
-        np.array(draw(st.lists(st.lists(floats, min_size=d, max_size=d), min_size=n, max_size=n)),
-                 dtype=np.float64).reshape(n, d),
-    )
 
 
 @settings(max_examples=80, deadline=None)

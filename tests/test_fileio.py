@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rfpnapo.errors import ParseError
-from rfpnapo.fileio import read_text, write_text
+from rfpnapo.fileio import fmt17, parse_floats, read_text, row_format, write_text
 from rfpnapo.numerics import MlpSpec, mlp_init, write_checkpoint
 
 
@@ -45,3 +48,28 @@ def test_read_text_translates_newlines_and_locates_bad_bytes(tmp_path):
         with pytest.raises(ParseError, match=f"^line {line}: input is not UTF-8") as info:
             read_text(str(path))
         assert info.value.line == line
+
+
+@settings(max_examples=300, deadline=None)
+@given(row=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40),
+       sep=st.sampled_from(["\t", " "]))
+@example(row=[-0.0, 5e-324, -2.2250738585072009e-308, 1e-310, 1.7976931348623157e308,
+              -1.7976931348623157e308], sep=" ")
+def test_row_format_is_the_fmt17_join(row, sep):
+    assert row_format(len(row), sep) % tuple(row) == sep.join(map(fmt17, row))
+
+
+SPELLINGS = ("1_0", "\u0661", "\xa01", " 2", "+1E5", "-0", "1\x00", "1__0", "0x10", "nan", "-inf",
+             "1e999", "infinity", "\uff11", "")
+
+
+@settings(max_examples=300, deadline=None)
+@given(tokens=st.lists(st.one_of(st.sampled_from(SPELLINGS), st.text(max_size=6),
+                                 st.floats().map(fmt17), st.floats().map(repr)), max_size=8))
+def test_parse_floats_is_float_of_every_token(tokens):
+    try:
+        expected = np.array([float(token) for token in tokens], dtype=np.float64)
+    except ValueError:
+        assert parse_floats(tokens) is None
+    else:
+        assert parse_floats(tokens).tobytes() == expected.tobytes()

@@ -4,27 +4,36 @@ A valid pair file, corpus TSV and config each get one token of one line
 replaced, deleted or inserted; a checkpoint gets bytes flipped or is
 truncated. Replacement tokens come from a small fixed set, so no case can ask
 for a large allocation. Each bad input must fail where it is read, with an
-RfpnapoError that names its line.
+RfpnapoError that names its line. The text readers convert blocks of rows in
+bulk: on a valid file and after up to three mutations, they must end exactly
+as their per-line checks do.
 """
 from __future__ import annotations
 
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_pairs
+from conftest import corpora, make_pairs, pair_batches
+from rfpnapo import corpus as corpus_module
+from rfpnapo import prefdata as prefdata_module
 from rfpnapo.config import _KEYS, load_config
 from rfpnapo.corpus import Corpus, read_corpus, write_corpus
 from rfpnapo.errors import ConfigurationError, ParseError, RfpnapoError
+from rfpnapo.fileio import BLOCK_VALUES
 from rfpnapo.numerics import MlpSpec, mlp_init, read_checkpoint, write_checkpoint
 from rfpnapo.pnapo import AlignConfig
 from rfpnapo.prefdata import read_dataset, write_dataset
 
-TOKENS = ("nan", "inf", "-inf", "1e999", "-1", "0", "1", "0.5", "x", "", "|")
+# the last five are spellings float() accepts: underscores, Arabic-Indic digits,
+# a leading no-break space, an explicit sign and exponent, a negative zero
+TOKENS = ("nan", "inf", "-inf", "1e999", "-1", "0", "1", "0.5", "x", "", "|",
+          "1_0", "\u0661", "\xa01", "+1E5", "-0")
 
 # every config key, each at a valid value
 FULL_CFG = """# all keys
@@ -100,15 +109,81 @@ def test_mutated_text_file_fails_on_its_line(work, valid_lines, fmt, read, sep, 
     lines = valid_lines[fmt]
     lineno, new = data.draw(line_mutations(lines, sep))
     path = work / f"mutated.{fmt}"
-    path.write_text("\n".join(lines[: lineno - 1] + [new] + lines[lineno:]) + "\n")
+    path.write_text("\n".join(lines[: lineno - 1] + [new] + lines[lineno:]) + "\n", encoding="utf-8")
     try:
         read(str(path))
     except ParseError as exc:
         if exc.line != lineno:
             # a header that still parses, for another width, fails at the first record
             assert (lineno, exc.line) == (1, 2), str(exc)
-            path.write_text(new + "\n")
+            path.write_text(new + "\n", encoding="utf-8")
             read(str(path))
+
+
+# format -> (reader module, reader, writer, separator of line_mutations, valid contents)
+TEXT_FORMATS = {
+    "pairs": (prefdata_module, read_dataset, write_dataset, " ",
+              pair_batches(max_pairs=12).map(lambda case: case[2])),
+    "corpus": (corpus_module, read_corpus, write_corpus, "\t", corpora(max_n=12)),
+}
+
+
+def _outcome(read, path: str):
+    """Every field of what read returns, or its error's class, line and message."""
+    try:
+        result = read(path)
+    except RfpnapoError as exc:
+        return type(exc), getattr(exc, "line", None), str(exc)
+    fields = {}
+    for name, value in vars(result).items():
+        if isinstance(value, np.ndarray):
+            data = value.tolist() if value.dtype == object else value.tobytes()
+            value = (value.dtype.str, value.shape, value.flags.c_contiguous, data)
+        fields[name] = value
+    return fields
+
+
+def _assert_bulk_ends_as_per_line(module, read, path: str, block_values: int) -> None:
+    with mock.patch.object(module, "BLOCK_VALUES", block_values):
+        bulk = _outcome(read, path)
+    # with no bulk conversion, every block is parsed by the per-line checks
+    with mock.patch.object(module, "parse_floats", lambda tokens: None):
+        per_line = _outcome(read, path)
+    assert bulk == per_line
+
+
+@pytest.mark.parametrize("fmt", TEXT_FORMATS)
+def test_every_token_replacement_ends_as_the_per_line_checks(work, valid_lines, fmt):
+    # each token of each line replaced by each of TOKENS, read in blocks of
+    # one row and in one block
+    module, read, _, sep, _ = TEXT_FORMATS[fmt]
+    lines = valid_lines[fmt]
+    path = work / f"replaced.{fmt}"
+    for index, line in enumerate(lines):
+        tokens = line.split(sep)
+        for at in range(len(tokens)):
+            for token in TOKENS:
+                new = sep.join(tokens[:at] + [token] + tokens[at + 1:])
+                path.write_text("\n".join(lines[:index] + [new] + lines[index + 1:]) + "\n", encoding="utf-8")
+                for block_values in (1, BLOCK_VALUES):
+                    _assert_bulk_ends_as_per_line(module, read, str(path), block_values)
+
+
+@pytest.mark.parametrize("fmt", TEXT_FORMATS)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_bulk_reader_ends_as_the_per_line_checks(work, fmt, data):
+    # a random valid file with 0-3 mutations, read with blocks of 1 row up to
+    # the whole file, gives the same arrays bit for bit, or the same error
+    module, read, write, sep, valid = TEXT_FORMATS[fmt]
+    path = work / f"differential.{fmt}"
+    write(str(path), data.draw(valid))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for _ in range(data.draw(st.integers(0, 3))):
+        lineno, new = data.draw(line_mutations(lines, sep))
+        lines[lineno - 1] = new
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _assert_bulk_ends_as_per_line(module, read, str(path), data.draw(st.integers(1, 60)))
 
 
 def _build_everything(cfg) -> None:

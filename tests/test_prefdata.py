@@ -258,13 +258,21 @@ def test_dataset_write_is_byte_stable(tmp_path):
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
-@pytest.mark.parametrize("field", ["cond", "x0w", "x0l", "xTw", "xTl"])
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_write_dataset_rejects_non_finite_values_and_writes_nothing(tmp_path, field, bad):
+@pytest.mark.parametrize(
+    "field, bad, message",
+    [
+        *(pytest.param(field, bad, f"pair 1 has a non-finite {field} value", id=f"{bad}-{field}")
+          for field in ("cond", "x0w", "x0l", "xTw", "xTl") for bad in (math.nan, math.inf, -math.inf)),
+        # the dataclass is mutable: a gap set after construction that read_dataset would reject
+        *(pytest.param("delta_r", bad, f"pair 1 has preference gap {bad}", id=f"{bad}-delta_r")
+          for bad in (-1.0, math.nan)),
+    ],
+)
+def test_write_dataset_rejects_non_finite_values_and_writes_nothing(tmp_path, field, bad, message):
     ds = make_pairs(np.random.default_rng(5), MlpSpec(data_dim=2, cond_dim=2, hidden=(3,)), 3)
-    getattr(ds, field)[1, 0] = bad
+    getattr(ds, field).reshape(3, -1)[1, 0] = bad
     path = tmp_path / "pairs.txt"
-    with pytest.raises(DataError, match=f"pair 1 has a non-finite {field} value"):
+    with pytest.raises(DataError, match=message):
         write_dataset(str(path), ds)
     assert not path.exists()
 
