@@ -66,15 +66,12 @@ def make_dpo_term(
     beta: float,
     rng: np.random.Generator,
 ) -> Callable:
-    """The batch DPO functional. RNG order per pair, pairs in batch order: t, eps_w, eps_l."""
+    """The batch DPO functional; its draw order is in training.run_alignment."""
 
     def term(params: ParamVector, pairs: "PreferenceDataset"):
         b = len(pairs)
-        t = np.empty((b, 1))
-        eps = np.empty((b, 2, pairs.header.dim))
-        for i in range(b):
-            t[i] = rng.random()
-            eps[i] = rng.standard_normal((2, pairs.header.dim))
+        t = rng.random((b, 1))
+        eps = rng.standard_normal((b, 2, pairs.header.dim))
         losses, grad, margins = dpo_value_grad(params, ref_params, spec, pairs, eps, t, beta)
         return losses, grad, margins, np.full(b, beta)
 
@@ -106,15 +103,12 @@ def sft_objective(
 
 
 def make_sft_term(spec: MlpSpec, rng: np.random.Generator) -> Callable:
-    """The batch SFT functional on the winners. RNG order per pair, pairs in batch order: xT, then t."""
+    """The batch SFT functional on the winners; its draw order is in training.run_alignment."""
 
     def term(params: ParamVector, pairs: "PreferenceDataset"):
         b = len(pairs)
-        xT = np.empty((b, spec.data_dim))
-        t = np.empty(b)
-        for i in range(b):
-            xT[i] = rng.standard_normal(spec.data_dim)
-            t[i] = rng.random()
+        xT = rng.standard_normal((b, spec.data_dim))
+        t = rng.random(b)
         losses, grad = sft_value_grad(params, spec, pairs, xT, t)
         return losses, grad, np.zeros(b), np.zeros(b)
 

@@ -132,12 +132,19 @@ def embedding_dedup(corpus: Corpus, threshold: float) -> Corpus:
     array itself (row m <= i is written only after row i is read), so each
     record is one matrix-vector product against `units[:m]`, the same BLAS
     call with the same strides as on a freshly stacked copy.
+
+    Each row is first scaled by the power of two that brings its largest
+    entry into [0.5, 1), so the squared norm neither overflows nor underflows
+    for any finite embedding. The scaling is exact, and so (away from
+    subnormals) is its cancellation in the unit vector.
     """
-    norms = np.sqrt(row_dot(corpus.embeddings, corpus.embeddings))
+    peak = np.max(np.abs(corpus.embeddings), axis=1, initial=0.0)
+    scaled = np.ldexp(corpus.embeddings, -np.frexp(peak)[1][:, None])
+    norms = np.sqrt(row_dot(scaled, scaled))
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise DataError(f"zero-norm embedding for record {corpus.ids[zero[0]]!r}")
-    units = corpus.embeddings / norms[:, None]
+    units = scaled / norms[:, None]
     keep = np.zeros(len(corpus), dtype=bool)
     m = 0
     for i, unit in enumerate(units):

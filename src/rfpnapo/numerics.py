@@ -8,6 +8,12 @@ A parameter vector is a flat 1-D float64 array laid out as all weight
 matrices in layer order (row-major, shape (fan_out, fan_in)) followed by all
 bias vectors in layer order. Everything here is a pure function of explicit
 arrays; nothing hides state.
+
+There are two forward kernels. forward_single_cached runs rows in fixed
+FORWARD_TILE-row GEMM tiles, so each row's bits do not depend on its batch;
+the sampler and alignment use it, since a stored noise must replay to its
+stored sample. forward_batch_cached is one GEMM over the whole batch, for
+pretraining, whose rows are never replayed.
 """
 from __future__ import annotations
 
@@ -124,34 +130,56 @@ def mlp_forward(params: ParamVector, spec: MlpSpec, x: np.ndarray, t: float, c: 
     return y.reshape(x.shape)
 
 
+FORWARD_TILE = 24
+
+
 def forward_single_cached(
     params: ParamVector, spec: MlpSpec, inp: np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Forward pass on rows of pre-assembled inputs, one matrix-vector product per row.
+    """Forward pass on rows of pre-assembled inputs in fixed-height GEMM tiles.
 
     Args:
-        inp: shape (R, input_dim), C-contiguous; each row the concatenation (x, c, t).
+        inp: shape (R, input_dim), R >= 0; each row the concatenation (x, c, t).
 
     Returns:
         (output (R, output_dim), cache) where cache[i] is the (R, width) input
         to layer i (post-tanh for i > 0). The cache feeds vjp_batch.
 
-    Batch invariance: activations are kept as columns, shape (R, width, 1), so
-    each layer is `np.matmul(w, h)`, which numpy runs as one matrix-vector
-    product per row with the shape and strides of a single-row `w @ h`. A
-    row's output is therefore bit-identical whatever batch it sits in, which
-    is what lets a stored noise replay exactly.
+    The name is that of the per-row kernel this replaced; perfbench/tracing.py
+    times the function under it.
+
+    Batch invariance: the rows are zero-padded to a multiple of FORWARD_TILE
+    and each layer is one `np.matmul` on (tiles, FORWARD_TILE, width), which
+    runs one GEMM of the same shape and strides per tile. A row's output is
+    then bit-identical whatever batch, position or neighbours it has, which is
+    what lets a stored noise replay exactly; a batch of any other height does
+    not give this, since BLAS picks its blocking from the matrix shape.
+
+    Why 24: OpenBLAS 0.3.31 (DYNAMIC_ARCH, on an AVX-512 Xeon) runs a T-row
+    GEMM with a 12-row micro-kernel, and a row at a position at or past
+    12 * (T // 12) can carry other bits than the same row elsewhere. Over
+    1370 (fan_in, fan_out) layer shapes, heights 4, 8, 12, 24, 48 and 96 kept
+    every row's bits with one BLAS thread; with two threads 48 failed 248
+    shapes while 4 to 24 passed them all. Heights 16, 32, 64 and 128 failed
+    about 37% of the shapes, mostly those with fan_out above about 215 (one
+    is MlpSpec(1, 1, (3, 276)), row 60 of 61). 24 is the tallest tested
+    height that held at both thread counts. Invariance is thus a property of
+    the installed BLAS, not of numpy; the property tests in test_numerics and
+    test_rectflow check it on layers up to 700 and 300 wide.
     """
     weights, biases = unpack_params(params, spec)
     if inp.ndim != 2 or inp.shape[1] != spec.input_dim:
         raise ShapeError(f"input has shape {inp.shape}, expected (R, {spec.input_dim})")
+    rows = inp.shape[0]
+    padded = np.zeros((-(-rows // FORWARD_TILE) * FORWARD_TILE, spec.input_dim))
+    padded[:rows] = inp
     cache = [inp]
-    h = inp[:, :, None]
+    h = padded.reshape(-1, FORWARD_TILE, spec.input_dim)
     for w, b in zip(weights[:-1], biases[:-1]):
-        h = np.tanh(np.matmul(w, h) + b[:, None])
-        cache.append(h[:, :, 0])
-    y = (np.matmul(weights[-1], h) + biases[-1][:, None])[:, :, 0]
-    return y, cache
+        h = np.tanh(np.matmul(h, w.T) + b)
+        cache.append(h.reshape(-1, w.shape[0])[:rows])
+    y = np.matmul(h, weights[-1].T) + biases[-1]
+    return y.reshape(-1, spec.output_dim)[:rows], cache
 
 
 def forward_batch_cached(
@@ -221,17 +249,20 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def sigmoid(z: float) -> float:
-    """Numerically stable logistic function for scalars."""
-    if z >= 0.0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
+def sigmoid(z):
+    """Numerically stable logistic function, elementwise; a scalar gives a numpy scalar."""
+    z = np.asarray(z, dtype=np.float64)
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))[()]
 
 
-def softplus(z: float) -> float:
-    """Numerically stable log(1 + exp(z)); linear for large positive z."""
-    return max(z, 0.0) + math.log1p(math.exp(-abs(z)))
+def softplus(z):
+    """Numerically stable log(1 + exp(z)), elementwise; linear for large positive z.
+
+    softplus(0) is np.log1p(1.0), which equals math.log(2.0) bit for bit.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    return (np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))))[()]
 
 
 class FunctionLoss:

@@ -55,10 +55,12 @@ class BetaSchedule:
             raise ConfigurationError(f"need 1 <= n1 < n2, got ({self.n1}, {self.n2})")
 
 
-def f_controller(delta_r: float) -> float:
-    """Reward-gap gate 2*sigmoid(delta_r) - 1: zero at zero gap, saturating to 1."""
-    if not math.isfinite(delta_r) or delta_r < 0.0:
-        raise ValueError(f"reward gap must be finite and >= 0, got {delta_r!r}")
+def f_controller(delta_r):
+    """Reward-gap gate 2*sigmoid(delta_r) - 1, elementwise: zero at zero gap, saturating to 1."""
+    delta_r = np.asarray(delta_r, dtype=np.float64)
+    bad = ~(np.isfinite(delta_r) & (delta_r >= 0.0))
+    if bad.any():
+        raise ValueError(f"reward gap must be finite and >= 0, got {float(delta_r[bad][0])!r}")
     return 2.0 * sigmoid(delta_r) - 1.0
 
 
@@ -73,9 +75,10 @@ def g_controller(n, n1: int, n2: int) -> float:
     return 0.5 + 0.5 * math.cos(0.5 * math.pi * (n - n1) / (n2 - n1))
 
 
-def effective_beta(sched: BetaSchedule, delta_r: float, n: int) -> float:
+def effective_beta(sched: BetaSchedule, delta_r, n: int):
+    """Per-pair weight beta * f(delta_r) * g(n), elementwise over the reward gaps."""
     if not sched.dynamic:
-        return sched.beta
+        return np.full(np.shape(delta_r), sched.beta)[()]
     return sched.beta * f_controller(delta_r) * g_controller(n, sched.n1, sched.n2)
 
 
@@ -126,11 +129,10 @@ def pnapo_value_grad(
     """
     s, res, cache = _scores(params, ref_params, spec, pair_rows(pairs, t))
     z = beta_eff * (s[0::2] - s[1::2])
-    losses = np.array([softplus(v) for v in z.tolist()])
-    coef = np.array([sigmoid(v) for v in z.tolist()]) * beta_eff  # d softplus(z) / d(s_w - s_l)
+    coef = sigmoid(z) * beta_eff  # d softplus(z) / d(s_w - s_l)
     # each row's cotangent, rows in pair_rows order: winner -2 * coef * res, loser +2 * coef * res
     dy = np.stack([-2.0 * coef, 2.0 * coef], axis=1).reshape(-1, 1) * res
-    return losses, vjp_single(params, spec, cache, dy), -z
+    return softplus(z), vjp_single(params, spec, cache, dy), -z
 
 
 def pnapo_objective(
@@ -158,14 +160,13 @@ def make_pnapo_term(
 ) -> Callable:
     """The batch loss functional for the shared trainer at one step.
 
-    RNG order: one time draw per pair, shared by its winner and loser, pairs
-    in batch order. The time draw is the only stochastic input; everything
-    else comes from the pairs.
+    Its only draw is one time per pair (the order is in training.run_alignment);
+    everything else comes from the pairs.
     """
 
     def term(params: ParamVector, pairs: "PreferenceDataset"):
         t = rng.random((len(pairs), 1))
-        beta_eff = np.array([effective_beta(sched, dr, step_index) for dr in pairs.delta_r.tolist()])
+        beta_eff = effective_beta(sched, pairs.delta_r, step_index)
         losses, grad, margins = pnapo_value_grad(params, ref_params, spec, pairs, t, beta_eff)
         return losses, grad, margins, beta_eff
 

@@ -66,10 +66,13 @@ def run_alignment(
 
     Every step draws, from one default_rng(cfg.seed) stream: first the batch
     indices, rng.choice(n, size=min(batch, n), replace=False); then the
-    method's draws for each pair in batch order:
-      - pnapo: the time t, shared by the winner and the loser
-      - dpo: the time t, then the winner's prior noise, then the loser's
-      - sft: the winner's prior noise, then the time t
+    method's draws as blocks over the b pairs, rows in batch order:
+      - pnapo: rng.random((b, 1)), one time per pair, shared by its winner
+        and loser
+      - dpo: rng.random((b, 1)), the times; then rng.standard_normal((b, 2, d)),
+        each pair's winner then loser prior noise
+      - sft: rng.standard_normal((b, d)), the winners' prior noises; then
+        rng.random(b), the times
     """
     n = len(dataset)
     if n == 0:

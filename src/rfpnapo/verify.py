@@ -146,7 +146,7 @@ def suite_schedule() -> list[CheckResult]:
     results.append(CheckResult("schedule_g_continuous_n2", gap_n2 < EXACT_TOL, gap_n2, 0.0, EXACT_TOL))
 
     gaps = np.linspace(0.0, 12.0, 10_000)
-    f_vals = np.array([f_controller(float(x)) for x in gaps])
+    f_vals = f_controller(gaps)
     f_min_step = float(np.min(np.diff(f_vals)))
     results.append(
         CheckResult("schedule_f_strictly_increasing", f_min_step > 0.0, f_min_step, 0.0, 0.0)

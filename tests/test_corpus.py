@@ -157,6 +157,26 @@ def test_embedding_dedup_zero_norm_is_an_error():
         embedding_dedup(_corpus(records), 0.8)
 
 
+def test_embedding_dedup_scales_rows_at_the_ends_of_the_finite_range():
+    # a squared norm overflows above |e| of about 1.3e154 and underflows below
+    # about 1e-162; scaled by a power of two first, all three rows are [1, 0]
+    # and so duplicates of the first, and the subnormal row is [0, 1]
+    records = [
+        _rec(0, emb=[1e200, 0.0]),
+        _rec(1, emb=[2e200, 0.0]),
+        _rec(2, emb=[1e-200, 0.0]),
+        _rec(3, emb=[0.0, 5e-324]),
+    ]
+    kept = embedding_dedup(_corpus(records), 0.8)
+    assert list(kept.ids) == ["p0", "p3"]
+
+
+def test_embedding_dedup_all_zero_rows_still_raise():
+    records = [_rec(0, emb=[0.0, -0.0]), _rec(1, emb=[-0.0, 0.0])]
+    with pytest.raises(DataError, match="zero-norm embedding for record 'p0'"):
+        embedding_dedup(_corpus(records), 0.8)
+
+
 def test_kmeans_rejects_bad_counts():
     records = [_rec(i, emb=np.random.default_rng(i).standard_normal(2)) for i in range(3)]
     with pytest.raises(ConfigurationError):

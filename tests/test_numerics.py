@@ -11,6 +11,7 @@ from rfpnapo.numerics import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    FORWARD_TILE,
     FunctionLoss,
     MlpSpec,
     adam_step,
@@ -71,6 +72,49 @@ def test_forward_shapes_and_batch_consistency(small_spec, small_params):
             assert yi.shape == (2,)
             # batched path uses different BLAS calls; agreement is numeric, not bitwise
             assert np.allclose(yi, ys[i], rtol=1e-12, atol=1e-14)
+
+
+def _forward_gemv(params, spec, row):
+    """One row through the network as single-row `w @ h` products (BLAS gemv)."""
+    weights, biases = unpack_params(params, spec)
+    h = row
+    for w, b in zip(weights[:-1], biases[:-1]):
+        h = np.tanh(w @ h + b)
+    return weights[-1] @ h + biases[-1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data_dim=st.integers(1, 4),
+    cond_dim=st.integers(1, 3),
+    hidden=st.lists(st.integers(1, 700), max_size=2),
+    rows=st.integers(0, 6 * FORWARD_TILE),
+    seed=st.integers(0, 2**32 - 1),
+)
+# a shape whose last rows change bits in 64-row tiles
+@example(data_dim=1, cond_dim=1, hidden=[3, 276], rows=61, seed=0)
+def test_forward_rows_are_batch_invariant(data_dim, cond_dim, hidden, rows, seed):
+    # each row of a batch carries the bits of the same row run alone, so its
+    # output depends neither on the batch height nor on its position nor on
+    # its neighbours' values; this is a property of the installed BLAS at
+    # FORWARD_TILE-row tiles, which is why it is tested on wide layers
+    spec = MlpSpec(data_dim=data_dim, cond_dim=cond_dim, hidden=tuple(hidden))
+    rng = np.random.default_rng(seed)
+    params = mlp_init(spec, seed) + 0.1 * rng.standard_normal(spec.param_count())
+    inp = rng.standard_normal((rows, spec.input_dim))
+    y, cache = forward_single_cached(params, spec, inp)
+    assert y.shape == (rows, data_dim)
+    assert [h.shape for h in cache] == [(rows, w) for w in (spec.input_dim, *spec.hidden)]
+    for r in range(rows):
+        y_alone, cache_alone = forward_single_cached(params, spec, inp[r : r + 1])
+        assert y_alone[0].tobytes() == y[r].tobytes()
+        for h, h_alone in zip(cache, cache_alone):
+            assert h_alone[0].tobytes() == h[r].tobytes()
+    # against the per-row gemv arithmetic: the same sums in another order, so
+    # they agree to rounding; 1e-12 of the largest output is ample at fan-in 700
+    if rows:
+        gemv = np.array([_forward_gemv(params, spec, row) for row in inp])
+        assert np.max(np.abs(y - gemv)) <= 1e-12 * max(1.0, np.max(np.abs(gemv)))
 
 
 def test_quadratic_loss_gradient_is_exact():

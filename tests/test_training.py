@@ -11,10 +11,10 @@ from conftest import make_pairs, pair_batches, vjp_row
 from rfpnapo.errors import ConfigurationError
 from rfpnapo.numerics import (
     MlpSpec,
+    forward_single_cached,
     mlp_init,
     sigmoid,
     softplus,
-    unpack_params,
 )
 from rfpnapo.baselines import make_dpo_term, make_sft_term
 from rfpnapo.pnapo import AlignConfig, BetaSchedule, effective_beta, make_pnapo_term
@@ -113,13 +113,9 @@ def test_alignment_batch_larger_than_dataset_is_clamped(small_spec, small_params
 
 
 def _forward_row(params, spec, inp):
-    weights, biases = unpack_params(params, spec)
-    cache = [inp]
-    h = inp
-    for w, b in zip(weights[:-1], biases[:-1]):
-        h = np.tanh(w @ h + b)
-        cache.append(h)
-    return weights[-1] @ h + biases[-1], cache
+    """One row through the kernel alone: its output and its per-layer inputs."""
+    y, cache = forward_single_cached(params, spec, inp[None, :])
+    return y[0], [h[0] for h in cache]
 
 
 def _branch_row(params, ref, spec, x0, xT, cond, t):
@@ -143,24 +139,37 @@ def _preference_row(params, ref, spec, x0w, x0l, xTw, xTl, cond, t, beta_eff):
     return softplus(z), grad, -z
 
 
-def _record_term(params, ref, spec, pairs, i, cfg, step_index, rng):
-    """One record's loss, gradient, margin and beta_eff, drawing in the documented order."""
-    x0w, x0l, cond, d = pairs.x0w[i], pairs.x0l[i], pairs.cond[i], pairs.header.dim
-    if cfg.method == "pnapo":
-        t = float(rng.random())
-        beta = effective_beta(cfg.schedule, float(pairs.delta_r[i]), step_index)
-        return (*_preference_row(params, ref, spec, x0w, x0l, pairs.xTw[i], pairs.xTl[i], cond,
-                                 t, beta), beta)
+def _record_terms(params, ref, spec, pairs, idx, cfg, step_index, rng):
+    """Each record's loss, gradient, margin and beta_eff, one record at a time.
+
+    The step's draws are taken first, as blocks in the documented order.
+    """
+    b, d = len(idx), pairs.header.dim
+    if cfg.method == "sft":
+        xT = rng.standard_normal((b, d))
+        t = rng.random(b)
+    else:
+        t = rng.random(b)
     if cfg.method == "dpo":
-        t = float(rng.random())
-        eps_w, eps_l = rng.standard_normal(d), rng.standard_normal(d)
-        beta = cfg.schedule.beta
-        return (*_preference_row(params, ref, spec, x0w, x0l, eps_w, eps_l, cond, t, beta), beta)
-    xT = rng.standard_normal(d)
-    t = float(rng.random())
-    v, cache = _forward_row(params, spec, np.concatenate([(1.0 - t) * x0w + t * xT, cond, [t]]))
-    residual = v - (xT - x0w)
-    return float(residual @ residual), vjp_row(params, spec, cache, 2.0 * residual), 0.0, 0.0
+        eps = rng.standard_normal((b, 2, d))
+    out = []
+    for k, i in enumerate(idx):
+        x0w, x0l, cond = pairs.x0w[i], pairs.x0l[i], pairs.cond[i]
+        if cfg.method == "pnapo":
+            beta = effective_beta(cfg.schedule, float(pairs.delta_r[i]), step_index)
+            out.append((*_preference_row(params, ref, spec, x0w, x0l, pairs.xTw[i], pairs.xTl[i],
+                                         cond, t[k], beta), beta))
+        elif cfg.method == "dpo":
+            beta = cfg.schedule.beta
+            out.append((*_preference_row(params, ref, spec, x0w, x0l, eps[k, 0], eps[k, 1], cond,
+                                         t[k], beta), beta))
+        else:
+            inp = np.concatenate([(1.0 - t[k]) * x0w + t[k] * xT[k], cond, [t[k]]])
+            v, cache = _forward_row(params, spec, inp)
+            residual = v - (xT[k] - x0w)
+            out.append((float(residual @ residual), vjp_row(params, spec, cache, 2.0 * residual),
+                        0.0, 0.0))
+    return out
 
 
 def _batch_term(ref, spec, cfg, step_index, rng):
@@ -178,7 +187,7 @@ def _batch_term(ref, spec, cfg, step_index, rng):
        step_index=st.integers(1, 4))
 def test_batch_step_matches_the_per_record_loop(method, case, extra_batch, seed, step_index):
     # one batch call draws, scores and weighs every pair with the bits of the
-    # per-record loop; its gradient is one GEMM per layer, which adds the
+    # per-record loop over one-row kernel calls; its gradient is one GEMM per layer, which adds the
     # pairs' contributions in another order than the loop, so it matches the
     # record-ordered sum up to rounding
     spec, rng, pairs = case
@@ -194,7 +203,7 @@ def test_batch_step_matches_the_per_record_loop(method, case, extra_batch, seed,
     losses, grad, margins, betas = _batch_term(ref, spec, cfg, step_index, batch_rng)(
         params, pairs.take(idx)
     )
-    expected = [_record_term(params, ref, spec, pairs, int(i), cfg, step_index, loop_rng) for i in idx]
+    expected = _record_terms(params, ref, spec, pairs, idx, cfg, step_index, loop_rng)
     expected_losses, grads, expected_margins, expected_betas = zip(*expected)
     assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
     for got, want in ((losses, expected_losses), (margins, expected_margins), (betas, expected_betas)):
