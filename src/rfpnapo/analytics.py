@@ -1,10 +1,12 @@
 """Exact small-scale verification tools and model evaluation.
 
 The tabular half enumerates short discrete reverse chains to check, by exact
-summation, that conditioning both path measures on a shared endpoint can only
-shrink their divergence — and that the underlying chain-rule decomposition
-holds to float precision. The other half measures estimator variance and
-sampled reward quality on toy tasks.
+summation, the chain rule: the joint divergence of two path measures is their
+endpoint divergence plus the mean divergence of their interiors conditioned on
+the endpoint. The endpoint term is a KL and so never negative, which is why
+conditioning both measures on a shared endpoint can only shrink their
+divergence. The other half measures estimator variance and sampled reward
+quality on toy tasks.
 """
 from __future__ import annotations
 
@@ -90,21 +92,14 @@ def _random_side(
     return terminal, kernels
 
 
-def random_chain(
-    seed: int, n_states: int, horizon: int, matched_endpoint: bool = True
-) -> TabularChain:
-    """A smoothed random chain pair; optionally share the terminal distribution."""
+def random_chain(seed: int, n_states: int, horizon: int) -> TabularChain:
+    """A smoothed random chain pair; the two sides draw their own endpoint marginals.
+
+    RNG order: the p side's terminal then kernels, then the q side's.
+    """
     rng = np.random.default_rng(seed)
-    return _random_chain_rng(rng, n_states, horizon, matched_endpoint)
-
-
-def _random_chain_rng(
-    rng: np.random.Generator, n_states: int, horizon: int, matched_endpoint: bool
-) -> TabularChain:
     p_terminal, p_kernels = _random_side(rng, n_states, horizon)
     q_terminal, q_kernels = _random_side(rng, n_states, horizon)
-    if matched_endpoint:
-        q_terminal = p_terminal.copy()
     return TabularChain(
         p_terminal=p_terminal, p_kernels=p_kernels,
         q_terminal=q_terminal, q_kernels=q_kernels,
@@ -133,13 +128,12 @@ def _endpoint_kl(chain: TabularChain, x0: int) -> float:
     return float(np.sum(q_row * np.log(q_row / p_row)))
 
 
-def _conditional_kl_mean(chain: TabularChain, x0: int, weight_side: str) -> float:
-    """Average over the endpoint of KL between the interior conditionals.
+def _conditional_kl_mean(chain: TabularChain, x0: int) -> float:
+    """Average over q's endpoint marginal of KL between the interior conditionals.
 
     Conditioned on the endpoint, each side's interior distribution is just its
     kernel product (the terminal factor cancels), already normalized.
     """
-    weights = chain.q_terminal[x0] if weight_side == "q" else chain.p_terminal[x0]
     if chain.horizon == 1:
         return 0.0  # no interior states at all
     total = 0.0
@@ -150,7 +144,7 @@ def _conditional_kl_mean(chain: TabularChain, x0: int, weight_side: str) -> floa
             q = _path_prob(np.ones(chain.n_states), chain.q_kernels, path)
             p = _path_prob(np.ones(chain.n_states), chain.p_kernels, path)
             inner += q * math.log(q / p)
-        total += weights[end] * inner
+        total += chain.q_terminal[x0, end] * inner
     return total
 
 
@@ -164,31 +158,8 @@ def chain_rule_identity(chain: TabularChain, x0: int) -> tuple[float, float, flo
         raise ShapeError(f"x0 must index a state in [0, {chain.n_states})")
     total = _joint_kl(chain, x0)
     endpoint = _endpoint_kl(chain, x0)
-    conditional = _conditional_kl_mean(chain, x0, weight_side="q")
+    conditional = _conditional_kl_mean(chain, x0)
     return total, endpoint, conditional
-
-
-def tabular_kl_check(seed: int, n_states: int, horizon: int) -> tuple[float, float]:
-    """One exact instance of the endpoint-conditioning bound.
-
-    Builds a random smoothed chain pair with the second side's endpoint
-    marginal forced equal to the first's, draws a start state, and returns
-    (lhs, rhs) where lhs averages the interior conditional KL over the shared
-    endpoint and rhs is the joint KL. lhs <= rhs always holds (with matched
-    endpoints they coincide).
-    """
-    if n_states > MAX_STATES or horizon > MAX_HORIZON:
-        raise ConfigurationError(
-            f"exact enumeration is capped at {MAX_STATES} states, horizon {MAX_HORIZON}"
-        )
-    if n_states < 2 or horizon < 1:
-        raise ConfigurationError("need at least 2 states and horizon >= 1")
-    rng = np.random.default_rng(seed)
-    chain = _random_chain_rng(rng, n_states, horizon, matched_endpoint=True)
-    x0 = int(rng.integers(n_states))
-    lhs = _conditional_kl_mean(chain, x0, weight_side="p")
-    rhs = _joint_kl(chain, x0)
-    return lhs, rhs
 
 
 # --- estimator variance --------------------------------------------------------
@@ -219,21 +190,19 @@ def estimator_variance(
 ) -> tuple[float, float]:
     """Sample variance of one pair's score-gap estimator under both noise policies.
 
-    Per draw (RNG order: t, eps_w, eps_l): the stored-noise gap varies only
-    through t; the fresh-noise gap re-draws both priors as well. All draws
-    are then scored in one batch. Returns (var_stored, var_fresh), each with
-    ddof=1 over n_draws.
+    RNG order, as in make_dpo_term: the n_draws times as one (n_draws, 1)
+    block, then the fresh priors as one (n_draws, 2, dim) block, winner then
+    loser per draw. The stored-noise gap varies only through t; the
+    fresh-noise gap re-draws both priors as well. All draws are scored in one
+    batch. Returns (var_stored, var_fresh), each with ddof=1 over n_draws.
     """
     if n_draws < 2:
         raise ConfigurationError(f"variance needs at least 2 draws, got {n_draws}")
     if len(pair) != 1:
         raise ShapeError(f"estimator variance takes one pair, got {len(pair)}")
     rng = np.random.default_rng(seed)
-    t = np.empty((n_draws, 1))
-    eps = np.empty((n_draws, 2, spec.data_dim))
-    for i in range(n_draws):
-        t[i] = rng.random()
-        eps[i] = rng.standard_normal((2, spec.data_dim))
+    t = rng.random((n_draws, 1))
+    eps = rng.standard_normal((n_draws, 2, spec.data_dim))
     repeated = pair.take(np.zeros(n_draws, dtype=int))
     stored = pnapo_delta(params, ref_params, spec, repeated, t)
     fresh = pnapo_delta(

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .errors import ShapeError
-from .numerics import FunctionLoss, MlpSpec, ParamVector, forward_single_cached, row_dot, vjp_single
+from .numerics import MlpSpec, ParamVector, forward_single_cached, row_dot, vjp_single
 from .pnapo import pnapo_value_grad
 from .rectflow import FlowBatch, path_inputs
 
@@ -43,21 +43,6 @@ def dpo_value_grad(
         raise ShapeError(f"draws have shape {eps.shape}, expected ({len(pairs)}, 2, {pairs.header.dim})")
     fresh = replace(pairs, xTw=eps[:, 0], xTl=eps[:, 1])
     return pnapo_value_grad(params, ref_params, spec, fresh, t, np.full(len(pairs), beta))
-
-
-def dpo_objective(
-    ref_params: ParamVector,
-    spec: MlpSpec,
-    pairs: "PreferenceDataset",
-    eps: np.ndarray,
-    t: np.ndarray | float,
-    beta: float,
-) -> FunctionLoss:
-    def value_and_grad(params: ParamVector) -> tuple[float, ParamVector]:
-        losses, grad, _ = dpo_value_grad(params, ref_params, spec, pairs, eps, t, beta)
-        return float(np.sum(losses)), grad
-
-    return FunctionLoss(value_and_grad)
 
 
 def make_dpo_term(
@@ -92,16 +77,6 @@ def sft_value_grad(
     return row_dot(residual, residual), vjp_single(params, spec, cache, 2.0 * residual)
 
 
-def sft_objective(
-    spec: MlpSpec, pairs: "PreferenceDataset", xT: np.ndarray, t: np.ndarray
-) -> FunctionLoss:
-    def value_and_grad(params: ParamVector) -> tuple[float, ParamVector]:
-        losses, grad = sft_value_grad(params, spec, pairs, xT, t)
-        return float(np.sum(losses)), grad
-
-    return FunctionLoss(value_and_grad)
-
-
 def make_sft_term(spec: MlpSpec, rng: np.random.Generator) -> Callable:
     """The batch SFT functional on the winners; its draw order is in training.run_alignment."""
 
@@ -117,9 +92,7 @@ def make_sft_term(spec: MlpSpec, rng: np.random.Generator) -> Callable:
 
 __all__ = [
     "dpo_value_grad",
-    "dpo_objective",
     "make_dpo_term",
     "sft_value_grad",
-    "sft_objective",
     "make_sft_term",
 ]

@@ -9,7 +9,7 @@ import numpy as np
 
 from .corpus import CorpusPipelineConfig
 from .errors import ConfigurationError, ParseError
-from .fileio import read_text
+from .fileio import read_lines
 from .numerics import MlpSpec
 from .pnapo import BetaSchedule
 from .prefdata import REWARD_KINDS, RewardSpec
@@ -240,11 +240,11 @@ def _to_str(value) -> str:
 def load_config(path: str) -> RunConfig:
     """Parse a key=value file; '#' starts a comment, unknown/duplicate keys reject."""
     try:
-        content = read_text(path, "config")
+        lines = read_lines(path, "config")
     except ParseError as exc:
         raise ConfigurationError(f"{path}:{exc.line}: {exc.reason}") from None
     values: dict[str, object] = {}
-    for lineno, raw in enumerate(content.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

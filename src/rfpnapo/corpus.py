@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigurationError, DataError, ParseError, ShapeError
-from .fileio import BLOCK_VALUES, parse_float, parse_floats, read_text, row_format, write_text
+from .fileio import BLOCK_VALUES, parse_float, parse_floats, read_lines, row_format, write_text
 from .numerics import row_dot
 
 
@@ -182,7 +182,7 @@ def lloyd_iterations(
     n = x.shape[0]
     centers = np.empty((k, x.shape[1]))
     centers[0] = x[int(rng.integers(n))]
-    d2 = np.sum((x - centers[0]) ** 2, axis=1)
+    d2 = squared_distances(x, centers[:1])[:, 0]
     for j in range(1, k):
         total = float(d2.sum())
         if total == 0.0:
@@ -190,7 +190,7 @@ def lloyd_iterations(
         else:
             idx = int(rng.choice(n, p=d2 / total))
         centers[j] = x[idx]
-        d2 = np.minimum(d2, np.sum((x - centers[j]) ** 2, axis=1))
+        d2 = np.minimum(d2, squared_distances(x, centers[j : j + 1])[:, 0])
 
     assignments = np.full(n, -1, dtype=np.int64)
     trace: list[float] = []
@@ -209,7 +209,13 @@ def lloyd_iterations(
 
 
 def kmeans_cluster(corpus: Corpus, k: int, iters: int, seed: int) -> np.ndarray:
-    """Assign each record to one of k clusters by its embedding. Deterministic per seed."""
+    """Assign each record to one of k clusters by its embedding. Deterministic per seed.
+
+    The embeddings are first scaled by the power of two that brings their
+    largest magnitude into [0.5, 1), so no squared distance overflows. Away
+    from subnormals the scaling is exact, and so the distances, means and
+    farthest-point probabilities scale exactly and the assignments do not.
+    """
     n = len(corpus)
     if k < 1:
         raise ConfigurationError(f"cluster count must be >= 1, got {k}")
@@ -217,7 +223,9 @@ def kmeans_cluster(corpus: Corpus, k: int, iters: int, seed: int) -> np.ndarray:
         raise ConfigurationError(f"cannot form {k} clusters from {n} records")
     if iters < 1:
         raise ConfigurationError(f"iteration cap must be >= 1, got {iters}")
-    assignments, _, _ = lloyd_iterations(corpus.embeddings, k, iters, np.random.default_rng(seed))
+    peak = np.max(np.abs(corpus.embeddings), initial=0.0)
+    x = np.ldexp(corpus.embeddings, -np.frexp(peak)[1])
+    assignments, _, _ = lloyd_iterations(x, k, iters, np.random.default_rng(seed))
     return assignments
 
 
@@ -313,8 +321,7 @@ def read_corpus(path: str) -> Corpus:
     A block that fails is parsed again line by line by _parse_record, which
     raises at the block's first bad line: that is the file's first error.
     """
-    content = read_text(path, "corpus")
-    lines = content.splitlines()
+    lines = read_lines(path, "corpus")
     if not lines:
         return Corpus([], [], np.empty(0), np.empty((0, 0)))
     header = lines[0].split("\t")

@@ -81,11 +81,12 @@ def write_text(path: str, content: str) -> None:
     write_bytes(path, content.encode("utf-8"))
 
 
-def read_text(path: str, what: str = "input") -> str:
-    """Read a UTF-8 text file with universal newlines, as text-mode open does.
+def read_lines(path: str, what: str = "input") -> list[str]:
+    """The lines of a UTF-8 text file, split as str.splitlines splits them.
 
-    A byte that is not UTF-8 raises ParseError on its 1-based line, counted as
-    str.splitlines counts them.
+    That is at \n, \r\n and \r as text-mode open reads them, and at the other
+    Unicode line boundaries as well. A byte that is not UTF-8 raises
+    ParseError on its 1-based line, counted the same way.
     """
     require_file(path, what)
     with open(path, "rb") as fh:
@@ -95,4 +96,5 @@ def read_text(path: str, what: str = "input") -> str:
     except UnicodeDecodeError as exc:
         line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
         raise ParseError(f"{what} is not UTF-8 (byte 0x{data[exc.start]:02x})", line=line) from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    del data  # the bytes need not live beside the text and its lines
+    return text.splitlines()

@@ -107,27 +107,27 @@ def mlp_init(spec: MlpSpec, seed: int) -> ParamVector:
 
 
 def mlp_forward(params: ParamVector, spec: MlpSpec, x: np.ndarray, t: float, c: np.ndarray) -> np.ndarray:
-    """Evaluate the velocity network on one input or on a batch of rows.
+    """Evaluate the velocity network on a batch of rows at one time.
 
     Args:
-        x: state, shape (data_dim,) or (B, data_dim).
+        x: states, shape (B, data_dim).
         t: time, one scalar shared by every row.
-        c: condition, shape (cond_dim,) or (B, cond_dim), matching x.
+        c: conditions, shape (B, cond_dim).
 
     Returns:
-        shape (data_dim,) for a single input, (B, data_dim) for a batch.
+        the velocities, shape (B, data_dim). One row is x[i : i + 1], with the
+        same bits as row i of any batch (see forward_single_cached).
     """
     x = np.asarray(x, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
-    if x.ndim not in (1, 2) or x.shape[-1] != spec.data_dim:
-        raise ShapeError(f"state has shape {x.shape}, expected (B, {spec.data_dim}) or ({spec.data_dim},)")
-    if c.shape != x.shape[:-1] + (spec.cond_dim,):
-        raise ShapeError(f"condition has shape {c.shape}, expected {x.shape[:-1] + (spec.cond_dim,)}")
+    if x.ndim != 2 or x.shape[1] != spec.data_dim:
+        raise ShapeError(f"state has shape {x.shape}, expected (B, {spec.data_dim})")
+    if c.shape != (x.shape[0], spec.cond_dim):
+        raise ShapeError(f"condition has shape {c.shape}, expected ({x.shape[0]}, {spec.cond_dim})")
     if not math.isfinite(t):
         raise NumericError(f"non-finite time value {t!r}")
-    inp = np.concatenate([x, c, np.full(x.shape[:-1] + (1,), float(t))], axis=-1)
-    y, _ = forward_single_cached(params, spec, inp.reshape(-1, spec.input_dim))
-    return y.reshape(x.shape)
+    inp = np.concatenate([x, c, np.full((x.shape[0], 1), float(t))], axis=1)
+    return forward_single_cached(params, spec, inp)[0]
 
 
 FORWARD_TILE = 24
@@ -266,17 +266,24 @@ def softplus(z):
 
 
 class FunctionLoss:
-    """Wrap an analytic value-and-gradient function as a differentiable loss."""
+    """Wrap an analytic value-and-gradient function as a differentiable loss.
 
-    def __init__(self, value_and_grad: Callable[[ParamVector], tuple[float, ParamVector]]):
+    The function returns (loss, gradient, ...): the loss is a scalar or an
+    array of per-row losses, which the wrapper sums, and the gradient is that
+    of the sum; any further results are ignored. So a kernel such as
+    pnapo_value_grad is an objective as it stands.
+    """
+
+    def __init__(self, value_and_grad: Callable[[ParamVector], tuple]):
         self._vag = value_and_grad
 
     def value(self, params: ParamVector) -> float:
-        return float(self._vag(params)[0])
+        return float(np.asarray(self._vag(params)[0]).sum())
 
     def value_and_grad(self, params: ParamVector) -> tuple[float, ParamVector]:
-        v, g = self._vag(params)
-        return float(v), np.asarray(g, dtype=np.float64)
+        v, g = self._vag(params)[:2]
+        # ndarray.sum, not np.sum, whose dispatch costs pretrain microseconds a step
+        return float(np.asarray(v).sum()), np.asarray(g, dtype=np.float64)
 
 
 def loss_value_and_grad(loss: FunctionLoss, params: ParamVector) -> tuple[float, ParamVector]:

@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .numerics import (
-    FunctionLoss,
     MlpSpec,
     ParamVector,
     forward_single_cached,
@@ -133,22 +132,6 @@ def pnapo_value_grad(
     # each row's cotangent, rows in pair_rows order: winner -2 * coef * res, loser +2 * coef * res
     dy = np.stack([-2.0 * coef, 2.0 * coef], axis=1).reshape(-1, 1) * res
     return softplus(z), vjp_single(params, spec, cache, dy), -z
-
-
-def pnapo_objective(
-    ref_params: ParamVector,
-    spec: MlpSpec,
-    pairs: "PreferenceDataset",
-    t: np.ndarray | float,
-    beta_eff: np.ndarray,
-) -> FunctionLoss:
-    """Summed preference loss of a pair batch as a differentiable objective (for checks)."""
-
-    def value_and_grad(params: ParamVector) -> tuple[float, ParamVector]:
-        losses, grad, _ = pnapo_value_grad(params, ref_params, spec, pairs, t, beta_eff)
-        return float(np.sum(losses)), grad
-
-    return FunctionLoss(value_and_grad)
 
 
 def make_pnapo_term(

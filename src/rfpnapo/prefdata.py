@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DataError, ParseError, RfpnapoError, ShapeError
-from .fileio import BLOCK_VALUES, parse_floats, read_text, row_format, write_text
+from .fileio import BLOCK_VALUES, parse_floats, read_lines, row_format, write_text
 from .numerics import MlpSpec, ParamVector, row_dot
 from .rectflow import SamplerConfig, euler_sample, one_hot
 
@@ -275,8 +275,7 @@ def read_dataset(path: str) -> PreferenceDataset:
     A block that fails is parsed again line by line by _parse_record, which
     raises at the block's first bad line: that is the file's first error.
     """
-    content = read_text(path, "pair dataset")
-    lines = content.splitlines()
+    lines = read_lines(path, "pair dataset")
     if not lines:
         raise ParseError("empty dataset file", line=1)
     tokens = lines[0].split()

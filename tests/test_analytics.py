@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,6 @@ from rfpnapo.analytics import (
     eval_reward,
     pnapo_delta,
     random_chain,
-    tabular_kl_check,
     win_rate,
     write_eval_csv,
 )
@@ -47,30 +48,29 @@ def test_single_step_chain_has_no_interior():
 
 def test_chain_rule_decomposition_exact_over_seeds():
     for seed in range(25):
+        drawn = random_chain(seed, 4, 3)
         for matched in (True, False):
-            chain = random_chain(seed, 4, 3, matched_endpoint=matched)
+            chain = dataclasses.replace(drawn, q_terminal=drawn.p_terminal) if matched else drawn
             x0 = seed % 4
             total, endpoint, conditional = chain_rule_identity(chain, x0)
             assert abs(total - (endpoint + conditional)) <= 1e-10
             assert endpoint >= -1e-15
             assert conditional >= -1e-12
             if matched:
+                # with matched endpoint marginals the bound is tight
                 assert endpoint == pytest.approx(0.0, abs=1e-12)
-
-
-def test_matched_endpoints_make_sides_equal():
-    for seed in range(25):
-        lhs, rhs = tabular_kl_check(seed, 4, 3)
-        assert lhs <= rhs + 1e-9
-        # with matched endpoint marginals the bound is tight
-        assert lhs == pytest.approx(rhs, abs=1e-9)
+                assert conditional == pytest.approx(total, abs=1e-9)
+            else:
+                # otherwise the joint exceeds the conditional by the endpoint KL
+                assert conditional < total
 
 
 def test_kl_check_various_sizes():
     for n_states, horizon in ((2, 2), (5, 3), (6, 4), (3, 1)):
-        lhs, rhs = tabular_kl_check(11, n_states, horizon)
-        assert lhs <= rhs + 1e-9
-        assert np.isfinite(lhs) and np.isfinite(rhs)
+        total, endpoint, conditional = chain_rule_identity(random_chain(11, n_states, horizon), x0=n_states - 1)
+        assert np.isfinite(total) and np.isfinite(endpoint) and np.isfinite(conditional)
+        assert abs(total - (endpoint + conditional)) <= 1e-10
+        assert conditional <= total + 1e-9
 
 
 def test_pinned_time_delta_is_bit_stable(trained_pair):
@@ -105,6 +105,14 @@ def test_estimator_variance_deterministic(trained_pair):
     a = estimator_variance(later, ref, spec, pair, n_draws=50, seed=9)
     b = estimator_variance(later, ref, spec, pair, n_draws=50, seed=9)
     assert a == b
+    # the documented draw order: every time as one block, then every prior
+    rng = np.random.default_rng(9)
+    t = rng.random((50, 1))
+    eps = rng.standard_normal((50, 2, spec.data_dim))
+    repeated = pair.take(np.zeros(50, dtype=int))
+    stored = pnapo_delta(later, ref, spec, repeated, t)
+    fresh = pnapo_delta(later, ref, spec, dataclasses.replace(repeated, xTw=eps[:, 0], xTl=eps[:, 1]), t)
+    assert a == (float(np.var(stored, ddof=1)), float(np.var(fresh, ddof=1)))
     with pytest.raises(ConfigurationError):
         estimator_variance(later, ref, spec, pair, n_draws=1, seed=9)
     with pytest.raises(ShapeError):

@@ -8,15 +8,9 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import make_pairs, pair_batches
-from rfpnapo.baselines import (
-    dpo_objective,
-    dpo_value_grad,
-    make_sft_term,
-    sft_objective,
-    sft_value_grad,
-)
+from rfpnapo.baselines import dpo_value_grad, make_sft_term, sft_value_grad
 from rfpnapo.errors import ShapeError
-from rfpnapo.numerics import finite_diff_check, mlp_init
+from rfpnapo.numerics import FunctionLoss, finite_diff_check, mlp_init
 from rfpnapo.pnapo import pnapo_value_grad
 from rfpnapo.rectflow import FlowBatch, cfm_objective
 
@@ -69,7 +63,8 @@ def test_dpo_gradient_finite_differences(case):
     n = len(pairs)
     params, ref = mlp_init(spec, int(rng.integers(1000))), mlp_init(spec, 1000 + int(rng.integers(1000)))
     eps = rng.standard_normal((n, 2, spec.data_dim))
-    obj = dpo_objective(ref, spec, pairs, eps, rng.random((n, 1)) * 0.98, beta=4.0)
+    t = rng.random((n, 1)) * 0.98
+    obj = FunctionLoss(lambda p: dpo_value_grad(p, ref, spec, pairs, eps, t, beta=4.0))
     assert finite_diff_check(obj, params) < 1e-5
 
 
@@ -79,7 +74,8 @@ def test_sft_gradient_finite_differences(case):
     spec, rng, pairs = case
     n = len(pairs)
     params = mlp_init(spec, int(rng.integers(1000)))
-    obj = sft_objective(spec, pairs, rng.standard_normal((n, spec.data_dim)), rng.random(n) * 0.98)
+    xT, t = rng.standard_normal((n, spec.data_dim)), rng.random(n) * 0.98
+    obj = FunctionLoss(lambda p: sft_value_grad(p, spec, pairs, xT, t))
     assert finite_diff_check(obj, params) < 1e-5
 
 

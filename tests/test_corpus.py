@@ -213,6 +213,24 @@ def test_lloyd_objective_trace_nonincreasing():
         assert np.all(diffs <= 1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), d=st.integers(1, 5), k=st.integers(1, 6),
+       power=st.integers(-1000, 1000), seed=st.integers(0, 2**32 - 1))
+@example(n=40, d=3, k=4, power=600, seed=0)
+@example(n=40, d=3, k=4, power=-600, seed=0)
+def test_kmeans_assignments_ignore_a_power_of_two_scale(n, d, k, power, seed):
+    # every magnitude lies in [2^-8, 2^8], so every entry scaled by 2^power
+    # with |power| <= 1000 is a normal float and the scaling is exact; the
+    # squares of the unscaled k-means overflow at 2^600 and underflow at 2^-600
+    rng = np.random.default_rng(seed)
+    x = rng.choice([-1.0, 1.0], size=(n, d)) * np.exp2(rng.uniform(-8.0, 8.0, size=(n, d)))
+    k = min(k, n)
+    records = [_rec(i, emb=row) for i, row in enumerate(x)]
+    scaled = [_rec(i, emb=np.ldexp(row, power)) for i, row in enumerate(x)]
+    expected = kmeans_cluster(_corpus(records), k=k, iters=20, seed=seed)
+    assert np.array_equal(kmeans_cluster(_corpus(scaled), k=k, iters=20, seed=seed), expected)
+
+
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(1, 30), k=st.integers(1, 6), d=st.integers(0, 300),
        scale=st.sampled_from([1e-300, 1e-3, 1.0, 1e150]), seed=st.integers(0, 2**32 - 1))

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rfpnapo.errors import ParseError
-from rfpnapo.fileio import fmt17, parse_floats, read_text, row_format, write_text
+from rfpnapo.fileio import fmt17, parse_floats, read_lines, row_format, write_text
 from rfpnapo.numerics import MlpSpec, mlp_init, write_checkpoint
 
 
@@ -39,14 +39,14 @@ def test_failed_write_keeps_the_previous_artifact(tmp_path, monkeypatch, failing
         assert os.listdir(path.parent) == [name]
 
 
-def test_read_text_translates_newlines_and_locates_bad_bytes(tmp_path):
+def test_read_lines_splits_newlines_and_locates_bad_bytes(tmp_path):
     path = tmp_path / "in.txt"
-    path.write_bytes("a\r\nb\rcaf\u00e9\n".encode())
-    assert read_text(str(path)) == "a\nb\ncaf\u00e9\n"
+    path.write_bytes("a\r\nb\rcaf\u00e9\n\r\r\nd\u2028e".encode())
+    assert read_lines(str(path)) == ["a", "b", "caf\u00e9", "", "", "d", "e"]
     for data, line in ((b"\xff", 1), (b"a\n\xffb\n", 2), (b"a\r\nb\rc\xe9", 3), (b"a\n\n\x80", 3)):
         path.write_bytes(data)
         with pytest.raises(ParseError, match=f"^line {line}: input is not UTF-8") as info:
-            read_text(str(path))
+            read_lines(str(path))
         assert info.value.line == line
 
 

@@ -68,10 +68,13 @@ def test_forward_shapes_and_batch_consistency(small_spec, small_params):
         t = rng.random(n)
         ys, _ = forward_batch_cached(small_params, small_spec, np.hstack([x, c, t[:, None]]))
         for i in range(n):
-            yi = mlp_forward(small_params, small_spec, x[i], float(t[i]), c[i])
-            assert yi.shape == (2,)
+            yi = mlp_forward(small_params, small_spec, x[i : i + 1], float(t[i]), c[i : i + 1])
+            assert yi.shape == (1, 2)
             # batched path uses different BLAS calls; agreement is numeric, not bitwise
-            assert np.allclose(yi, ys[i], rtol=1e-12, atol=1e-14)
+            assert np.allclose(yi[0], ys[i], rtol=1e-12, atol=1e-14)
+    # a single row is a batch of one; an unbatched row is refused
+    with pytest.raises(ShapeError):
+        mlp_forward(small_params, small_spec, x[0], 0.5, c[0])
 
 
 def _forward_gemv(params, spec, row):
@@ -125,6 +128,13 @@ def test_quadratic_loss_gradient_is_exact():
     assert v == 0.5 * float(p @ p)
     assert np.array_equal(g, p)
     assert finite_diff_check(loss, p) < 1e-8
+    # per-row losses are summed, and results after the gradient are ignored,
+    # which is the shape of the (losses, grad, margins) kernels
+    rows = FunctionLoss(lambda p: (0.5 * p * p, p.copy(), -p))
+    v_rows, g_rows = loss_value_and_grad(rows, p)
+    assert v_rows == float(np.sum(0.5 * p * p)) == rows.value(p)
+    assert np.array_equal(g_rows, p)
+    assert finite_diff_check(rows, p) < 1e-8
 
 
 def test_finite_diff_check_passes_a_derivative_below_the_noise_floor():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 from conftest import make_pairs, pair_batches
 from rfpnapo.errors import ConfigurationError
-from rfpnapo.numerics import finite_diff_check, mlp_init, optim_init, sigmoid
+from rfpnapo.numerics import FunctionLoss, finite_diff_check, mlp_init, optim_init, sigmoid
 from rfpnapo.pnapo import (
     AlignConfig,
     BetaSchedule,
@@ -17,7 +17,6 @@ from rfpnapo.pnapo import (
     g_controller,
     make_pnapo_term,
     pair_rows,
-    pnapo_objective,
     pnapo_value_grad,
     score,
 )
@@ -153,7 +152,8 @@ def test_pnapo_gradient_finite_differences(case):
     spec, rng, pairs = case
     n = len(pairs)
     params, ref = mlp_init(spec, int(rng.integers(1000))), mlp_init(spec, 1000 + int(rng.integers(1000)))
-    obj = pnapo_objective(ref, spec, pairs, rng.random((n, 2)) * 0.98, 1.0 + 9.0 * rng.random(n))
+    t, beta_eff = rng.random((n, 2)) * 0.98, 1.0 + 9.0 * rng.random(n)
+    obj = FunctionLoss(lambda p: pnapo_value_grad(p, ref, spec, pairs, t, beta_eff))
     assert finite_diff_check(obj, params) < 1e-5
 
 

@@ -69,7 +69,7 @@ def test_cfm_loss_matches_per_sample_recomputation():
         total = 0.0
         for i in range(n):
             xt = (1.0 - batch.t[i]) * batch.x0[i] + batch.t[i] * batch.xT[i]
-            v = mlp_forward(params, spec, xt, float(batch.t[i]), batch.cond[i])
+            v = mlp_forward(params, spec, xt[None], float(batch.t[i]), batch.cond[i : i + 1])[0]
             u = batch.xT[i] - batch.x0[i]
             total += float(np.sum((v - u) ** 2))
         assert loss == pytest.approx(total / n, rel=1e-12)
