@@ -97,6 +97,10 @@ def random_chain(seed: int, n_states: int, horizon: int) -> TabularChain:
 
     RNG order: the p side's terminal then kernels, then the q side's.
     """
+    if n_states < 2 or horizon < 1:
+        raise ConfigurationError(
+            f"a chain needs at least 2 states and horizon 1; got {n_states} and {horizon}"
+        )
     rng = np.random.default_rng(seed)
     p_terminal, p_kernels = _random_side(rng, n_states, horizon)
     q_terminal, q_kernels = _random_side(rng, n_states, horizon)
@@ -240,15 +244,22 @@ def eval_reward(
     sampler_cfg: SamplerConfig,
     seed: int,
     label: str = "model",
-) -> EvalReport:
-    """Sample every condition equally and aggregate analytic rewards."""
+) -> tuple[EvalReport, np.ndarray]:
+    """Sample every condition equally and aggregate analytic rewards.
+
+    Trial i decodes prior draw i of default_rng(seed) under condition
+    i mod cond_dim, one (n_per_condition * cond_dim, data_dim) block of draws.
+    Returns the report and the per-trial rewards, which win_rate compares:
+    two models evaluated at one seed decode the same noise in the same order.
+    """
     if n_per_condition < 1:
         raise ConfigurationError(f"need n_per_condition >= 1, got {n_per_condition}")
-    conds = np.repeat(np.eye(spec.cond_dim), n_per_condition, axis=0)
-    noise = np.random.default_rng(seed).standard_normal((conds.shape[0], spec.data_dim))
+    n = n_per_condition * spec.cond_dim
+    conds = np.eye(spec.cond_dim)[np.arange(n) % spec.cond_dim]
+    noise = np.random.default_rng(seed).standard_normal((n, spec.data_dim))
     x0 = euler_sample(params, spec, noise, conds, sampler_cfg)
     rewards = reward_eval(rspec, x0, conds)
-    return EvalReport(
+    report = EvalReport(
         model=label,
         mean_reward=float(np.mean(rewards)),
         median_reward=float(np.median(rewards)),
@@ -256,6 +267,7 @@ def eval_reward(
         n=len(rewards),
         seed=seed,
     )
+    return report, rewards
 
 
 def write_eval_csv(path: str, reports: list[EvalReport]) -> None:
@@ -273,28 +285,14 @@ def write_eval_csv(path: str, reports: list[EvalReport]) -> None:
     write_text(path, "\n".join(lines) + "\n")
 
 
-def win_rate(
-    params_a: ParamVector,
-    spec_a: MlpSpec,
-    params_b: ParamVector,
-    spec_b: MlpSpec,
-    rspec: RewardSpec,
-    n_trials: int,
-    sampler_cfg: SamplerConfig,
-    seed: int,
-) -> float:
-    """Paired comparison: both models decode the same noise; ties score half.
+def win_rate(rewards_a: np.ndarray, rewards_b: np.ndarray) -> float:
+    """Share of paired trials model a wins, ties scoring half.
 
-    The models may differ in width but must share data and condition dims.
-    Conditions rotate round-robin; one prior draw per trial. Comparing a model
-    against itself gives exactly 0.5.
+    The rewards are eval_reward's of two models at one seed, so trial i of
+    both decoded the same noise under the same condition. The models may
+    differ in width. Comparing a model against itself gives exactly 0.5.
     """
-    if n_trials < 1:
-        raise ConfigurationError(f"need n_trials >= 1, got {n_trials}")
-    conds = np.eye(spec_a.cond_dim)[np.arange(n_trials) % spec_a.cond_dim]
-    noise = np.random.default_rng(seed).standard_normal((n_trials, spec_a.data_dim))
-    xa = euler_sample(params_a, spec_a, noise, conds, sampler_cfg)
-    xb = euler_sample(params_b, spec_b, noise, conds, sampler_cfg)
-    rewards = reward_eval(rspec, np.concatenate([xa, xb]), np.concatenate([conds, conds]))
-    ra, rb = rewards[:n_trials], rewards[n_trials:]
-    return float(np.count_nonzero(ra > rb) + 0.5 * np.count_nonzero(ra == rb)) / n_trials
+    if rewards_a.shape != rewards_b.shape or rewards_a.ndim != 1 or rewards_a.size == 0:
+        raise ShapeError(f"paired rewards have shapes {rewards_a.shape} and {rewards_b.shape}")
+    wins = np.count_nonzero(rewards_a > rewards_b) + 0.5 * np.count_nonzero(rewards_a == rewards_b)
+    return float(wins) / rewards_a.size

@@ -197,9 +197,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     rspec = cfg.reward(spec_a.data_dim, spec_a.cond_dim)
     sampler = cfg.sampler()
     seed = cfg.get("seed")
-    rep_a = eval_reward(params_a, spec_a, rspec, args.n, sampler, seed, label="model")
-    rep_b = eval_reward(params_b, spec_b, rspec, args.n, sampler, seed, label="against")
-    wr = win_rate(params_a, spec_a, params_b, spec_b, rspec, args.n * spec_a.cond_dim, sampler, seed)
+    rep_a, rewards_a = eval_reward(params_a, spec_a, rspec, args.n, sampler, seed, label="model")
+    rep_b, rewards_b = eval_reward(params_b, spec_b, rspec, args.n, sampler, seed, label="against")
+    wr = win_rate(rewards_a, rewards_b)
     rep_a = dataclasses.replace(rep_a, win_rate=wr)
     rep_b = dataclasses.replace(rep_b, win_rate=1.0 - wr)
     write_eval_csv(args.out, [rep_a, rep_b])

@@ -9,11 +9,13 @@ matrices in layer order (row-major, shape (fan_out, fan_in)) followed by all
 bias vectors in layer order. Everything here is a pure function of explicit
 arrays; nothing hides state.
 
-There are two forward kernels. forward_single_cached runs rows in fixed
-FORWARD_TILE-row GEMM tiles, so each row's bits do not depend on its batch;
-the sampler and alignment use it, since a stored noise must replay to its
-stored sample. forward_batch_cached is one GEMM over the whole batch, for
-pretraining, whose rows are never replayed.
+There are two forward kernels. forward_tiles runs the layers on rows in
+fixed FORWARD_TILE-row GEMM tiles, writing each layer into a tile_workspace
+buffer, so each row's bits do not depend on its batch; a stored noise must
+replay to its stored sample. forward_single_cached runs it on a fresh
+workspace per call, for alignment and scoring, and the Euler sampler on one
+workspace for all of its steps. forward_batch_cached is one
+GEMM over the whole batch, for pretraining, whose rows are never replayed.
 """
 from __future__ import annotations
 
@@ -171,15 +173,45 @@ def forward_single_cached(
     if inp.ndim != 2 or inp.shape[1] != spec.input_dim:
         raise ShapeError(f"input has shape {inp.shape}, expected (R, {spec.input_dim})")
     rows = inp.shape[0]
-    padded = np.zeros((-(-rows // FORWARD_TILE) * FORWARD_TILE, spec.input_dim))
+    padded, outs = tile_workspace(weights, rows)
     padded[:rows] = inp
-    cache = [inp]
-    h = padded.reshape(-1, FORWARD_TILE, spec.input_dim)
-    for w, b in zip(weights[:-1], biases[:-1]):
-        h = np.tanh(np.matmul(h, w.T) + b)
-        cache.append(h.reshape(-1, w.shape[0])[:rows])
-    y = np.matmul(h, weights[-1].T) + biases[-1]
+    y = forward_tiles(weights, biases, padded, outs)
+    cache = [inp] + [z.reshape(-1, z.shape[2])[:rows] for z in outs[:-1]]
     return y.reshape(-1, spec.output_dim)[:rows], cache
+
+
+def tile_workspace(weights: list[np.ndarray], rows: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Buffers for forward_tiles on `rows` rows.
+
+    Returns a zeroed (tiles * FORWARD_TILE, input_dim) input, whose first
+    `rows` rows the caller fills and whose padding rows stay zero, and one
+    empty (tiles, FORWARD_TILE, fan_out) output per layer.
+    """
+    tiles = -(-rows // FORWARD_TILE)
+    padded = np.zeros((tiles * FORWARD_TILE, weights[0].shape[1]))
+    return padded, [np.empty((tiles, FORWARD_TILE, w.shape[0])) for w in weights]
+
+
+def forward_tiles(
+    weights: list[np.ndarray], biases: list[np.ndarray], padded: np.ndarray, outs: list[np.ndarray]
+) -> np.ndarray:
+    """The layers on a tile_workspace input, each written into its output buffer.
+
+    outs[i] becomes layer i's output, post-tanh for every layer but the
+    last, which is returned. Each layer is
+    `np.matmul(h, w.T, out=z); z += b; np.tanh(z, out=z)`: the bits of
+    `np.tanh(np.matmul(h, w.T) + b)` with no temporary allocated.
+    """
+    h = padded.reshape(-1, FORWARD_TILE, padded.shape[1])
+    for w, b, z in zip(weights[:-1], biases[:-1], outs):
+        np.matmul(h, w.T, out=z)
+        z += b
+        np.tanh(z, out=z)
+        h = z
+    y = outs[-1]
+    np.matmul(h, weights[-1].T, out=y)
+    y += biases[-1]
+    return y
 
 
 def forward_batch_cached(

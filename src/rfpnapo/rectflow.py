@@ -3,6 +3,11 @@
 Convention: t = 0 is data, t = 1 is prior noise. The forward path is the
 straight line x_t = (1 - t) * x0 + t * xT, whose velocity is the constant
 xT - x0; the network regresses that constant.
+
+The sampler integrates that field back from noise with fixed Euler steps
+(Liu et al., arXiv 2209.03003). It is the hot path of gen-pairs, eval and
+the replay audit, so each call sets up one tile workspace and its steps run
+numerics.forward_tiles in it, allocating nothing per layer.
 """
 from __future__ import annotations
 
@@ -17,7 +22,9 @@ from .numerics import (
     MlpSpec,
     ParamVector,
     forward_batch_cached,
-    mlp_forward,
+    forward_tiles,
+    tile_workspace,
+    unpack_params,
     vjp_batch,
 )
 
@@ -123,18 +130,34 @@ def euler_sample(
         the samples x0_hat, shape (B, data_dim). Row i depends only on xT[i]
         and cond[i]: it is bit-identical to sampling that row alone, so the
         output never depends on batch size or on how a set of rows is split.
+
+    The rows run through forward_tiles in one tile_workspace set up per
+    call, whose condition columns are written once. A step writes t into
+    the input and x - dt * v into its state columns in place, so each input
+    row holds what forward_single_cached would pad it to.
     """
     xT = np.asarray(xT, dtype=np.float64)
-    if xT.ndim != 2:
+    cond = np.asarray(cond, dtype=np.float64)
+    if xT.ndim != 2 or xT.shape[1] != spec.data_dim:
         raise ShapeError(f"noise batch has shape {xT.shape}, expected (B, {spec.data_dim})")
+    if cond.shape != (xT.shape[0], spec.cond_dim):
+        raise ShapeError(f"condition has shape {cond.shape}, expected ({xT.shape[0]}, {spec.cond_dim})")
+    weights, biases = unpack_params(params, spec)
+    rows, d = xT.shape
+    inp, outs = tile_workspace(weights, rows)
+    x = inp[:rows, :d]
+    x[...] = xT
+    inp[:rows, d:-1] = cond
+    t = inp[:rows, -1]
     dt = 1.0 / cfg.steps
-    x = xT
     for i in range(cfg.steps):
-        t_cur = 1.0 - i * dt
-        x = x - dt * mlp_forward(params, spec, x, t_cur, cond)
+        t[...] = 1.0 - i * dt
+        v = forward_tiles(weights, biases, inp, outs).reshape(-1, d)[:rows]
+        v *= dt
+        x -= v
         if not np.all(np.isfinite(x)):
             raise NumericError(f"sampler diverged at step {i + 1} of {cfg.steps}")
-    return x
+    return x.copy()
 
 
 def one_hot(k: int, n_conditions: int) -> np.ndarray:

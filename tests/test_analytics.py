@@ -39,6 +39,13 @@ def test_chain_caps_enforced():
         random_chain(0, n_states=3, horizon=5)
 
 
+@pytest.mark.parametrize("n_states, horizon", [(3, 0), (3, -5), (1, 3), (0, 2)])
+def test_random_chain_rejects_degenerate_sizes(n_states, horizon):
+    # a horizon below 1 would silently build a horizon-1 chain, one state a chain with nothing to compare
+    with pytest.raises(ConfigurationError, match="at least 2 states and horizon 1"):
+        random_chain(0, n_states=n_states, horizon=horizon)
+
+
 def test_single_step_chain_has_no_interior():
     chain = random_chain(3, n_states=4, horizon=1)
     total, endpoint, conditional = chain_rule_identity(chain, x0=2)
@@ -134,14 +141,18 @@ def test_eval_reward_and_self_win_rate(trained_pair):
         params=np.array([[2.0, 0.0], [0.0, 2.0], [-2.0, 0.0], [0.0, -2.0]]),
     )
     cfg = SamplerConfig(steps=8)
-    rep = eval_reward(ref, spec, rspec, n_per_condition=5, sampler_cfg=cfg, seed=3, label="ref")
+    rep, rewards = eval_reward(ref, spec, rspec, n_per_condition=5, sampler_cfg=cfg, seed=3, label="ref")
     assert rep.n == 20
     assert rep.model == "ref"
     assert np.isfinite(rep.mean_reward) and np.isfinite(rep.median_reward)
-    rep2 = eval_reward(ref, spec, rspec, n_per_condition=5, sampler_cfg=cfg, seed=3, label="ref")
+    assert (rep.mean_reward, rep.median_reward) == (float(np.mean(rewards)), float(np.median(rewards)))
+    rep2, rewards2 = eval_reward(ref, spec, rspec, n_per_condition=5, sampler_cfg=cfg, seed=3, label="ref")
     assert rep == rep2
+    assert rewards.tobytes() == rewards2.tobytes()
     # a model against itself never wins or loses a pair
-    assert win_rate(ref, spec, ref, spec, rspec, n_trials=12, sampler_cfg=cfg, seed=4) == 0.5
+    assert win_rate(rewards, rewards2) == 0.5
+    with pytest.raises(ShapeError):
+        win_rate(rewards, rewards[:-1])
 
 
 def test_win_rate_detects_strictly_better_model(trained_pair):
@@ -151,8 +162,10 @@ def test_win_rate_detects_strictly_better_model(trained_pair):
         params=np.array([[2.0, 0.0], [0.0, 2.0], [-2.0, 0.0], [0.0, -2.0]]),
     )
     cfg = SamplerConfig(steps=8)
-    wr_later = win_rate(later, spec, ref, spec, rspec, n_trials=80, sampler_cfg=cfg, seed=5)
-    wr_ref = win_rate(ref, spec, later, spec, rspec, n_trials=80, sampler_cfg=cfg, seed=5)
+    _, r_later = eval_reward(later, spec, rspec, n_per_condition=20, sampler_cfg=cfg, seed=5)
+    _, r_ref = eval_reward(ref, spec, rspec, n_per_condition=20, sampler_cfg=cfg, seed=5)
+    wr_later = win_rate(r_later, r_ref)
+    wr_ref = win_rate(r_ref, r_later)
     assert wr_later + wr_ref == pytest.approx(1.0, abs=1e-15)
     # the longer-trained snapshot should be the better sampler
     assert wr_later > 0.5

@@ -10,8 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES
+from rfpnapo import analytics
 from rfpnapo.cli import ALIGN_COLUMNS, PRETRAIN_COLUMNS, _write_metrics_csv, main
+from rfpnapo.config import load_config
+from rfpnapo.fileio import fmt17
 from rfpnapo.numerics import read_checkpoint
+from rfpnapo.prefdata import reward_eval
+from rfpnapo.rectflow import euler_sample
 
 TINY_CFG = """
 seed = 9
@@ -242,6 +247,42 @@ def test_eval_model_against_itself_wins_half(tmp_path, tiny_cfg, capsys):
     capsys.readouterr()
     win = float(Path(report).read_text().splitlines()[1].split(",")[3])
     assert win == 0.5
+
+
+def test_eval_decodes_each_model_once(tmp_path, tiny_cfg, capsys, monkeypatch):
+    ref, _, aligned = _run_pipeline(tmp_path, tiny_cfg)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return euler_sample(*args, **kwargs)
+
+    monkeypatch.setattr(analytics, "euler_sample", counting)
+    report = str(tmp_path / "report.csv")
+    assert main(["eval", "--config", tiny_cfg, "--model", aligned, "--against", ref,
+                 "--n", "6", "--out", report]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2
+    # reference: both models decode one block of draws on round-robin
+    # conditions, rewards are compared trial by trial, ties count half
+    cfg = load_config(tiny_cfg)
+    (pa, spec), (pb, _) = read_checkpoint(aligned), read_checkpoint(ref)
+    n = 6 * spec.cond_dim
+    conds = np.eye(spec.cond_dim)[np.arange(n) % spec.cond_dim]
+    noise = np.random.default_rng(cfg.get("seed")).standard_normal((n, spec.data_dim))
+    xa = euler_sample(pa, spec, noise, conds, cfg.sampler())
+    xb = euler_sample(pb, spec, noise, conds, cfg.sampler())
+    rewards = reward_eval(cfg.reward(spec.data_dim, spec.cond_dim), np.concatenate([xa, xb]),
+                          np.concatenate([conds, conds]))
+    ra, rb = rewards[:n], rewards[n:]
+    expected = float(np.count_nonzero(ra > rb) + 0.5 * np.count_nonzero(ra == rb)) / n
+    rows = [line.split(",") for line in Path(report).read_text().splitlines()[1:]]
+    assert rows[0][3] == fmt17(expected)
+    assert rows[1][3] == fmt17(1.0 - expected)
+    # the reward columns aggregate the same trials
+    assert rows[0][1:3] == [fmt17(float(np.mean(ra))), fmt17(float(np.median(ra)))]
+    assert rows[1][1:3] == [fmt17(float(np.mean(rb))), fmt17(float(np.median(rb)))]
+    assert [row[4] for row in rows] == [str(n), str(n)]
 
 
 def test_gen_pairs_n_zero_writes_header_only(tmp_path, tiny_cfg, capsys):

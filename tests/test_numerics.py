@@ -86,6 +86,18 @@ def _forward_gemv(params, spec, row):
     return weights[-1] @ h + biases[-1]
 
 
+def _forward_tiles_out_of_place(params, spec, inp):
+    """The tiled forward as fresh-array expressions: the reference for forward_tiles' buffers."""
+    weights, biases = unpack_params(params, spec)
+    rows = inp.shape[0]
+    h = np.zeros((-(-rows // FORWARD_TILE) * FORWARD_TILE, spec.input_dim))
+    h[:rows] = inp
+    h = h.reshape(-1, FORWARD_TILE, spec.input_dim)
+    for w, b in zip(weights[:-1], biases[:-1]):
+        h = np.tanh(np.matmul(h, w.T) + b)
+    return (np.matmul(h, weights[-1].T) + biases[-1]).reshape(-1, spec.output_dim)[:rows]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     data_dim=st.integers(1, 4),
@@ -107,6 +119,7 @@ def test_forward_rows_are_batch_invariant(data_dim, cond_dim, hidden, rows, seed
     inp = rng.standard_normal((rows, spec.input_dim))
     y, cache = forward_single_cached(params, spec, inp)
     assert y.shape == (rows, data_dim)
+    assert y.tobytes() == _forward_tiles_out_of_place(params, spec, inp).tobytes()
     assert [h.shape for h in cache] == [(rows, w) for w in (spec.input_dim, *spec.hidden)]
     for r in range(rows):
         y_alone, cache_alone = forward_single_cached(params, spec, inp[r : r + 1])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfpnapo.errors import ShapeError
+from rfpnapo.errors import NumericError, ShapeError
 from rfpnapo.numerics import (
     MlpSpec,
     forward_single_cached,
@@ -128,6 +128,25 @@ def test_euler_many_steps_constant_field_still_exact_to_tolerance():
     # constant velocity: every step subtracts b/steps, rounding is the only error
     assert x0.shape == (1, 2)
     assert np.allclose(x0, xT - biases[-1], rtol=0, atol=1e-12)
+
+
+def test_euler_sample_reports_the_step_it_diverged_at():
+    # a constant field of 1e308 moves x by -2e307 per step of dt = 0.2: the row
+    # starting at -1e308 passes the largest float at step 4, its neighbours
+    # (zeros, in the first of two tiles) stay finite
+    spec = MlpSpec(data_dim=1, cond_dim=1, hidden=(3,))
+    weights = [np.zeros(s) for s in spec.layer_shapes()]
+    biases = [np.zeros(s[0]) for s in spec.layer_shapes()]
+    biases[-1] = np.array([1e308])
+    params = pack_params(weights, biases)
+    xT = np.zeros((30, 1))
+    xT[29] = -1e308
+    cond = np.ones((30, 1))
+    with np.errstate(over="ignore"):
+        finite = euler_sample(params, spec, xT[:29], cond[:29], SamplerConfig(steps=5))
+        assert np.all(np.isfinite(finite))
+        with pytest.raises(NumericError, match=r"^sampler diverged at step 4 of 5$"):
+            euler_sample(params, spec, xT, cond, SamplerConfig(steps=5))
 
 
 def test_euler_sample_rejects_unbatched_or_mismatched_input():
