@@ -209,9 +209,7 @@ def estimator_variance(
     eps = rng.standard_normal((n_draws, 2, spec.data_dim))
     repeated = pair.take(np.zeros(n_draws, dtype=int))
     stored = pnapo_delta(params, ref_params, spec, repeated, t)
-    fresh = pnapo_delta(
-        params, ref_params, spec, replace(repeated, xTw=eps[:, 0], xTl=eps[:, 1]), t
-    )
+    fresh = pnapo_delta(params, ref_params, spec, replace(repeated, xT=eps), t)
     return float(np.var(stored, ddof=1)), float(np.var(fresh, ddof=1))
 
 

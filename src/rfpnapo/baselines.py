@@ -2,7 +2,7 @@
 
 The DPO variant scores each candidate against a freshly drawn prior sample
 instead of the stored one: it is the noise-aware batch function with the
-pairs' xT arrays swapped for fresh draws, which is exactly how the two are
+pairs' xT array swapped for fresh draws, which is exactly how the two are
 compared. SFT is the winner-only case: flow matching on each pair's winner
 from fresh noise, one row per pair. Like the noise-aware loss, each is one
 batch call: per-pair losses are bitwise those of scoring each pair alone, and
@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .errors import ShapeError
 from .numerics import MlpSpec, ParamVector, forward_single_cached, row_dot, vjp_single
 from .pnapo import pnapo_value_grad
 from .rectflow import FlowBatch, path_inputs
@@ -35,14 +34,11 @@ def dpo_value_grad(
 ) -> tuple[np.ndarray, ParamVector, np.ndarray]:
     """The noise-aware losses, gradient and margins with fresh prior draws.
 
-    eps is (B, 2, dim): winner then loser draw of each pair; the stored noises
-    are ignored. Coincides exactly with pnapo_value_grad when eps equals the
-    stored noises.
+    eps is (B, 2, dim), laid out like pairs.xT: winner then loser draw of each
+    pair; the stored noises are ignored (a wrong shape raises ShapeError).
+    Coincides exactly with pnapo_value_grad when eps equals the stored noises.
     """
-    if eps.shape != (len(pairs), 2, pairs.header.dim):
-        raise ShapeError(f"draws have shape {eps.shape}, expected ({len(pairs)}, 2, {pairs.header.dim})")
-    fresh = replace(pairs, xTw=eps[:, 0], xTl=eps[:, 1])
-    return pnapo_value_grad(params, ref_params, spec, fresh, t, np.full(len(pairs), beta))
+    return pnapo_value_grad(params, ref_params, spec, replace(pairs, xT=eps), t, np.full(len(pairs), beta))
 
 
 def make_dpo_term(
@@ -68,10 +64,10 @@ def sft_value_grad(
 ) -> tuple[np.ndarray, ParamVector]:
     """Per-pair matching losses on the winners, and the parameter gradient of their sum.
 
-    xT (B, dim) are fresh prior draws and t (B,) the times; the loser fields
-    are never read.
+    xT (B, dim) are fresh prior draws and t (B,) the times; of the pairs only
+    the conditions and the winners x0[:, 0] are read.
     """
-    inp, target = path_inputs(spec, FlowBatch(x0=pairs.x0w, xT=xT, cond=pairs.cond, t=t))
+    inp, target = path_inputs(spec, FlowBatch(x0=pairs.x0[:, 0], xT=xT, cond=pairs.cond, t=t))
     v, cache = forward_single_cached(params, spec, inp)
     residual = v - target
     return row_dot(residual, residual), vjp_single(params, spec, cache, 2.0 * residual)

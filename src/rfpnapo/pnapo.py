@@ -86,10 +86,10 @@ def pair_rows(pairs: "PreferenceDataset", t: np.ndarray | float) -> FlowBatch:
 
     t broadcasts to (B, 2): a scalar, (B, 1) for one time per pair, or (B, 2).
     """
-    b = len(pairs)
+    b, d = len(pairs), pairs.header.dim
     return FlowBatch(
-        x0=np.stack([pairs.x0w, pairs.x0l], axis=1).reshape(2 * b, -1),
-        xT=np.stack([pairs.xTw, pairs.xTl], axis=1).reshape(2 * b, -1),
+        x0=pairs.x0.reshape(2 * b, d),
+        xT=pairs.xT.reshape(2 * b, d),
         cond=np.repeat(pairs.cond, 2, axis=0),
         t=np.broadcast_to(t, (b, 2)).reshape(-1),
     )

@@ -4,6 +4,8 @@ Every record stores, verbatim, the prior noise that produced each candidate.
 That coupling is the whole point: downstream training scores a candidate
 against the exact straight path from its own stored noise, so regenerating a
 sample from (noise, condition, sampler settings) must reproduce it bit for bit.
+A pair is a (2, dim) block of samples and a (2, dim) block of noises, winner
+then loser, from the sampler's output to the loss.
 """
 from __future__ import annotations
 
@@ -22,8 +24,8 @@ REWARD_KINDS = ("mode_distance", "quadratic_bowl", "direction_dot")
 DATASET_TAG = "rfpnapo-pairs"
 DATASET_VERSION = "v1"
 
-# PreferenceDataset's arrays, in field order; also the order of a record line's fields
-_FIELDS = ("cond", "x0w", "x0l", "xTw", "xTl", "delta_r")
+# PreferenceDataset's arrays, in field order
+_FIELDS = ("cond", "x0", "xT", "delta_r")
 
 
 @dataclass(frozen=True)
@@ -87,25 +89,23 @@ class DatasetHeader:
 class PreferenceDataset:
     """Labeled pairs as arrays, one row per pair.
 
-    Row i holds the condition, the winner and loser samples, the prior noise
-    that produced each of them, and the (non-negative) reward gap.
+    Row i holds the condition, the samples x0[i] and the prior noises xT[i]
+    that produced them (xT[i, j] produced x0[i, j]), and the (non-negative)
+    reward gap. Axis 1 of x0 and xT is ordered winner then loser.
     """
 
     header: DatasetHeader
     cond: np.ndarray  # (n, cond_dim) one-hot
-    x0w: np.ndarray  # (n, dim) winner samples
-    x0l: np.ndarray  # (n, dim) loser samples
-    xTw: np.ndarray  # (n, dim) winner prior noises
-    xTl: np.ndarray  # (n, dim) loser prior noises
+    x0: np.ndarray  # (n, 2, dim) samples, winner then loser
+    xT: np.ndarray  # (n, 2, dim) prior noises, winner then loser
     delta_r: np.ndarray  # (n,) reward gaps
 
     def __post_init__(self):
         for name in _FIELDS:
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         n, h = (self.delta_r.shape[0] if self.delta_r.ndim else 0), self.header
-        expected = {"cond": (n, h.cond_dim), "delta_r": (n,)}
-        for name in _FIELDS:
-            shape = expected.get(name, (n, h.dim))
+        expected = {"cond": (n, h.cond_dim), "x0": (n, 2, h.dim), "xT": (n, 2, h.dim), "delta_r": (n,)}
+        for name, shape in expected.items():
             if getattr(self, name).shape != shape:
                 raise ShapeError(f"{name} has shape {getattr(self, name).shape}, expected {shape}")
         if not np.all(np.isfinite(self.delta_r) & (self.delta_r >= 0.0)):
@@ -130,15 +130,13 @@ def label_pairs(
     """
     rewards = reward_eval(rspec, x0.reshape(-1, header.dim), np.repeat(cond, 2, axis=0))
     ra, rb = rewards[0::2], rewards[1::2]
-    a_wins = (ra >= rb)[:, None]
+    swap = ra < rb
     return PreferenceDataset(
         header,
         cond,
-        x0w=np.where(a_wins, x0[:, 0], x0[:, 1]),
-        x0l=np.where(a_wins, x0[:, 1], x0[:, 0]),
-        xTw=np.where(a_wins, xT[:, 0], xT[:, 1]),
-        xTl=np.where(a_wins, xT[:, 1], xT[:, 0]),
-        delta_r=np.where(a_wins[:, 0], ra - rb, rb - ra),
+        x0=np.where(swap[:, None, None], x0[:, ::-1], x0),
+        xT=np.where(swap[:, None, None], xT[:, ::-1], xT),
+        delta_r=np.where(swap, rb - ra, ra - rb),
     )
 
 
@@ -187,11 +185,10 @@ def audit_dataset(dataset: PreferenceDataset, ref_params: ParamVector, spec: Mlp
     """
     if len(dataset) == 0:
         return 0.0
-    stored = np.concatenate([dataset.x0w, dataset.x0l])
-    noises = np.concatenate([dataset.xTw, dataset.xTl])
+    stored, noises = (pairs.reshape(-1, dataset.header.dim) for pairs in (dataset.x0, dataset.xT))
     if not (np.all(np.isfinite(stored)) and np.all(np.isfinite(noises))):
         return math.inf
-    conds = np.concatenate([dataset.cond, dataset.cond])
+    conds = np.repeat(dataset.cond, 2, axis=0)
     replayed = euler_sample(ref_params, spec, noises, conds, SamplerConfig(steps=dataset.header.steps))
     return float(np.max(np.abs(stored - replayed)))
 
@@ -199,7 +196,7 @@ def audit_dataset(dataset: PreferenceDataset, ref_params: ParamVector, spec: Mlp
 # --- text format --------------------------------------------------------------
 # line 1: rfpnapo-pairs v1 dim=<d> cdim=<k> steps=<s> refhash=<hex>
 # then one record per line, six " | "-separated fields:
-# cond | x0w | x0l | xTw | xTl | delta_r   (vectors space-separated, 17 digits)
+# cond | winner x0 | loser x0 | winner xT | loser xT | delta_r   (vectors space-separated, 17 digits)
 
 
 def _parse_vec(field: str, expect: int, line: int) -> np.ndarray:
@@ -226,7 +223,7 @@ def _parse_record(fields: list[str], line: int, header: DatasetHeader) -> np.nda
         raise ParseError(f"expected 6 fields, found {len(fields)}", line=line)
     cond = _parse_vec(fields[0], header.cond_dim, line)
     # rewards pick the condition by argmax, so anything but one-hot is ambiguous
-    if not (np.all((cond == 0.0) | (cond == 1.0)) and np.sum(cond) == 1.0):
+    if not _one_hot_rows(cond[None])[0]:
         raise ParseError(f"condition {fields[0]!r} is not one-hot", line=line)
     vecs = [_parse_vec(f, header.dim, line) for f in fields[1:5]]
     delta = _parse_vec(fields[5], 1, line)
@@ -237,12 +234,12 @@ def _parse_record(fields: list[str], line: int, header: DatasetHeader) -> np.nda
 
 def write_dataset(path: str, dataset: PreferenceDataset) -> None:
     """Write the pair file; a pair read_dataset would reject raises DataError before any write."""
-    for name in _FIELDS[:5]:
-        finite = np.isfinite(getattr(dataset, name)).all(axis=1)
-        if not finite.all():
-            raise DataError(
-                f"pair {int(np.argmin(finite))} has a non-finite {name} value; not representable"
-            )
+    for name in _FIELDS[:3]:
+        bad = np.argwhere(~np.isfinite(getattr(dataset, name)))
+        if len(bad):
+            i, slot = bad[0][:2]  # the first bad pair, and for x0 and xT its first bad slot
+            role = "" if name == "cond" else ("winner ", "loser ")[slot]
+            raise DataError(f"pair {i} has a non-finite {role}{name} value; not representable")
     one_hot = _one_hot_rows(dataset.cond)
     if not one_hot.all():
         raise DataError(
@@ -255,15 +252,15 @@ def write_dataset(path: str, dataset: PreferenceDataset) -> None:
         raise DataError(
             f"pair {i} has preference gap {dataset.delta_r[i]}, not a finite number >= 0; not representable"
         )
-    h = dataset.header
+    h, n = dataset.header, len(dataset)
     lines = [
         f"{DATASET_TAG} {DATASET_VERSION} dim={h.dim} cdim={h.cond_dim} "
         f"steps={h.steps} refhash={h.ref_hash}"
     ]
     fmt = " | ".join([row_format(h.cond_dim, " "), *[row_format(h.dim, " ")] * 4, "%.17g"])
-    values = np.concatenate(
-        [getattr(dataset, name) for name in _FIELDS[:5]] + [dataset.delta_r[:, None]], axis=1
-    )
+    # widths spelled out, so an empty dataset flattens too
+    pairs = [dataset.x0.reshape(n, 2 * h.dim), dataset.xT.reshape(n, 2 * h.dim)]
+    values = np.concatenate([dataset.cond, *pairs, dataset.delta_r[:, None]], axis=1)
     lines.extend(fmt % tuple(row) for row in values.tolist())
     write_text(path, "\n".join(lines) + "\n")
 
@@ -298,9 +295,9 @@ def read_dataset(path: str) -> PreferenceDataset:
         raise ParseError(f"bad dataset header: {exc}", line=1) from None
     k, d = header.cond_dim, header.dim
     widths = [k, d, d, d, d, 1]
-    bounds = np.cumsum(widths)[:-1]
     records = [(lineno, raw) for lineno, raw in enumerate(lines[1:], start=2) if raw != ""]
-    arrays = [np.empty((len(records), width)) for width in widths]
+    # one row of numbers per record: cond | x0 winner, loser | xT winner, loser | gap
+    matrix = np.empty((len(records), sum(widths)))
     step = max(1, BLOCK_VALUES // sum(widths))
     for start in range(0, len(records), step):
         block = records[start : start + step]
@@ -316,6 +313,6 @@ def read_dataset(path: str) -> PreferenceDataset:
                 numbers = None
         if numbers is None:
             numbers = np.array([_parse_record(row, lineno, header) for (lineno, _), row in zip(block, fields)])
-        for array, part in zip(arrays, np.split(numbers, bounds, axis=1)):
-            array[start : start + len(block)] = part
-    return PreferenceDataset(header, *arrays[:5], delta_r=arrays[5][:, 0])
+        matrix[start : start + len(block)] = numbers
+    pairs = matrix[:, k:-1].reshape(-1, 2, 2, d)  # axis 1: x0, xT; axis 2: winner, loser
+    return PreferenceDataset(header, matrix[:, :k], pairs[:, 0], pairs[:, 1], matrix[:, -1])

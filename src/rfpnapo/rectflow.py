@@ -150,13 +150,15 @@ def euler_sample(
     inp[:rows, d:-1] = cond
     t = inp[:rows, -1]
     dt = 1.0 / cfg.steps
-    for i in range(cfg.steps):
-        t[...] = 1.0 - i * dt
-        v = forward_tiles(weights, biases, inp, outs).reshape(-1, d)[:rows]
-        v *= dt
-        x -= v
-        if not np.all(np.isfinite(x)):
-            raise NumericError(f"sampler diverged at step {i + 1} of {cfg.steps}")
+    # a diverging field overflows before the check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(cfg.steps):
+            t[...] = 1.0 - i * dt
+            v = forward_tiles(weights, biases, inp, outs).reshape(-1, d)[:rows]
+            v *= dt
+            x -= v
+            if not np.all(np.isfinite(x)):
+                raise NumericError(f"sampler diverged at step {i + 1} of {cfg.steps}")
     return x.copy()
 
 

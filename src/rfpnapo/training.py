@@ -82,16 +82,18 @@ def run_alignment(
     rng = np.random.default_rng(cfg.seed)
     batch_size = min(cfg.batch, n)
     rows: list[dict] = []
-    for step_index in range(1, cfg.steps + 1):
-        batch = dataset.take(rng.choice(n, size=batch_size, replace=False))
-        if cfg.method == "pnapo":
-            term = make_pnapo_term(ref_params, spec, cfg.schedule, step_index, rng)
-        elif cfg.method == "dpo":
-            term = make_dpo_term(ref_params, spec, cfg.schedule.beta, rng)
-        else:  # sft
-            term = make_sft_term(spec, rng)
-        params, optim, metrics = step_with_terms(params, optim, batch, term, step_index)
-        rows.append(metrics)
+    # a diverging run overflows before step_with_terms reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step_index in range(1, cfg.steps + 1):
+            batch = dataset.take(rng.choice(n, size=batch_size, replace=False))
+            if cfg.method == "pnapo":
+                term = make_pnapo_term(ref_params, spec, cfg.schedule, step_index, rng)
+            elif cfg.method == "dpo":
+                term = make_dpo_term(ref_params, spec, cfg.schedule.beta, rng)
+            else:  # sft
+                term = make_sft_term(spec, rng)
+            params, optim, metrics = step_with_terms(params, optim, batch, term, step_index)
+            rows.append(metrics)
     return params, rows
 
 
@@ -122,15 +124,17 @@ def run_pretrain(
     rng = np.random.default_rng(seed + 1)
     eye = np.eye(spec.cond_dim)
     rows: list[dict] = []
-    for step_index in range(1, steps + 1):
-        ks = rng.integers(spec.cond_dim, size=batch)
-        x0 = mixture.sample_batch(rng, ks)
-        xT = rng.standard_normal((batch, spec.data_dim))
-        t = rng.random(batch)
-        flow = FlowBatch(x0=x0, xT=xT, cond=eye[ks], t=t)
-        loss, grad = loss_value_and_grad(cfm_objective(spec, flow), params)
-        rows.append(
-            {"step": step_index, "loss": loss, "grad_norm": float(np.linalg.norm(grad))}
-        )
-        optim, params = adam_step(optim, params, grad)
+    # a diverging run overflows before loss_value_and_grad reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step_index in range(1, steps + 1):
+            ks = rng.integers(spec.cond_dim, size=batch)
+            x0 = mixture.sample_batch(rng, ks)
+            xT = rng.standard_normal((batch, spec.data_dim))
+            t = rng.random(batch)
+            flow = FlowBatch(x0=x0, xT=xT, cond=eye[ks], t=t)
+            loss, grad = loss_value_and_grad(cfm_objective(spec, flow), params)
+            rows.append(
+                {"step": step_index, "loss": loss, "grad_norm": float(np.linalg.norm(grad))}
+            )
+            optim, params = adam_step(optim, params, grad)
     return params, rows

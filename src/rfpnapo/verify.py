@@ -41,8 +41,9 @@ def _random_pair(rng: np.random.Generator, spec: MlpSpec, delta_r: float) -> Pre
     d = spec.data_dim
     header = DatasetHeader(dim=d, cond_dim=spec.cond_dim, steps=1, ref_hash="verify")
     cond = one_hot(int(rng.integers(spec.cond_dim)), spec.cond_dim)
-    x0w, x0l, xTw, xTl = (rng.standard_normal(d) for _ in range(4))
-    return PreferenceDataset(header, cond[None], x0w[None], x0l[None], xTw[None], xTl[None], [delta_r])
+    # one block, the stream of four (d,) draws: winner x0, loser x0, winner xT, loser xT
+    x0, xT = rng.standard_normal((2, 1, 2, d))
+    return PreferenceDataset(header, cond[None], x0, xT, [delta_r])
 
 
 def suite_gradcheck() -> list[CheckResult]:

@@ -18,17 +18,17 @@ FIXTURES = Path(__file__).parent / "fixtures"
 def make_pairs(
     rng: np.random.Generator, spec: MlpSpec, n: int = 1, delta_r=0.5
 ) -> PreferenceDataset:
-    """n random pairs; per pair the draws are condition, x0w, x0l, xTw, xTl."""
+    """n random pairs; per pair the draws are the condition, then x0 and xT as one (2, 2, d) block."""
     d = spec.data_dim
-    cond, fields = [], []
+    cond, blocks = [], []
     for _ in range(n):
         cond.append(one_hot(int(rng.integers(spec.cond_dim)), spec.cond_dim))
-        fields.append(rng.standard_normal((4, d)))
+        blocks.append(rng.standard_normal((2, 2, d)))
     cond = np.array(cond).reshape(n, spec.cond_dim)
-    fields = np.array(fields).reshape(n, 4, d)
+    blocks = np.array(blocks).reshape(n, 2, 2, d)
     header = DatasetHeader(dim=d, cond_dim=spec.cond_dim, steps=1, ref_hash="test")
     return PreferenceDataset(
-        header, cond, fields[:, 0], fields[:, 1], fields[:, 2], fields[:, 3],
+        header, cond, blocks[:, 0], blocks[:, 1],
         np.broadcast_to(np.asarray(delta_r, dtype=np.float64), (n,)).copy(),
     )
 

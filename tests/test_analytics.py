@@ -118,7 +118,7 @@ def test_estimator_variance_deterministic(trained_pair):
     eps = rng.standard_normal((50, 2, spec.data_dim))
     repeated = pair.take(np.zeros(50, dtype=int))
     stored = pnapo_delta(later, ref, spec, repeated, t)
-    fresh = pnapo_delta(later, ref, spec, dataclasses.replace(repeated, xTw=eps[:, 0], xTl=eps[:, 1]), t)
+    fresh = pnapo_delta(later, ref, spec, dataclasses.replace(repeated, xT=eps), t)
     assert a == (float(np.var(stored, ddof=1)), float(np.var(fresh, ddof=1)))
     with pytest.raises(ConfigurationError):
         estimator_variance(later, ref, spec, pair, n_draws=1, seed=9)

@@ -22,7 +22,7 @@ def test_dpo_equals_noise_aware_when_draw_matches_stored(small_spec, small_param
     ref = mlp_init(small_spec, 41)
     pairs = make_pairs(rng, small_spec, 10)
     t = rng.random((10, 1))
-    eps = np.stack([pairs.xTw, pairs.xTl], axis=1)
+    eps = pairs.xT.copy()
     a_loss, a_grad, a_margin = dpo_value_grad(small_params, ref, small_spec, pairs, eps, t, beta=7.0)
     b_loss, b_grad, b_margin = pnapo_value_grad(small_params, ref, small_spec, pairs, t, np.full(10, 7.0))
     assert np.array_equal(a_loss, b_loss)
@@ -36,11 +36,7 @@ def test_dpo_ignores_stored_noise_fields(small_spec, small_params):
     pairs = make_pairs(rng, small_spec, 3)
     eps = rng.standard_normal((3, 2, small_spec.data_dim))
     base = dpo_value_grad(small_params, ref, small_spec, pairs, eps, 0.6, beta=3.0)
-    corrupted = dataclasses.replace(
-        pairs,
-        xTw=rng.standard_normal((3, small_spec.data_dim)) * 100,
-        xTl=rng.standard_normal((3, small_spec.data_dim)) * 100,
-    )
+    corrupted = dataclasses.replace(pairs, xT=rng.standard_normal((3, 2, small_spec.data_dim)) * 100)
     again = dpo_value_grad(small_params, ref, small_spec, corrupted, eps, 0.6, beta=3.0)
     assert np.array_equal(again[0], base[0]) and np.array_equal(again[1], base[1])
 
@@ -92,7 +88,7 @@ def test_sft_loss_is_flow_matching_on_winners(small_spec, small_params):
     xT = rng.standard_normal((6, small_spec.data_dim))
     t = rng.random(6) * 0.99
     losses, _ = sft_value_grad(small_params, small_spec, pairs, xT, t)
-    batch = FlowBatch(x0=pairs.x0w, xT=xT, cond=pairs.cond, t=t)
+    batch = FlowBatch(x0=pairs.x0[:, 0], xT=xT, cond=pairs.cond, t=t)
     # the matching loss evaluates its batch as one GEMM; agreement is numeric, not bitwise
     cfm = cfm_objective(small_spec, batch).value(small_params)
     assert np.mean(losses) == pytest.approx(cfm, rel=1e-12)
@@ -104,11 +100,9 @@ def test_sft_term_uses_winner_only(small_spec, small_params):
     term = make_sft_term(small_spec, np.random.default_rng(7))
     loss1, grad1, margins1, betas1 = term(small_params, pairs)
     # corrupting loser fields must not change anything under the same draws
-    corrupted = dataclasses.replace(
-        pairs,
-        x0l=rng.standard_normal((3, small_spec.data_dim)) * 50,
-        xTl=rng.standard_normal((3, small_spec.data_dim)) * 50,
-    )
+    corrupted = dataclasses.replace(pairs, x0=pairs.x0.copy(), xT=pairs.xT.copy())
+    corrupted.x0[:, 1] = rng.standard_normal((3, small_spec.data_dim)) * 50
+    corrupted.xT[:, 1] = rng.standard_normal((3, small_spec.data_dim)) * 50
     term2 = make_sft_term(small_spec, np.random.default_rng(7))
     loss2, grad2, margins2, betas2 = term2(small_params, corrupted)
     assert np.array_equal(loss1, loss2)

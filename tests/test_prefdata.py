@@ -105,13 +105,14 @@ def test_label_pair_tie_prefers_first_and_gap_nonnegative():
     x0 = np.array([[xa, xb], [xb, xa], [xa, xa.copy()]])
     xT = np.array([[xta, xtb], [xtb, xta], [xta, xta.copy()]])
     ds = label_pairs(rspec, header, np.ones((3, 1)), x0, xT)
-    assert np.array_equal(ds.x0w[0], xa) and np.array_equal(ds.xTw[0], xta)
-    assert np.array_equal(ds.x0l[0], xb) and np.array_equal(ds.xTl[0], xtb)
+    # axis 1 is winner then loser, the samples and their noises moving together
+    assert np.array_equal(ds.x0[0], [xa, xb]) and np.array_equal(ds.xT[0], [xta, xtb])
     assert ds.delta_r[0] == 1.0
-    assert np.array_equal(ds.x0w[1], xa) and np.array_equal(ds.xTw[1], xta)
+    assert np.array_equal(ds.x0[1], [xa, xb]) and np.array_equal(ds.xT[1], [xta, xtb])
+    assert ds.delta_r[1] == 1.0
     # exact tie -> first entry wins, gap zero
     assert ds.delta_r[2] == 0.0
-    assert np.array_equal(ds.x0w[2], xa)
+    assert np.array_equal(ds.x0[2, 0], xa)
     x0 = rng.standard_normal((20, 2, 2))
     ds = label_pairs(rspec, header, np.ones((20, 1)), x0, rng.standard_normal((20, 2, 2)))
     assert np.all(ds.delta_r >= 0.0)
@@ -122,15 +123,15 @@ def test_record_validation():
     ok = dict(
         header=header,
         cond=np.eye(2)[[0]],
-        x0w=np.zeros((1, 3)),
-        x0l=np.zeros((1, 3)),
-        xTw=np.zeros((1, 3)),
-        xTl=np.zeros((1, 3)),
+        x0=np.zeros((1, 2, 3)),
+        xT=np.zeros((1, 2, 3)),
         delta_r=[0.1],
     )
     PreferenceDataset(**ok)
-    with pytest.raises(ShapeError):
-        PreferenceDataset(**{**ok, "x0l": np.zeros((1, 2))})
+    for bad in (np.zeros((1, 2, 2)), np.zeros((1, 3)), np.zeros((1, 3, 3)), np.zeros((2, 2, 3))):
+        for field in ("x0", "xT"):
+            with pytest.raises(ShapeError, match=f"{field} has shape"):
+                PreferenceDataset(**{**ok, field: bad})
     with pytest.raises(ShapeError):
         PreferenceDataset(**{**ok, "cond": np.eye(3)[[0]]})
     with pytest.raises(ShapeError):
@@ -152,7 +153,7 @@ def _tiny_setup():
 
 def _record_bytes(ds):
     return [
-        b"".join(getattr(ds, f)[i].tobytes() for f in ("cond", "x0w", "x0l", "xTw", "xTl", "delta_r"))
+        b"".join(getattr(ds, f)[i].tobytes() for f in ("cond", "x0", "xT", "delta_r"))
         for i in range(len(ds))
     ]
 
@@ -180,8 +181,8 @@ def test_build_dataset_stores_drawn_noises_bitwise():
         cond = one_hot(int(rng.integers(spec.cond_dim)), spec.cond_dim)
         draws = [rng.standard_normal(spec.data_dim) for _ in range(2)]
         assert ds.cond[i].tobytes() == cond.tobytes()
-        assert sorted([ds.xTw[i].tobytes(), ds.xTl[i].tobytes()]) == sorted(d.tobytes() for d in draws)
-        for x0, xT in ((ds.x0w[i], ds.xTw[i]), (ds.x0l[i], ds.xTl[i])):
+        assert sorted(noise.tobytes() for noise in ds.xT[i]) == sorted(d.tobytes() for d in draws)
+        for x0, xT in zip(ds.x0[i], ds.xT[i]):
             alone = euler_sample(ref, spec, xT[None, :], cond[None, :], cfg)[0]
             assert x0.tobytes() == alone.tobytes()
 
@@ -215,13 +216,20 @@ def test_build_dataset_and_exact_replay(
     assert audit_dataset(read_dataset(path), ref, spec) == 0.0
 
 
-@pytest.mark.parametrize("field", ["x0w", "x0l", "xTw", "xTl"])
+# every (array, slot) a stored number lives in, with ids in the file's field names
+SLOTS = [
+    pytest.param(array, slot, id=f"{array}{role}")
+    for array in ("x0", "xT") for slot, role in enumerate("wl")
+]
+
+
+@pytest.mark.parametrize("array, slot", SLOTS)
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_audit_flags_non_finite_values(field, bad):
+def test_audit_flags_non_finite_values(array, slot, bad):
     spec, ref, rspec = _tiny_setup()
     ds = build_dataset(ref, spec, rspec, SamplerConfig(steps=4), n_records=5, base_seed=60, ref_hash="h")
     assert audit_dataset(ds, ref, spec) == 0.0
-    getattr(ds, field)[3, 1] = bad
+    getattr(ds, array)[3, slot, 1] = bad
     assert audit_dataset(ds, ref, spec) == math.inf
 
 
@@ -238,15 +246,32 @@ def test_dataset_file_round_trip_value_exact(tmp_path_factory, case):
     # write -> read gives every array back bit for bit, signed zeros and
     # subnormals included
     spec, rng, ds = case
-    ds.x0w[0, 0] = -0.0
-    ds.x0l[0, -1] = 5e-324
-    ds.xTw[-1, 0] = -1.7976931348623157e308
+    ds.x0[0, 0, 0] = -0.0
+    ds.x0[0, 1, -1] = 5e-324
+    ds.xT[-1, 0, 0] = -1.7976931348623157e308
     path = str(tmp_path_factory.mktemp("pairs") / "pairs.txt")
     write_dataset(path, ds)
     back = read_dataset(path)
     assert back.header == ds.header
-    for field in ("cond", "x0w", "x0l", "xTw", "xTl", "delta_r"):
+    for field in ("cond", "x0", "xT", "delta_r"):
         assert getattr(back, field).tobytes() == getattr(ds, field).tobytes(), field
+
+
+def test_record_fields_land_in_their_slots(tmp_path):
+    # a record line is cond | winner x0 | loser x0 | winner xT | loser xT | gap;
+    # every number differs, so a wrong reshape cannot round-trip unnoticed
+    header = "rfpnapo-pairs v1 dim=2 cdim=2 steps=3 refhash=aa"
+    record = "0 1 | 0.5 1.5 | 0.25 2.5 | 1 3 | -1 4 | 0.125"
+    path = tmp_path / "pairs.txt"
+    path.write_text(f"{header}\n{record}\n")
+    ds = read_dataset(str(path))
+    assert ds.cond.tolist() == [[0.0, 1.0]]
+    assert ds.x0[0, 0].tolist() == [0.5, 1.5] and ds.x0[0, 1].tolist() == [0.25, 2.5]
+    assert ds.xT[0, 0].tolist() == [1.0, 3.0] and ds.xT[0, 1].tolist() == [-1.0, 4.0]
+    assert ds.delta_r.tolist() == [0.125]
+    out = tmp_path / "back.txt"
+    write_dataset(str(out), ds)
+    assert out.read_text().splitlines() == [header, record]
 
 
 def test_dataset_write_is_byte_stable(tmp_path):
@@ -259,18 +284,22 @@ def test_dataset_write_is_byte_stable(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "field, bad, message",
+    "field, index, bad, message",
     [
-        *(pytest.param(field, bad, f"pair 1 has a non-finite {field} value", id=f"{bad}-{field}")
-          for field in ("cond", "x0w", "x0l", "xTw", "xTl") for bad in (math.nan, math.inf, -math.inf)),
+        *(pytest.param("cond", (1, 0), bad, "pair 1 has a non-finite cond value", id=f"{bad}-cond")
+          for bad in (math.nan, math.inf, -math.inf)),
+        *(pytest.param(array, (1, slot, 0), bad, f"pair 1 has a non-finite {role} {array} value",
+                       id=f"{bad}-{array}{role[0]}")
+          for array in ("x0", "xT") for slot, role in enumerate(("winner", "loser"))
+          for bad in (math.nan, math.inf, -math.inf)),
         # the dataclass is mutable: a gap set after construction that read_dataset would reject
-        *(pytest.param("delta_r", bad, f"pair 1 has preference gap {bad}", id=f"{bad}-delta_r")
+        *(pytest.param("delta_r", (1,), bad, f"pair 1 has preference gap {bad}", id=f"{bad}-delta_r")
           for bad in (-1.0, math.nan)),
     ],
 )
-def test_write_dataset_rejects_non_finite_values_and_writes_nothing(tmp_path, field, bad, message):
+def test_write_dataset_rejects_non_finite_values_and_writes_nothing(tmp_path, field, index, bad, message):
     ds = make_pairs(np.random.default_rng(5), MlpSpec(data_dim=2, cond_dim=2, hidden=(3,)), 3)
-    getattr(ds, field).reshape(3, -1)[1, 0] = bad
+    getattr(ds, field)[index] = bad
     path = tmp_path / "pairs.txt"
     with pytest.raises(DataError, match=message):
         write_dataset(str(path), ds)
@@ -348,7 +377,7 @@ def test_read_dataset_empty_is_header_only(tmp_path):
 def test_delta_r_reflects_reward_ordering():
     spec, ref, rspec = _tiny_setup()
     ds = build_dataset(ref, spec, rspec, SamplerConfig(steps=5), 30, 7, "h")
-    rw = reward_eval(rspec, ds.x0w, ds.cond)
-    rl = reward_eval(rspec, ds.x0l, ds.cond)
+    rw = reward_eval(rspec, ds.x0[:, 0], ds.cond)
+    rl = reward_eval(rspec, ds.x0[:, 1], ds.cond)
     assert np.all(rw >= rl)
     np.testing.assert_allclose(ds.delta_r, rw - rl, rtol=0.0, atol=1e-15)

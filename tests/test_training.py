@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_pairs, pair_batches, vjp_row
-from rfpnapo.errors import ConfigurationError
+from rfpnapo.errors import ConfigurationError, NumericError
 from rfpnapo.numerics import (
     MlpSpec,
     forward_single_cached,
@@ -44,6 +44,15 @@ def test_pretrain_validates_arguments():
     wrong = default_mixture(2, 3)  # condition count differs from the model shape
     with pytest.raises(ConfigurationError):
         run_pretrain(spec, wrong, steps=5, batch=4, lr=1e-3, seed=0)
+
+
+def test_pretrain_divergence_is_a_numeric_error():
+    # lr = 1e300 overflows the parameters at the first Adam step; numpy's
+    # overflow warnings on the way would, under the package's error filter,
+    # be raised in place of the NumericError
+    spec = MlpSpec(data_dim=2, cond_dim=2, hidden=(8, 8))
+    with pytest.raises(NumericError, match=r"^non-finite loss value"):
+        run_pretrain(spec, default_mixture(2, 2), steps=40, batch=8, lr=1e300, seed=9)
 
 
 def _records(spec, n, seed=70):
@@ -91,6 +100,16 @@ def test_alignment_methods_diverge(small_spec, small_params):
     assert not np.array_equal(outs["pnapo"], outs["sft"])
 
 
+@pytest.mark.parametrize("method", ["pnapo", "dpo", "sft"])
+def test_alignment_divergence_is_a_numeric_error(small_spec, small_params, method):
+    # as in pretraining: an overflow reaches the step's finiteness check, not a warning
+    cfg = AlignConfig(
+        method=method, lr=1e300, steps=5, batch=4, schedule=BetaSchedule(beta=3.0, n1=2, n2=4), seed=11,
+    )
+    with pytest.raises(NumericError, match=r"^non-finite loss or gradient at step 2$"):
+        run_alignment(small_params, small_spec, _records(small_spec, 8), cfg)
+
+
 def test_alignment_requires_records(small_spec, small_params):
     cfg = AlignConfig(
         method="pnapo", lr=1e-3, steps=2, batch=4, schedule=BetaSchedule(beta=1.0), seed=0,
@@ -129,9 +148,10 @@ def _branch_row(params, ref, spec, x0, xT, cond, t):
     return float(res @ res - res_ref @ res_ref), cache, res
 
 
-def _preference_row(params, ref, spec, x0w, x0l, xTw, xTl, cond, t, beta_eff):
-    s_w, cache_w, res_w = _branch_row(params, ref, spec, x0w, xTw, cond, t)
-    s_l, cache_l, res_l = _branch_row(params, ref, spec, x0l, xTl, cond, t)
+def _preference_row(params, ref, spec, x0, xT, cond, t, beta_eff):
+    """One pair's loss, gradient and margin; x0 and xT are its (2, d) blocks, winner then loser."""
+    s_w, cache_w, res_w = _branch_row(params, ref, spec, x0[0], xT[0], cond, t)
+    s_l, cache_l, res_l = _branch_row(params, ref, spec, x0[1], xT[1], cond, t)
     z = beta_eff * (s_w - s_l)
     coef = sigmoid(z) * beta_eff
     grad = vjp_row(params, spec, cache_w, -2.0 * coef * res_w)
@@ -154,16 +174,15 @@ def _record_terms(params, ref, spec, pairs, idx, cfg, step_index, rng):
         eps = rng.standard_normal((b, 2, d))
     out = []
     for k, i in enumerate(idx):
-        x0w, x0l, cond = pairs.x0w[i], pairs.x0l[i], pairs.cond[i]
+        x0, cond = pairs.x0[i], pairs.cond[i]
         if cfg.method == "pnapo":
             beta = effective_beta(cfg.schedule, float(pairs.delta_r[i]), step_index)
-            out.append((*_preference_row(params, ref, spec, x0w, x0l, pairs.xTw[i], pairs.xTl[i],
-                                         cond, t[k], beta), beta))
+            out.append((*_preference_row(params, ref, spec, x0, pairs.xT[i], cond, t[k], beta), beta))
         elif cfg.method == "dpo":
             beta = cfg.schedule.beta
-            out.append((*_preference_row(params, ref, spec, x0w, x0l, eps[k, 0], eps[k, 1], cond,
-                                         t[k], beta), beta))
+            out.append((*_preference_row(params, ref, spec, x0, eps[k], cond, t[k], beta), beta))
         else:
+            x0w = x0[0]
             inp = np.concatenate([(1.0 - t[k]) * x0w + t[k] * xT[k], cond, [t[k]]])
             v, cache = _forward_row(params, spec, inp)
             residual = v - (xT[k] - x0w)
