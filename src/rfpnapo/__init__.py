@@ -20,7 +20,7 @@ from .errors import (
 from .numerics import MlpSpec, mlp_forward, mlp_init, read_checkpoint, write_checkpoint
 from .pnapo import AlignConfig, BetaSchedule, effective_beta, pnapo_value_grad, score
 from .prefdata import PreferenceDataset, RewardSpec, build_dataset, read_dataset, write_dataset
-from .rectflow import FlowBatch, SamplerConfig, cfm_objective, euler_sample, interpolate
+from .rectflow import SamplerConfig, cfm_objective, euler_sample
 from .training import run_alignment, run_pretrain
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "BetaSchedule",
     "ConfigurationError",
     "DataError",
-    "FlowBatch",
     "MissingInputError",
     "MlpSpec",
     "NumericError",
@@ -42,7 +41,6 @@ __all__ = [
     "cfm_objective",
     "effective_beta",
     "euler_sample",
-    "interpolate",
     "mlp_forward",
     "mlp_init",
     "pnapo_value_grad",

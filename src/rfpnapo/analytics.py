@@ -280,7 +280,7 @@ def write_eval_csv(path: str, reports: list[EvalReport]) -> None:
             f"{rep.model},{fmt17(rep.mean_reward)},{fmt17(rep.median_reward)},"
             f"{win},{rep.n},{rep.seed}"
         )
-    write_text(path, "\n".join(lines) + "\n")
+    write_text(path, lines)
 
 
 def win_rate(rewards_a: np.ndarray, rewards_b: np.ndarray) -> float:

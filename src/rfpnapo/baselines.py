@@ -17,7 +17,7 @@ import numpy as np
 
 from .numerics import MlpSpec, ParamVector, forward_single_cached, row_dot, vjp_single
 from .pnapo import pnapo_value_grad
-from .rectflow import FlowBatch, path_inputs
+from .rectflow import path_inputs
 
 if TYPE_CHECKING:
     from .prefdata import PreferenceDataset
@@ -67,7 +67,7 @@ def sft_value_grad(
     xT (B, dim) are fresh prior draws and t (B,) the times; of the pairs only
     the conditions and the winners x0[:, 0] are read.
     """
-    inp, target = path_inputs(spec, FlowBatch(x0=pairs.x0[:, 0], xT=xT, cond=pairs.cond, t=t))
+    inp, target = path_inputs(spec, pairs.x0[:, 0], xT, pairs.cond, t)
     v, cache = forward_single_cached(params, spec, inp)
     residual = v - target
     return row_dot(residual, residual), vjp_single(params, spec, cache, 2.0 * residual)

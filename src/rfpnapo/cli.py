@@ -36,7 +36,7 @@ def _write_metrics_csv(path: str, rows: list[dict], columns: tuple[str, ...]) ->
             for col in columns
         ]
         lines.append(",".join(cells))
-    write_text(path, "\n".join(lines) + "\n")
+    write_text(path, lines)
 
 
 def _command(args: argparse.Namespace) -> list[str]:
@@ -68,7 +68,7 @@ def _write_manifest(
     }
     if extras:
         doc.update(extras)
-    write_text(args.out + ".manifest.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_text(args.out + ".manifest.json", [json.dumps(doc, indent=2, sort_keys=True)])
 
 
 def cmd_pretrain(args: argparse.Namespace) -> int:

@@ -296,7 +296,7 @@ def write_corpus(path: str, corpus: Corpus) -> None:
         if not finite[row]:
             raise DataError(f"record {rec_id!r} has a non-finite embedding value; not representable")
         lines.append("\t".join([rec_id, text, fmt % (tox, *embedding.tolist())]))
-    write_text(path, "\n".join(lines) + "\n")
+    write_text(path, lines)
 
 
 def _parse_record(cells: list[str], lineno: int, dim: int) -> list[float]:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+from typing import Iterable
 
 import numpy as np
 
@@ -53,20 +54,20 @@ def require_file(path: str, what: str = "input") -> str:
     return path
 
 
-def write_bytes(path: str, data: bytes) -> None:
-    """Replace path with data atomically, creating parent dirs.
+def write_bytes(path: str, chunks: Iterable[bytes]) -> None:
+    """Replace path with the chunks, one after another, atomically, creating parent dirs.
 
-    The bytes go to a temp file in the target directory, are fsynced, and
-    os.replace puts the file in place: a reader sees the previous file or the
-    whole new one, never a truncated write. A failed write leaves the previous
-    file as it was and removes the temp file.
+    The chunks go to a temp file in the target directory as they come, are
+    fsynced, and os.replace puts the file in place: a reader sees the
+    previous file or the whole new one, never a truncated write. A failed
+    write leaves the previous file as it was and removes the temp file.
     """
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -76,9 +77,9 @@ def write_bytes(path: str, data: bytes) -> None:
         raise
 
 
-def write_text(path: str, content: str) -> None:
-    """Write UTF-8 text as given (LF line endings stay LF), atomically."""
-    write_bytes(path, content.encode("utf-8"))
+def write_text(path: str, lines: Iterable[str]) -> None:
+    """Write each line and a "\n" as UTF-8, atomically; the text is never held whole."""
+    write_bytes(path, (f"{line}\n".encode("utf-8") for line in lines))
 
 
 def read_lines(path: str, what: str = "input") -> list[str]:

@@ -432,7 +432,7 @@ def write_checkpoint(path: str, params: ParamVector, spec: MlpSpec) -> None:
     for b in biases:
         parts.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
     parts.append(struct.pack("<III", spec.input_dim, spec.cond_dim, spec.output_dim))
-    write_bytes(path, b"".join(parts))
+    write_bytes(path, parts)
 
 
 def read_checkpoint(path: str) -> tuple[ParamVector, MlpSpec]:

@@ -32,7 +32,7 @@ from .numerics import (
     softplus,
     vjp_single,
 )
-from .rectflow import FlowBatch, path_inputs
+from .rectflow import path_inputs
 
 if TYPE_CHECKING:
     from .prefdata import PreferenceDataset
@@ -81,33 +81,35 @@ def effective_beta(sched: BetaSchedule, delta_r, n: int):
     return sched.beta * f_controller(delta_r) * g_controller(n, sched.n1, sched.n2)
 
 
-def pair_rows(pairs: "PreferenceDataset", t: np.ndarray | float) -> FlowBatch:
-    """The winner then the loser row of every pair, on its stored straight path.
+def pair_rows(pairs: "PreferenceDataset", t: np.ndarray | float) -> tuple[np.ndarray, ...]:
+    """(x0, xT, cond, t) of the winner then the loser row of every pair, for path_inputs.
 
     t broadcasts to (B, 2): a scalar, (B, 1) for one time per pair, or (B, 2).
     """
     b, d = len(pairs), pairs.header.dim
-    return FlowBatch(
-        x0=pairs.x0.reshape(2 * b, d),
-        xT=pairs.xT.reshape(2 * b, d),
-        cond=np.repeat(pairs.cond, 2, axis=0),
-        t=np.broadcast_to(t, (b, 2)).reshape(-1),
+    return (
+        pairs.x0.reshape(2 * b, d),
+        pairs.xT.reshape(2 * b, d),
+        np.repeat(pairs.cond, 2, axis=0),
+        np.broadcast_to(t, (b, 2)).reshape(-1),
     )
 
 
 def _scores(
-    params: ParamVector, ref_params: ParamVector, spec: MlpSpec, rows: FlowBatch
+    params: ParamVector, ref_params: ParamVector, spec: MlpSpec, rows: tuple[np.ndarray, ...]
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Row scores, plus the residuals and forward cache the backward pass needs."""
-    inp, u = path_inputs(spec, rows)
+    inp, u = path_inputs(spec, *rows)
     v, cache = forward_single_cached(params, spec, inp)
     v_ref, _ = forward_single_cached(ref_params, spec, inp)
     res, ref_res = u - v, u - v_ref
     return row_dot(res, res) - row_dot(ref_res, ref_res), res, cache
 
 
-def score(params: ParamVector, ref_params: ParamVector, spec: MlpSpec, rows: FlowBatch) -> np.ndarray:
-    """Trained-minus-reference squared velocity error of each row on its straight path."""
+def score(
+    params: ParamVector, ref_params: ParamVector, spec: MlpSpec, rows: tuple[np.ndarray, ...]
+) -> np.ndarray:
+    """Trained-minus-reference squared velocity error of each pair_rows row on its straight path."""
     return _scores(params, ref_params, spec, rows)[0]
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, ParseError, RfpnapoError, ShapeError
+from .errors import ConfigurationError, DataError, NumericError, ParseError, RfpnapoError, ShapeError
 from .fileio import BLOCK_VALUES, parse_floats, read_lines, row_format, write_text
 from .numerics import MlpSpec, ParamVector, row_dot
 from .rectflow import SamplerConfig, euler_sample, one_hot
@@ -53,7 +53,10 @@ def reward_eval(rspec: RewardSpec, x: np.ndarray, cond: np.ndarray) -> np.ndarra
     """Reward of every row x[i] under condition cond[i]: (n, d), (n, k) -> (n,).
 
     Row i is bit for bit the single-row formula of the RewardSpec docstring
-    (a BLAS dot for norms and inner products), whatever the batch.
+    (a BLAS dot for norms and inner products), whatever the batch. A norm is
+    taken of the row scaled by a power of two, which is exact, so it overflows
+    only where the reward itself does; a reward that is not finite raises
+    NumericError naming its row.
     """
     x = np.asarray(x, dtype=np.float64)
     cond = np.asarray(cond, dtype=np.float64)
@@ -63,12 +66,24 @@ def reward_eval(rspec: RewardSpec, x: np.ndarray, cond: np.ndarray) -> np.ndarra
     if x.shape != (cond.shape[0], d):
         raise ShapeError(f"samples have shape {x.shape}, reward expects ({cond.shape[0]}, {d})")
     target = rspec.params[np.argmax(cond, axis=1)]
-    if rspec.kind == "direction_dot":
-        return row_dot(target, x)
-    delta = x - target
-    if rspec.kind == "mode_distance":
-        return -np.sqrt(row_dot(delta, delta))
-    return -row_dot(delta, delta)
+    # an overflow is reported below, with its row
+    with np.errstate(over="ignore", invalid="ignore"):
+        if rspec.kind == "direction_dot":
+            rewards = row_dot(target, x)
+        else:
+            delta = x - target
+            exp = np.frexp(np.max(np.abs(delta), axis=1, initial=0.0))[1]
+            scaled = np.ldexp(delta, -exp[:, None])
+            sq = row_dot(scaled, scaled)
+            if rspec.kind == "mode_distance":
+                rewards = -np.ldexp(np.sqrt(sq), exp)
+            else:
+                rewards = -np.ldexp(sq, 2 * exp)
+    finite = np.isfinite(rewards)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise NumericError(f"{rspec.kind} reward of sample row {i} is {rewards[i]}, not a finite number")
+    return rewards
 
 
 @dataclass(frozen=True)
@@ -262,7 +277,7 @@ def write_dataset(path: str, dataset: PreferenceDataset) -> None:
     pairs = [dataset.x0.reshape(n, 2 * h.dim), dataset.xT.reshape(n, 2 * h.dim)]
     values = np.concatenate([dataset.cond, *pairs, dataset.delta_r[:, None]], axis=1)
     lines.extend(fmt % tuple(row) for row in values.tolist())
-    write_text(path, "\n".join(lines) + "\n")
+    write_text(path, lines)
 
 
 def read_dataset(path: str) -> PreferenceDataset:

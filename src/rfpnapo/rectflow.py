@@ -1,8 +1,8 @@
 """Rectified-flow primitives: straight-line paths, the matching loss, Euler sampling.
 
-Convention: t = 0 is data, t = 1 is prior noise. The forward path is the
-straight line x_t = (1 - t) * x0 + t * xT, whose velocity is the constant
-xT - x0; the network regresses that constant.
+Convention: t = 0 is data, t = 1 is prior noise. The network regresses the
+constant velocity of the straight path between the two; path_inputs states
+that path and its time rule and builds every training row on it.
 
 The sampler integrates that field back from noise with fixed Euler steps
 (Liu et al., arXiv 2209.03003). It is the hot path of gen-pairs, eval and
@@ -40,67 +40,46 @@ class SamplerConfig:
             raise ShapeError(f"sampler needs at least 1 step, got {self.steps}")
 
 
-@dataclass
-class FlowBatch:
-    """A training minibatch: endpoints, conditions, and per-row times in [0, 1)."""
+def path_inputs(
+    spec: MlpSpec, x0: np.ndarray, xT: np.ndarray, cond: np.ndarray, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Network input rows on each row's straight path, and the velocity each regresses to.
 
-    x0: np.ndarray  # (B, d) data samples
-    xT: np.ndarray  # (B, d) prior noise samples
-    cond: np.ndarray  # (B, k) one-hot conditions
-    t: np.ndarray  # (B,) times
+    Row i's path runs from the sample x0[i] at t = 0 to the prior noise xT[i]
+    at t = 1, x_t = (1 - t[i]) * x0[i] + t[i] * xT[i]; its input row is
+    (x_t, cond[i], t[i]) and its target the constant velocity xT[i] - x0[i].
 
-    def __post_init__(self):
-        self.x0 = np.asarray(self.x0, dtype=np.float64)
-        self.xT = np.asarray(self.xT, dtype=np.float64)
-        self.cond = np.asarray(self.cond, dtype=np.float64)
-        self.t = np.asarray(self.t, dtype=np.float64)
-        b = self.x0.shape[0]
-        if self.x0.ndim != 2 or self.xT.shape != self.x0.shape:
-            raise ShapeError(f"endpoint shapes differ: {self.x0.shape} vs {self.xT.shape}")
-        if self.cond.ndim != 2 or self.cond.shape[0] != b or self.t.shape != (b,):
-            raise ShapeError("batch fields must share the leading dimension")
-        if b == 0:
-            raise ShapeError("empty batch")
-        if np.any(self.t < 0.0) or np.any(self.t >= 1.0):
-            raise ShapeError("batch times must lie in [0, 1)")
+    Args:
+        x0, xT: (R, data_dim) samples and prior noises, R >= 1.
+        cond: (R, cond_dim) conditions.
+        t: (R,) times in [0, 1); the path's noise end is never a training row.
 
-    def __len__(self) -> int:
-        return self.x0.shape[0]
-
-
-def interpolate(x0: np.ndarray, xT: np.ndarray, t) -> np.ndarray:
-    """Point on the straight path at time t in [0, 1]; t may be scalar or (B,)."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    xT = np.asarray(xT, dtype=np.float64)
-    if x0.shape != xT.shape:
-        raise ShapeError(f"endpoint shapes differ: {x0.shape} vs {xT.shape}")
-    t_arr = np.asarray(t, dtype=np.float64)
-    if not np.all((t_arr >= 0.0) & (t_arr <= 1.0)):  # also catches NaN
-        raise ValueError(f"interpolation time outside [0, 1]: {t!r}")
-    if t_arr.ndim == 1:
-        t_arr = t_arr[:, None]
-    return (1.0 - t_arr) * x0 + t_arr * xT
-
-
-def path_inputs(spec: MlpSpec, batch: FlowBatch) -> tuple[np.ndarray, np.ndarray]:
-    """Network input rows (x_t, c, t) on each row's straight path, and its velocity xT - x0."""
-    if batch.x0.shape[1] != spec.data_dim or batch.cond.shape[1] != spec.cond_dim:
+    Raises ShapeError for any other shape or time, NaN included.
+    """
+    x0, xT, cond, t = (np.asarray(a, dtype=np.float64) for a in (x0, xT, cond, t))
+    r = t.shape[0] if t.ndim == 1 else 0
+    d, k = spec.data_dim, spec.cond_dim
+    if r == 0 or x0.shape != (r, d) or xT.shape != (r, d) or cond.shape != (r, k):
         raise ShapeError(
-            f"batch dims ({batch.x0.shape[1]}, {batch.cond.shape[1]}) do not match "
-            f"spec ({spec.data_dim}, {spec.cond_dim})"
+            f"path rows have shapes x0 {x0.shape}, xT {xT.shape}, cond {cond.shape}, t {t.shape}; "
+            f"expected (R, {d}), (R, {d}), (R, {k}), (R,) with R >= 1"
         )
-    xt = interpolate(batch.x0, batch.xT, batch.t)
-    inputs = np.concatenate([xt, batch.cond, batch.t[:, None]], axis=1)
-    target = batch.xT - batch.x0
-    return inputs, target
+    in_range = (t >= 0.0) & (t < 1.0)  # False for NaN
+    if not in_range.all():
+        i = int(np.argmin(in_range))
+        raise ShapeError(f"path time of row {i} is {float(t[i])}, outside [0, 1)")
+    xt = (1.0 - t[:, None]) * x0 + t[:, None] * xT
+    return np.concatenate([xt, cond, t[:, None]], axis=1), xT - x0
 
 
-def cfm_objective(spec: MlpSpec, batch: FlowBatch) -> FunctionLoss:
-    """The matching loss as a differentiable objective of the parameters.
+def cfm_objective(
+    spec: MlpSpec, x0: np.ndarray, xT: np.ndarray, cond: np.ndarray, t: np.ndarray
+) -> FunctionLoss:
+    """The matching loss on the path_inputs rows, as a differentiable objective of the parameters.
 
     loss = mean_i || v(x_t_i, t_i, c_i) - (xT_i - x0_i) ||^2
     """
-    inputs, target = path_inputs(spec, batch)
+    inputs, target = path_inputs(spec, x0, xT, cond, t)
     b = inputs.shape[0]
 
     def value_and_grad(params: ParamVector) -> tuple[float, ParamVector]:

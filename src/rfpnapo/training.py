@@ -23,7 +23,7 @@ from .numerics import (
 )
 from .pnapo import AlignConfig, make_pnapo_term
 from .prefdata import PreferenceDataset
-from .rectflow import ConditionalMixture, FlowBatch, cfm_objective
+from .rectflow import ConditionalMixture, cfm_objective
 
 # A term maps (params, batch of B pairs) -> (per-pair losses (B,), gradient of
 # their sum, per-pair margins (B,), per-pair beta_eff (B,)).
@@ -131,8 +131,7 @@ def run_pretrain(
             x0 = mixture.sample_batch(rng, ks)
             xT = rng.standard_normal((batch, spec.data_dim))
             t = rng.random(batch)
-            flow = FlowBatch(x0=x0, xT=xT, cond=eye[ks], t=t)
-            loss, grad = loss_value_and_grad(cfm_objective(spec, flow), params)
+            loss, grad = loss_value_and_grad(cfm_objective(spec, x0, xT, eye[ks], t), params)
             rows.append(
                 {"step": step_index, "loss": loss, "grad_norm": float(np.linalg.norm(grad))}
             )

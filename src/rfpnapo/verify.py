@@ -15,7 +15,7 @@ from .baselines import dpo_value_grad, sft_value_grad
 from .numerics import FunctionLoss, MlpSpec, finite_diff_check, mlp_init
 from .pnapo import f_controller, g_controller, pnapo_value_grad
 from .prefdata import DatasetHeader, PreferenceDataset, RewardSpec, build_dataset
-from .rectflow import FlowBatch, SamplerConfig, cfm_objective, default_mixture, one_hot
+from .rectflow import SamplerConfig, cfm_objective, default_mixture, one_hot
 from .training import run_pretrain
 
 GRAD_TOL = 1e-4
@@ -53,11 +53,11 @@ def suite_gradcheck() -> list[CheckResult]:
     ref = mlp_init(spec, 202)
     rng = np.random.default_rng(31)
 
-    batch = FlowBatch(
-        x0=rng.standard_normal((4, 2)),
-        xT=rng.standard_normal((4, 2)),
-        cond=np.eye(3)[rng.integers(3, size=4)],
-        t=rng.random(4) * 0.95,
+    rows = (
+        rng.standard_normal((4, 2)),
+        rng.standard_normal((4, 2)),
+        np.eye(3)[rng.integers(3, size=4)],
+        rng.random(4) * 0.95,
     )
     pair = _random_pair(rng, spec, delta_r=0.7)
     eps = rng.standard_normal((1, 2, 2))
@@ -65,7 +65,7 @@ def suite_gradcheck() -> list[CheckResult]:
     sft_xT = rng.standard_normal((3, 2))
     sft_t = rng.random(3) * 0.95
     objectives = {
-        "gradcheck_cfm": cfm_objective(spec, batch),
+        "gradcheck_cfm": cfm_objective(spec, *rows),
         "gradcheck_pnapo": FunctionLoss(lambda p: pnapo_value_grad(p, ref, spec, pair, 0.37, np.array([3.0]))),
         "gradcheck_dpo": FunctionLoss(lambda p: dpo_value_grad(p, ref, spec, pair, eps, 0.53, 2.5)),
         "gradcheck_sft": FunctionLoss(lambda p: sft_value_grad(p, spec, sft_pairs, sft_xT, sft_t)),

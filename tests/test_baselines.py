@@ -12,7 +12,7 @@ from rfpnapo.baselines import dpo_value_grad, make_sft_term, sft_value_grad
 from rfpnapo.errors import ShapeError
 from rfpnapo.numerics import FunctionLoss, finite_diff_check, mlp_init
 from rfpnapo.pnapo import pnapo_value_grad
-from rfpnapo.rectflow import FlowBatch, cfm_objective
+from rfpnapo.rectflow import cfm_objective
 
 
 def test_dpo_equals_noise_aware_when_draw_matches_stored(small_spec, small_params):
@@ -88,9 +88,8 @@ def test_sft_loss_is_flow_matching_on_winners(small_spec, small_params):
     xT = rng.standard_normal((6, small_spec.data_dim))
     t = rng.random(6) * 0.99
     losses, _ = sft_value_grad(small_params, small_spec, pairs, xT, t)
-    batch = FlowBatch(x0=pairs.x0[:, 0], xT=xT, cond=pairs.cond, t=t)
     # the matching loss evaluates its batch as one GEMM; agreement is numeric, not bitwise
-    cfm = cfm_objective(small_spec, batch).value(small_params)
+    cfm = cfm_objective(small_spec, pairs.x0[:, 0], xT, pairs.cond, t).value(small_params)
     assert np.mean(losses) == pytest.approx(cfm, rel=1e-12)
 
 

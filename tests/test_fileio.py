@@ -21,7 +21,7 @@ def test_failed_write_keeps_the_previous_artifact(tmp_path, monkeypatch, failing
     # the failure comes after the temp file holds the new bytes
     spec = MlpSpec(data_dim=2, cond_dim=1, hidden=(3,))
     writers = {
-        "report.csv": lambda path, new: write_text(path, "a,b\n1,2\n" if new else "a,b\n"),
+        "report.csv": lambda path, new: write_text(path, ["a,b", "1,2"] if new else ["a,b"]),
         "model.ckpt": lambda path, new: write_checkpoint(path, mlp_init(spec, 2 if new else 1), spec),
     }
     for name, write in writers.items():

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_pairs, pair_batches
-from rfpnapo.errors import ConfigurationError, DataError, ParseError, ShapeError
+from rfpnapo.errors import ConfigurationError, DataError, NumericError, ParseError, ShapeError
 from rfpnapo.numerics import MlpSpec, mlp_init
 from rfpnapo.prefdata import (
     DatasetHeader,
@@ -46,6 +46,18 @@ def test_reward_quadratic_bowl():
 def test_reward_direction_dot():
     rspec = RewardSpec(kind="direction_dot", params=np.array([[0.0, 1.0]]))
     assert _reward(rspec, [3.0, 2.5], 0) == 2.5
+
+
+def test_reward_of_a_huge_sample_is_its_norm_or_a_numeric_error():
+    # the squared norm of (1e200, 1e200) is past float range, its norm is not
+    cond = np.ones((2, 1))
+    x = np.array([[3.0, 4.0], [1e200, 1e200]])
+    rewards = reward_eval(RewardSpec(kind="mode_distance", params=np.zeros((1, 2))), x, cond)
+    assert rewards[0] == -5.0
+    assert rewards[1] == pytest.approx(-math.sqrt(2.0) * 1e200, rel=1e-15)
+    for kind, scale in (("quadratic_bowl", 1.0), ("direction_dot", 1e200)):
+        with pytest.raises(NumericError, match=f"^{kind} reward of sample row 1 is"):
+            reward_eval(RewardSpec(kind=kind, params=np.full((1, 2), scale)), x, cond)
 
 
 def _reward_row(rspec: RewardSpec, x: np.ndarray, cond: np.ndarray) -> float:

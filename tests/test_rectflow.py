@@ -16,40 +16,66 @@ from rfpnapo.numerics import (
 )
 from rfpnapo.rectflow import (
     ConditionalMixture,
-    FlowBatch,
     SamplerConfig,
     cfm_objective,
     default_mixture,
     euler_sample,
-    interpolate,
     one_hot,
+    path_inputs,
 )
 
 
-def test_interpolate_endpoints_exact():
+@settings(max_examples=60, deadline=None)
+@given(r=st.integers(1, 9), d=st.integers(1, 4), k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_path_inputs_rows_are_the_straight_path(r, d, k, seed):
+    rng = np.random.default_rng(seed)
+    x0, xT = rng.standard_normal((2, r, d)) * 3.0
+    cond = np.eye(k)[rng.integers(k, size=r)]
+    t = rng.random(r)
+    inputs, target = path_inputs(MlpSpec(data_dim=d, cond_dim=k, hidden=(3,)), x0, xT, cond, t)
+    assert inputs.shape == (r, d + k + 1)
+    for i in range(r):
+        xt = (1.0 - t[i]) * x0[i] + t[i] * xT[i]
+        assert inputs[i, :d].tobytes() == xt.tobytes()
+    assert np.array_equal(inputs[:, d:-1], cond)
+    assert np.array_equal(inputs[:, -1], t)
+    assert np.array_equal(target, xT - x0)
+
+
+def test_path_inputs_at_time_zero_is_the_sample():
     rng = np.random.default_rng(1)
+    spec = MlpSpec(data_dim=3, cond_dim=2, hidden=(3,))
     for _ in range(10):
-        x0 = rng.standard_normal((5, 3))
-        xT = rng.standard_normal((5, 3))
-        assert np.array_equal(interpolate(x0, xT, 0.0), x0)
-        assert np.array_equal(interpolate(x0, xT, 1.0), xT)
+        x0, xT = rng.standard_normal((2, 5, 3))
+        inputs, _ = path_inputs(spec, x0, xT, np.eye(2)[[0, 1, 0, 1, 1]], np.zeros(5))
+        assert np.array_equal(inputs[:, :3], x0)
 
 
-def test_interpolate_midpoint_and_vector_t():
-    x0 = np.array([[0.0, 0.0], [2.0, 2.0]])
-    xT = np.array([[1.0, 1.0], [4.0, 0.0]])
-    mid = interpolate(x0, xT, 0.5)
-    assert np.allclose(mid, [[0.5, 0.5], [3.0, 1.0]])
-    per_row = interpolate(x0, xT, np.array([0.0, 1.0]))
-    assert np.array_equal(per_row[0], x0[0])
-    assert np.array_equal(per_row[1], xT[1])
+_GOOD_ROWS = dict(x0=np.zeros((2, 2)), xT=np.zeros((2, 2)), cond=np.zeros((2, 3)), t=np.zeros(2))
+_GOOD_SPEC = MlpSpec(data_dim=2, cond_dim=3, hidden=(3,))
 
 
 def test_interpolate_rejects_out_of_range_t():
-    x = np.zeros((2, 2))
-    for bad in (-0.1, 1.1, float("nan")):
-        with pytest.raises(ValueError):
-            interpolate(x, x, bad)
+    # path times live in [0, 1): the noise end, negatives and NaN are refused
+    path_inputs(_GOOD_SPEC, **_GOOD_ROWS)
+    for bad in (1.0, 1.1, -0.1, float("nan")):
+        with pytest.raises(ShapeError):
+            path_inputs(_GOOD_SPEC, **{**_GOOD_ROWS, "t": np.array([0.0, bad])})
+
+
+def test_flow_batch_validation():
+    good = _GOOD_ROWS
+    path_inputs(_GOOD_SPEC, **good)
+    for bad in (
+        {**good, "xT": np.zeros((3, 2))},
+        {**good, "x0": np.zeros((2, 3)), "xT": np.zeros((2, 3))},  # width is not the spec's
+        {**good, "cond": np.zeros((2, 2))},
+        {**good, "t": np.zeros((2, 1))},
+        {**good, "t": 0.5},
+        dict(x0=np.zeros((0, 2)), xT=np.zeros((0, 2)), cond=np.zeros((0, 3)), t=np.zeros(0)),
+    ):
+        with pytest.raises(ShapeError):
+            path_inputs(_GOOD_SPEC, **bad)
 
 
 def test_cfm_loss_matches_per_sample_recomputation():
@@ -58,19 +84,17 @@ def test_cfm_loss_matches_per_sample_recomputation():
     rng = np.random.default_rng(12)
     for trial in range(10):
         n = int(rng.integers(1, 8))
-        batch = FlowBatch(
-            x0=rng.standard_normal((n, 3)),
-            xT=rng.standard_normal((n, 3)),
-            cond=np.eye(2)[rng.integers(2, size=n)],
-            t=rng.random(n) * 0.999,
-        )
-        loss = cfm_objective(spec, batch).value(params)
+        x0 = rng.standard_normal((n, 3))
+        xT = rng.standard_normal((n, 3))
+        cond = np.eye(2)[rng.integers(2, size=n)]
+        t = rng.random(n) * 0.999
+        loss = cfm_objective(spec, x0, xT, cond, t).value(params)
         # independent oracle: one sample at a time through the single-input path
         total = 0.0
         for i in range(n):
-            xt = (1.0 - batch.t[i]) * batch.x0[i] + batch.t[i] * batch.xT[i]
-            v = mlp_forward(params, spec, xt[None], float(batch.t[i]), batch.cond[i : i + 1])[0]
-            u = batch.xT[i] - batch.x0[i]
+            xt = (1.0 - t[i]) * x0[i] + t[i] * xT[i]
+            v = mlp_forward(params, spec, xt[None], float(t[i]), cond[i : i + 1])[0]
+            u = xT[i] - x0[i]
             total += float(np.sum((v - u) ** 2))
         assert loss == pytest.approx(total / n, rel=1e-12)
 
@@ -80,28 +104,28 @@ def test_cfm_loss_frozen_value():
     spec = MlpSpec(data_dim=2, cond_dim=2, hidden=(4,))
     params = mlp_init(spec, 0)
     rng = np.random.default_rng(100)
-    batch = FlowBatch(
-        x0=rng.standard_normal((3, 2)),
-        xT=rng.standard_normal((3, 2)),
-        cond=np.eye(2)[rng.integers(2, size=3)],
-        t=rng.random(3),
+    rows = (
+        rng.standard_normal((3, 2)),
+        rng.standard_normal((3, 2)),
+        np.eye(2)[rng.integers(2, size=3)],
+        rng.random(3),
     )
-    assert cfm_objective(spec, batch).value(params) == pytest.approx(9.1566682129407955, rel=1e-13)
+    assert cfm_objective(spec, *rows).value(params) == pytest.approx(9.1566682129407955, rel=1e-13)
 
 
 def test_cfm_objective_gradient_passes_finite_differences():
     spec = MlpSpec(data_dim=2, cond_dim=2, hidden=(6,))
     params = mlp_init(spec, 8)
     rng = np.random.default_rng(21)
-    batch = FlowBatch(
-        x0=rng.standard_normal((5, 2)),
-        xT=rng.standard_normal((5, 2)),
-        cond=np.eye(2)[rng.integers(2, size=5)],
-        t=rng.random(5) * 0.9,
+    rows = (
+        rng.standard_normal((5, 2)),
+        rng.standard_normal((5, 2)),
+        np.eye(2)[rng.integers(2, size=5)],
+        rng.random(5) * 0.9,
     )
     from rfpnapo.numerics import finite_diff_check
 
-    assert finite_diff_check(cfm_objective(spec, batch), params) < 1e-6
+    assert finite_diff_check(cfm_objective(spec, *rows), params) < 1e-6
 
 
 def test_euler_single_step_recovers_constant_field():
@@ -215,17 +239,6 @@ def test_one_hot():
     assert np.array_equal(v, [0.0, 0.0, 1.0, 0.0])
     with pytest.raises(ShapeError):
         one_hot(4, 4)
-
-
-def test_flow_batch_validation():
-    good = dict(
-        x0=np.zeros((2, 2)), xT=np.zeros((2, 2)), cond=np.zeros((2, 3)), t=np.zeros(2)
-    )
-    FlowBatch(**good)
-    with pytest.raises(ShapeError):
-        FlowBatch(**{**good, "xT": np.zeros((3, 2))})
-    with pytest.raises(ShapeError):
-        FlowBatch(**{**good, "t": np.array([0.0, 1.0])})  # t must stay below 1
 
 
 def test_mixture_sampling_deterministic_and_near_modes():
