@@ -27,14 +27,16 @@ MAX_STATES = 6
 MAX_HORIZON = 4
 MIN_ENTRY = 1e-6
 ROW_SUM_TOL = 1e-12
+SMOOTHING = 0.05  # added to every uniform draw of random_chain, so no entry is near 0
 
 
-def _check_stochastic(name: str, mat: np.ndarray, n_states: int) -> None:
-    if mat.shape != (n_states, n_states):
-        raise ShapeError(f"{name} must be ({n_states}, {n_states}), got {mat.shape}")
-    if np.any(mat < MIN_ENTRY):
+def _check_stochastic(name: str, stack: np.ndarray, n_states: int) -> None:
+    """Every matrix of the (horizon, S, S) stack is row-stochastic, its entries at least MIN_ENTRY."""
+    if stack.shape[1:] != (n_states, n_states):
+        raise ShapeError(f"{name} must be (horizon, {n_states}, {n_states}), got {stack.shape}")
+    if np.any(stack < MIN_ENTRY):
         raise ShapeError(f"{name} has entries below {MIN_ENTRY}; smooth the chain first")
-    if np.max(np.abs(mat.sum(axis=1) - 1.0)) > ROW_SUM_TOL:
+    if np.max(np.abs(stack.sum(axis=2) - 1.0)) > ROW_SUM_TOL:
         raise ShapeError(f"{name} rows must sum to 1 within {ROW_SUM_TOL}")
 
 
@@ -42,77 +44,59 @@ def _check_stochastic(name: str, mat: np.ndarray, n_states: int) -> None:
 class TabularChain:
     """Two reverse-time chains over the same finite state space.
 
-    Each side is a terminal distribution (row = starting data state x0) plus
-    horizon-1 reverse kernels (row = the later-time state being conditioned
-    on). Kernel j produces the state at time j+1 from the state at time j+2.
+    Each side is one (horizon, S, S) stack. Matrix 0 is the terminal
+    distribution (row = starting data state x0); matrix j >= 1 is a reverse
+    kernel (row = the later-time state being conditioned on), producing the
+    state at time j from the state at time j+1.
     """
 
-    p_terminal: np.ndarray
-    p_kernels: tuple[np.ndarray, ...]
-    q_terminal: np.ndarray
-    q_kernels: tuple[np.ndarray, ...]
+    p: np.ndarray
+    q: np.ndarray
 
     def __post_init__(self):
-        self.p_terminal = np.asarray(self.p_terminal, dtype=np.float64)
-        self.q_terminal = np.asarray(self.q_terminal, dtype=np.float64)
-        self.p_kernels = tuple(np.asarray(k, dtype=np.float64) for k in self.p_kernels)
-        self.q_kernels = tuple(np.asarray(k, dtype=np.float64) for k in self.q_kernels)
-        s = self.p_terminal.shape[0]
-        if len(self.p_kernels) != len(self.q_kernels):
-            raise ShapeError("both sides must have the same horizon")
+        self.p = np.asarray(self.p, dtype=np.float64)
+        self.q = np.asarray(self.q, dtype=np.float64)
+        if self.p.ndim != 3 or self.p.shape[0] < 1 or self.q.shape != self.p.shape:
+            raise ShapeError(
+                f"p and q must be (horizon, S, S) stacks of one shape with horizon >= 1; "
+                f"got {self.p.shape} and {self.q.shape}"
+            )
+        s = self.n_states
         if s > MAX_STATES or self.horizon > MAX_HORIZON:
             raise ConfigurationError(
                 f"exact enumeration is capped at {MAX_STATES} states and horizon "
                 f"{MAX_HORIZON}; got {s} and {self.horizon}"
             )
-        _check_stochastic("p_terminal", self.p_terminal, s)
-        _check_stochastic("q_terminal", self.q_terminal, s)
-        for i, (pk, qk) in enumerate(zip(self.p_kernels, self.q_kernels)):
-            _check_stochastic(f"p_kernels[{i}]", pk, s)
-            _check_stochastic(f"q_kernels[{i}]", qk, s)
+        _check_stochastic("p", self.p, s)
+        _check_stochastic("q", self.q, s)
 
     @property
     def n_states(self) -> int:
-        return self.p_terminal.shape[0]
+        return self.p.shape[1]
 
     @property
     def horizon(self) -> int:
-        return len(self.p_kernels) + 1
-
-
-def _random_side(
-    rng: np.random.Generator, n_states: int, horizon: int, smoothing: float = 0.05
-) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    def stochastic() -> np.ndarray:
-        raw = rng.uniform(0.0, 1.0, size=(n_states, n_states)) + smoothing
-        return raw / raw.sum(axis=1, keepdims=True)
-
-    terminal = stochastic()
-    kernels = tuple(stochastic() for _ in range(horizon - 1))
-    return terminal, kernels
+        return self.p.shape[0]
 
 
 def random_chain(seed: int, n_states: int, horizon: int) -> TabularChain:
     """A smoothed random chain pair; the two sides draw their own endpoint marginals.
 
-    RNG order: the p side's terminal then kernels, then the q side's.
+    RNG order: one uniform (2, horizon, S, S) block, so the p side's terminal
+    then kernels, then the q side's.
     """
     if n_states < 2 or horizon < 1:
         raise ConfigurationError(
             f"a chain needs at least 2 states and horizon 1; got {n_states} and {horizon}"
         )
-    rng = np.random.default_rng(seed)
-    p_terminal, p_kernels = _random_side(rng, n_states, horizon)
-    q_terminal, q_kernels = _random_side(rng, n_states, horizon)
-    return TabularChain(
-        p_terminal=p_terminal, p_kernels=p_kernels,
-        q_terminal=q_terminal, q_kernels=q_kernels,
-    )
+    raw = np.random.default_rng(seed).uniform(0.0, 1.0, (2, horizon, n_states, n_states)) + SMOOTHING
+    p, q = raw / raw.sum(axis=3, keepdims=True)
+    return TabularChain(p, q)
 
 
-def _path_prob(terminal_row: np.ndarray, kernels: tuple[np.ndarray, ...], path: tuple) -> float:
-    # path = (x_1, ..., x_T); kernel j links x_{j+2} -> x_{j+1}
-    prob = terminal_row[path[-1]]
+def _path_prob(start: float, kernels: np.ndarray, path: tuple) -> float:
+    # path = (x_1, ..., x_T); kernels[j] links x_{j+2} -> x_{j+1}
+    prob = start
     for j in range(len(kernels)):
         prob *= kernels[j][path[j + 1], path[j]]
     return float(prob)
@@ -121,14 +105,14 @@ def _path_prob(terminal_row: np.ndarray, kernels: tuple[np.ndarray, ...], path: 
 def _joint_kl(chain: TabularChain, x0: int) -> float:
     total = 0.0
     for path in itertools.product(range(chain.n_states), repeat=chain.horizon):
-        q = _path_prob(chain.q_terminal[x0], chain.q_kernels, path)
-        p = _path_prob(chain.p_terminal[x0], chain.p_kernels, path)
+        q = _path_prob(chain.q[0, x0, path[-1]], chain.q[1:], path)
+        p = _path_prob(chain.p[0, x0, path[-1]], chain.p[1:], path)
         total += q * math.log(q / p)
     return total
 
 
 def _endpoint_kl(chain: TabularChain, x0: int) -> float:
-    q_row, p_row = chain.q_terminal[x0], chain.p_terminal[x0]
+    q_row, p_row = chain.q[0, x0], chain.p[0, x0]
     return float(np.sum(q_row * np.log(q_row / p_row)))
 
 
@@ -145,10 +129,10 @@ def _conditional_kl_mean(chain: TabularChain, x0: int) -> float:
         inner = 0.0
         for interior in itertools.product(range(chain.n_states), repeat=chain.horizon - 1):
             path = interior + (end,)
-            q = _path_prob(np.ones(chain.n_states), chain.q_kernels, path)
-            p = _path_prob(np.ones(chain.n_states), chain.p_kernels, path)
+            q = _path_prob(1.0, chain.q[1:], path)
+            p = _path_prob(1.0, chain.p[1:], path)
             inner += q * math.log(q / p)
-        total += chain.q_terminal[x0, end] * inner
+        total += chain.q[0, x0, end] * inner
     return total
 
 

@@ -57,12 +57,18 @@ def _write_manifest(
     outputs: list[str],
     wall_time_s: float,
     extras: dict | None = None,
+    hashed: dict[str, str] | None = None,
 ) -> None:
+    """Write <out>.manifest.json; hashed holds input hashes the command already took."""
+    input_hashes = dict(hashed or {})
+    for p in inputs:
+        if p not in input_hashes:
+            input_hashes[p] = sha256_file(p)
     doc = {
         "artifact_version": 1,
         "command": _command(args),
         "config": cfg.snapshot(),
-        "inputs": {p: sha256_file(p) for p in inputs},
+        "inputs": {p: input_hashes[p] for p in inputs},
         "outputs": {p: sha256_file(p) for p in outputs},
         "wall_time_s": wall_time_s,
     }
@@ -125,6 +131,7 @@ def cmd_gen_pairs(args: argparse.Namespace) -> int:
         outputs=[args.out],
         wall_time_s=time.monotonic() - start,
         extras={"ref_hash": ref_hash},
+        hashed={args.model: ref_hash},
     )
     print(f"gen-pairs: {len(dataset)} records from {args.model}, wrote {args.out}")
     return 0
@@ -175,6 +182,7 @@ def cmd_align(args: argparse.Namespace) -> int:
             "pairs_ref_hash": pairs_ref_hash,
             "ref_hash_match": pairs_ref_hash == ref_hash,
         },
+        hashed={args.model: ref_hash},
     )
     print(
         f"align[{args.method}]: {len(rows)} steps on {len(dataset)} records, "

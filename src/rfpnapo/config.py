@@ -184,8 +184,8 @@ class RunConfig:
                 f"data.mixture.modes defines {len(modes)} conditions, "
                 f"data.conditions is {n_conditions}"
             )
-        groups = tuple(tuple(np.array(center) for center in centers) for centers in modes)
-        return ConditionalMixture(modes=groups, std=std)
+        centers = np.array([center for group in modes for center in group])
+        return ConditionalMixture(centers, np.array([len(group) for group in modes]), std)
 
     def reward(self, data_dim: int, cond_dim: int) -> RewardSpec:
         kind = self.get("reward.kind")

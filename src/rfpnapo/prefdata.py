@@ -86,6 +86,14 @@ def reward_eval(rspec: RewardSpec, x: np.ndarray, cond: np.ndarray) -> np.ndarra
     return rewards
 
 
+def _check_gaps(delta_r: np.ndarray, suffix: str = "") -> None:
+    """Raise DataError naming the first pair whose gap is not a finite number >= 0."""
+    ok = np.isfinite(delta_r) & (delta_r >= 0.0)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise DataError(f"pair {i} has preference gap {delta_r[i]}, not a finite number >= 0{suffix}")
+
+
 @dataclass(frozen=True)
 class DatasetHeader:
     dim: int
@@ -123,8 +131,7 @@ class PreferenceDataset:
         for name, shape in expected.items():
             if getattr(self, name).shape != shape:
                 raise ShapeError(f"{name} has shape {getattr(self, name).shape}, expected {shape}")
-        if not np.all(np.isfinite(self.delta_r) & (self.delta_r >= 0.0)):
-            raise DataError("preference gaps must be finite and >= 0")
+        _check_gaps(self.delta_r)
 
     def __len__(self) -> int:
         return self.delta_r.shape[0]
@@ -142,16 +149,28 @@ def label_pairs(
     Args:
         cond: (n, cond_dim) conditions.
         x0, xT: (n, 2, dim) samples and their prior noises, candidates A then B.
+
+    Two finite rewards can still differ by more than a float holds; that gap
+    raises NumericError naming its pair.
     """
     rewards = reward_eval(rspec, x0.reshape(-1, header.dim), np.repeat(cond, 2, axis=0))
     ra, rb = rewards[0::2], rewards[1::2]
+    # an overflow is reported below, with its pair
+    with np.errstate(over="ignore"):
+        gap = ra - rb
+    finite = np.isfinite(gap)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise NumericError(
+            f"reward gap of pair {i} is {gap[i]}: rewards {ra[i]} and {rb[i]} differ by more than a float holds"
+        )
     swap = ra < rb
     return PreferenceDataset(
         header,
         cond,
         x0=np.where(swap[:, None, None], x0[:, ::-1], x0),
         xT=np.where(swap[:, None, None], xT[:, ::-1], xT),
-        delta_r=np.where(swap, rb - ra, ra - rb),
+        delta_r=np.where(swap, -gap, gap),  # rb - ra is exactly -(ra - rb)
     )
 
 
@@ -261,12 +280,7 @@ def write_dataset(path: str, dataset: PreferenceDataset) -> None:
             f"pair {int(np.argmin(one_hot))} has a condition that is not one-hot; not representable"
         )
     # the dataclass is mutable, so a gap can have changed since __post_init__ checked it
-    gap_ok = np.isfinite(dataset.delta_r) & (dataset.delta_r >= 0.0)
-    if not gap_ok.all():
-        i = int(np.argmin(gap_ok))
-        raise DataError(
-            f"pair {i} has preference gap {dataset.delta_r[i]}, not a finite number >= 0; not representable"
-        )
+    _check_gaps(dataset.delta_r, "; not representable")
     h, n = dataset.header, len(dataset)
     lines = [
         f"{DATASET_TAG} {DATASET_VERSION} dim={h.dim} cdim={h.cond_dim} "

@@ -12,7 +12,7 @@ numerics.forward_tiles in it, allocating nothing per layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,39 +153,35 @@ def one_hot(k: int, n_conditions: int) -> np.ndarray:
 class ConditionalMixture:
     """Toy data source: per condition, an equal-weight Gaussian mixture.
 
-    modes[k] is a tuple of mode centers (each shape (dim,)) for condition k;
-    a draw picks one center uniformly and adds isotropic noise of scale std.
+    centers is (m, dim), every mode center stacked condition by condition:
+    condition k owns the counts[k] rows that follow the counts of the
+    conditions before it. A draw picks one of its condition's centers
+    uniformly and adds isotropic noise of scale std.
     """
 
-    modes: tuple[tuple[np.ndarray, ...], ...]
+    centers: np.ndarray  # (m, dim)
+    counts: np.ndarray  # (n_conditions,), every entry >= 1, summing to m
     std: float
-    # every center stacked condition by condition; condition k's modes are
-    # rows first[k] .. first[k] + counts[k] - 1
-    _centers: np.ndarray = field(init=False, repr=False, compare=False)
-    _first: np.ndarray = field(init=False, repr=False, compare=False)
-    _counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.modes) == 0 or any(len(group) == 0 for group in self.modes):
+        object.__setattr__(self, "centers", np.asarray(self.centers, dtype=np.float64))
+        object.__setattr__(self, "counts", np.asarray(self.counts, dtype=np.int64))
+        if self.counts.ndim != 1 or self.counts.size == 0 or np.any(self.counts < 1):
             raise ShapeError("every condition needs at least one mode")
+        if self.centers.ndim != 2 or self.centers.shape[0] != self.counts.sum():
+            raise ShapeError(
+                f"centers have shape {self.centers.shape}, expected ({self.counts.sum()}, dim)"
+            )
         if self.std <= 0 or not math.isfinite(self.std):
             raise ShapeError(f"mixture std must be positive, got {self.std}")
-        dims = {center.shape for group in self.modes for center in group}
-        if len(dims) != 1:
-            raise ShapeError(f"mode centers disagree on dimension: {sorted(dims)}")
-        counts = np.array([len(group) for group in self.modes], dtype=np.int64)
-        centers = np.array([c for group in self.modes for c in group], dtype=np.float64)
-        object.__setattr__(self, "_centers", centers)
-        object.__setattr__(self, "_counts", counts)
-        object.__setattr__(self, "_first", np.cumsum(counts) - counts)
 
     @property
     def n_conditions(self) -> int:
-        return len(self.modes)
+        return self.counts.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.modes[0][0].shape[0]
+        return self.centers.shape[1]
 
     def sample_batch(self, rng: np.random.Generator, ks: np.ndarray) -> np.ndarray:
         """One draw per entry of the condition indices ks; returns (len(ks), dim).
@@ -196,21 +192,20 @@ class ConditionalMixture:
         equal a per-row loop of `center + std * rng.standard_normal(dim)`.
         """
         ks = np.asarray(ks, dtype=np.int64)
-        picks = rng.integers(self._counts[ks])
+        picks = rng.integers(self.counts[ks])
         noise = rng.standard_normal((ks.shape[0], self.dim))
-        return self._centers[self._first[ks] + picks] + self.std * noise
+        first = np.cumsum(self.counts) - self.counts
+        return self.centers[first[ks] + picks] + self.std * noise
 
 
 def default_mixture(dim: int, n_conditions: int, std: float = 0.4) -> ConditionalMixture:
     """One mode per condition, spaced on a radius-2 circle in the first two dims."""
     if dim < 1 or n_conditions < 1:
         raise ShapeError("mixture needs dim >= 1 and at least one condition")
-    groups = []
+    centers = np.zeros((n_conditions, dim))
     for k in range(n_conditions):
-        center = np.zeros(dim)
         angle = 2.0 * math.pi * k / n_conditions
-        center[0] = 2.0 * math.cos(angle)
+        centers[k, 0] = 2.0 * math.cos(angle)
         if dim > 1:
-            center[1] = 2.0 * math.sin(angle)
-        groups.append((center,))
-    return ConditionalMixture(modes=tuple(groups), std=std)
+            centers[k, 1] = 2.0 * math.sin(angle)
+    return ConditionalMixture(centers, np.ones(n_conditions, dtype=np.int64), std)

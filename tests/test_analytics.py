@@ -26,10 +26,10 @@ from rfpnapo.rectflow import SamplerConfig
 
 def test_chain_validation_rejects_bad_rows():
     ok = random_chain(0, 3, 2)
-    bad_terminal = np.array(ok.p_terminal)
-    bad_terminal[0] *= 2.0
+    bad_terminal = np.array(ok.p)
+    bad_terminal[0, 0] *= 2.0
     with pytest.raises(ShapeError):
-        TabularChain(bad_terminal, ok.p_kernels, ok.q_terminal, ok.q_kernels)
+        TabularChain(bad_terminal, ok.q)
 
 
 def test_chain_caps_enforced():
@@ -46,6 +46,24 @@ def test_random_chain_rejects_degenerate_sizes(n_states, horizon):
         random_chain(0, n_states=n_states, horizon=horizon)
 
 
+@pytest.mark.parametrize("seed, n_states, horizon", [(0, 2, 1), (7, 4, 3), (11, 6, 4)])
+def test_random_chain_draws_its_matrices_in_documented_order(seed, n_states, horizon):
+    # one matrix at a time: p terminal, p kernels, q terminal, q kernels;
+    # this order keeps `verify --suite kl` output stable
+    rng = np.random.default_rng(seed)
+
+    def stochastic():
+        raw = rng.uniform(0.0, 1.0, size=(n_states, n_states)) + 0.05
+        return raw / raw.sum(axis=1, keepdims=True)
+
+    p = [stochastic() for _ in range(horizon)]
+    q = [stochastic() for _ in range(horizon)]
+    chain = random_chain(seed, n_states, horizon)
+    assert chain.p.shape == chain.q.shape == (horizon, n_states, n_states)
+    assert chain.p.tobytes() == np.array(p).tobytes()
+    assert chain.q.tobytes() == np.array(q).tobytes()
+
+
 def test_single_step_chain_has_no_interior():
     chain = random_chain(3, n_states=4, horizon=1)
     total, endpoint, conditional = chain_rule_identity(chain, x0=2)
@@ -57,7 +75,8 @@ def test_chain_rule_decomposition_exact_over_seeds():
     for seed in range(25):
         drawn = random_chain(seed, 4, 3)
         for matched in (True, False):
-            chain = dataclasses.replace(drawn, q_terminal=drawn.p_terminal) if matched else drawn
+            matched_q = np.concatenate([drawn.p[:1], drawn.q[1:]])
+            chain = dataclasses.replace(drawn, q=matched_q) if matched else drawn
             x0 = seed % 4
             total, endpoint, conditional = chain_rule_identity(chain, x0)
             assert abs(total - (endpoint + conditional)) <= 1e-10

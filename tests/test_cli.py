@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES
-from rfpnapo import analytics
+from rfpnapo import analytics, cli
 from rfpnapo.cli import ALIGN_COLUMNS, PRETRAIN_COLUMNS, _write_metrics_csv, main
 from rfpnapo.config import load_config
 from rfpnapo.fileio import fmt17
@@ -101,6 +102,36 @@ def test_manifest_hashes_are_correct(tmp_path, tiny_cfg, capsys):
         assert _sha(path) == digest
     # gen-pairs records the reference checkpoint hash it samples from
     assert doc["ref_hash"] == _sha(ref)
+
+
+def test_each_file_is_hashed_once_per_command(tmp_path, tiny_cfg, capsys, monkeypatch):
+    # gen-pairs and align hash --model for ref_hash; the manifest reuses that hash
+    hashed = Counter()
+
+    def counting(path):
+        hashed[path] += 1
+        return _sha(path)
+
+    monkeypatch.setattr(cli, "sha256_file", counting)
+    ref, pairs, aligned = (str(tmp_path / name) for name in ("ref.ckpt", "pairs.txt", "aligned.ckpt"))
+    report = str(tmp_path / "report.csv")
+    commands = [
+        ["pretrain", "--config", tiny_cfg, "--out", ref],
+        ["gen-pairs", "--config", tiny_cfg, "--model", ref, "--n", "10", "--out", pairs],
+        ["align", "--config", tiny_cfg, "--model", ref, "--pairs", pairs, "--out", aligned],
+        ["eval", "--config", tiny_cfg, "--model", aligned, "--against", ref, "--n", "3", "--out", report],
+    ]
+    for argv in commands:
+        hashed.clear()
+        assert main(argv) == 0
+        out = argv[argv.index("--out") + 1]
+        doc = json.loads(Path(out + ".manifest.json").read_text())
+        assert hashed == Counter({**doc["inputs"], **doc["outputs"]}.keys()), argv[0]
+        for path, digest in {**doc["inputs"], **doc["outputs"]}.items():
+            assert _sha(path) == digest
+        if "ref_hash" in doc:
+            assert doc["ref_hash"] == _sha(ref)
+    capsys.readouterr()
 
 
 def test_rerun_is_byte_identical(tmp_path, tiny_cfg, capsys):
@@ -518,6 +549,18 @@ def test_pretrain_curve_fixture_converges(tmp_path, capsys):
     rows = Path(out + ".metrics.csv").read_text().splitlines()[1:]
     by_step = {int(r.split(",")[0]): float(r.split(",")[1]) for r in rows}
     assert by_step[3000] < 0.2 * by_step[10]
+
+
+def test_multimode_fixture_pretrains_byte_identically(tmp_path, capsys):
+    # the committed fixture gives its conditions 2 and 3 modes
+    cfg = str(FIXTURES / "multimode_pretrain.cfg")
+    assert list(load_config(cfg).mixture().counts) == [2, 3]
+    outs = [str(tmp_path / name / "mm.ckpt") for name in ("a", "b")]
+    for out in outs:
+        assert main(["pretrain", "--config", cfg, "--out", out]) == 0
+    capsys.readouterr()
+    assert Path(outs[0]).read_bytes() == Path(outs[1]).read_bytes()
+    assert Path(outs[0] + ".metrics.csv").read_bytes() == Path(outs[1] + ".metrics.csv").read_bytes()
 
 
 def test_checkpoint_spec_round_trip_through_cli(tmp_path, tiny_cfg, capsys):

@@ -104,9 +104,9 @@ data.mixture.std = 0.2
 """))
     mixture = cfg.mixture()
     assert mixture.n_conditions == 2
-    assert len(mixture.modes[0]) == 2
-    assert np.array_equal(mixture.modes[0][1], [-1.0, -1.0])
-    assert np.array_equal(mixture.modes[1][0], [3.0, 0.0])
+    assert np.array_equal(mixture.counts, [2, 1])
+    assert np.array_equal(mixture.centers[1], [-1.0, -1.0])  # condition 0, mode 1
+    assert np.array_equal(mixture.centers[2], [3.0, 0.0])  # condition 1, mode 0
     assert mixture.std == 0.2
 
 

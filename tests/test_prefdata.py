@@ -130,6 +130,25 @@ def test_label_pair_tie_prefers_first_and_gap_nonnegative():
     assert np.all(ds.delta_r >= 0.0)
 
 
+def test_label_pairs_names_a_pair_whose_reward_gap_overflows():
+    # both rewards are finite, +-1e308, but their difference is not
+    rspec = RewardSpec(kind="direction_dot", params=np.array([[1e300, 0.0]]))
+    header = DatasetHeader(dim=2, cond_dim=1, steps=1, ref_hash="h")
+    x0 = np.array([[[1.0, 0.0], [0.0, 0.0]], [[1e8, 0.0], [-1e8, 0.0]]])
+    with pytest.raises(NumericError, match="reward gap of pair 1 is inf"):
+        label_pairs(rspec, header, np.ones((2, 1)), x0, np.zeros_like(x0))
+    with pytest.raises(NumericError, match="reward gap of pair 0 is -inf"):
+        label_pairs(rspec, header, np.ones((1, 1)), x0[1:, ::-1], np.zeros_like(x0[1:]))
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_dataset_names_its_first_bad_gap(bad):
+    header = DatasetHeader(dim=1, cond_dim=1, steps=1, ref_hash="h")
+    with pytest.raises(DataError, match=f"pair 1 has preference gap {bad}, not a finite number >= 0"):
+        PreferenceDataset(header, np.ones((3, 1)), np.zeros((3, 2, 1)), np.zeros((3, 2, 1)),
+                          np.array([0.5, bad, -2.0]))
+
+
 def test_record_validation():
     header = DatasetHeader(dim=3, cond_dim=2, steps=1, ref_hash="h")
     ok = dict(

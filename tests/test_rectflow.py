@@ -246,18 +246,15 @@ def test_mixture_sampling_deterministic_and_near_modes():
     a = mixture.sample_batch(np.random.default_rng(6), np.array([0, 1, 2, 3]))
     b = mixture.sample_batch(np.random.default_rng(6), np.array([0, 1, 2, 3]))
     assert np.array_equal(a, b)
-    centers = np.array([m[0] for m in mixture.modes])
-    assert np.all(np.linalg.norm(a - centers, axis=1) < 1.0)
+    assert np.all(np.linalg.norm(a - mixture.centers, axis=1) < 1.0)
 
 
 def test_mixture_multi_mode_condition():
     # condition 0 has two modes, condition 1 three: every draw lies near one
     # of its own condition's modes, and every mode is hit
-    modes = (
-        (np.array([5.0, 0.0]), np.array([-5.0, 0.0])),
-        (np.array([0.0, 5.0]), np.array([0.0, -5.0]), np.array([0.0, 15.0])),
-    )
-    mixture = ConditionalMixture(modes=modes, std=0.05)
+    centers = np.array([[5.0, 0.0], [-5.0, 0.0], [0.0, 5.0], [0.0, -5.0], [0.0, 15.0]])
+    modes = (centers[:2], centers[2:])
+    mixture = ConditionalMixture(centers, np.array([2, 3]), std=0.05)
     ks = np.random.default_rng(3).integers(2, size=400)
     draws = mixture.sample_batch(np.random.default_rng(4), ks)
     assert draws.shape == (400, 2)
@@ -271,9 +268,34 @@ def test_mixture_multi_mode_condition():
     assert again.tobytes() == draws.tobytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    dim=st.integers(1, 8),
+    counts=st.lists(st.integers(1, 4), min_size=1, max_size=6),
+    std=st.floats(1e-3, 10.0),
+    batch=st.integers(0, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_multi_mode_sample_batch_is_bitwise_the_per_condition_lookup(dim, counts, std, batch, seed):
+    setup = np.random.default_rng(seed)
+    counts = np.array(counts)
+    centers = setup.standard_normal((counts.sum(), dim)) * 10.0 ** setup.integers(-2, 3, (counts.sum(), 1))
+    mixture = ConditionalMixture(centers, counts, std)
+    ks = setup.integers(len(counts), size=batch)
+    stream, reference = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    got = mixture.sample_batch(stream, ks)
+    # the same picks and noise block, each pick looked up in its condition's own list
+    picks = reference.integers(counts[ks])
+    noise = reference.standard_normal((batch, dim))
+    groups = np.split(centers, np.cumsum(counts)[:-1])
+    chosen = np.array([groups[k][pick] for k, pick in zip(ks, picks)]).reshape(batch, dim)
+    assert got.tobytes() == (chosen + std * noise).tobytes()
+    assert stream.bit_generator.state == reference.bit_generator.state
+
+
 def _mixture_per_row(mixture, rng, ks):
     """The per-row single-mode draw, one noise vector per row: the reference for sample_batch."""
-    rows = [mixture.modes[k][0] + mixture.std * rng.standard_normal(mixture.dim) for k in ks]
+    rows = [mixture.centers[k] + mixture.std * rng.standard_normal(mixture.dim) for k in ks]
     return np.array(rows).reshape(len(ks), mixture.dim)
 
 
@@ -288,7 +310,7 @@ def _mixture_per_row(mixture, rng, ks):
 def test_single_mode_sample_batch_is_bitwise_the_per_row_loop(dim, n_conditions, std, batch, seed):
     setup = np.random.default_rng(seed)
     centers = setup.standard_normal((n_conditions, dim)) * 10.0 ** setup.integers(-2, 3, (n_conditions, 1))
-    mixture = ConditionalMixture(modes=tuple((c,) for c in centers), std=std)
+    mixture = ConditionalMixture(centers, np.ones(n_conditions, dtype=np.int64), std)
     ks = setup.integers(n_conditions, size=batch)
     stream, reference = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
     got = mixture.sample_batch(stream, ks)
