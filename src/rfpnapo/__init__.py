@@ -20,7 +20,7 @@ from .errors import (
 from .numerics import MlpSpec, mlp_forward, mlp_init, read_checkpoint, write_checkpoint
 from .pnapo import AlignConfig, BetaSchedule, effective_beta, pnapo_value_grad, score
 from .prefdata import PreferenceDataset, RewardSpec, build_dataset, read_dataset, write_dataset
-from .rectflow import SamplerConfig, cfm_objective, euler_sample
+from .rectflow import cfm_objective, euler_sample
 from .training import run_alignment, run_pretrain
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "PreferenceDataset",
     "RewardSpec",
     "RfpnapoError",
-    "SamplerConfig",
     "ShapeError",
     "build_dataset",
     "cfm_objective",

@@ -16,12 +16,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, ShapeError
-from .fileio import fmt17, write_text
+from .errors import ConfigurationError, ShapeError
 from .numerics import MlpSpec, ParamVector
 from .pnapo import pair_rows, score
 from .prefdata import PreferenceDataset, RewardSpec, reward_eval
-from .rectflow import SamplerConfig, euler_sample
+from .rectflow import euler_sample
 
 MAX_STATES = 6
 MAX_HORIZON = 4
@@ -200,71 +199,29 @@ def estimator_variance(
 # --- sampled evaluation ---------------------------------------------------------
 
 
-@dataclass
-class EvalReport:
-    """Aggregated sampled rewards for one model (win_rate filled when paired)."""
-
-    model: str
-    mean_reward: float
-    median_reward: float
-    win_rate: float | None
-    n: int
-    seed: int
-
-    def __post_init__(self):
-        if self.win_rate is not None and not 0.0 <= self.win_rate <= 1.0:
-            raise ShapeError(f"win rate must lie in [0, 1], got {self.win_rate}")
-        if self.n < 1:
-            raise ShapeError("report needs at least one sample")
-
-
 def eval_reward(
     params: ParamVector,
     spec: MlpSpec,
     rspec: RewardSpec,
     n_per_condition: int,
-    sampler_cfg: SamplerConfig,
+    steps: int,
     seed: int,
-    label: str = "model",
-) -> tuple[EvalReport, np.ndarray]:
-    """Sample every condition equally and aggregate analytic rewards.
+) -> np.ndarray:
+    """Analytic rewards of n_per_condition samples per condition, each decoded in `steps` steps.
 
     Trial i decodes prior draw i of default_rng(seed) under condition
     i mod cond_dim, one (n_per_condition * cond_dim, data_dim) block of draws.
-    Returns the report and the per-trial rewards, which win_rate compares:
-    two models evaluated at one seed decode the same noise in the same order.
+    Returns the (n_per_condition * cond_dim,) per-trial rewards, which
+    win_rate compares: two models evaluated at one seed decode the same noise
+    in the same order.
     """
     if n_per_condition < 1:
         raise ConfigurationError(f"need n_per_condition >= 1, got {n_per_condition}")
     n = n_per_condition * spec.cond_dim
     conds = np.eye(spec.cond_dim)[np.arange(n) % spec.cond_dim]
     noise = np.random.default_rng(seed).standard_normal((n, spec.data_dim))
-    x0 = euler_sample(params, spec, noise, conds, sampler_cfg)
-    rewards = reward_eval(rspec, x0, conds)
-    report = EvalReport(
-        model=label,
-        mean_reward=float(np.mean(rewards)),
-        median_reward=float(np.median(rewards)),
-        win_rate=None,
-        n=len(rewards),
-        seed=seed,
-    )
-    return report, rewards
-
-
-def write_eval_csv(path: str, reports: list[EvalReport]) -> None:
-    """CSV schema: model,mean_reward,median_reward,win_rate,n,seed."""
-    lines = ["model,mean_reward,median_reward,win_rate,n,seed"]
-    for rep in reports:
-        # str.splitlines also breaks at \r, \v, \x85, \u2028 and other separators
-        if "," in rep.model or rep.model.splitlines() not in ([], [rep.model]):
-            raise DataError(f"model label {rep.model!r} not representable in CSV")
-        win = "" if rep.win_rate is None else fmt17(rep.win_rate)
-        lines.append(
-            f"{rep.model},{fmt17(rep.mean_reward)},{fmt17(rep.median_reward)},"
-            f"{win},{rep.n},{rep.seed}"
-        )
-    write_text(path, lines)
+    x0 = euler_sample(params, spec, noise, conds, steps)
+    return reward_eval(rspec, x0, conds)
 
 
 def win_rate(rewards_a: np.ndarray, rewards_b: np.ndarray) -> float:

@@ -8,12 +8,13 @@ the config snapshot and input/output hashes; training commands also write
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
 
-from .analytics import eval_reward, win_rate, write_eval_csv
+import numpy as np
+
+from .analytics import eval_reward, win_rate
 from .config import RunConfig, load_config
 from .corpus import read_corpus, run_pipeline, write_corpus
 from .errors import RfpnapoError, ShapeError
@@ -26,13 +27,15 @@ from .verify import SUITES
 
 PRETRAIN_COLUMNS = ("step", "loss", "grad_norm")
 ALIGN_COLUMNS = ("step", "loss", "margin_mean", "beta_eff_mean", "grad_norm")
+EVAL_COLUMNS = ("model", "mean_reward", "median_reward", "win_rate", "n", "seed")
 
 
-def _write_metrics_csv(path: str, rows: list[dict], columns: tuple[str, ...]) -> None:
+def _write_csv(path: str, columns: tuple[str, ...], rows: list[dict]) -> None:
+    """A header line, then one line per row: int and str cells as str, floats by fmt17."""
     lines = [",".join(columns)]
     for row in rows:
         cells = [
-            str(row[col]) if isinstance(row[col], int) else fmt17(row[col])
+            str(row[col]) if isinstance(row[col], (int, str)) else fmt17(row[col])
             for col in columns
         ]
         lines.append(",".join(cells))
@@ -92,7 +95,7 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
     )
     write_checkpoint(args.out, params, spec)
     metrics_path = args.out + ".metrics.csv"
-    _write_metrics_csv(metrics_path, rows, PRETRAIN_COLUMNS)
+    _write_csv(metrics_path, PRETRAIN_COLUMNS, rows)
     _write_manifest(
         args,
         cfg,
@@ -118,7 +121,7 @@ def cmd_gen_pairs(args: argparse.Namespace) -> int:
         ref_params,
         spec,
         rspec,
-        cfg.sampler(),
+        steps=cfg.get("sampler.steps"),
         n_records=args.n,
         base_seed=cfg.get("seed"),
         ref_hash=ref_hash,
@@ -169,7 +172,7 @@ def cmd_align(args: argparse.Namespace) -> int:
     params, rows = run_alignment(ref_params, spec, dataset, acfg)
     write_checkpoint(args.out, params, spec)
     metrics_path = args.out + ".metrics.csv"
-    _write_metrics_csv(metrics_path, rows, ALIGN_COLUMNS)
+    _write_csv(metrics_path, ALIGN_COLUMNS, rows)
     _write_manifest(
         args,
         cfg,
@@ -203,14 +206,23 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f"vs ({spec_b.data_dim}, {spec_b.cond_dim})"
         )
     rspec = cfg.reward(spec_a.data_dim, spec_a.cond_dim)
-    sampler = cfg.sampler()
+    steps = cfg.get("sampler.steps")
     seed = cfg.get("seed")
-    rep_a, rewards_a = eval_reward(params_a, spec_a, rspec, args.n, sampler, seed, label="model")
-    rep_b, rewards_b = eval_reward(params_b, spec_b, rspec, args.n, sampler, seed, label="against")
+    rewards_a = eval_reward(params_a, spec_a, rspec, args.n, steps, seed)
+    rewards_b = eval_reward(params_b, spec_b, rspec, args.n, steps, seed)
     wr = win_rate(rewards_a, rewards_b)
-    rep_a = dataclasses.replace(rep_a, win_rate=wr)
-    rep_b = dataclasses.replace(rep_b, win_rate=1.0 - wr)
-    write_eval_csv(args.out, [rep_a, rep_b])
+    rows = [
+        {
+            "model": label,
+            "mean_reward": float(np.mean(rewards)),
+            "median_reward": float(np.median(rewards)),
+            "win_rate": win,
+            "n": len(rewards),
+            "seed": seed,
+        }
+        for label, rewards, win in (("model", rewards_a, wr), ("against", rewards_b, 1.0 - wr))
+    ]
+    _write_csv(args.out, EVAL_COLUMNS, rows)
     _write_manifest(
         args,
         cfg,
@@ -218,10 +230,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         outputs=[args.out],
         wall_time_s=time.monotonic() - start,
     )
-    for rep in (rep_a, rep_b):
+    for row in rows:
         print(
-            f"eval[{rep.model}]: mean reward {fmt17(rep.mean_reward)}, "
-            f"median {fmt17(rep.median_reward)}, win rate {fmt17(rep.win_rate)}"
+            f"eval[{row['model']}]: mean reward {fmt17(row['mean_reward'])}, "
+            f"median {fmt17(row['median_reward'])}, win rate {fmt17(row['win_rate'])}"
         )
     return 0
 

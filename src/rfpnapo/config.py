@@ -13,7 +13,7 @@ from .fileio import read_lines
 from .numerics import MlpSpec
 from .pnapo import BetaSchedule
 from .prefdata import REWARD_KINDS, RewardSpec
-from .rectflow import ConditionalMixture, SamplerConfig, default_mixture
+from .rectflow import ConditionalMixture, default_mixture
 
 
 def _parse_bool(raw: str) -> bool:
@@ -214,9 +214,6 @@ class RunConfig:
             n2=self.get("pnapo.n2"),
             dynamic=self.get("pnapo.dynamic"),
         )
-
-    def sampler(self) -> SamplerConfig:
-        return SamplerConfig(steps=self.get("sampler.steps"))
 
     def corpus_config(self) -> CorpusPipelineConfig:
         return CorpusPipelineConfig(

@@ -478,4 +478,4 @@ def read_checkpoint(path: str) -> tuple[ParamVector, MlpSpec]:
             f"declared dims inconsistent: input {input_dim} != data {output_dim} + cond {cond_dim} + 1"
         )
     spec = MlpSpec(data_dim=output_dim, cond_dim=cond_dim, hidden=tuple(r for r, _ in shapes[:-1]))
-    return values.astype(np.float64).copy(), spec
+    return values.astype(np.float64), spec

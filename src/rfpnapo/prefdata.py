@@ -3,7 +3,7 @@
 Every record stores, verbatim, the prior noise that produced each candidate.
 That coupling is the whole point: downstream training scores a candidate
 against the exact straight path from its own stored noise, so regenerating a
-sample from (noise, condition, sampler settings) must reproduce it bit for bit.
+sample from (noise, condition, step count) must reproduce it bit for bit.
 A pair is a (2, dim) block of samples and a (2, dim) block of noises, winner
 then loser, from the sampler's output to the loss.
 """
@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigurationError, DataError, NumericError, ParseError, RfpnapoError, ShapeError
 from .fileio import BLOCK_VALUES, parse_floats, read_lines, row_format, write_text
 from .numerics import MlpSpec, ParamVector, row_dot
-from .rectflow import SamplerConfig, euler_sample, one_hot
+from .rectflow import euler_sample
 
 REWARD_KINDS = ("mode_distance", "quadratic_bowl", "direction_dot")
 
@@ -178,7 +178,7 @@ def build_dataset(
     ref_params: ParamVector,
     spec: MlpSpec,
     rspec: RewardSpec,
-    sampler_cfg: SamplerConfig,
+    steps: int,
     n_records: int,
     base_seed: int,
     ref_hash: str,
@@ -186,8 +186,9 @@ def build_dataset(
     """Generate n_records labeled pairs from the frozen reference model.
 
     Record i draws from default_rng(base_seed + i), in order: the condition,
-    noise A, noise B. All 2 * n_records noises are then sampled in one batch;
-    the sampler is batch-invariant, so record i is a pure function of its seed.
+    noise A, noise B. All 2 * n_records noises are then decoded in one batch of
+    `steps` Euler steps; the sampler is batch-invariant, so record i is a pure
+    function of its seed.
     """
     if n_records < 0:
         raise ConfigurationError(f"record count must be >= 0, got {n_records}")
@@ -196,18 +197,17 @@ def build_dataset(
             f"reward params shape {rspec.params.shape} does not match model "
             f"({spec.cond_dim}, {spec.data_dim})"
         )
-    conds = np.empty((n_records, spec.cond_dim))
+    ks = np.empty(n_records, dtype=np.int64)
     noises = np.empty((n_records, 2, spec.data_dim))
     for i in range(n_records):
         rng = np.random.default_rng(base_seed + i)
-        conds[i] = one_hot(int(rng.integers(spec.cond_dim)), spec.cond_dim)
+        ks[i] = rng.integers(spec.cond_dim)
         noises[i] = rng.standard_normal((2, spec.data_dim))
+    conds = np.eye(spec.cond_dim)[ks]
     samples = euler_sample(
-        ref_params, spec, noises.reshape(-1, spec.data_dim), np.repeat(conds, 2, axis=0), sampler_cfg
+        ref_params, spec, noises.reshape(-1, spec.data_dim), np.repeat(conds, 2, axis=0), steps
     ).reshape(noises.shape)
-    header = DatasetHeader(
-        dim=spec.data_dim, cond_dim=spec.cond_dim, steps=sampler_cfg.steps, ref_hash=ref_hash
-    )
+    header = DatasetHeader(dim=spec.data_dim, cond_dim=spec.cond_dim, steps=steps, ref_hash=ref_hash)
     return label_pairs(rspec, header, conds, samples, noises)
 
 
@@ -223,7 +223,7 @@ def audit_dataset(dataset: PreferenceDataset, ref_params: ParamVector, spec: Mlp
     if not (np.all(np.isfinite(stored)) and np.all(np.isfinite(noises))):
         return math.inf
     conds = np.repeat(dataset.cond, 2, axis=0)
-    replayed = euler_sample(ref_params, spec, noises, conds, SamplerConfig(steps=dataset.header.steps))
+    replayed = euler_sample(ref_params, spec, noises, conds, dataset.header.steps)
     return float(np.max(np.abs(stored - replayed)))
 
 

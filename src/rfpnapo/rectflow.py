@@ -29,17 +29,6 @@ from .numerics import (
 )
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    """Euler integration settings: `steps` uniform steps from t=1 down to 0."""
-
-    steps: int = 50
-
-    def __post_init__(self):
-        if self.steps < 1:
-            raise ShapeError(f"sampler needs at least 1 step, got {self.steps}")
-
-
 def path_inputs(
     spec: MlpSpec, x0: np.ndarray, xT: np.ndarray, cond: np.ndarray, t: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -97,13 +86,14 @@ def euler_sample(
     spec: MlpSpec,
     xT: np.ndarray,
     cond: np.ndarray,
-    cfg: SamplerConfig,
+    steps: int,
 ) -> np.ndarray:
-    """Integrate the learned field from t=1 to t=0 with fixed Euler steps.
+    """Integrate the learned field from t=1 to t=0 with `steps` uniform Euler steps.
 
     Args:
         xT: prior noises, shape (B, data_dim); B may be 0.
         cond: one-hot conditions, shape (B, cond_dim).
+        steps: at least 1, else ShapeError.
 
     Returns:
         the samples x0_hat, shape (B, data_dim). Row i depends only on xT[i]
@@ -115,6 +105,8 @@ def euler_sample(
     the input and x - dt * v into its state columns in place, so each input
     row holds what forward_single_cached would pad it to.
     """
+    if steps < 1:
+        raise ShapeError(f"sampler needs at least 1 step, got {steps}")
     xT = np.asarray(xT, dtype=np.float64)
     cond = np.asarray(cond, dtype=np.float64)
     if xT.ndim != 2 or xT.shape[1] != spec.data_dim:
@@ -128,25 +120,17 @@ def euler_sample(
     x[...] = xT
     inp[:rows, d:-1] = cond
     t = inp[:rows, -1]
-    dt = 1.0 / cfg.steps
+    dt = 1.0 / steps
     # a diverging field overflows before the check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(cfg.steps):
+        for i in range(steps):
             t[...] = 1.0 - i * dt
             v = forward_tiles(weights, biases, inp, outs).reshape(-1, d)[:rows]
             v *= dt
             x -= v
             if not np.all(np.isfinite(x)):
-                raise NumericError(f"sampler diverged at step {i + 1} of {cfg.steps}")
+                raise NumericError(f"sampler diverged at step {i + 1} of {steps}")
     return x.copy()
-
-
-def one_hot(k: int, n_conditions: int) -> np.ndarray:
-    if not 0 <= k < n_conditions:
-        raise ShapeError(f"condition index {k} outside [0, {n_conditions})")
-    v = np.zeros(n_conditions)
-    v[k] = 1.0
-    return v
 
 
 @dataclass(frozen=True)

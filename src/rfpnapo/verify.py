@@ -15,7 +15,7 @@ from .baselines import dpo_value_grad, sft_value_grad
 from .numerics import FunctionLoss, MlpSpec, finite_diff_check, mlp_init
 from .pnapo import f_controller, g_controller, pnapo_value_grad
 from .prefdata import DatasetHeader, PreferenceDataset, RewardSpec, build_dataset
-from .rectflow import SamplerConfig, cfm_objective, default_mixture, one_hot
+from .rectflow import cfm_objective, default_mixture
 from .training import run_pretrain
 
 GRAD_TOL = 1e-4
@@ -40,10 +40,10 @@ class CheckResult:
 def _random_pair(rng: np.random.Generator, spec: MlpSpec, delta_r: float) -> PreferenceDataset:
     d = spec.data_dim
     header = DatasetHeader(dim=d, cond_dim=spec.cond_dim, steps=1, ref_hash="verify")
-    cond = one_hot(int(rng.integers(spec.cond_dim)), spec.cond_dim)
+    cond = np.eye(spec.cond_dim)[rng.integers(spec.cond_dim, size=1)]
     # one block, the stream of four (d,) draws: winner x0, loser x0, winner xT, loser xT
     x0, xT = rng.standard_normal((2, 1, 2, d))
-    return PreferenceDataset(header, cond[None], x0, xT, [delta_r])
+    return PreferenceDataset(header, cond, x0, xT, [delta_r])
 
 
 def suite_gradcheck() -> list[CheckResult]:
@@ -104,9 +104,7 @@ def suite_variance() -> list[CheckResult]:
     rspec = RewardSpec(
         kind="mode_distance", params=np.array([[2.0, 0.0], [0.0, 2.0], [-2.0, 0.0], [0.0, -2.0]])
     )
-    dataset = build_dataset(
-        ref, spec, rspec, SamplerConfig(steps=25), n_records=1, base_seed=5, ref_hash="verify"
-    )
+    dataset = build_dataset(ref, spec, rspec, steps=25, n_records=1, base_seed=5, ref_hash="verify")
     base = pnapo_delta(model, ref, spec, dataset, t=0.37)[0]
     worst = max(abs(pnapo_delta(model, ref, spec, dataset, t=0.37)[0] - base) for _ in range(100))
     var_stored, var_fresh = estimator_variance(model, ref, spec, dataset, n_draws=1000, seed=123)

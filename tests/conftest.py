@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from rfpnapo.corpus import Corpus
 from rfpnapo.numerics import MlpSpec, mlp_init, pack_params, unpack_params
 from rfpnapo.prefdata import DatasetHeader, PreferenceDataset
-from rfpnapo.rectflow import default_mixture, one_hot
+from rfpnapo.rectflow import default_mixture
 from rfpnapo.training import run_pretrain
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -20,11 +20,12 @@ def make_pairs(
 ) -> PreferenceDataset:
     """n random pairs; per pair the draws are the condition, then x0 and xT as one (2, 2, d) block."""
     d = spec.data_dim
-    cond, blocks = [], []
-    for _ in range(n):
-        cond.append(one_hot(int(rng.integers(spec.cond_dim)), spec.cond_dim))
+    ks = np.empty(n, dtype=np.int64)
+    blocks = []
+    for i in range(n):
+        ks[i] = rng.integers(spec.cond_dim)
         blocks.append(rng.standard_normal((2, 2, d)))
-    cond = np.array(cond).reshape(n, spec.cond_dim)
+    cond = np.eye(spec.cond_dim)[ks]
     blocks = np.array(blocks).reshape(n, 2, 2, d)
     header = DatasetHeader(dim=d, cond_dim=spec.cond_dim, steps=1, ref_hash="test")
     return PreferenceDataset(

@@ -4,12 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import make_pairs
 from rfpnapo.analytics import (
-    EvalReport,
     TabularChain,
     chain_rule_identity,
     estimator_variance,
@@ -17,11 +14,9 @@ from rfpnapo.analytics import (
     pnapo_delta,
     random_chain,
     win_rate,
-    write_eval_csv,
 )
-from rfpnapo.errors import ConfigurationError, DataError, ShapeError
+from rfpnapo.errors import ConfigurationError, ShapeError
 from rfpnapo.prefdata import RewardSpec
-from rfpnapo.rectflow import SamplerConfig
 
 
 def test_chain_validation_rejects_bad_rows():
@@ -145,29 +140,19 @@ def test_estimator_variance_deterministic(trained_pair):
         estimator_variance(later, ref, spec, pairs, n_draws=50, seed=9)
 
 
-def test_eval_report_validation():
-    EvalReport(model="m", mean_reward=0.0, median_reward=0.0, win_rate=None, n=1, seed=0)
-    with pytest.raises(ShapeError):
-        EvalReport(model="m", mean_reward=0.0, median_reward=0.0, win_rate=1.5, n=1, seed=0)
-    with pytest.raises(ShapeError):
-        EvalReport(model="m", mean_reward=0.0, median_reward=0.0, win_rate=None, n=0, seed=0)
-
-
 def test_eval_reward_and_self_win_rate(trained_pair):
     ref, later, spec = trained_pair
     rspec = RewardSpec(
         kind="mode_distance",
         params=np.array([[2.0, 0.0], [0.0, 2.0], [-2.0, 0.0], [0.0, -2.0]]),
     )
-    cfg = SamplerConfig(steps=8)
-    rep, rewards = eval_reward(ref, spec, rspec, n_per_condition=5, sampler_cfg=cfg, seed=3, label="ref")
-    assert rep.n == 20
-    assert rep.model == "ref"
-    assert np.isfinite(rep.mean_reward) and np.isfinite(rep.median_reward)
-    assert (rep.mean_reward, rep.median_reward) == (float(np.mean(rewards)), float(np.median(rewards)))
-    rep2, rewards2 = eval_reward(ref, spec, rspec, n_per_condition=5, sampler_cfg=cfg, seed=3, label="ref")
-    assert rep == rep2
+    rewards = eval_reward(ref, spec, rspec, n_per_condition=5, steps=8, seed=3)
+    assert rewards.shape == (20,)
+    assert np.all(np.isfinite(rewards))
+    rewards2 = eval_reward(ref, spec, rspec, n_per_condition=5, steps=8, seed=3)
     assert rewards.tobytes() == rewards2.tobytes()
+    with pytest.raises(ConfigurationError):
+        eval_reward(ref, spec, rspec, n_per_condition=0, steps=8, seed=3)
     # a model against itself never wins or loses a pair
     assert win_rate(rewards, rewards2) == 0.5
     with pytest.raises(ShapeError):
@@ -180,65 +165,10 @@ def test_win_rate_detects_strictly_better_model(trained_pair):
         kind="mode_distance",
         params=np.array([[2.0, 0.0], [0.0, 2.0], [-2.0, 0.0], [0.0, -2.0]]),
     )
-    cfg = SamplerConfig(steps=8)
-    _, r_later = eval_reward(later, spec, rspec, n_per_condition=20, sampler_cfg=cfg, seed=5)
-    _, r_ref = eval_reward(ref, spec, rspec, n_per_condition=20, sampler_cfg=cfg, seed=5)
+    r_later = eval_reward(later, spec, rspec, n_per_condition=20, steps=8, seed=5)
+    r_ref = eval_reward(ref, spec, rspec, n_per_condition=20, steps=8, seed=5)
     wr_later = win_rate(r_later, r_ref)
     wr_ref = win_rate(r_ref, r_later)
     assert wr_later + wr_ref == pytest.approx(1.0, abs=1e-15)
     # the longer-trained snapshot should be the better sampler
     assert wr_later > 0.5
-
-
-def test_write_eval_csv(tmp_path):
-    reports = [
-        EvalReport(model="a", mean_reward=-0.5, median_reward=-0.25, win_rate=0.75, n=10, seed=1),
-        EvalReport(model="b", mean_reward=-1.5, median_reward=-1.0, win_rate=None, n=10, seed=1),
-    ]
-    path = str(tmp_path / "report.csv")
-    write_eval_csv(path, reports)
-    lines = open(path).read().splitlines()
-    assert lines[0] == "model,mean_reward,median_reward,win_rate,n,seed"
-    assert lines[1] == "a,-0.5,-0.25,0.75,10,1"
-    assert lines[2] == "b,-1.5,-1,,10,1"
-    with pytest.raises(DataError):
-        write_eval_csv(path, [EvalReport(model="x,y", mean_reward=0.0, median_reward=0.0, win_rate=None, n=1, seed=0)])
-
-
-def _bits(x: float) -> bytes:
-    return np.float64(x).tobytes()
-
-
-@settings(max_examples=100, deadline=None)
-@given(reports=st.lists(st.builds(
-    EvalReport,
-    model=st.text(st.characters(blacklist_categories=("Cs",))),  # any text UTF-8 can encode
-    mean_reward=st.floats(allow_nan=False),
-    median_reward=st.floats(allow_nan=False),
-    win_rate=st.none() | st.floats(0.0, 1.0),
-    n=st.integers(1, 10**12),
-    seed=st.integers(0, 2**64 - 1),
-), max_size=4))
-def test_eval_csv_round_trips_bitwise(tmp_path_factory, reports):
-    path = tmp_path_factory.mktemp("eval") / "report.csv"
-    # a label a comma or any line separator would split cannot be a CSV cell
-    if any("," in rep.model or rep.model.splitlines() not in ([], [rep.model]) for rep in reports):
-        with pytest.raises(DataError):
-            write_eval_csv(str(path), reports)
-        assert not path.exists()
-        return
-    write_eval_csv(str(path), reports)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "model,mean_reward,median_reward,win_rate,n,seed"
-    assert len(lines) == len(reports) + 1
-    for rep, line in zip(reports, lines[1:]):
-        model, mean, median, win, n, seed = line.split(",")
-        assert model == rep.model
-        assert _bits(float(mean)) == _bits(rep.mean_reward)
-        assert _bits(float(median)) == _bits(rep.median_reward)
-        if rep.win_rate is None:
-            assert win == ""
-        else:
-            assert _bits(float(win)) == _bits(rep.win_rate)
-        assert (int(n), int(seed)) == (rep.n, rep.seed)
-        assert (n, seed) == (str(rep.n), str(rep.seed))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES
 from rfpnapo import analytics, cli
-from rfpnapo.cli import ALIGN_COLUMNS, PRETRAIN_COLUMNS, _write_metrics_csv, main
+from rfpnapo.cli import ALIGN_COLUMNS, EVAL_COLUMNS, PRETRAIN_COLUMNS, _write_csv, main
 from rfpnapo.config import load_config
 from rfpnapo.fileio import fmt17
 from rfpnapo.numerics import read_checkpoint
@@ -301,8 +301,8 @@ def test_eval_decodes_each_model_once(tmp_path, tiny_cfg, capsys, monkeypatch):
     n = 6 * spec.cond_dim
     conds = np.eye(spec.cond_dim)[np.arange(n) % spec.cond_dim]
     noise = np.random.default_rng(cfg.get("seed")).standard_normal((n, spec.data_dim))
-    xa = euler_sample(pa, spec, noise, conds, cfg.sampler())
-    xb = euler_sample(pb, spec, noise, conds, cfg.sampler())
+    xa = euler_sample(pa, spec, noise, conds, cfg.get("sampler.steps"))
+    xb = euler_sample(pb, spec, noise, conds, cfg.get("sampler.steps"))
     rewards = reward_eval(cfg.reward(spec.data_dim, spec.cond_dim), np.concatenate([xa, xb]),
                           np.concatenate([conds, conds]))
     ra, rb = rewards[:n], rewards[n:]
@@ -314,6 +314,9 @@ def test_eval_decodes_each_model_once(tmp_path, tiny_cfg, capsys, monkeypatch):
     assert rows[0][1:3] == [fmt17(float(np.mean(ra))), fmt17(float(np.median(ra)))]
     assert rows[1][1:3] == [fmt17(float(np.mean(rb))), fmt17(float(np.median(rb)))]
     assert [row[4] for row in rows] == [str(n), str(n)]
+    # the label and seed cells
+    assert [row[0] for row in rows] == ["model", "against"]
+    assert [row[5] for row in rows] == [str(cfg.get("seed"))] * 2
 
 
 def test_gen_pairs_n_zero_writes_header_only(tmp_path, tiny_cfg, capsys):
@@ -487,6 +490,21 @@ def test_verify_subcommand_exit_codes(capsys):
     assert all(l.split(",")[1] == "PASS" for l in lines)
 
 
+def test_corpus_fixture_stage_counts(tmp_path, capsys):
+    # the committed fixture CI's entry-point step runs: each stage drops its
+    # planted records, and k-means finds the four planted topics
+    out = str(tmp_path / "corpus.tsv")
+    assert main(["corpus", str(FIXTURES / "corpus_small.tsv"),
+                 "--config", str(FIXTURES / "corpus.cfg"), "--out", out]) == 0
+    assert capsys.readouterr().out == (
+        "corpus: input=40, after_toxicity=37, after_jaccard=36, after_cosine=35, "
+        f"clusters=4, output=24, wrote {out}\n"
+    )
+    kept = [line.split("\t")[0] for line in Path(out).read_text().splitlines()[1:]]
+    assert not any(rid.endswith(("_toxic", "_textdup", "_embdup")) for rid in kept)
+    assert sorted(Counter(rid[:2] for rid in kept).items()) == [(f"c{c}", 6) for c in range(4)]
+
+
 def test_corpus_subcommand_end_to_end(tmp_path, capsys):
     cfg = tmp_path / "corpus.cfg"
     cfg.write_text("""
@@ -571,17 +589,28 @@ def test_checkpoint_spec_round_trip_through_cli(tmp_path, tiny_cfg, capsys):
     assert spec.data_dim == 2 and spec.cond_dim == 2 and spec.hidden == (8, 8)
 
 
+# every column that is not a float; int and str cells are written as str
+STR_CELLS = {
+    "step": st.integers(1, 2**63),
+    "n": st.integers(1, 10**12),
+    "seed": st.integers(0, 2**64 - 1),
+    "model": st.sampled_from(["model", "against"]),
+}
+
+
 @pytest.mark.parametrize("columns, header", [
     (PRETRAIN_COLUMNS, "step,loss,grad_norm"),
     (ALIGN_COLUMNS, "step,loss,margin_mean,beta_eff_mean,grad_norm"),
+    (EVAL_COLUMNS, "model,mean_reward,median_reward,win_rate,n,seed"),
 ])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_metrics_csv_round_trips_bitwise(tmp_path_factory, columns, header, data):
-    cells = {col: st.integers(1, 2**63) if col == "step" else st.floats(allow_nan=False) for col in columns}
+    """All three CSVs: int and str cells as str, float cells that read back to the same bits."""
+    cells = {col: STR_CELLS.get(col, st.floats(allow_nan=False)) for col in columns}
     rows = data.draw(st.lists(st.fixed_dictionaries(cells), max_size=12))
     path = tmp_path_factory.mktemp("metrics") / "run.metrics.csv"
-    _write_metrics_csv(str(path), rows, columns)
+    _write_csv(str(path), columns, rows)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == header
     assert len(lines) == len(rows) + 1
@@ -589,7 +618,7 @@ def test_metrics_csv_round_trips_bitwise(tmp_path_factory, columns, header, data
         back = line.split(",")
         assert len(back) == len(columns)
         for col, cell in zip(columns, back):
-            if col == "step":
-                assert int(cell) == row[col] and cell == str(row[col])
+            if col in STR_CELLS:
+                assert cell == str(row[col])
             else:
                 assert np.float64(float(cell)).tobytes() == np.float64(row[col]).tobytes(), col

@@ -161,7 +161,7 @@ sampler.steps = 12
 """))
     sched = cfg.schedule()
     assert sched.beta == 25.0 and sched.n1 == 5 and sched.n2 == 9 and not sched.dynamic
-    assert cfg.sampler().steps == 12
+    assert cfg.get("sampler.steps") == 12
 
 
 def test_snapshot_is_complete_and_stringly(tmp_path):

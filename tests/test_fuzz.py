@@ -191,7 +191,6 @@ def _build_everything(cfg) -> None:
     spec = cfg.mlp_spec()
     cfg.mixture()
     cfg.reward(spec.data_dim, spec.cond_dim)
-    cfg.sampler()
     cfg.corpus_config()
     AlignConfig(method="pnapo", lr=cfg.get("train.lr"), steps=cfg.get("train.steps"),
                 batch=cfg.get("train.batch"), schedule=cfg.schedule(), seed=cfg.get("seed"))

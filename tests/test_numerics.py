@@ -354,6 +354,8 @@ def test_checkpoint_round_trip_bit_exact(tmp_path_factory, case):
     params2, spec2 = read_checkpoint(path)
     assert spec2 == spec
     assert params2.tobytes() == params.tobytes()
+    # a fresh array, not a read-only view of the file's bytes
+    assert params2.flags.owndata and params2.flags.writeable
     # rewriting produces identical bytes
     data1 = open(path, "rb").read()
     write_checkpoint(path, params2, spec2)

@@ -21,12 +21,12 @@ from rfpnapo.prefdata import (
     reward_eval,
     write_dataset,
 )
-from rfpnapo.rectflow import SamplerConfig, euler_sample, one_hot
+from rfpnapo.rectflow import euler_sample
 
 
 def _reward(rspec: RewardSpec, x, k: int) -> float:
     """The reward of one sample under condition k, as a batch of one row."""
-    cond = one_hot(k, rspec.params.shape[0])[None]
+    cond = np.eye(rspec.params.shape[0])[[k]]
     return float(reward_eval(rspec, np.asarray(x, dtype=np.float64)[None], cond)[0])
 
 
@@ -93,7 +93,7 @@ def test_batched_reward_is_bitwise_the_per_row_formula(kind, n, d, k, seed):
 def test_reward_eval_rejects_mismatched_shapes():
     rspec = RewardSpec(kind="mode_distance", params=np.zeros((2, 3)))
     for x, cond in (
-        (np.zeros(3), one_hot(0, 2)),  # one unbatched row
+        (np.zeros(3), np.eye(2)[0]),  # one unbatched row
         (np.zeros((4, 2)), np.eye(2)[[0, 1, 0, 1]]),  # wrong sample width
         (np.zeros((4, 3)), np.eye(3)[[0, 1, 0, 1]]),  # wrong condition count
         (np.zeros((4, 3)), np.eye(2)[[0, 1, 0]]),  # rows disagree
@@ -191,12 +191,11 @@ def _record_bytes(ds):
 
 def test_generate_pair_deterministic():
     spec, ref, rspec = _tiny_setup()
-    cfg = SamplerConfig(steps=6)
-    a = build_dataset(ref, spec, rspec, cfg, n_records=5, base_seed=77, ref_hash="h")
-    b = build_dataset(ref, spec, rspec, cfg, n_records=5, base_seed=77, ref_hash="h")
+    a = build_dataset(ref, spec, rspec, steps=6, n_records=5, base_seed=77, ref_hash="h")
+    b = build_dataset(ref, spec, rspec, steps=6, n_records=5, base_seed=77, ref_hash="h")
     assert _record_bytes(a) == _record_bytes(b)
     # record i depends on seed base_seed + i only: a shifted range shares records
-    shifted = build_dataset(ref, spec, rspec, cfg, n_records=5, base_seed=78, ref_hash="h")
+    shifted = build_dataset(ref, spec, rspec, steps=6, n_records=5, base_seed=78, ref_hash="h")
     assert _record_bytes(shifted)[:4] == _record_bytes(a)[1:]
     assert _record_bytes(shifted)[4] not in _record_bytes(a)
 
@@ -205,16 +204,15 @@ def test_build_dataset_stores_drawn_noises_bitwise():
     # documented per-record RNG order: condition, noise A, noise B; each stored
     # noise is the draw itself and each stored sample is that noise sampled alone
     spec, ref, rspec = _tiny_setup()
-    cfg = SamplerConfig(steps=7)
-    ds = build_dataset(ref, spec, rspec, cfg, n_records=6, base_seed=33, ref_hash="h")
+    ds = build_dataset(ref, spec, rspec, steps=7, n_records=6, base_seed=33, ref_hash="h")
     for i in range(len(ds)):
         rng = np.random.default_rng(33 + i)
-        cond = one_hot(int(rng.integers(spec.cond_dim)), spec.cond_dim)
+        cond = np.eye(spec.cond_dim)[rng.integers(spec.cond_dim)]
         draws = [rng.standard_normal(spec.data_dim) for _ in range(2)]
         assert ds.cond[i].tobytes() == cond.tobytes()
         assert sorted(noise.tobytes() for noise in ds.xT[i]) == sorted(d.tobytes() for d in draws)
         for x0, xT in zip(ds.x0[i], ds.xT[i]):
-            alone = euler_sample(ref, spec, xT[None, :], cond[None, :], cfg)[0]
+            alone = euler_sample(ref, spec, xT[None, :], cond[None, :], 7)[0]
             assert x0.tobytes() == alone.tobytes()
 
 
@@ -236,7 +234,7 @@ def test_build_dataset_and_exact_replay(
     ref = mlp_init(spec, init_seed)
     modes = np.random.default_rng(init_seed).standard_normal((cond_dim, data_dim))
     rspec = RewardSpec(kind="mode_distance", params=modes)
-    ds = build_dataset(ref, spec, rspec, SamplerConfig(steps=steps), n, base_seed, ref_hash="h")
+    ds = build_dataset(ref, spec, rspec, steps, n, base_seed, ref_hash="h")
     assert len(ds) == n
     assert ds.header.dim == data_dim and ds.header.cond_dim == cond_dim and ds.header.steps == steps
     # stored samples replay bit-exactly from the stored noise, before and
@@ -258,7 +256,7 @@ SLOTS = [
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_audit_flags_non_finite_values(array, slot, bad):
     spec, ref, rspec = _tiny_setup()
-    ds = build_dataset(ref, spec, rspec, SamplerConfig(steps=4), n_records=5, base_seed=60, ref_hash="h")
+    ds = build_dataset(ref, spec, rspec, steps=4, n_records=5, base_seed=60, ref_hash="h")
     assert audit_dataset(ds, ref, spec) == 0.0
     getattr(ds, array)[3, slot, 1] = bad
     assert audit_dataset(ds, ref, spec) == math.inf
@@ -268,7 +266,7 @@ def test_build_dataset_rejects_mismatched_reward_params():
     spec, ref, _ = _tiny_setup()
     bad = RewardSpec(kind="mode_distance", params=np.zeros((2, 2)))  # needs 3 rows
     with pytest.raises(ShapeError):
-        build_dataset(ref, spec, bad, SamplerConfig(steps=3), 2, 0, "h")
+        build_dataset(ref, spec, bad, 3, 2, 0, "h")
 
 
 @settings(max_examples=40, deadline=None)
@@ -307,7 +305,7 @@ def test_record_fields_land_in_their_slots(tmp_path):
 
 def test_dataset_write_is_byte_stable(tmp_path):
     spec, ref, rspec = _tiny_setup()
-    ds = build_dataset(ref, spec, rspec, SamplerConfig(steps=3), 4, 12, "00ff")
+    ds = build_dataset(ref, spec, rspec, 3, 4, 12, "00ff")
     p1, p2 = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
     write_dataset(p1, ds)
     write_dataset(p2, ds)
@@ -396,7 +394,7 @@ def test_read_dataset_error_positions(tmp_path):
 
 def test_read_dataset_empty_is_header_only(tmp_path):
     spec, ref, rspec = _tiny_setup()
-    ds = build_dataset(ref, spec, rspec, SamplerConfig(steps=3), 0, 5, "beef")
+    ds = build_dataset(ref, spec, rspec, 3, 0, 5, "beef")
     path = str(tmp_path / "empty.txt")
     write_dataset(path, ds)
     lines = open(path).read().splitlines()
@@ -407,7 +405,7 @@ def test_read_dataset_empty_is_header_only(tmp_path):
 
 def test_delta_r_reflects_reward_ordering():
     spec, ref, rspec = _tiny_setup()
-    ds = build_dataset(ref, spec, rspec, SamplerConfig(steps=5), 30, 7, "h")
+    ds = build_dataset(ref, spec, rspec, 5, 30, 7, "h")
     rw = reward_eval(rspec, ds.x0[:, 0], ds.cond)
     rl = reward_eval(rspec, ds.x0[:, 1], ds.cond)
     assert np.all(rw >= rl)

@@ -16,11 +16,9 @@ from rfpnapo.numerics import (
 )
 from rfpnapo.rectflow import (
     ConditionalMixture,
-    SamplerConfig,
     cfm_objective,
     default_mixture,
     euler_sample,
-    one_hot,
     path_inputs,
 )
 
@@ -136,7 +134,7 @@ def test_euler_single_step_recovers_constant_field():
     biases[-1] = np.array([0.3, -0.7])
     params = pack_params(weights, biases)
     xT = np.array([[1.0, 2.0], [-0.5, 0.25]])
-    x0 = euler_sample(params, spec, xT, np.eye(2), SamplerConfig(steps=1))
+    x0 = euler_sample(params, spec, xT, np.eye(2), 1)
     assert x0.shape == (2, 2)
     assert np.array_equal(x0, xT - biases[-1])
 
@@ -148,7 +146,7 @@ def test_euler_many_steps_constant_field_still_exact_to_tolerance():
     biases[-1] = np.array([0.3, -0.7])
     params = pack_params(weights, biases)
     xT = np.array([[1.0, 2.0]])
-    x0 = euler_sample(params, spec, xT, one_hot(1, 2)[None, :], SamplerConfig(steps=50))
+    x0 = euler_sample(params, spec, xT, np.eye(2)[[1]], 50)
     # constant velocity: every step subtracts b/steps, rounding is the only error
     assert x0.shape == (1, 2)
     assert np.allclose(x0, xT - biases[-1], rtol=0, atol=1e-12)
@@ -166,23 +164,22 @@ def test_euler_sample_reports_the_step_it_diverged_at():
     xT = np.zeros((30, 1))
     xT[29] = -1e308
     cond = np.ones((30, 1))
-    finite = euler_sample(params, spec, xT[:29], cond[:29], SamplerConfig(steps=5))
+    finite = euler_sample(params, spec, xT[:29], cond[:29], 5)
     assert np.all(np.isfinite(finite))
     # the overflow on the way is no warning: under the package's error filter it
     # would be raised in place of the NumericError
     with pytest.raises(NumericError, match=r"^sampler diverged at step 4 of 5$"):
-        euler_sample(params, spec, xT, cond, SamplerConfig(steps=5))
+        euler_sample(params, spec, xT, cond, 5)
 
 
 def test_euler_sample_rejects_unbatched_or_mismatched_input():
     spec = MlpSpec(data_dim=2, cond_dim=3, hidden=(4,))
     params = mlp_init(spec, 0)
-    cfg = SamplerConfig(steps=2)
     with pytest.raises(ShapeError):
-        euler_sample(params, spec, np.zeros(2), one_hot(0, 3), cfg)
+        euler_sample(params, spec, np.zeros(2), np.eye(3)[0], 2)
     with pytest.raises(ShapeError):
-        euler_sample(params, spec, np.zeros((4, 2)), np.eye(3)[:3], cfg)
-    assert euler_sample(params, spec, np.zeros((0, 2)), np.zeros((0, 3)), cfg).shape == (0, 2)
+        euler_sample(params, spec, np.zeros((4, 2)), np.eye(3)[:3], 2)
+    assert euler_sample(params, spec, np.zeros((0, 2)), np.zeros((0, 3)), 2).shape == (0, 2)
 
 
 def _euler_per_row(params, spec, xT, cond, steps):
@@ -218,27 +215,25 @@ def test_euler_sample_is_batch_invariant(data_dim, cond_dim, hidden, batch, step
     xT = rng.standard_normal((batch, data_dim))
     cond = np.eye(cond_dim)[rng.integers(cond_dim, size=batch)]
     xT_bytes = xT.tobytes()
-    cfg = SamplerConfig(steps=steps)
     expected = _euler_per_row(params, spec, xT, cond, steps).tobytes()
 
-    assert euler_sample(params, spec, xT, cond, cfg).tobytes() == expected
+    assert euler_sample(params, spec, xT, cond, steps).tobytes() == expected
     cuts = sorted(data.draw(st.lists(st.integers(0, batch), max_size=4)))
     bounds = list(zip([0, *cuts], [*cuts, batch]))
-    pieces = [euler_sample(params, spec, xT[a:b], cond[a:b], cfg) for a, b in bounds]
+    pieces = [euler_sample(params, spec, xT[a:b], cond[a:b], steps) for a, b in bounds]
     assert np.concatenate(pieces).tobytes() == expected
     assert xT.tobytes() == xT_bytes  # the input noise is never written
 
 
 def test_sampler_config_validation():
-    with pytest.raises(Exception):
-        SamplerConfig(steps=0)
-
-
-def test_one_hot():
-    v = one_hot(2, 4)
-    assert np.array_equal(v, [0.0, 0.0, 1.0, 0.0])
-    with pytest.raises(ShapeError):
-        one_hot(4, 4)
+    # the step count is checked before the rows, so even a malformed batch reports it
+    spec = MlpSpec(data_dim=2, cond_dim=3, hidden=(4,))
+    params = mlp_init(spec, 0)
+    for steps in (0, -1):
+        with pytest.raises(ShapeError, match=rf"^sampler needs at least 1 step, got {steps}$"):
+            euler_sample(params, spec, np.zeros((4, 2)), np.eye(3)[[0, 1, 2, 0]], steps)
+        with pytest.raises(ShapeError, match=rf"^sampler needs at least 1 step, got {steps}$"):
+            euler_sample(params, spec, np.zeros(2), np.eye(3)[0], steps)
 
 
 def test_mixture_sampling_deterministic_and_near_modes():
