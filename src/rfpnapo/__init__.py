@@ -18,13 +18,12 @@ from .errors import (
     ShapeError,
 )
 from .numerics import MlpSpec, mlp_forward, mlp_init, read_checkpoint, write_checkpoint
-from .pnapo import AlignConfig, BetaSchedule, effective_beta, pnapo_value_grad, score
+from .pnapo import BetaSchedule, effective_beta, pnapo_value_grad, score
 from .prefdata import PreferenceDataset, RewardSpec, build_dataset, read_dataset, write_dataset
 from .rectflow import cfm_objective, euler_sample
 from .training import run_alignment, run_pretrain
 
 __all__ = [
-    "AlignConfig",
     "BetaSchedule",
     "ConfigurationError",
     "DataError",

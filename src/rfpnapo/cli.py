@@ -20,9 +20,8 @@ from .corpus import read_corpus, run_pipeline, write_corpus
 from .errors import RfpnapoError, ShapeError
 from .fileio import fmt17, sha256_file, write_text
 from .numerics import read_checkpoint, write_checkpoint
-from .pnapo import AlignConfig
 from .prefdata import build_dataset, read_dataset, write_dataset
-from .training import run_alignment, run_pretrain
+from .training import METHODS, run_alignment, run_pretrain
 from .verify import SUITES
 
 PRETRAIN_COLUMNS = ("step", "loss", "grad_norm")
@@ -151,14 +150,7 @@ def cmd_align(args: argparse.Namespace) -> int:
             f"dataset dims (dim={dataset.header.dim}, cdim={dataset.header.cond_dim}) "
             f"do not match checkpoint (dim={spec.data_dim}, cdim={spec.cond_dim})"
         )
-    acfg = AlignConfig(
-        method=args.method,
-        lr=cfg.get("train.lr"),
-        steps=cfg.get("train.steps"),
-        batch=cfg.get("train.batch"),
-        schedule=cfg.schedule(),
-        seed=cfg.get("seed"),
-    )
+    schedule = cfg.schedule()  # n1 < n2 fails here, before the run
     # pairs sampled from another checkpoint are the paper's off-policy
     # setting, so a mismatch is recorded and noted, never an error
     ref_hash = sha256_file(args.model)
@@ -169,7 +161,11 @@ def cmd_align(args: argparse.Namespace) -> int:
             f"not from {args.model} (sha256 {ref_hash})",
             file=sys.stderr,
         )
-    params, rows = run_alignment(ref_params, spec, dataset, acfg)
+    params, rows = run_alignment(
+        ref_params, spec, dataset, args.method, schedule,
+        steps=cfg.get("train.steps"), batch=cfg.get("train.batch"),
+        lr=cfg.get("train.lr"), seed=cfg.get("seed"),
+    )
     write_checkpoint(args.out, params, spec)
     metrics_path = args.out + ".metrics.csv"
     _write_csv(metrics_path, ALIGN_COLUMNS, rows)
@@ -252,7 +248,16 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     cfg.require("seed")
     corpus = read_corpus(args.input)
-    survivors, counts = run_pipeline(corpus, cfg.corpus_config(), seed=cfg.get("seed"))
+    survivors, counts = run_pipeline(
+        corpus,
+        toxicity_threshold=cfg.get("corpus.toxicity_threshold"),
+        jaccard_threshold=cfg.get("corpus.jaccard_threshold"),
+        cosine_threshold=cfg.get("corpus.cosine_threshold"),
+        n_clusters=cfg.get("corpus.k_clusters"),
+        per_cluster=cfg.get("corpus.per_cluster"),
+        kmeans_iters=cfg.get("corpus.kmeans_iters"),
+        seed=cfg.get("seed"),
+    )
     write_corpus(args.out, survivors)
     _write_manifest(
         args,
@@ -291,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="reference checkpoint")
     p.add_argument("--pairs", required=True, help="preference dataset path")
     p.add_argument("--out", required=True, help="aligned checkpoint output path")
-    p.add_argument("--method", choices=("pnapo", "dpo", "sft"), default="pnapo")
+    p.add_argument("--method", choices=METHODS, default="pnapo")
     p.set_defaults(func=cmd_align)
 
     p = sub.add_parser("eval", help="compare two checkpoints on the analytic reward")

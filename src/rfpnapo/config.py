@@ -7,7 +7,6 @@ from typing import Callable
 
 import numpy as np
 
-from .corpus import CorpusPipelineConfig
 from .errors import ConfigurationError, ParseError
 from .fileio import read_lines
 from .numerics import MlpSpec
@@ -94,7 +93,8 @@ def _parse_hidden(raw: str) -> tuple[int, ...]:
 
 
 # key -> (parser, default); a None default means the key has no default and
-# commands that need it must see it in the file.
+# commands that need it must see it in the file. These are the package's only
+# defaults: the builders and the Python API take every value explicitly.
 _KEYS: dict[str, tuple[Callable[[str], object], object]] = {
     "seed": (_parse_seed, None),
     "data.dim": (_parse_count, 2),
@@ -165,46 +165,36 @@ class RunConfig:
             hidden=self.get("model.hidden"),
         )
 
+    def _vector_groups(self, key: str, dim: int, n_conditions: int) -> tuple:
+        """The groups of a vector-list key: none, or one per condition, each vector dim wide."""
+        groups = self.get(key).groups
+        for k, vectors in enumerate(groups):
+            for vec in vectors:
+                if len(vec) != dim:
+                    raise ConfigurationError(
+                        f"{key}: condition {k} has a vector of {len(vec)} coordinates, expected {dim}"
+                    )
+        if groups and len(groups) != n_conditions:
+            raise ConfigurationError(f"{key} defines {len(groups)} conditions, expected {n_conditions}")
+        return groups
+
     def mixture(self) -> ConditionalMixture:
-        dim = self.get("data.dim")
-        n_conditions = self.get("data.conditions")
+        dim, n_conditions = self.get("data.dim"), self.get("data.conditions")
         std = self.get("data.mixture.std")
-        modes = self.get("data.mixture.modes").groups
+        modes = self._vector_groups("data.mixture.modes", dim, n_conditions)
         if not modes:
             return default_mixture(dim, n_conditions, std)
-        for k, centers in enumerate(modes):
-            for center in centers:
-                if len(center) != dim:
-                    raise ConfigurationError(
-                        f"data.mixture.modes: condition {k} center has {len(center)} "
-                        f"coordinates, data.dim is {dim}"
-                    )
-        if len(modes) != n_conditions:
-            raise ConfigurationError(
-                f"data.mixture.modes defines {len(modes)} conditions, "
-                f"data.conditions is {n_conditions}"
-            )
         centers = np.array([center for group in modes for center in group])
         return ConditionalMixture(centers, np.array([len(group) for group in modes]), std)
 
     def reward(self, data_dim: int, cond_dim: int) -> RewardSpec:
         kind = self.get("reward.kind")
-        rows = [vectors[0] for vectors in self.get("reward.params").groups]
+        rows = [vectors[0] for vectors in self._vector_groups("reward.params", data_dim, cond_dim)]
         if not rows:
             params = np.zeros((cond_dim, data_dim))
             if kind == "direction_dot":
                 params[:, 0] = 1.0
             return RewardSpec(kind=kind, params=params)
-        for k, row in enumerate(rows):
-            if len(row) != data_dim:
-                raise ConfigurationError(
-                    f"reward.params: vector {k} has {len(row)} coordinates, "
-                    f"model dimension is {data_dim}"
-                )
-        if len(rows) != cond_dim:
-            raise ConfigurationError(
-                f"reward.params defines {len(rows)} conditions, model has {cond_dim}"
-            )
         return RewardSpec(kind=kind, params=np.array(rows))
 
     def schedule(self) -> BetaSchedule:
@@ -213,16 +203,6 @@ class RunConfig:
             n1=self.get("pnapo.n1"),
             n2=self.get("pnapo.n2"),
             dynamic=self.get("pnapo.dynamic"),
-        )
-
-    def corpus_config(self) -> CorpusPipelineConfig:
-        return CorpusPipelineConfig(
-            toxicity_threshold=self.get("corpus.toxicity_threshold"),
-            jaccard_threshold=self.get("corpus.jaccard_threshold"),
-            cosine_threshold=self.get("corpus.cosine_threshold"),
-            n_clusters=self.get("corpus.k_clusters"),
-            per_cluster=self.get("corpus.per_cluster"),
-            kmeans_iters=self.get("corpus.kmeans_iters"),
         )
 
 

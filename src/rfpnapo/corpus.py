@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError, ParseError, ShapeError
 from .fileio import BLOCK_VALUES, parse_float, parse_floats, read_lines, row_format, write_text
-from .numerics import row_dot
+from .numerics import row_dot, scale_by_peak
 
 
 @dataclass
@@ -55,26 +55,19 @@ class Corpus:
         return Corpus(self.ids[idx], self.texts[idx], self.toxicity[idx], self.embeddings[idx])
 
 
-@dataclass(frozen=True)
-class CorpusPipelineConfig:
-    toxicity_threshold: float = 0.1
-    jaccard_threshold: float = 0.8
-    cosine_threshold: float = 0.8
-    n_clusters: int = 100
-    per_cluster: int = 200
-    kmeans_iters: int = 50
+def _check_threshold(kind: str, threshold: float) -> None:
+    if not 0.0 <= threshold <= 1.0:
+        raise ConfigurationError(f"{kind} threshold must lie in [0, 1], got {threshold}")
 
-    def __post_init__(self):
-        for name in ("toxicity_threshold", "jaccard_threshold", "cosine_threshold"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigurationError(f"{name} must lie in [0, 1], got {v}")
-        if self.n_clusters < 1 or self.per_cluster < 1 or self.kmeans_iters < 1:
-            raise ConfigurationError("cluster counts and iteration cap must be >= 1")
+
+def _check_count(what: str, value: int) -> None:
+    if value < 1:
+        raise ConfigurationError(f"{what} must be >= 1, got {value}")
 
 
 def toxicity_filter(corpus: Corpus, threshold: float) -> Corpus:
     """Keep exactly the records with toxicity <= threshold, preserving order."""
+    _check_threshold("toxicity", threshold)
     return corpus.take(corpus.toxicity <= threshold)
 
 
@@ -100,8 +93,7 @@ def jaccard_dedup(corpus: Corpus, threshold: float) -> Corpus:
     monotone, so jaccard(a, b) > t implies an overlap above t * |a| and
     t * |b|, which puts the first shared token in both prefixes.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ConfigurationError(f"jaccard threshold must lie in [0, 1], got {threshold}")
+    _check_threshold("jaccard", threshold)
     sets = [_token_set(text) for text in corpus.texts]
     freq = Counter(token for tokens in sets for token in tokens)
     rank = {token: r for r, token in enumerate(sorted(freq, key=lambda token: (freq[token], token)))}
@@ -133,13 +125,12 @@ def embedding_dedup(corpus: Corpus, threshold: float) -> Corpus:
     record is one matrix-vector product against `units[:m]`, the same BLAS
     call with the same strides as on a freshly stacked copy.
 
-    Each row is first scaled by the power of two that brings its largest
-    entry into [0.5, 1), so the squared norm neither overflows nor underflows
-    for any finite embedding. The scaling is exact, and so (away from
-    subnormals) is its cancellation in the unit vector.
+    Each row is first scaled by scale_by_peak, so the squared norm neither
+    overflows nor underflows for any finite embedding, and the exact scaling
+    cancels in the unit vector.
     """
-    peak = np.max(np.abs(corpus.embeddings), axis=1, initial=0.0)
-    scaled = np.ldexp(corpus.embeddings, -np.frexp(peak)[1][:, None])
+    _check_threshold("cosine", threshold)
+    scaled, _ = scale_by_peak(corpus.embeddings, axis=1)
     norms = np.sqrt(row_dot(scaled, scaled))
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
@@ -211,20 +202,17 @@ def lloyd_iterations(
 def kmeans_cluster(corpus: Corpus, k: int, iters: int, seed: int) -> np.ndarray:
     """Assign each record to one of k clusters by its embedding. Deterministic per seed.
 
-    The embeddings are first scaled by the power of two that brings their
-    largest magnitude into [0.5, 1), so no squared distance overflows. Away
-    from subnormals the scaling is exact, and so the distances, means and
-    farthest-point probabilities scale exactly and the assignments do not.
+    The embeddings are first scaled by scale_by_peak over the whole array, so
+    no squared distance overflows. The scaling is exact, and so the distances,
+    means and farthest-point probabilities scale exactly and the assignments
+    do not.
     """
     n = len(corpus)
-    if k < 1:
-        raise ConfigurationError(f"cluster count must be >= 1, got {k}")
+    _check_count("cluster count", k)
     if k > n:
         raise ConfigurationError(f"cannot form {k} clusters from {n} records")
-    if iters < 1:
-        raise ConfigurationError(f"iteration cap must be >= 1, got {iters}")
-    peak = np.max(np.abs(corpus.embeddings), initial=0.0)
-    x = np.ldexp(corpus.embeddings, -np.frexp(peak)[1])
+    _check_count("iteration cap", iters)
+    x, _ = scale_by_peak(corpus.embeddings)
     assignments, _, _ = lloyd_iterations(x, k, iters, np.random.default_rng(seed))
     return assignments
 
@@ -235,8 +223,7 @@ def cluster_resample(corpus: Corpus, assignments: np.ndarray, per_cluster: int, 
     Output is ordered by (cluster id, original index). RNG consumption order:
     one choice call per cluster, ascending cluster id.
     """
-    if per_cluster < 1:
-        raise ConfigurationError(f"per-cluster quota must be >= 1, got {per_cluster}")
+    _check_count("per-cluster quota", per_cluster)
     assignments = np.asarray(assignments)
     if assignments.shape != (len(corpus),):
         raise ShapeError("assignments must align with records")
@@ -249,23 +236,33 @@ def cluster_resample(corpus: Corpus, assignments: np.ndarray, per_cluster: int, 
 
 
 def run_pipeline(
-    corpus: Corpus, cfg: CorpusPipelineConfig, seed: int
+    corpus: Corpus,
+    toxicity_threshold: float,
+    jaccard_threshold: float,
+    cosine_threshold: float,
+    n_clusters: int,
+    per_cluster: int,
+    kmeans_iters: int,
+    seed: int,
 ) -> tuple[Corpus, dict[str, int]]:
     """Run all stages in order; returns (survivors, per-stage counts)."""
     counts = {"input": len(corpus)}
-    survivors = toxicity_filter(corpus, cfg.toxicity_threshold)
+    survivors = toxicity_filter(corpus, toxicity_threshold)
     counts["after_toxicity"] = len(survivors)
-    survivors = jaccard_dedup(survivors, cfg.jaccard_threshold)
+    survivors = jaccard_dedup(survivors, jaccard_threshold)
     counts["after_jaccard"] = len(survivors)
-    survivors = embedding_dedup(survivors, cfg.cosine_threshold)
+    survivors = embedding_dedup(survivors, cosine_threshold)
     counts["after_cosine"] = len(survivors)
-    if len(survivors) == 0:  # nothing left to cluster; empty in, empty out
+    if len(survivors) == 0:  # nothing to cluster, but the cluster settings are still checked
+        _check_count("cluster count", n_clusters)
+        _check_count("iteration cap", kmeans_iters)
+        _check_count("per-cluster quota", per_cluster)
         counts["clusters"] = 0
         counts["output"] = 0
         return survivors, counts
-    assignments = kmeans_cluster(survivors, cfg.n_clusters, cfg.kmeans_iters, seed)
-    counts["clusters"] = cfg.n_clusters
-    survivors = cluster_resample(survivors, assignments, cfg.per_cluster, seed)
+    assignments = kmeans_cluster(survivors, n_clusters, kmeans_iters, seed)
+    counts["clusters"] = n_clusters
+    survivors = cluster_resample(survivors, assignments, per_cluster, seed)
     counts["output"] = len(survivors)
     return survivors, counts
 

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DataError, NumericError, ParseError, ShapeError
+from .errors import ConfigurationError, DataError, NumericError, ParseError, ShapeError
 from .fileio import require_file, write_bytes
 
 CHECKPOINT_MAGIC = b"RFPK"
@@ -48,7 +48,7 @@ class MlpSpec:
 
     data_dim: int
     cond_dim: int
-    hidden: tuple[int, ...] = (32, 32)
+    hidden: tuple[int, ...]
 
     def __post_init__(self):
         if self.data_dim < 1 or self.cond_dim < 1:
@@ -281,6 +281,17 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
+def scale_by_peak(x: np.ndarray, axis: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """x scaled by the power of two that brings its largest magnitude into [0.5, 1), and its exponent.
+
+    One exponent per slice along `axis` (one for the whole array when None),
+    returned with that axis dropped. Away from subnormals the scaling is exact
+    and ldexp by the exponent undoes it, and no sum of scaled squares overflows.
+    """
+    exp = np.frexp(np.max(np.abs(x), axis=axis, initial=0.0, keepdims=True))[1]
+    return np.ldexp(x, -exp), np.squeeze(exp, axis=axis)
+
+
 def sigmoid(z):
     """Numerically stable logistic function, elementwise; a scalar gives a numpy scalar."""
     z = np.asarray(z, dtype=np.float64)
@@ -373,8 +384,9 @@ class OptimState:
 
 
 def optim_init(n_params: int, lr: float) -> OptimState:
-    if lr <= 0:
-        raise ShapeError(f"learning rate must be positive, got {lr}")
+    """Zero moments at step 0; the one check of a trainer's learning rate."""
+    if not (math.isfinite(lr) and lr > 0):
+        raise ConfigurationError(f"learning rate must be a finite number > 0, got {lr}")
     return OptimState(lr=lr, first_moment=np.zeros(n_params), second_moment=np.zeros(n_params))
 
 

@@ -43,9 +43,9 @@ class BetaSchedule:
     """Preference weight: base value, anneal window [n1, n2], dynamic switch."""
 
     beta: float
-    n1: int = 1000
-    n2: int = 2000
-    dynamic: bool = True
+    n1: int
+    n2: int
+    dynamic: bool
 
     def __post_init__(self):
         if not (math.isfinite(self.beta) and self.beta > 0):
@@ -157,20 +157,3 @@ def make_pnapo_term(
 
     return term
 
-
-@dataclass(frozen=True)
-class AlignConfig:
-    """Everything one alignment run needs besides the data and the reference."""
-
-    method: str  # pnapo | dpo | sft
-    lr: float
-    steps: int
-    batch: int
-    schedule: BetaSchedule
-    seed: int
-
-    def __post_init__(self):
-        if self.method not in ("pnapo", "dpo", "sft"):
-            raise ConfigurationError(f"unknown alignment method {self.method!r}")
-        if self.lr <= 0 or self.steps < 1 or self.batch < 1:
-            raise ConfigurationError("alignment needs lr > 0, steps >= 1, batch >= 1")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError, NumericError, ParseError, RfpnapoError, ShapeError
 from .fileio import BLOCK_VALUES, parse_floats, read_lines, row_format, write_text
-from .numerics import MlpSpec, ParamVector, row_dot
+from .numerics import MlpSpec, ParamVector, row_dot, scale_by_peak
 from .rectflow import euler_sample
 
 REWARD_KINDS = ("mode_distance", "quadratic_bowl", "direction_dot")
@@ -54,9 +54,9 @@ def reward_eval(rspec: RewardSpec, x: np.ndarray, cond: np.ndarray) -> np.ndarra
 
     Row i is bit for bit the single-row formula of the RewardSpec docstring
     (a BLAS dot for norms and inner products), whatever the batch. A norm is
-    taken of the row scaled by a power of two, which is exact, so it overflows
-    only where the reward itself does; a reward that is not finite raises
-    NumericError naming its row.
+    taken of the row as numerics.scale_by_peak scales it, exactly, so it
+    overflows only where the reward itself does; a reward that is not finite
+    raises NumericError naming its row.
     """
     x = np.asarray(x, dtype=np.float64)
     cond = np.asarray(cond, dtype=np.float64)
@@ -71,9 +71,7 @@ def reward_eval(rspec: RewardSpec, x: np.ndarray, cond: np.ndarray) -> np.ndarra
         if rspec.kind == "direction_dot":
             rewards = row_dot(target, x)
         else:
-            delta = x - target
-            exp = np.frexp(np.max(np.abs(delta), axis=1, initial=0.0))[1]
-            scaled = np.ldexp(delta, -exp[:, None])
+            scaled, exp = scale_by_peak(x - target, axis=1)
             sq = row_dot(scaled, scaled)
             if rspec.kind == "mode_distance":
                 rewards = -np.ldexp(np.sqrt(sq), exp)

@@ -182,7 +182,7 @@ class ConditionalMixture:
         return self.centers[first[ks] + picks] + self.std * noise
 
 
-def default_mixture(dim: int, n_conditions: int, std: float = 0.4) -> ConditionalMixture:
+def default_mixture(dim: int, n_conditions: int, std: float) -> ConditionalMixture:
     """One mode per condition, spaced on a radius-2 circle in the first two dims."""
     if dim < 1 or n_conditions < 1:
         raise ShapeError("mixture needs dim >= 1 and at least one condition")

@@ -21,9 +21,11 @@ from .numerics import (
     mlp_init,
     optim_init,
 )
-from .pnapo import AlignConfig, make_pnapo_term
+from .pnapo import BetaSchedule, make_pnapo_term
 from .prefdata import PreferenceDataset
 from .rectflow import ConditionalMixture, cfm_objective
+
+METHODS = ("pnapo", "dpo", "sft")
 
 # A term maps (params, batch of B pairs) -> (per-pair losses (B,), gradient of
 # their sum, per-pair margins (B,), per-pair beta_eff (B,)).
@@ -56,15 +58,27 @@ def step_with_terms(
     return params, optim, metrics
 
 
+def _check_run_length(steps: int, batch: int) -> None:
+    """The step and batch counts every trainer checks; optim_init checks its rate."""
+    if steps < 1 or batch < 1:
+        raise ConfigurationError(f"training needs steps >= 1 and batch >= 1, got {steps} and {batch}")
+
+
 def run_alignment(
     ref_params: ParamVector,
     spec: MlpSpec,
     dataset: PreferenceDataset,
-    cfg: AlignConfig,
+    method: str,
+    schedule: BetaSchedule,
+    steps: int,
+    batch: int,
+    lr: float,
+    seed: int,
 ) -> tuple[ParamVector, list[dict]]:
     """Train a copy of the reference on preference pairs; returns (params, metric rows).
 
-    Every step draws, from one default_rng(cfg.seed) stream: first the batch
+    method is one of METHODS; dpo reads only schedule.beta, sft no schedule.
+    Every step draws, from one default_rng(seed) stream: first the batch
     indices, rng.choice(n, size=min(batch, n), replace=False); then the
     method's draws as blocks over the b pairs, rows in batch order:
       - pnapo: rng.random((b, 1)), one time per pair, shared by its winner
@@ -74,25 +88,28 @@ def run_alignment(
       - sft: rng.standard_normal((b, d)), the winners' prior noises; then
         rng.random(b), the times
     """
+    if method not in METHODS:
+        raise ConfigurationError(f"unknown alignment method {method!r}")
+    _check_run_length(steps, batch)
     n = len(dataset)
     if n == 0:
         raise ConfigurationError("alignment needs at least one preference record")
     params = np.array(ref_params, dtype=np.float64, copy=True)
-    optim = optim_init(params.size, cfg.lr)
-    rng = np.random.default_rng(cfg.seed)
-    batch_size = min(cfg.batch, n)
+    optim = optim_init(params.size, lr)
+    rng = np.random.default_rng(seed)
+    batch_size = min(batch, n)
     rows: list[dict] = []
     # a diverging run overflows before step_with_terms reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        for step_index in range(1, cfg.steps + 1):
-            batch = dataset.take(rng.choice(n, size=batch_size, replace=False))
-            if cfg.method == "pnapo":
-                term = make_pnapo_term(ref_params, spec, cfg.schedule, step_index, rng)
-            elif cfg.method == "dpo":
-                term = make_dpo_term(ref_params, spec, cfg.schedule.beta, rng)
+        for step_index in range(1, steps + 1):
+            pairs = dataset.take(rng.choice(n, size=batch_size, replace=False))
+            if method == "pnapo":
+                term = make_pnapo_term(ref_params, spec, schedule, step_index, rng)
+            elif method == "dpo":
+                term = make_dpo_term(ref_params, spec, schedule.beta, rng)
             else:  # sft
                 term = make_sft_term(spec, rng)
-            params, optim, metrics = step_with_terms(params, optim, batch, term, step_index)
+            params, optim, metrics = step_with_terms(params, optim, pairs, term, step_index)
             rows.append(metrics)
     return params, rows
 
@@ -112,8 +129,7 @@ def run_pretrain(
     indices, mode picks (none when every condition has one mode), mixture
     noise (batch, dim), prior noise (batch, dim), times (batch,).
     """
-    if steps < 1 or batch < 1 or lr <= 0:
-        raise ConfigurationError("pretraining needs steps >= 1, batch >= 1, lr > 0")
+    _check_run_length(steps, batch)
     if mixture.dim != spec.data_dim or mixture.n_conditions != spec.cond_dim:
         raise ConfigurationError(
             f"mixture ({mixture.dim}, {mixture.n_conditions}) does not match "

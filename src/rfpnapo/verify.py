@@ -98,7 +98,7 @@ def suite_kl() -> list[CheckResult]:
 def suite_variance() -> list[CheckResult]:
     """Score-gap estimator: stored noise pins the draw; fresh noise does not."""
     spec = MlpSpec(data_dim=2, cond_dim=4, hidden=(16, 16))
-    mixture = default_mixture(2, 4)
+    mixture = default_mixture(2, 4, 0.4)
     ref, _ = run_pretrain(spec, mixture, steps=300, batch=32, lr=3e-3, seed=11)
     model, _ = run_pretrain(spec, mixture, steps=450, batch=32, lr=3e-3, seed=11)
     rspec = RewardSpec(

@@ -104,7 +104,7 @@ def small_params(small_spec) -> np.ndarray:
 def trained_pair():
     """(ref, later, spec): two distinct snapshots of one short training run."""
     spec = MlpSpec(data_dim=2, cond_dim=4, hidden=(16, 16))
-    mixture = default_mixture(2, 4)
+    mixture = default_mixture(2, 4, 0.4)
     ref, _ = run_pretrain(spec, mixture, steps=200, batch=32, lr=3e-3, seed=19)
     later, _ = run_pretrain(spec, mixture, steps=320, batch=32, lr=3e-3, seed=19)
     return ref, later, spec

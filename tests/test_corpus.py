@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import corpora
 from rfpnapo.corpus import (
     Corpus,
-    CorpusPipelineConfig,
     cluster_resample,
     embedding_dedup,
     jaccard,
@@ -368,20 +367,29 @@ def _stacked_dedup(embeddings: np.ndarray, threshold: float) -> tuple[list[int],
 )
 def test_embedding_dedup_keeps_the_rows_of_the_stacked_loop(n, d, seed, pick, below):
     # near-duplicates of earlier rows put cosines close to 1. The threshold is
-    # a cosine the loop itself compared, or the float just below it, so a
-    # comparison whose bits moved by one ulp either way flips a decision.
+    # a cosine in [0, 1] the loop itself compared, or the float just below it,
+    # so a comparison whose bits moved by one ulp either way flips a decision.
     rng = np.random.default_rng(seed)
     emb = rng.standard_normal((n, d))
     for i in range(1, n):
         if rng.random() < 0.5:
             emb[i] = rng.uniform(0.1, 3.0) * emb[rng.integers(i)] + rng.uniform(0.0, 0.3) * rng.standard_normal(d)
     _, maxima = _stacked_dedup(emb, 1.0)  # keeps all: every comparison is recorded
+    maxima = [m for m in maxima if 0.0 <= m <= 1.0]  # the others are no threshold
     threshold = maxima[int(pick * (len(maxima) - 1))] if maxima else pick
-    if below:
+    if below and threshold > 0.0:
         threshold = float(np.nextafter(threshold, -np.inf))
     corpus = Corpus([f"p{i}" for i in range(n)], [""] * n, np.zeros(n), emb)
     kept = embedding_dedup(corpus, threshold)
     assert list(kept.ids) == [f"p{i}" for i in _stacked_dedup(emb, threshold)[0]]
+
+
+@pytest.mark.parametrize("stage", [toxicity_filter, embedding_dedup])
+@pytest.mark.parametrize("threshold", [-0.1, 1.5, float("nan")])
+def test_threshold_stages_reject_threshold_outside_unit_interval(stage, threshold):
+    kind = "toxicity" if stage is toxicity_filter else "cosine"
+    with pytest.raises(ConfigurationError, match=f"{kind} threshold"):
+        stage(_corpus([_rec(0), _rec(1, text="other words")]), threshold)
 
 
 def test_pipeline_counts_small():
@@ -396,15 +404,7 @@ def test_pipeline_counts_small():
     records.append(("t1", "other toxic text two", 0.2, np.array([-0.5, 0.5])))
     records.append(("d0", base_texts[0], 0.01, np.array([-1.0, -1.0])))
     records.append(("e0", "completely fresh words here", 0.01, 3.0 * embs[2]))
-    cfg = CorpusPipelineConfig(
-        toxicity_threshold=0.1,
-        jaccard_threshold=0.8,
-        cosine_threshold=0.8,
-        n_clusters=2,
-        per_cluster=3,
-        kmeans_iters=10,
-    )
-    survivors, counts = run_pipeline(_corpus(records), cfg, seed=9)
+    survivors, counts = run_pipeline(_corpus(records), 0.1, 0.8, 0.8, 2, 3, 10, seed=9)
     assert counts["input"] == 10
     assert counts["after_toxicity"] == 8
     assert counts["after_jaccard"] == 7
@@ -414,8 +414,8 @@ def test_pipeline_counts_small():
 
 
 def test_pipeline_empty_input():
-    cfg = CorpusPipelineConfig()
-    survivors, counts = run_pipeline(Corpus([], [], np.empty(0), np.empty((0, 3))), cfg, seed=0)
+    empty = Corpus([], [], np.empty(0), np.empty((0, 3)))
+    survivors, counts = run_pipeline(empty, 0.1, 0.8, 0.8, 100, 200, 50, seed=0)
     assert len(survivors) == 0 and survivors.embeddings.shape == (0, 3)
     assert counts == {
         "input": 0,
@@ -428,7 +428,16 @@ def test_pipeline_empty_input():
 
 
 def test_pipeline_config_validation():
-    with pytest.raises(ConfigurationError):
-        CorpusPipelineConfig(toxicity_threshold=1.5)
-    with pytest.raises(ConfigurationError):
-        CorpusPipelineConfig(n_clusters=0)
+    # each setting out of range is rejected by the stage that uses it, and on
+    # an empty corpus, where no cluster stage runs, all the same
+    valid = (0.1, 0.8, 0.8, 1, 200, 50)
+    bad = [(0, 1.5), (0, float("nan")), (1, -0.1), (1, float("nan")), (2, 1.01), (2, float("nan")),
+           (3, 0), (4, 0), (5, 0)]
+    full = _corpus([_rec(i, text=f"words of prompt {i}") for i in range(3)])
+    for corpus in (full, Corpus([], [], np.empty(0), np.empty((0, 2)))):
+        run_pipeline(corpus, *valid, seed=0)
+        for at, value in bad:
+            values = list(valid)
+            values[at] = value
+            with pytest.raises(ConfigurationError):
+                run_pipeline(corpus, *values, seed=0)

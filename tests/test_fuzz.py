@@ -23,12 +23,12 @@ from conftest import corpora, make_pairs, pair_batches
 from rfpnapo import corpus as corpus_module
 from rfpnapo import prefdata as prefdata_module
 from rfpnapo.config import _KEYS, load_config
-from rfpnapo.corpus import Corpus, read_corpus, write_corpus
+from rfpnapo.corpus import Corpus, read_corpus, run_pipeline, write_corpus
 from rfpnapo.errors import ConfigurationError, ParseError, RfpnapoError
 from rfpnapo.fileio import BLOCK_VALUES
-from rfpnapo.numerics import MlpSpec, mlp_init, read_checkpoint, write_checkpoint
-from rfpnapo.pnapo import AlignConfig
+from rfpnapo.numerics import MlpSpec, mlp_init, optim_init, read_checkpoint, write_checkpoint
 from rfpnapo.prefdata import read_dataset, write_dataset
+from rfpnapo.training import _check_run_length
 
 # the last five are spellings float() accepts: underscores, Arabic-Indic digits,
 # a leading no-break space, an explicit sign and exponent, a negative zero
@@ -64,8 +64,7 @@ corpus.kmeans_iters = 10
 
 # the checks that compare one key with another; a line number cannot name both
 CROSS_KEY = re.compile(
-    r"data\.mixture\.modes: condition \d+ center has|data\.mixture\.modes defines"
-    r"|reward\.params: vector \d+ has|reward\.params defines|need 1 <= n1 < n2"
+    r"(data\.mixture\.modes|reward\.params)(: condition \d+ has a vector| defines)|need 1 <= n1 < n2"
 )
 
 
@@ -94,7 +93,7 @@ def work(tmp_path_factory) -> Path:
 @pytest.fixture(scope="module")
 def valid_lines(work) -> dict[str, list[str]]:
     """The lines of a valid pair file and a valid corpus TSV."""
-    pairs = make_pairs(np.random.default_rng(3), MlpSpec(data_dim=2, cond_dim=2), 3, delta_r=0.5)
+    pairs = make_pairs(np.random.default_rng(3), MlpSpec(data_dim=2, cond_dim=2, hidden=(32, 32)), 3, delta_r=0.5)
     write_dataset(str(work / "valid.pairs"), pairs)
     corpus = Corpus(["a", "b", "c"], ["hello world", "good day", "x y z"], [0.0, 0.5, 1.0],
                     np.array([[1.0, 0.25], [-2.0, 3.0], [0.5, -0.125]]))
@@ -187,13 +186,25 @@ def test_bulk_reader_ends_as_the_per_line_checks(work, fmt, data):
 
 
 def _build_everything(cfg) -> None:
-    """Every RunConfig builder, and the AlignConfig align makes from the train.* keys."""
+    """Every RunConfig builder, and the in-process checks of the train.* and corpus.* values.
+
+    The corpus settings reach every stage's check through run_pipeline on an
+    empty corpus; the train.* values reach the trainers' count check and
+    optim_init, the one learning-rate check.
+    """
     spec = cfg.mlp_spec()
     cfg.mixture()
     cfg.reward(spec.data_dim, spec.cond_dim)
-    cfg.corpus_config()
-    AlignConfig(method="pnapo", lr=cfg.get("train.lr"), steps=cfg.get("train.steps"),
-                batch=cfg.get("train.batch"), schedule=cfg.schedule(), seed=cfg.get("seed"))
+    cfg.schedule()
+    _check_run_length(cfg.get("train.steps"), cfg.get("train.batch"))
+    optim_init(1, cfg.get("train.lr"))
+    run_pipeline(
+        Corpus([], [], np.empty(0), np.empty((0, 0))),
+        *(cfg.get(f"corpus.{name}") for name in
+          ("toxicity_threshold", "jaccard_threshold", "cosine_threshold", "k_clusters", "per_cluster",
+           "kmeans_iters")),
+        seed=cfg.get("seed"),
+    )
 
 
 def test_full_config_sets_every_key_and_builds(tmp_path):

@@ -436,9 +436,9 @@ def test_checkpoint_rejects_inconsistent_dims(tmp_path, small_spec, small_params
 
 def test_spec_validation():
     with pytest.raises(ShapeError):
-        MlpSpec(data_dim=0, cond_dim=2)
+        MlpSpec(data_dim=0, cond_dim=2, hidden=(4,))
     with pytest.raises(ShapeError):
-        MlpSpec(data_dim=2, cond_dim=0)
+        MlpSpec(data_dim=2, cond_dim=0, hidden=(4,))
     with pytest.raises(ShapeError):
         MlpSpec(data_dim=2, cond_dim=2, hidden=(0,))
     # no hidden layers is legal: a purely linear field

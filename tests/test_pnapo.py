@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from conftest import make_pairs, pair_batches
 from rfpnapo.errors import ConfigurationError, DataError
 from rfpnapo.numerics import FunctionLoss, finite_diff_check, mlp_init, optim_init, sigmoid
 from rfpnapo.pnapo import (
-    AlignConfig,
     BetaSchedule,
     effective_beta,
     f_controller,
@@ -20,7 +20,7 @@ from rfpnapo.pnapo import (
     pnapo_value_grad,
     score,
 )
-from rfpnapo.training import step_with_terms
+from rfpnapo.training import run_alignment, step_with_terms
 
 LOG2 = math.log(2.0)
 
@@ -82,11 +82,11 @@ def test_effective_beta_composition():
 
 def test_schedule_validation():
     with pytest.raises(ConfigurationError):
-        BetaSchedule(beta=0.0)
+        BetaSchedule(beta=0.0, n1=1000, n2=2000, dynamic=True)
     with pytest.raises(ConfigurationError):
-        BetaSchedule(beta=1.0, n1=0, n2=5)
+        BetaSchedule(beta=1.0, n1=0, n2=5, dynamic=True)
     with pytest.raises(ConfigurationError):
-        BetaSchedule(beta=1.0, n1=7, n2=7)
+        BetaSchedule(beta=1.0, n1=7, n2=7, dynamic=True)
 
 
 def test_score_zero_when_params_equal_reference(small_spec, small_params):
@@ -194,9 +194,17 @@ def test_align_step_metrics_shape(small_spec, small_params):
     assert not np.array_equal(params, small_params)
 
 
-def test_align_config_validation():
-    sched = BetaSchedule(beta=1.0)
-    with pytest.raises(ConfigurationError):
-        AlignConfig(method="ppo", lr=1e-3, steps=10, batch=4, schedule=sched, seed=0)
-    with pytest.raises(ConfigurationError):
-        AlignConfig(method="pnapo", lr=0.0, steps=10, batch=4, schedule=sched, seed=0)
+def test_align_config_validation(small_spec, small_params):
+    # the method, the step and batch counts, then the learning rate (optim_init)
+    sched = BetaSchedule(beta=1.0, n1=1000, n2=2000, dynamic=True)
+    pairs = make_pairs(np.random.default_rng(23), small_spec, 4, delta_r=0.5)
+    bad = [
+        ("ppo", 10, 4, 1e-3, "unknown alignment method 'ppo'"),
+        ("pnapo", 0, 4, 1e-3, "steps >= 1 and batch >= 1"),
+        ("dpo", 10, 0, 1e-3, "steps >= 1 and batch >= 1"),
+        ("sft", 10, 4, 0.0, "learning rate must be a finite number > 0"),
+        ("pnapo", 10, 4, float("nan"), "learning rate must be a finite number > 0"),
+    ]
+    for method, steps, batch, lr, message in bad:
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            run_alignment(small_params, small_spec, pairs, method, sched, steps, batch, lr, 0)

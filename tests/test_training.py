@@ -16,15 +16,16 @@ from rfpnapo.numerics import (
     sigmoid,
     softplus,
 )
+from rfpnapo import training
 from rfpnapo.baselines import make_dpo_term, make_sft_term
-from rfpnapo.pnapo import AlignConfig, BetaSchedule, effective_beta, make_pnapo_term
+from rfpnapo.pnapo import BetaSchedule, effective_beta, make_pnapo_term
 from rfpnapo.rectflow import default_mixture
-from rfpnapo.training import run_alignment, run_pretrain
+from rfpnapo.training import METHODS, run_alignment, run_pretrain
 
 
 def test_pretrain_deterministic_and_loss_drops():
     spec = MlpSpec(data_dim=2, cond_dim=2, hidden=(12,))
-    mixture = default_mixture(2, 2)
+    mixture = default_mixture(2, 2, 0.4)
     p1, rows1 = run_pretrain(spec, mixture, steps=150, batch=32, lr=3e-3, seed=8)
     p2, rows2 = run_pretrain(spec, mixture, steps=150, batch=32, lr=3e-3, seed=8)
     assert np.array_equal(p1, p2)
@@ -36,12 +37,12 @@ def test_pretrain_deterministic_and_loss_drops():
 
 def test_pretrain_validates_arguments():
     spec = MlpSpec(data_dim=2, cond_dim=2, hidden=(4,))
-    mixture = default_mixture(2, 2)
+    mixture = default_mixture(2, 2, 0.4)
     with pytest.raises(ConfigurationError):
         run_pretrain(spec, mixture, steps=0, batch=4, lr=1e-3, seed=0)
     with pytest.raises(ConfigurationError):
         run_pretrain(spec, mixture, steps=5, batch=4, lr=-1.0, seed=0)
-    wrong = default_mixture(2, 3)  # condition count differs from the model shape
+    wrong = default_mixture(2, 3, 0.4)  # condition count differs from the model shape
     with pytest.raises(ConfigurationError):
         run_pretrain(spec, wrong, steps=5, batch=4, lr=1e-3, seed=0)
 
@@ -52,7 +53,7 @@ def test_pretrain_divergence_is_a_numeric_error():
     # be raised in place of the NumericError
     spec = MlpSpec(data_dim=2, cond_dim=2, hidden=(8, 8))
     with pytest.raises(NumericError, match=r"^non-finite loss value"):
-        run_pretrain(spec, default_mixture(2, 2), steps=40, batch=8, lr=1e300, seed=9)
+        run_pretrain(spec, default_mixture(2, 2, 0.4), steps=40, batch=8, lr=1e300, seed=9)
 
 
 def _records(spec, n, seed=70):
@@ -62,11 +63,8 @@ def _records(spec, n, seed=70):
 
 def test_alignment_first_step_loss_is_log_two(small_spec, small_params):
     records = _records(small_spec, 10)
-    cfg = AlignConfig(
-        method="pnapo", lr=1e-4, steps=3, batch=4,
-        schedule=BetaSchedule(beta=5.0, n1=10, n2=20), seed=1,
-    )
-    _, rows = run_alignment(small_params, small_spec, records, cfg)
+    sched = BetaSchedule(beta=5.0, n1=10, n2=20, dynamic=True)
+    _, rows = run_alignment(small_params, small_spec, records, "pnapo", sched, 3, 4, 1e-4, 1)
     # params start at the reference, so the first logged loss is exact
     assert rows[0]["loss"] == pytest.approx(math.log(2.0), abs=1e-12)
     assert len(rows) == 3
@@ -75,13 +73,10 @@ def test_alignment_first_step_loss_is_log_two(small_spec, small_params):
 
 def test_alignment_deterministic_per_method(small_spec, small_params):
     records = _records(small_spec, 8)
-    for method in ("pnapo", "dpo", "sft"):
-        cfg = AlignConfig(
-            method=method, lr=1e-3, steps=5, batch=4,
-            schedule=BetaSchedule(beta=3.0, n1=2, n2=4), seed=11,
-        )
-        pa, ra = run_alignment(small_params, small_spec, records, cfg)
-        pb, rb = run_alignment(small_params, small_spec, records, cfg)
+    sched = BetaSchedule(beta=3.0, n1=2, n2=4, dynamic=True)
+    for method in METHODS:
+        pa, ra = run_alignment(small_params, small_spec, records, method, sched, 5, 4, 1e-3, 11)
+        pb, rb = run_alignment(small_params, small_spec, records, method, sched, 5, 4, 1e-3, 11)
         assert np.array_equal(pa, pb)
         assert ra == rb
         assert not np.array_equal(pa, small_params)
@@ -89,43 +84,50 @@ def test_alignment_deterministic_per_method(small_spec, small_params):
 
 def test_alignment_methods_diverge(small_spec, small_params):
     records = _records(small_spec, 8)
-    outs = {}
-    for method in ("pnapo", "dpo", "sft"):
-        cfg = AlignConfig(
-            method=method, lr=1e-3, steps=5, batch=4,
-            schedule=BetaSchedule(beta=3.0, n1=2, n2=4), seed=11,
-        )
-        outs[method], _ = run_alignment(small_params, small_spec, records, cfg)
+    sched = BetaSchedule(beta=3.0, n1=2, n2=4, dynamic=True)
+    outs = {
+        method: run_alignment(small_params, small_spec, records, method, sched, 5, 4, 1e-3, 11)[0]
+        for method in METHODS
+    }
     assert not np.array_equal(outs["pnapo"], outs["dpo"])
     assert not np.array_equal(outs["pnapo"], outs["sft"])
 
 
-@pytest.mark.parametrize("method", ["pnapo", "dpo", "sft"])
+@pytest.mark.parametrize("method", METHODS)
 def test_alignment_divergence_is_a_numeric_error(small_spec, small_params, method):
     # as in pretraining: an overflow reaches the step's finiteness check, not a warning
-    cfg = AlignConfig(
-        method=method, lr=1e300, steps=5, batch=4, schedule=BetaSchedule(beta=3.0, n1=2, n2=4), seed=11,
-    )
+    sched = BetaSchedule(beta=3.0, n1=2, n2=4, dynamic=True)
     with pytest.raises(NumericError, match=r"^non-finite loss or gradient at step 2$"):
-        run_alignment(small_params, small_spec, _records(small_spec, 8), cfg)
+        run_alignment(small_params, small_spec, _records(small_spec, 8), method, sched, 5, 4, 1e300, 11)
 
 
 def test_alignment_requires_records(small_spec, small_params):
-    cfg = AlignConfig(
-        method="pnapo", lr=1e-3, steps=2, batch=4, schedule=BetaSchedule(beta=1.0), seed=0,
-    )
+    sched = BetaSchedule(beta=1.0, n1=1000, n2=2000, dynamic=True)
     with pytest.raises(ConfigurationError):
-        run_alignment(small_params, small_spec, _records(small_spec, 0), cfg)
+        run_alignment(small_params, small_spec, _records(small_spec, 0), "pnapo", sched, 2, 4, 1e-3, 0)
 
 
 def test_alignment_batch_larger_than_dataset_is_clamped(small_spec, small_params):
     records = _records(small_spec, 3)
-    cfg = AlignConfig(
-        method="pnapo", lr=1e-3, steps=2, batch=64,
-        schedule=BetaSchedule(beta=1.0), seed=2,
-    )
-    params, rows = run_alignment(small_params, small_spec, records, cfg)
+    sched = BetaSchedule(beta=1.0, n1=1000, n2=2000, dynamic=True)
+    params, rows = run_alignment(small_params, small_spec, records, "pnapo", sched, 2, 64, 1e-3, 2)
     assert len(rows) == 2
+
+
+@pytest.mark.parametrize("lr", [0.0, -1.0, float("nan"), float("inf")])
+def test_trainers_reject_a_bad_learning_rate_before_any_step(small_spec, small_params, monkeypatch, lr):
+    # optim_init is the one check of the rate, for pretraining and every method
+    def no_step(*args):
+        raise AssertionError("an Adam step ran")
+
+    monkeypatch.setattr(training, "adam_step", no_step)
+    message = r"^learning rate must be a finite number > 0, got "
+    with pytest.raises(ConfigurationError, match=message):
+        run_pretrain(small_spec, default_mixture(2, 3, 0.4), steps=5, batch=4, lr=lr, seed=0)
+    sched = BetaSchedule(beta=3.0, n1=2, n2=4, dynamic=True)
+    for method in METHODS:
+        with pytest.raises(ConfigurationError, match=message):
+            run_alignment(small_params, small_spec, _records(small_spec, 4), method, sched, 5, 4, lr, 0)
 
 
 # --- the per-record loop the batch step replaced, kept as its reference
@@ -159,27 +161,27 @@ def _preference_row(params, ref, spec, x0, xT, cond, t, beta_eff):
     return softplus(z), grad, -z
 
 
-def _record_terms(params, ref, spec, pairs, idx, cfg, step_index, rng):
+def _record_terms(params, ref, spec, pairs, idx, method, sched, step_index, rng):
     """Each record's loss, gradient, margin and beta_eff, one record at a time.
 
     The step's draws are taken first, as blocks in the documented order.
     """
     b, d = len(idx), pairs.header.dim
-    if cfg.method == "sft":
+    if method == "sft":
         xT = rng.standard_normal((b, d))
         t = rng.random(b)
     else:
         t = rng.random(b)
-    if cfg.method == "dpo":
+    if method == "dpo":
         eps = rng.standard_normal((b, 2, d))
     out = []
     for k, i in enumerate(idx):
         x0, cond = pairs.x0[i], pairs.cond[i]
-        if cfg.method == "pnapo":
-            beta = effective_beta(cfg.schedule, float(pairs.delta_r[i]), step_index)
+        if method == "pnapo":
+            beta = effective_beta(sched, float(pairs.delta_r[i]), step_index)
             out.append((*_preference_row(params, ref, spec, x0, pairs.xT[i], cond, t[k], beta), beta))
-        elif cfg.method == "dpo":
-            beta = cfg.schedule.beta
+        elif method == "dpo":
+            beta = sched.beta
             out.append((*_preference_row(params, ref, spec, x0, eps[k], cond, t[k], beta), beta))
         else:
             x0w = x0[0]
@@ -191,16 +193,16 @@ def _record_terms(params, ref, spec, pairs, idx, cfg, step_index, rng):
     return out
 
 
-def _batch_term(ref, spec, cfg, step_index, rng):
-    """The term run_alignment builds for cfg.method at step_index."""
-    if cfg.method == "pnapo":
-        return make_pnapo_term(ref, spec, cfg.schedule, step_index, rng)
-    if cfg.method == "dpo":
-        return make_dpo_term(ref, spec, cfg.schedule.beta, rng)
+def _batch_term(ref, spec, method, sched, step_index, rng):
+    """The term run_alignment builds for the method at step_index."""
+    if method == "pnapo":
+        return make_pnapo_term(ref, spec, sched, step_index, rng)
+    if method == "dpo":
+        return make_dpo_term(ref, spec, sched.beta, rng)
     return make_sft_term(spec, rng)
 
 
-@pytest.mark.parametrize("method", ["pnapo", "dpo", "sft"])
+@pytest.mark.parametrize("method", METHODS)
 @settings(max_examples=50, deadline=None)
 @given(case=pair_batches(max_pairs=8), extra_batch=st.integers(-7, 3), seed=st.integers(0, 2**16),
        step_index=st.integers(1, 4))
@@ -213,16 +215,14 @@ def test_batch_step_matches_the_per_record_loop(method, case, extra_batch, seed,
     ref = mlp_init(spec, int(rng.integers(1000)))
     params = ref + 0.3 * rng.standard_normal(ref.size)  # off the reference: scores are not all 0
     n1 = int(rng.integers(1, 3))
-    cfg = AlignConfig(
-        method=method, lr=0.05, steps=1, batch=max(1, len(pairs) + extra_batch),
-        schedule=BetaSchedule(beta=float(1.0 + 20.0 * rng.random()), n1=n1, n2=n1 + 1), seed=seed,
-    )
-    idx = rng.choice(len(pairs), size=min(cfg.batch, len(pairs)), replace=False)
+    sched = BetaSchedule(beta=float(1.0 + 20.0 * rng.random()), n1=n1, n2=n1 + 1, dynamic=True)
+    batch = max(1, len(pairs) + extra_batch)
+    idx = rng.choice(len(pairs), size=min(batch, len(pairs)), replace=False)
     batch_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    losses, grad, margins, betas = _batch_term(ref, spec, cfg, step_index, batch_rng)(
+    losses, grad, margins, betas = _batch_term(ref, spec, method, sched, step_index, batch_rng)(
         params, pairs.take(idx)
     )
-    expected = _record_terms(params, ref, spec, pairs, idx, cfg, step_index, loop_rng)
+    expected = _record_terms(params, ref, spec, pairs, idx, method, sched, step_index, loop_rng)
     expected_losses, grads, expected_margins, expected_betas = zip(*expected)
     assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
     for got, want in ((losses, expected_losses), (margins, expected_margins), (betas, expected_betas)):
