@@ -6,11 +6,11 @@ scans, so earlier records win ties. The token-set scan compares a record only
 with kept records that share a token of its frequency-ordered prefix, whose
 length comes from an exact rational bound, so it keeps exactly the records a
 scan over every kept pair would. One `Corpus` of arrays flows from
-read_corpus through every stage to write_corpus.
+read_corpus through every stage to write_corpus; the TSV's record rules live
+in _record_fault, which both of them call.
 """
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigurationError, DataError, ParseError, ShapeError
-from .fileio import BLOCK_VALUES, parse_float, parse_floats, read_lines, row_format, write_text
+from .fileio import first_fault, read_lines, read_records, row_format, write_text
 from .numerics import row_dot, scale_by_peak
 
 
@@ -253,10 +253,10 @@ def run_pipeline(
     counts["after_jaccard"] = len(survivors)
     survivors = embedding_dedup(survivors, cosine_threshold)
     counts["after_cosine"] = len(survivors)
+    _check_count("per-cluster quota", per_cluster)  # before k-means spends its iterations on nothing
     if len(survivors) == 0:  # nothing to cluster, but the cluster settings are still checked
         _check_count("cluster count", n_clusters)
         _check_count("iteration cap", kmeans_iters)
-        _check_count("per-cluster quota", per_cluster)
         counts["clusters"] = 0
         counts["output"] = 0
         return survivors, counts
@@ -274,49 +274,44 @@ def run_pipeline(
 _UNWRITABLE = frozenset("\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 
+def _record_fault(ids, toxicity: np.ndarray, embeddings: np.ndarray) -> tuple[int, str] | None:
+    """(row, reason) of the first record the TSV cannot hold, or None; the writer's and reader's rules.
+
+    A record has a non-empty id, a toxicity in [0, 1] and a finite embedding.
+    """
+    return first_fault([
+        (np.array([not rec_id for rec_id in ids], dtype=bool), lambda i: "an empty id"),
+        (~((toxicity >= 0.0) & (toxicity <= 1.0)), lambda i: f"toxicity {toxicity[i]} outside [0, 1]"),
+        (~np.isfinite(embeddings).all(axis=1), lambda i: "a non-finite embedding value"),
+    ])
+
+
 def write_corpus(path: str, corpus: Corpus) -> None:
     """Write a corpus TSV; a record read_corpus would reject raises DataError before any write."""
+    fault = _record_fault(corpus.ids, corpus.toxicity, corpus.embeddings)
+    if fault is not None:
+        row, reason = fault
+        who = f"record {corpus.ids[row]!r}" if corpus.ids[row] else f"record at row {row}"
+        raise DataError(f"{who} has {reason}; not representable")
     dim = corpus.embeddings.shape[1]
     header = ["id", "text", "tox"] + [f"e{i}" for i in range(dim)]
     lines = ["\t".join(header)]
     fmt = row_format(1 + dim, "\t")
-    finite = np.isfinite(corpus.embeddings).all(axis=1)
-    for row, (rec_id, text, tox, embedding) in enumerate(
-        zip(corpus.ids, corpus.texts, corpus.toxicity.tolist(), corpus.embeddings)
+    for rec_id, text, tox, embedding in zip(
+        corpus.ids, corpus.texts, corpus.toxicity.tolist(), corpus.embeddings
     ):
-        if not rec_id:
-            raise DataError(f"record at row {row} has an empty id; not representable")
         if not _UNWRITABLE.isdisjoint(rec_id) or not _UNWRITABLE.isdisjoint(text):
             raise DataError(f"record {rec_id!r} contains a tab or line break; not representable")
-        if not 0.0 <= tox <= 1.0:
-            raise DataError(f"record {rec_id!r} has toxicity {tox} outside [0, 1]; not representable")
-        if not finite[row]:
-            raise DataError(f"record {rec_id!r} has a non-finite embedding value; not representable")
         lines.append("\t".join([rec_id, text, fmt % (tox, *embedding.tolist())]))
     write_text(path, lines)
-
-
-def _parse_record(cells: list[str], lineno: int, dim: int) -> list[float]:
-    """Toxicity then embedding of one record line's cells; raises ParseError on the line's first fault."""
-    if len(cells) != 3 + dim:
-        raise ParseError(f"expected {3 + dim} columns, found {len(cells)}", line=lineno)
-    if not cells[0]:
-        raise ParseError("empty record id", line=lineno)
-    tox = parse_float(cells[2], line=lineno)
-    if not 0.0 <= tox <= 1.0:
-        raise ParseError(f"toxicity {tox} outside [0, 1]", line=lineno)
-    embedding = [parse_float(c, line=lineno) for c in cells[3:]]
-    if not all(map(math.isfinite, embedding)):
-        raise ParseError("non-finite embedding value", line=lineno)
-    return [tox, *embedding]
 
 
 def read_corpus(path: str) -> Corpus:
     """Parse a corpus TSV; an empty file is an empty corpus with d = 0.
 
-    The numbers of a block of rows are converted and checked as one array.
-    A block that fails is parsed again line by line by _parse_record, which
-    raises at the block's first bad line: that is the file's first error.
+    fileio.read_records splits and converts the record lines, and
+    _record_fault, the writer's rules, checks their values; a bad file raises
+    ParseError naming its first bad line.
     """
     lines = read_lines(path, "corpus")
     if not lines:
@@ -327,25 +322,15 @@ def read_corpus(path: str) -> Corpus:
     dim = len(header) - 3
     if header[3:] != [f"e{i}" for i in range(dim)]:
         raise ParseError("embedding columns must be e0..e{d-1} in order", line=1)
-    records = [(lineno, raw) for lineno, raw in enumerate(lines[1:], start=2) if raw != ""]
-    ids, texts = [], []
-    toxicity, embeddings = np.empty(len(records)), np.empty((len(records), dim))
-    step = max(1, BLOCK_VALUES // (1 + dim))
-    for start in range(0, len(records), step):
-        block = records[start : start + step]
-        cells = [raw.split("\t") for _, raw in block]
-        values = None
-        if all(len(row) == 3 + dim and row[0] for row in cells):
-            values = parse_floats([token for row in cells for token in row[2:]])
-        if values is not None:
-            values = values.reshape(len(block), 1 + dim)
-            tox = values[:, 0]
-            if not (np.all((tox >= 0.0) & (tox <= 1.0)) and np.isfinite(values[:, 1:]).all()):
-                values = None
-        if values is None:
-            values = np.array([_parse_record(row, lineno, dim) for (lineno, _), row in zip(block, cells)])
-        toxicity[start : start + len(block)] = values[:, 0]
-        embeddings[start : start + len(block)] = values[:, 1:]
-        ids.extend(row[0] for row in cells)
-        texts.extend(row[1] for row in cells)
-    return Corpus(ids, texts, toxicity, embeddings)
+
+    def split(raw: str) -> list[str]:
+        cells = raw.split("\t")
+        if len(cells) != 3 + dim:
+            raise ValueError(f"expected {3 + dim} columns, found {len(cells)}")
+        return cells
+
+    def fault(heads: list[list[str]], values: np.ndarray) -> tuple[int, str] | None:
+        return _record_fault([head[0] for head in heads], values[:, 0], values[:, 1:])
+
+    heads, values = read_records(lines, 1 + dim, split, fault)
+    return Corpus([head[0] for head in heads], [head[1] for head in heads], values[:, 0], values[:, 1:])

@@ -1,17 +1,16 @@
-"""Small file/serialization helpers shared by the text and binary formats."""
+"""Small file/serialization helpers shared by the text and binary formats.
+
+read_records is the one reader loop of both text formats, the pair file and the corpus TSV.
+"""
 from __future__ import annotations
 
 import hashlib
 import os
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import MissingInputError, ParseError
-
-# The text readers convert this many numbers at a time: a token list costs
-# about 190 bytes per number while it lives, so it stays one block long.
-BLOCK_VALUES = 1 << 13
 
 
 def fmt17(x: float) -> str:
@@ -22,25 +21,6 @@ def fmt17(x: float) -> str:
 def row_format(width: int, sep: str) -> str:
     """A %-format for width floats: row_format(n, sep) % tuple(row) == sep.join(map(fmt17, row))."""
     return sep.join(["%.17g"] * width)
-
-
-def parse_float(token: str, line: int | None = None) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise ParseError(f"bad float {token!r}", line=line) from None
-
-
-def parse_floats(tokens: list[str]) -> np.ndarray | None:
-    """float() of every token as one float64 array; None if some token is not a number.
-
-    np.array converts each str with float(), so it accepts exactly the
-    spellings parse_float accepts ("1_0", "\u0661", surrounding whitespace).
-    """
-    try:
-        return np.array(tokens, dtype=np.float64)
-    except ValueError:
-        return None
 
 
 def sha256_file(path: str) -> str:
@@ -99,3 +79,54 @@ def read_lines(path: str, what: str = "input") -> list[str]:
         raise ParseError(f"{what} is not UTF-8 (byte 0x{data[exc.start]:02x})", line=line) from None
     del data  # the bytes need not live beside the text and its lines
     return text.splitlines()
+
+
+def first_fault(rules: Sequence[tuple[np.ndarray, Callable[[int], str]]]) -> tuple[int, str] | None:
+    """(row, reason) of the first row that breaks a rule, or None if no row does.
+
+    Each rule is (bad, reason): bad an (n,) bool array marking the rows that
+    break it, reason(row) its text. A row that breaks several rules gets the
+    reason of the first of them in the list.
+    """
+    bad = np.logical_or.reduce([mask for mask, _ in rules])
+    if not bad.any():
+        return None
+    row = int(np.argmax(bad))
+    return row, next(reason(row) for mask, reason in rules if mask[row])
+
+
+def read_records(lines: list[str], width: int, split: Callable, fault: Callable) -> tuple[list, np.ndarray]:
+    """(heads, values) of the record lines of a text file: lines[1:], empty lines skipped.
+
+    split(line) gives a line's cells, its width numbers last, and raises
+    ValueError with the reason for a wrong field or column count; heads[i]
+    holds record i's cells before its numbers. The numbers become row i of the
+    (n, width) matrix values in one np.array call, which converts each str with
+    float(), so "1_0", "\u0661" and surrounding whitespace are numbers.
+
+    Reading stops at the first line whose counts or numbers fail.
+    fault(heads, values) then applies the format's value rules to the rows
+    before it, as its writer does, and returns the first bad row and its
+    reason, or None. A value fault wins, else that line's fault stands: the
+    ParseError names the file's first bad line. A reason reads after "has" in
+    the writer's message ("a non-finite cond value"); the ParseError drops its article.
+    """
+    records = [(lineno, raw) for lineno, raw in enumerate(lines[1:], start=2) if raw != ""]
+    heads: list[list[str]] = []
+    values = np.empty((len(records), width))
+    error = None
+    for lineno, raw in records:
+        try:
+            cells = split(raw)
+            values[len(heads)] = np.array(cells[len(cells) - width :], dtype=np.float64)
+        except ValueError as exc:
+            error = ParseError(str(exc), line=lineno)
+            break
+        heads.append(cells[: len(cells) - width])
+    found = fault(heads, values[: len(heads)])
+    if found is not None:
+        row, reason = found
+        raise ParseError(reason.removeprefix("an ").removeprefix("a "), line=records[row][0])
+    if error is not None:
+        raise error
+    return heads, values

@@ -63,10 +63,9 @@ def f_controller(delta_r):
     return 2.0 * sigmoid(delta_r) - 1.0
 
 
-def g_controller(n, n1: int, n2: int) -> float:
-    """Step anneal: 1 up to n1, quarter-cosine down to 1/2 at n2, then flat 1/2."""
-    if n1 >= n2:
-        raise ConfigurationError(f"need n1 < n2, got ({n1}, {n2})")
+def g_controller(n, sched: BetaSchedule) -> float:
+    """Step anneal over sched's window: 1 up to n1, quarter-cosine down to 1/2 at n2, then flat 1/2."""
+    n1, n2 = sched.n1, sched.n2
     if n <= n1:
         return 1.0
     if n >= n2:
@@ -78,7 +77,7 @@ def effective_beta(sched: BetaSchedule, delta_r, n: int):
     """Per-pair weight beta * f(delta_r) * g(n), elementwise over the reward gaps."""
     if not sched.dynamic:
         return np.full(np.shape(delta_r), sched.beta)[()]
-    return sched.beta * f_controller(delta_r) * g_controller(n, sched.n1, sched.n2)
+    return sched.beta * f_controller(delta_r) * g_controller(n, sched)
 
 
 def pair_rows(pairs: "PreferenceDataset", t: np.ndarray | float) -> tuple[np.ndarray, ...]:

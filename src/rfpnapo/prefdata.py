@@ -5,7 +5,8 @@ That coupling is the whole point: downstream training scores a candidate
 against the exact straight path from its own stored noise, so regenerating a
 sample from (noise, condition, step count) must reproduce it bit for bit.
 A pair is a (2, dim) block of samples and a (2, dim) block of noises, winner
-then loser, from the sampler's output to the loss.
+then loser, from the sampler's output to the loss. The pair file's record
+rules live in _record_fault, which write_dataset and read_dataset both call.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DataError, NumericError, ParseError, RfpnapoError, ShapeError
-from .fileio import BLOCK_VALUES, parse_floats, read_lines, row_format, write_text
+from .fileio import first_fault, read_lines, read_records, row_format, write_text
 from .numerics import MlpSpec, ParamVector, row_dot, scale_by_peak
 from .rectflow import euler_sample
 
@@ -84,14 +85,6 @@ def reward_eval(rspec: RewardSpec, x: np.ndarray, cond: np.ndarray) -> np.ndarra
     return rewards
 
 
-def _check_gaps(delta_r: np.ndarray, suffix: str = "") -> None:
-    """Raise DataError naming the first pair whose gap is not a finite number >= 0."""
-    ok = np.isfinite(delta_r) & (delta_r >= 0.0)
-    if not ok.all():
-        i = int(np.argmin(ok))
-        raise DataError(f"pair {i} has preference gap {delta_r[i]}, not a finite number >= 0{suffix}")
-
-
 @dataclass(frozen=True)
 class DatasetHeader:
     dim: int
@@ -129,7 +122,10 @@ class PreferenceDataset:
         for name, shape in expected.items():
             if getattr(self, name).shape != shape:
                 raise ShapeError(f"{name} has shape {getattr(self, name).shape}, expected {shape}")
-        _check_gaps(self.delta_r)
+        ok = np.isfinite(self.delta_r) & (self.delta_r >= 0.0)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise DataError(f"pair {i} has preference gap {self.delta_r[i]}, not a finite number >= 0")
 
     def __len__(self) -> int:
         return self.delta_r.shape[0]
@@ -231,54 +227,34 @@ def audit_dataset(dataset: PreferenceDataset, ref_params: ParamVector, spec: Mlp
 # cond | winner x0 | loser x0 | winner xT | loser xT | delta_r   (vectors space-separated, 17 digits)
 
 
-def _parse_vec(field: str, expect: int, line: int) -> np.ndarray:
-    tokens = field.split()
-    if len(tokens) != expect:
-        raise ParseError(f"expected {expect} numbers, found {len(tokens)}", line=line)
-    try:
-        vec = np.array([float(tok) for tok in tokens])
-    except ValueError:
-        raise ParseError(f"bad number in field {field!r}", line=line) from None
-    if not np.all(np.isfinite(vec)):
-        raise ParseError(f"non-finite number in field {field!r}", line=line)
-    return vec
+def _record_fault(
+    cond: np.ndarray, x0: np.ndarray, xT: np.ndarray, delta_r: np.ndarray
+) -> tuple[int, str] | None:
+    """(row, reason) of the first pair the file cannot hold, or None; the writer's and reader's rules.
 
-
-def _one_hot_rows(cond: np.ndarray) -> np.ndarray:
-    """Per row of (n, k) conditions: every entry 0 or 1, and they sum to 1."""
-    return ((cond == 0.0) | (cond == 1.0)).all(axis=1) & (cond.sum(axis=1) == 1.0)
-
-
-def _parse_record(fields: list[str], line: int, header: DatasetHeader) -> np.ndarray:
-    """One record line's numbers in field order; raises ParseError on the line's first fault."""
-    if len(fields) != 6:
-        raise ParseError(f"expected 6 fields, found {len(fields)}", line=line)
-    cond = _parse_vec(fields[0], header.cond_dim, line)
-    # rewards pick the condition by argmax, so anything but one-hot is ambiguous
-    if not _one_hot_rows(cond[None])[0]:
-        raise ParseError(f"condition {fields[0]!r} is not one-hot", line=line)
-    vecs = [_parse_vec(f, header.dim, line) for f in fields[1:5]]
-    delta = _parse_vec(fields[5], 1, line)
-    if delta[0] < 0.0:
-        raise ParseError(f"preference gap must be >= 0, got {delta[0]}", line=line)
-    return np.concatenate([cond, *vecs, delta])
+    A gap is a number >= 0, every value is finite, and a condition is one-hot:
+    rewards pick the condition by argmax, so anything else is ambiguous.
+    """
+    fields = {"cond": cond, "winner x0": x0[:, 0], "loser x0": x0[:, 1], "winner xT": xT[:, 0],
+              "loser xT": xT[:, 1], "delta_r": delta_r[:, None]}
+    one_hot = ((cond == 0.0) | (cond == 1.0)).all(axis=1) & (cond.sum(axis=1) == 1.0)
+    return first_fault([
+        # first, so a NaN gap is named as a gap; an infinite one is named non-finite below
+        (~(delta_r >= 0.0), lambda i: f"preference gap {delta_r[i]}, not a number >= 0"),
+        *((~np.isfinite(value).all(axis=1), lambda i, name=name: f"a non-finite {name} value")
+          for name, value in fields.items()),
+        (~one_hot, lambda i: "a condition that is not one-hot"),
+    ])
 
 
 def write_dataset(path: str, dataset: PreferenceDataset) -> None:
-    """Write the pair file; a pair read_dataset would reject raises DataError before any write."""
-    for name in _FIELDS[:3]:
-        bad = np.argwhere(~np.isfinite(getattr(dataset, name)))
-        if len(bad):
-            i, slot = bad[0][:2]  # the first bad pair, and for x0 and xT its first bad slot
-            role = "" if name == "cond" else ("winner ", "loser ")[slot]
-            raise DataError(f"pair {i} has a non-finite {role}{name} value; not representable")
-    one_hot = _one_hot_rows(dataset.cond)
-    if not one_hot.all():
-        raise DataError(
-            f"pair {int(np.argmin(one_hot))} has a condition that is not one-hot; not representable"
-        )
-    # the dataclass is mutable, so a gap can have changed since __post_init__ checked it
-    _check_gaps(dataset.delta_r, "; not representable")
+    """Write the pair file; a pair read_dataset would reject raises DataError before any write.
+
+    The dataclass is mutable, so its arrays are checked here, not trusted.
+    """
+    fault = _record_fault(dataset.cond, dataset.x0, dataset.xT, dataset.delta_r)
+    if fault is not None:
+        raise DataError(f"pair {fault[0]} has {fault[1]}; not representable")
     h, n = dataset.header, len(dataset)
     lines = [
         f"{DATASET_TAG} {DATASET_VERSION} dim={h.dim} cdim={h.cond_dim} "
@@ -293,11 +269,10 @@ def write_dataset(path: str, dataset: PreferenceDataset) -> None:
 
 
 def read_dataset(path: str) -> PreferenceDataset:
-    """Parse a pair file.
+    """Parse a pair file; a bad file raises ParseError naming its first bad line.
 
-    The numbers of a block of records are converted and checked as one array.
-    A block that fails is parsed again line by line by _parse_record, which
-    raises at the block's first bad line: that is the file's first error.
+    fileio.read_records splits and converts the record lines, and
+    _record_fault, the writer's rules, checks their values.
     """
     lines = read_lines(path, "pair dataset")
     if not lines:
@@ -322,24 +297,23 @@ def read_dataset(path: str) -> PreferenceDataset:
         raise ParseError(f"bad dataset header: {exc}", line=1) from None
     k, d = header.cond_dim, header.dim
     widths = [k, d, d, d, d, 1]
-    records = [(lineno, raw) for lineno, raw in enumerate(lines[1:], start=2) if raw != ""]
-    # one row of numbers per record: cond | x0 winner, loser | xT winner, loser | gap
-    matrix = np.empty((len(records), sum(widths)))
-    step = max(1, BLOCK_VALUES // sum(widths))
-    for start in range(0, len(records), step):
-        block = records[start : start + step]
-        fields = [raw.split(" | ") for _, raw in block]
-        split = [[field.split() for field in row] for row in fields]
-        numbers = None
-        if all(list(map(len, row)) == widths for row in split):
-            numbers = parse_floats([token for row in split for field in row for token in field])
-        if numbers is not None:
-            numbers = numbers.reshape(len(block), -1)
-            one_hot = _one_hot_rows(numbers[:, :k])
-            if not (np.isfinite(numbers).all() and one_hot.all() and (numbers[:, -1] >= 0.0).all()):
-                numbers = None
-        if numbers is None:
-            numbers = np.array([_parse_record(row, lineno, header) for (lineno, _), row in zip(block, fields)])
-        matrix[start : start + len(block)] = numbers
-    pairs = matrix[:, k:-1].reshape(-1, 2, 2, d)  # axis 1: x0, xT; axis 2: winner, loser
-    return PreferenceDataset(header, matrix[:, :k], pairs[:, 0], pairs[:, 1], matrix[:, -1])
+
+    def split(raw: str) -> list[str]:
+        fields = raw.split(" | ")
+        if len(fields) != len(widths):
+            raise ValueError(f"expected {len(widths)} fields, found {len(fields)}")
+        tokens = []
+        for field, width in zip(fields, widths):
+            numbers = field.split()
+            if len(numbers) != width:
+                raise ValueError(f"expected {width} numbers, found {len(numbers)}")
+            tokens += numbers
+        return tokens
+
+    def columns(matrix: np.ndarray) -> tuple[np.ndarray, ...]:
+        # a row is cond | x0 winner, loser | xT winner, loser | gap
+        pairs = matrix[:, k:-1].reshape(-1, 2, 2, d)
+        return matrix[:, :k], pairs[:, 0], pairs[:, 1], matrix[:, -1]
+
+    _, matrix = read_records(lines, sum(widths), split, lambda _, rows: _record_fault(*columns(rows)))
+    return PreferenceDataset(header, *columns(matrix))

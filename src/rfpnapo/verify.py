@@ -13,7 +13,7 @@ import numpy as np
 from .analytics import chain_rule_identity, estimator_variance, pnapo_delta, random_chain
 from .baselines import dpo_value_grad, sft_value_grad
 from .numerics import FunctionLoss, MlpSpec, finite_diff_check, mlp_init
-from .pnapo import f_controller, g_controller, pnapo_value_grad
+from .pnapo import BetaSchedule, f_controller, g_controller, pnapo_value_grad
 from .prefdata import DatasetHeader, PreferenceDataset, RewardSpec, build_dataset
 from .rectflow import cfm_objective, default_mixture
 from .training import run_pretrain
@@ -118,7 +118,8 @@ def suite_variance() -> list[CheckResult]:
 
 def suite_schedule() -> list[CheckResult]:
     """Exact values, boundary continuity, and monotonicity of both controllers."""
-    n1, n2 = 1000, 2000
+    sched = BetaSchedule(beta=1.0, n1=1000, n2=2000, dynamic=True)
+    n1, n2 = sched.n1, sched.n2
     results = []
 
     f0 = f_controller(0.0)
@@ -128,18 +129,18 @@ def suite_schedule() -> list[CheckResult]:
     f10 = f_controller(10.0)
     results.append(CheckResult("schedule_f_saturates", f10 > 0.9999, f10, 0.9999, 0.0))
 
-    g_mid = abs(g_controller(1500, n1, n2) - 0.8535533905932737)
+    g_mid = abs(g_controller(1500, sched) - 0.8535533905932737)
     results.append(CheckResult("schedule_g_midpoint", g_mid <= EXACT_TOL, g_mid, 0.0, EXACT_TOL))
-    g_n1 = g_controller(n1, n1, n2)
+    g_n1 = g_controller(n1, sched)
     results.append(CheckResult("schedule_g_flat_before", g_n1 == 1.0, g_n1, 1.0, 0.0))
-    g_n2 = g_controller(n2, n1, n2)
+    g_n2 = g_controller(n2, sched)
     results.append(CheckResult("schedule_g_floor_after", g_n2 == 0.5, g_n2, 0.5, 0.0))
 
     def cosine_branch(n: float) -> float:
         return 0.5 + 0.5 * math.cos(0.5 * math.pi * (n - n1) / (n2 - n1))
 
-    gap_n1 = abs(g_controller(n1, n1, n2) - cosine_branch(n1))
-    gap_n2 = abs(g_controller(n2, n1, n2) - cosine_branch(n2))
+    gap_n1 = abs(g_controller(n1, sched) - cosine_branch(n1))
+    gap_n2 = abs(g_controller(n2, sched) - cosine_branch(n2))
     results.append(CheckResult("schedule_g_continuous_n1", gap_n1 < EXACT_TOL, gap_n1, 0.0, EXACT_TOL))
     results.append(CheckResult("schedule_g_continuous_n2", gap_n2 < EXACT_TOL, gap_n2, 0.0, EXACT_TOL))
 
@@ -150,7 +151,7 @@ def suite_schedule() -> list[CheckResult]:
         CheckResult("schedule_f_strictly_increasing", f_min_step > 0.0, f_min_step, 0.0, 0.0)
     )
     steps = np.linspace(0.0, 3000.0, 10_000)
-    g_vals = np.array([g_controller(float(n), n1, n2) for n in steps])
+    g_vals = np.array([g_controller(float(n), sched) for n in steps])
     g_max_step = float(np.max(np.diff(g_vals)))
     results.append(
         CheckResult("schedule_g_nonincreasing", g_max_step <= 0.0, g_max_step, 0.0, 0.0)

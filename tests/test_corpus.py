@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import corpora
+from rfpnapo import corpus as corpus_module
 from rfpnapo.corpus import (
     Corpus,
     cluster_resample,
@@ -441,3 +442,14 @@ def test_pipeline_config_validation():
             values[at] = value
             with pytest.raises(ConfigurationError):
                 run_pipeline(corpus, *values, seed=0)
+
+
+def test_pipeline_rejects_per_cluster_quota_before_kmeans(monkeypatch):
+    # a quota of 0 can keep no record, so k-means must not run before it is refused
+    def unreachable(*args, **kwargs):
+        raise AssertionError("k-means ran before the per-cluster quota was checked")
+
+    monkeypatch.setattr(corpus_module, "lloyd_iterations", unreachable)
+    corpus = _corpus([_rec(i, text=f"words of prompt {i}") for i in range(3)])
+    with pytest.raises(ConfigurationError, match="per-cluster quota"):
+        run_pipeline(corpus, 0.1, 0.8, 0.8, 2, 0, 50, seed=0)

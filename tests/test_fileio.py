@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -7,9 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rfpnapo.corpus import read_corpus
 from rfpnapo.errors import ParseError
-from rfpnapo.fileio import fmt17, parse_floats, read_lines, row_format, write_text
+from rfpnapo.fileio import fmt17, read_lines, row_format, write_text
 from rfpnapo.numerics import MlpSpec, mlp_init, write_checkpoint
+from rfpnapo.prefdata import read_dataset
 
 
 def _boom(*args, **kwargs):
@@ -63,13 +66,34 @@ SPELLINGS = ("1_0", "\u0661", "\xa01", " 2", "+1E5", "-0", "1\x00", "1__0", "0x1
              "1e999", "infinity", "\uff11", "")
 
 
+def _one_line(token: str) -> bool:
+    return "\t" not in token and len(f"x{token}x".splitlines()) == 1
+
+
 @settings(max_examples=300, deadline=None)
-@given(tokens=st.lists(st.one_of(st.sampled_from(SPELLINGS), st.text(max_size=6),
-                                 st.floats().map(fmt17), st.floats().map(repr)), max_size=8))
-def test_parse_floats_is_float_of_every_token(tokens):
-    try:
-        expected = np.array([float(token) for token in tokens], dtype=np.float64)
-    except ValueError:
-        assert parse_floats(tokens) is None
+@given(token=st.one_of(st.sampled_from(SPELLINGS), st.text(max_size=6), st.floats().map(fmt17),
+                       st.floats().map(repr)).filter(_one_line),
+       fmt=st.sampled_from(["pairs", "corpus"]))
+def test_every_number_reads_as_float_of_its_token(tmp_path_factory, token, fmt):
+    # the token in a record's number slot reads as float(token), bit for bit,
+    # or the record fails on its line, line 3
+    path = tmp_path_factory.getbasetemp() / f"spelling.{fmt}"
+    if fmt == "pairs":
+        path.write_text("rfpnapo-pairs v1 dim=2 cdim=2 steps=1 refhash=aa\n"
+                        "1 0 | 0.5 0.5 | 0.25 0.25 | 1 1 | 1 -1 | 0.125\n"
+                        f"0 1 | {token} 0.5 | 0.25 0.25 | 1 1 | 1 -1 | 0.125\n", encoding="utf-8")
+        read, field, index = read_dataset, "x0", (1, 0, 0)
     else:
-        assert parse_floats(tokens).tobytes() == expected.tobytes()
+        path.write_text(f"id\ttext\ttox\te0\te1\na\tok\t0.5\t1\t2\nb\tok\t0.5\t{token}\t2\n",
+                        encoding="utf-8")
+        read, field, index = read_corpus, "embeddings", (1, 0)
+    try:
+        expected = float(token)
+    except ValueError:
+        expected = math.nan  # no number: a finite value must not come back
+    try:
+        value = getattr(read(str(path)), field)[index]
+    except ParseError as exc:
+        assert exc.line == 3 and not math.isfinite(expected), (token, str(exc))
+    else:
+        assert value.tobytes() == np.float64(expected).tobytes(), token

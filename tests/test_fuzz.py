@@ -4,15 +4,14 @@ A valid pair file, corpus TSV and config each get one token of one line
 replaced, deleted or inserted; a checkpoint gets bytes flipped or is
 truncated. Replacement tokens come from a small fixed set, so no case can ask
 for a large allocation. Each bad input must fail where it is read, with an
-RfpnapoError that names its line. The text readers convert blocks of rows in
-bulk: on a valid file and after up to three mutations, they must end exactly
-as their per-line checks do.
+RfpnapoError that names its line. A text reader stops at the file's first
+bad line, and each text writer refuses exactly the records its reader does.
 """
 from __future__ import annotations
 
+import math
 import re
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,12 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import corpora, make_pairs, pair_batches
-from rfpnapo import corpus as corpus_module
-from rfpnapo import prefdata as prefdata_module
 from rfpnapo.config import _KEYS, load_config
 from rfpnapo.corpus import Corpus, read_corpus, run_pipeline, write_corpus
-from rfpnapo.errors import ConfigurationError, ParseError, RfpnapoError
-from rfpnapo.fileio import BLOCK_VALUES
+from rfpnapo.errors import ConfigurationError, DataError, ParseError, RfpnapoError
+from rfpnapo.fileio import row_format
 from rfpnapo.numerics import MlpSpec, mlp_init, optim_init, read_checkpoint, write_checkpoint
 from rfpnapo.prefdata import read_dataset, write_dataset
 from rfpnapo.training import _check_run_length
@@ -119,43 +116,17 @@ def test_mutated_text_file_fails_on_its_line(work, valid_lines, fmt, read, sep, 
             read(str(path))
 
 
-# format -> (reader module, reader, writer, separator of line_mutations, valid contents)
+# format -> (reader, writer, separator of line_mutations, valid contents)
 TEXT_FORMATS = {
-    "pairs": (prefdata_module, read_dataset, write_dataset, " ",
-              pair_batches(max_pairs=12).map(lambda case: case[2])),
-    "corpus": (corpus_module, read_corpus, write_corpus, "\t", corpora(max_n=12)),
+    "pairs": (read_dataset, write_dataset, " ", pair_batches(max_pairs=12).map(lambda case: case[2])),
+    "corpus": (read_corpus, write_corpus, "\t", corpora(max_n=12)),
 }
 
 
-def _outcome(read, path: str):
-    """Every field of what read returns, or its error's class, line and message."""
-    try:
-        result = read(path)
-    except RfpnapoError as exc:
-        return type(exc), getattr(exc, "line", None), str(exc)
-    fields = {}
-    for name, value in vars(result).items():
-        if isinstance(value, np.ndarray):
-            data = value.tolist() if value.dtype == object else value.tobytes()
-            value = (value.dtype.str, value.shape, value.flags.c_contiguous, data)
-        fields[name] = value
-    return fields
-
-
-def _assert_bulk_ends_as_per_line(module, read, path: str, block_values: int) -> None:
-    with mock.patch.object(module, "BLOCK_VALUES", block_values):
-        bulk = _outcome(read, path)
-    # with no bulk conversion, every block is parsed by the per-line checks
-    with mock.patch.object(module, "parse_floats", lambda tokens: None):
-        per_line = _outcome(read, path)
-    assert bulk == per_line
-
-
 @pytest.mark.parametrize("fmt", TEXT_FORMATS)
-def test_every_token_replacement_ends_as_the_per_line_checks(work, valid_lines, fmt):
-    # each token of each line replaced by each of TOKENS, read in blocks of
-    # one row and in one block
-    module, read, _, sep, _ = TEXT_FORMATS[fmt]
+def test_every_token_replacement_reads_or_fails_on_its_line(work, valid_lines, fmt):
+    # each token of each line replaced by each of TOKENS
+    read, _, sep, _ = TEXT_FORMATS[fmt]
     lines = valid_lines[fmt]
     path = work / f"replaced.{fmt}"
     for index, line in enumerate(lines):
@@ -164,25 +135,98 @@ def test_every_token_replacement_ends_as_the_per_line_checks(work, valid_lines, 
             for token in TOKENS:
                 new = sep.join(tokens[:at] + [token] + tokens[at + 1:])
                 path.write_text("\n".join(lines[:index] + [new] + lines[index + 1:]) + "\n", encoding="utf-8")
-                for block_values in (1, BLOCK_VALUES):
-                    _assert_bulk_ends_as_per_line(module, read, str(path), block_values)
+                try:
+                    read(str(path))
+                except ParseError as exc:
+                    assert exc.line == index + 1, (new, str(exc))
 
 
 @pytest.mark.parametrize("fmt", TEXT_FORMATS)
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_bulk_reader_ends_as_the_per_line_checks(work, fmt, data):
-    # a random valid file with 0-3 mutations, read with blocks of 1 row up to
-    # the whole file, gives the same arrays bit for bit, or the same error
-    module, read, write, sep, valid = TEXT_FORMATS[fmt]
-    path = work / f"differential.{fmt}"
+def test_mutated_file_fails_on_its_first_bad_line(work, fmt, data):
+    # a random valid file with 0-3 mutations: whatever line an error names,
+    # the file cut just before that line reads
+    read, write, sep, valid = TEXT_FORMATS[fmt]
+    path = work / f"first_bad.{fmt}"
     write(str(path), data.draw(valid))
     lines = path.read_text(encoding="utf-8").splitlines()
     for _ in range(data.draw(st.integers(0, 3))):
         lineno, new = data.draw(line_mutations(lines, sep))
         lines[lineno - 1] = new
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _assert_bulk_ends_as_per_line(module, read, str(path), data.draw(st.integers(1, 60)))
+    try:
+        read(str(path))
+    except ParseError as exc:
+        assert exc.line is not None, str(exc)
+        if exc.line > 1:
+            path.write_text("\n".join(lines[: exc.line - 1]) + "\n", encoding="utf-8")
+            read(str(path))
+
+
+BAD = (math.nan, math.inf, -math.inf)
+
+
+def _agree(write, read, records, path: Path, lines: list[str], name: str) -> None:
+    """write refuses records, naming its row 1 as name, exactly when read refuses lines, on line 3."""
+    try:
+        write(str(path), records)
+    except DataError as exc:
+        refused = str(exc)
+    else:
+        refused = None
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        read(str(path))
+    except ParseError as exc:
+        assert exc.line == 3, str(exc)
+        assert refused is not None and refused.startswith(f"{name} has "), (refused, str(exc))
+    else:
+        assert refused is None, refused
+
+
+@pytest.mark.parametrize(
+    "array, index, value",
+    [
+        *(("cond", (1, slice(None)), row) for row in ([0.5, 0.5], [1.0, 1.0], [0.0, 0.0], [2.0, 0.0],
+                                                       [1.0, -0.5], [0.0, 1.0], [1.0, 0.0])),
+        *(("cond", (1, 0), value) for value in BAD),
+        *((array, (1, slot, 1), value) for array in ("x0", "xT") for slot in (0, 1)
+          for value in (*BAD, -0.0, 5e-324, -1.7976931348623157e308)),
+        *(("delta_r", (1,), value) for value in (*BAD, -1.0, -5e-324, -0.0, 0.0, 2.5)),
+    ],
+)
+def test_pair_writer_refuses_what_the_reader_refuses(tmp_path, array, index, value):
+    # row 1 of three pairs changed; formatted as the writer formats a row, it
+    # fails to read exactly when the writer refuses it, and on row 1's line
+    ds = make_pairs(np.random.default_rng(8), MlpSpec(data_dim=2, cond_dim=2, hidden=(3,)), 3)
+    getattr(ds, array)[index] = value
+    fmt = " | ".join([row_format(2, " ")] * 5 + ["%.17g"])
+    rows = np.concatenate([ds.cond, ds.x0.reshape(3, 4), ds.xT.reshape(3, 4), ds.delta_r[:, None]], axis=1)
+    lines = ["rfpnapo-pairs v1 dim=2 cdim=2 steps=1 refhash=test", *(fmt % tuple(row) for row in rows)]
+    _agree(write_dataset, read_dataset, ds, tmp_path / "pairs.txt", lines, "pair 1")
+
+
+@pytest.mark.parametrize(
+    "column, index, value",
+    [
+        *(("ids", 1, rec_id) for rec_id in ("", "x")),
+        *(("toxicity", 1, tox) for tox in (*BAD, -0.5, 1.5, -5e-324, -0.0, 0.0, 1.0)),
+        *(("embeddings", (1, col), value) for col in (0, 1)
+          for value in (*BAD, -0.0, 5e-324, 1.7976931348623157e308)),
+    ],
+)
+def test_corpus_writer_refuses_what_the_reader_refuses(tmp_path, column, index, value):
+    corpus = Corpus(["a", "b", "c"], ["one", "two", "three"], [0.0, 0.5, 1.0],
+                    np.array([[1.0, 0.25], [-2.0, 3.0], [0.5, -0.125]]))
+    getattr(corpus, column)[index] = value
+    fmt = row_format(3, "\t")
+    lines = ["id\ttext\ttox\te0\te1"] + [
+        f"{rec_id}\t{text}\t" + fmt % (tox, *embedding)
+        for rec_id, text, tox, embedding in zip(corpus.ids, corpus.texts, corpus.toxicity, corpus.embeddings)
+    ]
+    name = f"record {corpus.ids[1]!r}" if corpus.ids[1] else "record at row 1"
+    _agree(write_corpus, read_corpus, corpus, tmp_path / "corpus.tsv", lines, name)
 
 
 def _build_everything(cfg) -> None:

@@ -42,37 +42,33 @@ def test_f_controller_monotone_grid():
     assert np.all((vals >= 0.0) & (vals < 1.0))
 
 
+WINDOW = BetaSchedule(beta=1.0, n1=1000, n2=2000, dynamic=True)
+
+
 def test_g_controller_piecewise_values():
-    assert g_controller(0, 1000, 2000) == 1.0
-    assert g_controller(1000, 1000, 2000) == 1.0
-    assert g_controller(2000, 1000, 2000) == 0.5
-    assert g_controller(10_000, 1000, 2000) == 0.5
+    assert g_controller(0, WINDOW) == 1.0
+    assert g_controller(1000, WINDOW) == 1.0
+    assert g_controller(2000, WINDOW) == 0.5
+    assert g_controller(10_000, WINDOW) == 0.5
     # midpoint of the cosine branch: 0.5 + 0.5*cos(pi/4)
-    assert g_controller(1500, 1000, 2000) == pytest.approx(0.8535533905932737, abs=1e-12)
-    assert g_controller(1500, 1000, 2000) == pytest.approx(0.5 + 0.5 / math.sqrt(2.0), abs=1e-15)
+    assert g_controller(1500, WINDOW) == pytest.approx(0.8535533905932737, abs=1e-12)
+    assert g_controller(1500, WINDOW) == pytest.approx(0.5 + 0.5 / math.sqrt(2.0), abs=1e-15)
 
 
 def test_g_controller_monotone_and_continuous():
     grid = np.linspace(0.0, 3000.0, 10_000)
-    vals = np.array([g_controller(float(n), 1000, 2000) for n in grid])
+    vals = np.array([g_controller(float(n), WINDOW) for n in grid])
     assert np.all(np.diff(vals) <= 0.0)
     for boundary in (1000.0, 2000.0):
-        below = g_controller(boundary - 1e-7, 1000, 2000)
-        above = g_controller(boundary + 1e-7, 1000, 2000)
+        below = g_controller(boundary - 1e-7, WINDOW)
+        above = g_controller(boundary + 1e-7, WINDOW)
         assert abs(below - above) < 1e-6
-
-
-def test_g_controller_rejects_bad_window():
-    with pytest.raises(ConfigurationError):
-        g_controller(5, 2000, 1000)
-    with pytest.raises(ConfigurationError):
-        g_controller(5, 1000, 1000)
 
 
 def test_effective_beta_composition():
     sched = BetaSchedule(beta=50.0, n1=1000, n2=2000, dynamic=True)
     dr, n = 0.8, 1500
-    expected = 50.0 * f_controller(dr) * g_controller(n, 1000, 2000)
+    expected = 50.0 * f_controller(dr) * g_controller(n, sched)
     assert effective_beta(sched, dr, n) == pytest.approx(expected, rel=1e-15)
     # static schedule ignores both modulators
     static = BetaSchedule(beta=50.0, n1=1000, n2=2000, dynamic=False)
@@ -81,12 +77,15 @@ def test_effective_beta_composition():
 
 
 def test_schedule_validation():
+    # the schedule is the one check of the anneal window g_controller reads
     with pytest.raises(ConfigurationError):
         BetaSchedule(beta=0.0, n1=1000, n2=2000, dynamic=True)
     with pytest.raises(ConfigurationError):
         BetaSchedule(beta=1.0, n1=0, n2=5, dynamic=True)
     with pytest.raises(ConfigurationError):
         BetaSchedule(beta=1.0, n1=7, n2=7, dynamic=True)
+    with pytest.raises(ConfigurationError):
+        BetaSchedule(beta=1.0, n1=2000, n2=1000, dynamic=True)
 
 
 def test_score_zero_when_params_equal_reference(small_spec, small_params):
