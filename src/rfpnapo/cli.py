@@ -1,9 +1,11 @@
 """Command-line front end: pretrain | gen-pairs | align | eval | verify | corpus.
 
-Every artifact-writing subcommand drops a `<out>.manifest.json` sidecar with
-the config snapshot and input/output hashes; training commands also write
-`<out>.metrics.csv`. A failure exits with the code its error class carries
-(see errors.py); success is 0.
+Each artifact command reads, runs, then writes its outputs and a
+`<out>.manifest.json` with the config snapshot and the sha256 of every file
+argument (FILE_ARGS) and output; training commands also write
+`<out>.metrics.csv`, headed by the keys of the trainer's rows. The callees
+check what they read; a failure exits with its error class's code (see
+errors.py); success is 0.
 """
 from __future__ import annotations
 
@@ -17,27 +19,24 @@ import numpy as np
 from .analytics import eval_reward, win_rate
 from .config import RunConfig, load_config
 from .corpus import read_corpus, run_pipeline, write_corpus
-from .errors import RfpnapoError, ShapeError
+from .errors import RfpnapoError
 from .fileio import fmt17, sha256_file, write_text
 from .numerics import read_checkpoint, write_checkpoint
 from .prefdata import build_dataset, read_dataset, write_dataset
 from .training import METHODS, run_alignment, run_pretrain
 from .verify import SUITES
 
-PRETRAIN_COLUMNS = ("step", "loss", "grad_norm")
-ALIGN_COLUMNS = ("step", "loss", "margin_mean", "beta_eff_mean", "grad_norm")
-EVAL_COLUMNS = ("model", "mean_reward", "median_reward", "win_rate", "n", "seed")
+# the parsed arguments that name input files; each one a command has is a manifest input
+FILE_ARGS = ("config", "input", "model", "pairs", "against")
 
 
-def _write_csv(path: str, columns: tuple[str, ...], rows: list[dict]) -> None:
-    """A header line, then one line per row: int and str cells as str, floats by fmt17."""
-    lines = [",".join(columns)]
+def _write_csv(path: str, rows: list[dict]) -> None:
+    """The first row's keys as header, then one line per row: int and str cells as str, floats by fmt17."""
+    lines = [",".join(rows[0])]
     for row in rows:
-        cells = [
-            str(row[col]) if isinstance(row[col], (int, str)) else fmt17(row[col])
-            for col in columns
-        ]
-        lines.append(",".join(cells))
+        lines.append(",".join(
+            str(cell) if isinstance(cell, (int, str)) else fmt17(cell) for cell in row.values()
+        ))
     write_text(path, lines)
 
 
@@ -55,86 +54,59 @@ def _command(args: argparse.Namespace) -> list[str]:
 def _write_manifest(
     args: argparse.Namespace,
     cfg: RunConfig,
-    inputs: list[str],
+    start: float,
     outputs: list[str],
-    wall_time_s: float,
-    extras: dict | None = None,
     hashed: dict[str, str] | None = None,
+    **extras,
 ) -> None:
-    """Write <out>.manifest.json; hashed holds input hashes the command already took."""
-    input_hashes = dict(hashed or {})
-    for p in inputs:
-        if p not in input_hashes:
-            input_hashes[p] = sha256_file(p)
+    """Write <out>.manifest.json, timed from start; hashed holds input hashes the command already took."""
+    wall_time_s = time.monotonic() - start
+    inputs = dict(hashed or {})
+    for dest in FILE_ARGS:
+        path = getattr(args, dest, None)
+        if path is not None and path not in inputs:
+            inputs[path] = sha256_file(path)
     doc = {
         "artifact_version": 1,
         "command": _command(args),
         "config": cfg.snapshot(),
-        "inputs": {p: input_hashes[p] for p in inputs},
+        "inputs": inputs,
         "outputs": {p: sha256_file(p) for p in outputs},
         "wall_time_s": wall_time_s,
+        **extras,
     }
-    if extras:
-        doc.update(extras)
     write_text(args.out + ".manifest.json", [json.dumps(doc, indent=2, sort_keys=True)])
 
 
 def cmd_pretrain(args: argparse.Namespace) -> int:
     start = time.monotonic()
     cfg = load_config(args.config)
-    cfg.require("seed", "train.lr", "train.steps", "train.batch")
     spec = cfg.mlp_spec()
     params, rows = run_pretrain(
-        spec,
-        cfg.mixture(),
-        steps=cfg.get("train.steps"),
-        batch=cfg.get("train.batch"),
-        lr=cfg.get("train.lr"),
-        seed=cfg.get("seed"),
+        spec, cfg.mixture(),
+        steps=cfg.get("train.steps"), batch=cfg.get("train.batch"),
+        lr=cfg.get("train.lr"), seed=cfg.get("seed"),
     )
     write_checkpoint(args.out, params, spec)
     metrics_path = args.out + ".metrics.csv"
-    _write_csv(metrics_path, PRETRAIN_COLUMNS, rows)
-    _write_manifest(
-        args,
-        cfg,
-        inputs=[args.config],
-        outputs=[args.out, metrics_path],
-        wall_time_s=time.monotonic() - start,
-    )
-    print(
-        f"pretrain: {len(rows)} steps, final loss {fmt17(rows[-1]['loss'])}, "
-        f"wrote {args.out}"
-    )
+    _write_csv(metrics_path, rows)
+    _write_manifest(args, cfg, start, [args.out, metrics_path])
+    print(f"pretrain: {len(rows)} steps, final loss {fmt17(rows[-1]['loss'])}, wrote {args.out}")
     return 0
 
 
 def cmd_gen_pairs(args: argparse.Namespace) -> int:
     start = time.monotonic()
     cfg = load_config(args.config)
-    cfg.require("seed", "reward.kind")
     ref_params, spec = read_checkpoint(args.model)
     rspec = cfg.reward(spec.data_dim, spec.cond_dim)
     ref_hash = sha256_file(args.model)
     dataset = build_dataset(
-        ref_params,
-        spec,
-        rspec,
-        steps=cfg.get("sampler.steps"),
-        n_records=args.n,
-        base_seed=cfg.get("seed"),
-        ref_hash=ref_hash,
+        ref_params, spec, rspec,
+        steps=cfg.get("sampler.steps"), n_records=args.n, base_seed=cfg.get("seed"), ref_hash=ref_hash,
     )
     write_dataset(args.out, dataset)
-    _write_manifest(
-        args,
-        cfg,
-        inputs=[args.config, args.model],
-        outputs=[args.out],
-        wall_time_s=time.monotonic() - start,
-        extras={"ref_hash": ref_hash},
-        hashed={args.model: ref_hash},
-    )
+    _write_manifest(args, cfg, start, [args.out], {args.model: ref_hash}, ref_hash=ref_hash)
     print(f"gen-pairs: {len(dataset)} records from {args.model}, wrote {args.out}")
     return 0
 
@@ -142,14 +114,8 @@ def cmd_gen_pairs(args: argparse.Namespace) -> int:
 def cmd_align(args: argparse.Namespace) -> int:
     start = time.monotonic()
     cfg = load_config(args.config)
-    cfg.require("seed", "train.lr", "train.steps", "train.batch", "pnapo.beta")
     ref_params, spec = read_checkpoint(args.model)
-    dataset = read_dataset(args.pairs)
-    if dataset.header.dim != spec.data_dim or dataset.header.cond_dim != spec.cond_dim:
-        raise ShapeError(
-            f"dataset dims (dim={dataset.header.dim}, cdim={dataset.header.cond_dim}) "
-            f"do not match checkpoint (dim={spec.data_dim}, cdim={spec.cond_dim})"
-        )
+    dataset = read_dataset(args.pairs)  # dims that differ from spec's fail in path_inputs
     schedule = cfg.schedule()  # n1 < n2 fails here, before the run
     # pairs sampled from another checkpoint are the paper's off-policy
     # setting, so a mismatch is recorded and noted, never an error
@@ -168,20 +134,13 @@ def cmd_align(args: argparse.Namespace) -> int:
     )
     write_checkpoint(args.out, params, spec)
     metrics_path = args.out + ".metrics.csv"
-    _write_csv(metrics_path, ALIGN_COLUMNS, rows)
+    _write_csv(metrics_path, rows)
     _write_manifest(
-        args,
-        cfg,
-        inputs=[args.config, args.model, args.pairs],
-        outputs=[args.out, metrics_path],
-        wall_time_s=time.monotonic() - start,
-        extras={
-            "method": args.method,
-            "ref_hash": ref_hash,
-            "pairs_ref_hash": pairs_ref_hash,
-            "ref_hash_match": pairs_ref_hash == ref_hash,
-        },
-        hashed={args.model: ref_hash},
+        args, cfg, start, [args.out, metrics_path], {args.model: ref_hash},
+        method=args.method,
+        ref_hash=ref_hash,
+        pairs_ref_hash=pairs_ref_hash,
+        ref_hash_match=pairs_ref_hash == ref_hash,
     )
     print(
         f"align[{args.method}]: {len(rows)} steps on {len(dataset)} records, "
@@ -193,14 +152,9 @@ def cmd_align(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     start = time.monotonic()
     cfg = load_config(args.config)
-    cfg.require("seed", "reward.kind")
     params_a, spec_a = read_checkpoint(args.model)
     params_b, spec_b = read_checkpoint(args.against)
-    if spec_a.data_dim != spec_b.data_dim or spec_a.cond_dim != spec_b.cond_dim:
-        raise ShapeError(
-            f"checkpoints disagree on dims: ({spec_a.data_dim}, {spec_a.cond_dim}) "
-            f"vs ({spec_b.data_dim}, {spec_b.cond_dim})"
-        )
+    # the reward is built for model's dims; against's samples of other dims fail in reward_eval
     rspec = cfg.reward(spec_a.data_dim, spec_a.cond_dim)
     steps = cfg.get("sampler.steps")
     seed = cfg.get("seed")
@@ -218,14 +172,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         }
         for label, rewards, win in (("model", rewards_a, wr), ("against", rewards_b, 1.0 - wr))
     ]
-    _write_csv(args.out, EVAL_COLUMNS, rows)
-    _write_manifest(
-        args,
-        cfg,
-        inputs=[args.config, args.model, args.against],
-        outputs=[args.out],
-        wall_time_s=time.monotonic() - start,
-    )
+    _write_csv(args.out, rows)
+    _write_manifest(args, cfg, start, [args.out])
     for row in rows:
         print(
             f"eval[{row['model']}]: mean reward {fmt17(row['mean_reward'])}, "
@@ -246,7 +194,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_corpus(args: argparse.Namespace) -> int:
     start = time.monotonic()
     cfg = load_config(args.config)
-    cfg.require("seed")
     corpus = read_corpus(args.input)
     survivors, counts = run_pipeline(
         corpus,
@@ -259,14 +206,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         seed=cfg.get("seed"),
     )
     write_corpus(args.out, survivors)
-    _write_manifest(
-        args,
-        cfg,
-        inputs=[args.config, args.input],
-        outputs=[args.out],
-        wall_time_s=time.monotonic() - start,
-        extras={"stage_counts": counts},
-    )
+    _write_manifest(args, cfg, start, [args.out], stage_counts=counts)
     stages = ", ".join(f"{k}={v}" for k, v in counts.items())
     print(f"corpus: {stages}, wrote {args.out}")
     return 0

@@ -93,7 +93,7 @@ def _parse_hidden(raw: str) -> tuple[int, ...]:
 
 
 # key -> (parser, default); a None default means the key has no default and
-# commands that need it must see it in the file. These are the package's only
+# commands that read it must see it in the file (RunConfig.get). These are the package's only
 # defaults: the builders and the Python API take every value explicitly.
 _KEYS: dict[str, tuple[Callable[[str], object], object]] = {
     "seed": (_parse_seed, None),
@@ -126,12 +126,9 @@ class RunConfig:
     """Parsed configuration: explicit values plus defaults for the rest."""
 
     values: dict[str, object] = field(default_factory=dict)
-    path: str | None = None
-
-    def has(self, key: str) -> bool:
-        return key in self.values
 
     def get(self, key: str):
+        """The key's value or default; a key with neither raises ConfigurationError naming it."""
         if key not in _KEYS:
             raise ConfigurationError(f"unknown config key {key!r}")
         if key in self.values:
@@ -140,11 +137,6 @@ class RunConfig:
         if default is None:
             raise ConfigurationError(f"missing required config key {key!r}")
         return default
-
-    def require(self, *keys: str) -> None:
-        missing = [k for k in keys if not self.has(k) and _KEYS[k][1] is None]
-        if missing:
-            raise ConfigurationError(f"missing required config keys: {', '.join(missing)}")
 
     def snapshot(self) -> dict[str, str]:
         """Effective settings (explicit or defaulted) as strings, for manifests."""
@@ -239,4 +231,4 @@ def load_config(path: str) -> RunConfig:
             values[key] = parser(raw_value)
         except ValueError as exc:
             raise ConfigurationError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
-    return RunConfig(values=values, path=path)
+    return RunConfig(values=values)

@@ -100,9 +100,10 @@ def read_records(lines: list[str], width: int, split: Callable, fault: Callable)
 
     split(line) gives a line's cells, its width numbers last, and raises
     ValueError with the reason for a wrong field or column count; heads[i]
-    holds record i's cells before its numbers. The numbers become row i of the
-    (n, width) matrix values in one np.array call, which converts each str with
-    float(), so "1_0", "\u0661" and surrounding whitespace are numbers.
+    holds record i's cells before its numbers; width is at least 1. The
+    numbers become row i of the (n, width) matrix values in one np.array call,
+    which converts each str with float(), so "1_0", "\u0661" and surrounding
+    whitespace are numbers.
 
     Reading stops at the first line whose counts or numbers fail.
     fault(heads, values) then applies the format's value rules to the rows
@@ -113,7 +114,10 @@ def read_records(lines: list[str], width: int, split: Callable, fault: Callable)
     """
     records = [(lineno, raw) for lineno, raw in enumerate(lines[1:], start=2) if raw != ""]
     heads: list[list[str]] = []
-    values = np.empty((len(records), width))
+    # a line of width numbers holds at least 2 * width - 1 characters, so the
+    # lines read fit in this many rows whatever width a header claims
+    height = min(len(records), sum(len(raw) for _, raw in records) // (2 * width - 1))
+    values = np.empty((height, width))
     error = None
     for lineno, raw in records:
         try:

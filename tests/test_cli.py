@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES
 from rfpnapo import analytics, cli
-from rfpnapo.cli import ALIGN_COLUMNS, EVAL_COLUMNS, PRETRAIN_COLUMNS, _write_csv, main
-from rfpnapo.config import load_config
+from rfpnapo.cli import _write_csv, main
+from rfpnapo.config import _KEYS, load_config
 from rfpnapo.fileio import fmt17
 from rfpnapo.numerics import read_checkpoint
 from rfpnapo.prefdata import reward_eval
@@ -113,19 +113,25 @@ def test_each_file_is_hashed_once_per_command(tmp_path, tiny_cfg, capsys, monkey
         return _sha(path)
 
     monkeypatch.setattr(cli, "sha256_file", counting)
-    ref, pairs, aligned = (str(tmp_path / name) for name in ("ref.ckpt", "pairs.txt", "aligned.ckpt"))
-    report = str(tmp_path / "report.csv")
-    commands = [
-        ["pretrain", "--config", tiny_cfg, "--out", ref],
-        ["gen-pairs", "--config", tiny_cfg, "--model", ref, "--n", "10", "--out", pairs],
-        ["align", "--config", tiny_cfg, "--model", ref, "--pairs", pairs, "--out", aligned],
-        ["eval", "--config", tiny_cfg, "--model", aligned, "--against", ref, "--n", "3", "--out", report],
+    ref, pairs, aligned, report, tsv, kept = (
+        str(tmp_path / name) for name in ("ref.ckpt", "pairs.txt", "aligned.ckpt", "r.csv", "in.tsv", "out.tsv")
+    )
+    Path(tsv).write_text("")
+    commands = [  # (argv, its file arguments)
+        (["pretrain", "--config", tiny_cfg, "--out", ref], {tiny_cfg}),
+        (["gen-pairs", "--config", tiny_cfg, "--model", ref, "--n", "10", "--out", pairs], {tiny_cfg, ref}),
+        (["align", "--config", tiny_cfg, "--model", ref, "--pairs", pairs, "--out", aligned],
+         {tiny_cfg, ref, pairs}),
+        (["eval", "--config", tiny_cfg, "--model", aligned, "--against", ref, "--n", "3", "--out", report],
+         {tiny_cfg, aligned, ref}),
+        (["corpus", tsv, "--config", tiny_cfg, "--out", kept], {tsv, tiny_cfg}),
     ]
-    for argv in commands:
+    for argv, file_args in commands:
         hashed.clear()
         assert main(argv) == 0
         out = argv[argv.index("--out") + 1]
         doc = json.loads(Path(out + ".manifest.json").read_text())
+        assert set(doc["inputs"]) == file_args, argv[0]
         assert hashed == Counter({**doc["inputs"], **doc["outputs"]}.keys()), argv[0]
         for path, digest in {**doc["inputs"], **doc["outputs"]}.items():
             assert _sha(path) == digest
@@ -403,6 +409,88 @@ def test_exit_codes(tmp_path, tiny_cfg, capsys):
     capsys.readouterr()
 
 
+# the config keys with no default, and the commands that read each
+NO_DEFAULT = [key for key, (_, default) in _KEYS.items() if default is None]
+READ_BY = {
+    "pretrain": {"seed", "train.lr", "train.steps", "train.batch"},
+    "gen-pairs": {"seed", "reward.kind"},
+    "align": {"seed", "train.lr", "train.steps", "train.batch", "pnapo.beta"},
+    "eval": {"seed", "reward.kind"},
+    "corpus": {"seed"},
+}
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory) -> dict[str, str]:
+    """A tiny checkpoint, its pairs, an empty corpus, and checkpoints of another data dim or condition count."""
+    root = tmp_path_factory.mktemp("tiny_run")
+    paths = {name: str(root / name) for name in ("cfg", "ref", "pairs", "tsv", "dim3", "cond3")}
+    Path(paths["cfg"]).write_text(TINY_CFG)
+    Path(paths["tsv"]).write_text("")
+    assert main(["pretrain", "--config", paths["cfg"], "--out", paths["ref"]]) == 0
+    assert main(["gen-pairs", "--config", paths["cfg"], "--model", paths["ref"], "--n", "6",
+                 "--out", paths["pairs"]]) == 0
+    for name, key in (("dim3", "data.dim"), ("cond3", "data.conditions")):
+        other = root / f"{name}.cfg"
+        other.write_text(TINY_CFG.replace(f"{key} = 2", f"{key} = 3"))
+        assert main(["pretrain", "--config", str(other), "--out", paths[name]]) == 0
+    return paths
+
+
+@pytest.mark.parametrize("key", NO_DEFAULT)
+@pytest.mark.parametrize("command", list(READ_BY))
+def test_missing_key_exits_2_naming_it_iff_the_command_reads_it(tmp_path, tiny_run, capsys, command, key):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("\n".join(line for line in TINY_CFG.splitlines() if not line.startswith(f"{key} =")))
+    out = tmp_path / "out"
+    argv = {
+        "pretrain": ["pretrain"],
+        "gen-pairs": ["gen-pairs", "--model", tiny_run["ref"], "--n", "2"],
+        "align": ["align", "--model", tiny_run["ref"], "--pairs", tiny_run["pairs"]],
+        "eval": ["eval", "--model", tiny_run["ref"], "--against", tiny_run["ref"], "--n", "2"],
+        "corpus": ["corpus", tiny_run["tsv"]],
+    }[command] + ["--config", str(cfg), "--out", str(out)]
+    capsys.readouterr()
+    if key in READ_BY[command]:
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"rfpnapo: missing required config key {key!r}\n"
+        assert list(tmp_path.iterdir()) == [cfg]
+    else:
+        assert main(argv) == 0
+        capsys.readouterr()
+
+
+@pytest.mark.parametrize("other", ["dim3", "cond3"])
+@pytest.mark.parametrize("method", ["pnapo", "dpo", "sft"])
+def test_align_dim_mismatch_via_different_checkpoint(tmp_path, tiny_run, capsys, method, other):
+    # 2-D, 2-condition pairs against a checkpoint with 3 dims or 3 conditions: exit 4, nothing written
+    capsys.readouterr()
+    assert main(["align", "--config", tiny_run["cfg"], "--model", tiny_run[other], "--pairs", tiny_run["pairs"],
+                 "--method", method, "--out", str(tmp_path / "a.ckpt")]) == 4
+    assert "rfpnapo: path rows have shapes" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("other", ["dim3", "cond3"])
+def test_eval_against_a_checkpoint_of_other_dims_exits_4_and_writes_nothing(tmp_path, tiny_run, capsys, other):
+    capsys.readouterr()
+    assert main(["eval", "--config", tiny_run["cfg"], "--model", tiny_run["ref"], "--against", tiny_run[other],
+                 "--n", "2", "--out", str(tmp_path / "r.csv")]) == 4
+    assert "have shape" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_pair_header_claiming_a_huge_dim_fails_on_line_2(tmp_path, tiny_run, capsys):
+    # the reader sizes its matrix by the record text, not by the header's claim
+    pairs = tmp_path / "huge.txt"
+    pairs.write_text(f"rfpnapo-pairs v1 dim={10**15} cdim=2 steps=5 refhash=abc\n1 0 | 1 | 1 | 1 | 1 | 0.5\n")
+    capsys.readouterr()
+    assert main(["align", "--config", tiny_run["cfg"], "--model", tiny_run["ref"], "--pairs", str(pairs),
+                 "--out", str(tmp_path / "a.ckpt")]) == 5
+    assert f"line 2: expected {10**15} numbers, found 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [pairs]
+
+
 # every single-key range the config checks at load, with values just outside it
 _OUT_OF_RANGE = [
     *[(key, raw) for key in ("data.dim", "data.conditions", "train.steps", "train.batch", "pnapo.n1",
@@ -467,20 +555,6 @@ def test_non_utf8_input_fails_on_its_line(tmp_path, tiny_cfg, capsys, kind, code
     err = capsys.readouterr().err
     assert where in err and "not UTF-8" in err
     assert not Path(out).exists()
-
-
-def test_align_dim_mismatch_via_different_checkpoint(tmp_path, tiny_cfg, capsys):
-    # pairs from a 2-condition model, align against a 3-condition model: exit 4
-    ref, pairs, _ = _run_pipeline(tmp_path, tiny_cfg)
-    other_cfg = tmp_path / "other.cfg"
-    other_cfg.write_text(TINY_CFG.replace("data.conditions = 2", "data.conditions = 3")
-                         .replace("reward.params = 2,0 ; -2,0", "reward.params = 2,0 ; -2,0 ; 0,2"))
-    other = str(tmp_path / "other.ckpt")
-    assert main(["pretrain", "--config", str(other_cfg), "--out", other]) == 0
-    rc = main(["align", "--config", tiny_cfg, "--model", other, "--pairs", pairs,
-               "--out", str(tmp_path / "x.ckpt")])
-    assert rc == 4
-    capsys.readouterr()
 
 
 def test_verify_subcommand_exit_codes(capsys):
@@ -598,19 +672,23 @@ STR_CELLS = {
 }
 
 
+# the keys of the pretrain, align and eval rows, in the order their builders give them
 @pytest.mark.parametrize("columns, header", [
-    (PRETRAIN_COLUMNS, "step,loss,grad_norm"),
-    (ALIGN_COLUMNS, "step,loss,margin_mean,beta_eff_mean,grad_norm"),
-    (EVAL_COLUMNS, "model,mean_reward,median_reward,win_rate,n,seed"),
+    (("step", "loss", "grad_norm"), "step,loss,grad_norm"),
+    (("step", "loss", "margin_mean", "beta_eff_mean", "grad_norm"),
+     "step,loss,margin_mean,beta_eff_mean,grad_norm"),
+    (("model", "mean_reward", "median_reward", "win_rate", "n", "seed"),
+     "model,mean_reward,median_reward,win_rate,n,seed"),
 ])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_metrics_csv_round_trips_bitwise(tmp_path_factory, columns, header, data):
-    """All three CSVs: int and str cells as str, float cells that read back to the same bits."""
-    cells = {col: STR_CELLS.get(col, st.floats(allow_nan=False)) for col in columns}
-    rows = data.draw(st.lists(st.fixed_dictionaries(cells), max_size=12))
+    """All three CSVs: the first row's keys as header, int and str cells as str, floats that read back bitwise."""
+    # each row's keys in column order; fixed_dictionaries need not keep it
+    cells = st.tuples(*(STR_CELLS.get(col, st.floats(allow_nan=False)) for col in columns))
+    rows = data.draw(st.lists(cells.map(lambda row: dict(zip(columns, row))), min_size=1, max_size=12))
     path = tmp_path_factory.mktemp("metrics") / "run.metrics.csv"
-    _write_csv(str(path), columns, rows)
+    _write_csv(str(path), rows)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == header
     assert len(lines) == len(rows) + 1

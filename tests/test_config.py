@@ -87,13 +87,6 @@ def test_reward_params_reject_the_centre_separator_with_position(tmp_path):
         load_config(path)
 
 
-def test_require_reports_missing_keys(tmp_path):
-    cfg = load_config(_write(tmp_path, "seed = 1\n"))
-    with pytest.raises(ConfigurationError, match="train.lr"):
-        cfg.require("seed", "train.lr")
-    cfg.require("seed", "sampler.steps")  # defaulted keys never count as missing
-
-
 def test_mixture_builder_custom_modes(tmp_path):
     cfg = load_config(_write(tmp_path, """
 seed = 0

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -390,6 +391,21 @@ def test_read_dataset_error_positions(tmp_path):
     path.write_text(f"{good_header}\n1 0 | 0.5 oops | 0.25 0.25 | 1 1 | 1 -1 | 0.125\n")
     with pytest.raises(ParseError, match="line 2"):
         read_dataset(str(path))
+
+
+def test_read_dataset_sizes_its_matrix_by_the_text_not_the_header(tmp_path):
+    # a header may claim any dim; the one record holds one number per vector,
+    # so reading fails on line 2 without reserving the 3.2 GB the claim implies
+    path = tmp_path / "pairs.txt"
+    path.write_text(f"rfpnapo-pairs v1 dim={10**8} cdim=2 steps=3 refhash=aa\n1 0 | 1 | 1 | 1 | 1 | 0.5\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match=f"^line 2: expected {10**8} numbers, found 1$"):
+            read_dataset(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**24
 
 
 def test_read_dataset_empty_is_header_only(tmp_path):
