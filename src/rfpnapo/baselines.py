@@ -85,10 +85,3 @@ def make_sft_term(spec: MlpSpec, rng: np.random.Generator) -> Callable:
 
     return term
 
-
-__all__ = [
-    "dpo_value_grad",
-    "make_dpo_term",
-    "sft_value_grad",
-    "make_sft_term",
-]

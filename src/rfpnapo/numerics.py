@@ -6,8 +6,8 @@ feature appended after the state x and the condition vector c.
 
 A parameter vector is a flat 1-D float64 array laid out as all weight
 matrices in layer order (row-major, shape (fan_out, fan_in)) followed by all
-bias vectors in layer order. Everything here is a pure function of explicit
-arrays; nothing hides state.
+bias vectors in layer order, as unpack_params splits it. Everything here is
+a function of explicit arrays; adam_step alone writes its arguments.
 
 There are two forward kernels. forward_tiles runs the layers on rows in
 fixed FORWARD_TILE-row GEMM tiles, writing each layer into a tile_workspace
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -75,7 +75,7 @@ class MlpSpec:
 
 
 def unpack_params(params: ParamVector, spec: MlpSpec) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Split a flat parameter vector into per-layer (weights, biases) views."""
+    """Per-layer (weights, biases) views of a flat parameter vector: the one statement of the layout."""
     params = np.asarray(params, dtype=np.float64)
     if params.ndim != 1 or params.size != spec.param_count():
         raise ShapeError(
@@ -93,19 +93,14 @@ def unpack_params(params: ParamVector, spec: MlpSpec) -> tuple[list[np.ndarray],
     return weights, biases
 
 
-def pack_params(weights: list[np.ndarray], biases: list[np.ndarray]) -> ParamVector:
-    return np.concatenate([w.ravel() for w in weights] + list(biases), dtype=np.float64)
-
-
 def mlp_init(spec: MlpSpec, seed: int) -> ParamVector:
-    """Glorot-uniform weights (bound sqrt(6/(fan_in+fan_out))), zero biases."""
+    """Glorot-uniform weights (bound sqrt(6/(fan_in+fan_out))), one draw per layer; zero biases."""
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for r, c in spec.layer_shapes():
-        bound = math.sqrt(6.0 / (r + c))
-        weights.append(rng.uniform(-bound, bound, size=(r, c)))
-        biases.append(np.zeros(r))
-    return pack_params(weights, biases)
+    params = np.zeros(spec.param_count())
+    for w in unpack_params(params, spec)[0]:
+        bound = math.sqrt(6.0 / sum(w.shape))
+        w[:] = rng.uniform(-bound, bound, size=w.shape)
+    return params
 
 
 def mlp_forward(params: ParamVector, spec: MlpSpec, x: np.ndarray, t: float, c: np.ndarray) -> np.ndarray:
@@ -247,17 +242,18 @@ def vjp_batch(
     if dz.shape != (cache[0].shape[0], spec.output_dim):
         raise ShapeError(f"cotangent has shape {dz.shape}, expected "
                          f"({cache[0].shape[0]}, {spec.output_dim}) for the cached rows")
+    grad = np.empty(spec.param_count())
+    d_weights, d_biases = unpack_params(grad, spec)
     n_layers = len(weights)
-    d_weights: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
-    d_biases: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
     for i in range(n_layers - 1, -1, -1):
         if i < n_layers - 1:
             dz = dh * (1.0 - cache[i + 1] ** 2)  # tanh'(z) = 1 - tanh(z)^2
-        d_weights[i] = dz.T @ cache[i]
-        d_biases[i] = dz.sum(axis=0)
+        np.matmul(dz.T, cache[i], out=d_weights[i])
+        # the method, not np.sum, whose dispatch costs a toy step microseconds per layer
+        dz.sum(axis=0, out=d_biases[i])
         if i > 0:
             dh = dz @ weights[i]
-    return pack_params(d_weights, d_biases)
+    return grad
 
 
 def vjp_single(
@@ -373,13 +369,14 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass
 class OptimState:
-    """Adam state: learning rate, moments, step counter."""
+    """Adam state: learning rate, moments, a (2, n) scratch block, step counter."""
 
     lr: float
     first_moment: np.ndarray
     second_moment: np.ndarray
+    scratch: np.ndarray
     step_count: int = 0
 
 
@@ -387,40 +384,42 @@ def optim_init(n_params: int, lr: float) -> OptimState:
     """Zero moments at step 0; the one check of a trainer's learning rate."""
     if not (math.isfinite(lr) and lr > 0):
         raise ConfigurationError(f"learning rate must be a finite number > 0, got {lr}")
-    return OptimState(lr=lr, first_moment=np.zeros(n_params), second_moment=np.zeros(n_params))
+    return OptimState(lr, np.zeros(n_params), np.zeros(n_params), np.empty((2, n_params)))
 
 
-def adam_step(
-    state: OptimState, params: ParamVector, grad: ParamVector
-) -> tuple[OptimState, ParamVector]:
-    """One Adam update with bias-corrected moments.
+def adam_step(state: OptimState, params: ParamVector, grad: ParamVector) -> None:
+    """One Adam update with bias-corrected moments, in place.
 
     Evaluates, operation by operation and so bit for bit,
         m = beta1 * m + (1 - beta1) * grad
         v = beta2 * v + (1 - beta2) * (grad * grad)
         update = lr * (m_hat / (sqrt(v_hat) + eps))
     with m_hat = m / (1 - beta1^t), v_hat = v / (1 - beta2^t) and the ADAM_*
-    constants, writing the intermediates into two scratch arrays. The new
-    moments and parameters are fresh arrays; no input array is written.
+    constants, in the state's scratch rows. It writes the moments, the step
+    count and params, never grad; mis-shaped arrays raise ShapeError first.
     """
     if grad.shape != params.shape:
         raise ShapeError(f"gradient shape {grad.shape} != parameter shape {params.shape}")
+    m, v = state.first_moment, state.second_moment
+    if m.shape != params.shape or v.shape != params.shape:
+        raise ShapeError(f"Adam moments of size {m.size} and {v.size} for {params.size} parameters")
     t = state.step_count + 1
-    a = np.multiply(grad, 1.0 - ADAM_BETA1)
-    m = np.multiply(state.first_moment, ADAM_BETA1)
+    a, b = state.scratch
+    np.multiply(grad, 1.0 - ADAM_BETA1, out=a)
+    m *= ADAM_BETA1
     m += a
     np.multiply(grad, grad, out=a)
     a *= 1.0 - ADAM_BETA2
-    v = np.multiply(state.second_moment, ADAM_BETA2)
+    v *= ADAM_BETA2
     v += a
     np.divide(m, 1.0 - ADAM_BETA1**t, out=a)  # m_hat
-    b = np.divide(v, 1.0 - ADAM_BETA2**t)  # v_hat
+    np.divide(v, 1.0 - ADAM_BETA2**t, out=b)  # v_hat
     np.sqrt(b, out=b)
     b += ADAM_EPS
     a /= b
     a *= state.lr
-    new_state = replace(state, first_moment=m, second_moment=v, step_count=t)
-    return new_state, np.subtract(params, a)
+    params -= a
+    state.step_count = t
 
 
 # --- checkpoint format -------------------------------------------------------
@@ -432,17 +431,14 @@ def adam_step(
 
 def write_checkpoint(path: str, params: ParamVector, spec: MlpSpec) -> None:
     """Write a checkpoint; a parameter read_checkpoint would reject raises DataError before any write."""
-    weights, biases = unpack_params(params, spec)
+    weights, _ = unpack_params(params, spec)
     finite = np.isfinite(params)
     if not finite.all():
         raise DataError(f"parameter {int(np.argmin(finite))} is non-finite; not representable")
     parts = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(weights))]
     for w in weights:
         parts.append(struct.pack("<II", w.shape[0], w.shape[1]))
-    for w in weights:
-        parts.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-    for b in biases:
-        parts.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
+    parts.append(np.ascontiguousarray(params, dtype="<f8").tobytes())  # the flat layout is the file's
     parts.append(struct.pack("<III", spec.input_dim, spec.cond_dim, spec.output_dim))
     write_bytes(path, parts)
 
@@ -469,15 +465,14 @@ def read_checkpoint(path: str) -> tuple[ParamVector, MlpSpec]:
         if r < 1 or c < 1:
             raise ParseError(f"bad layer shape ({r}, {c})")
         shapes.append((r, c))
-    n_weights = sum(r * c for r, c in shapes)
-    n_biases = sum(r for r, _ in shapes)
-    expected = off + 8 * (n_weights + n_biases) + 12
+    n_values = sum(r * c + r for r, c in shapes)
+    expected = off + 8 * n_values + 12
     if len(blob) != expected:
         raise ParseError(f"checkpoint size {len(blob)} != expected {expected}")
-    values = np.frombuffer(blob, dtype="<f8", count=n_weights + n_biases, offset=off)
+    values = np.frombuffer(blob, dtype="<f8", count=n_values, offset=off)
     if not np.all(np.isfinite(values)):
         raise ParseError("checkpoint parameters contain non-finite values")
-    off += 8 * (n_weights + n_biases)
+    off += 8 * n_values
     input_dim, cond_dim, output_dim = struct.unpack_from("<III", blob, off)
     # structural consistency: shapes must chain and match the declared dims
     if shapes[0][1] != input_dim or shapes[-1][0] != output_dim:

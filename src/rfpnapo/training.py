@@ -1,61 +1,57 @@
-"""The one trainer every method shares: batch loop, Adam, metrics rows.
+"""The one trainer loop pretraining and every method share: steps, Adam, metrics rows.
 
-Preference methods differ only in the batch loss functional they hand to
-step_with_terms; the optimizer path and the metrics schema are identical.
-An align step is one call of that functional on the whole batch.
+Each trainer hands _fit only its step. Preference methods differ only in the
+batch loss functional they hand to step_with_terms; an align step is one call
+of that functional on the whole batch.
 """
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
 
 from .baselines import make_dpo_term, make_sft_term
 from .errors import ConfigurationError, NumericError
-from .numerics import (
-    MlpSpec,
-    OptimState,
-    ParamVector,
-    adam_step,
-    loss_value_and_grad,
-    mlp_init,
-    optim_init,
-)
+from .numerics import MlpSpec, ParamVector, adam_step, mlp_init, optim_init
 from .pnapo import BetaSchedule, make_pnapo_term
 from .prefdata import PreferenceDataset
 from .rectflow import ConditionalMixture, cfm_objective
 
 METHODS = ("pnapo", "dpo", "sft")
 
-# A term maps (params, batch of B pairs) -> (per-pair losses (B,), gradient of
-# their sum, per-pair margins (B,), per-pair beta_eff (B,)).
-Term = Callable[
-    [ParamVector, PreferenceDataset], tuple[np.ndarray, ParamVector, np.ndarray, np.ndarray]
-]
+
+def _fit(params: ParamVector, steps: int, lr: float, step: Callable) -> list[dict]:
+    """Adam on params in place; step(params, step_index) gives (loss, grad, extra columns).
+
+    Returns the rows {"step", "loss", **extra, "grad_norm"}, one per step.
+    """
+    optim = optim_init(params.size, lr)
+    rows: list[dict] = []
+    # a diverging run overflows before the finite check reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step_index in range(1, steps + 1):
+            loss, grad, extra = step(params, step_index)
+            if not math.isfinite(loss) or not np.all(np.isfinite(grad)):
+                raise NumericError(f"non-finite loss or gradient at step {step_index}")
+            norm = float(np.linalg.norm(grad))
+            rows.append({"step": step_index, "loss": loss, **extra, "grad_norm": norm})
+            adam_step(optim, params, grad)
+    return rows
 
 
 def step_with_terms(
-    params: ParamVector,
-    optim: OptimState,
-    batch: PreferenceDataset,
-    term: Term,
-    step_index: int,
-) -> tuple[ParamVector, OptimState, dict]:
-    """Average the term's per-pair losses and gradient over a batch and apply one Adam step."""
-    losses, grad_sum, margins, betas = term(params, batch)
-    loss = float(np.mean(losses))
-    grad = grad_sum / len(losses)
-    if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
-        raise NumericError(f"non-finite loss or gradient at step {step_index}")
-    metrics = {
-        "step": step_index,
-        "loss": loss,
-        "margin_mean": float(np.mean(margins)),
-        "beta_eff_mean": float(np.mean(betas)),
-        "grad_norm": float(np.linalg.norm(grad)),
-    }
-    optim, params = adam_step(optim, params, grad)
-    return params, optim, metrics
+    params: ParamVector, batch: PreferenceDataset, term: Callable
+) -> tuple[float, ParamVector, dict]:
+    """The mean loss, gradient, margin and beta_eff of a batch of B pairs.
+
+    term(params, batch) gives the per-pair losses (B,), the gradient of their
+    sum (divided here in place), the margins (B,) and the beta_eff (B,).
+    """
+    losses, grad, margins, betas = term(params, batch)
+    grad /= len(losses)
+    extra = {"margin_mean": float(np.mean(margins)), "beta_eff_mean": float(np.mean(betas))}
+    return float(np.mean(losses)), grad, extra
 
 
 def _check_run_length(steps: int, batch: int) -> None:
@@ -94,24 +90,20 @@ def run_alignment(
     n = len(dataset)
     if n == 0:
         raise ConfigurationError("alignment needs at least one preference record")
-    params = np.array(ref_params, dtype=np.float64, copy=True)
-    optim = optim_init(params.size, lr)
     rng = np.random.default_rng(seed)
-    batch_size = min(batch, n)
-    rows: list[dict] = []
-    # a diverging run overflows before step_with_terms reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step_index in range(1, steps + 1):
-            pairs = dataset.take(rng.choice(n, size=batch_size, replace=False))
-            if method == "pnapo":
-                term = make_pnapo_term(ref_params, spec, schedule, step_index, rng)
-            elif method == "dpo":
-                term = make_dpo_term(ref_params, spec, schedule.beta, rng)
-            else:  # sft
-                term = make_sft_term(spec, rng)
-            params, optim, metrics = step_with_terms(params, optim, pairs, term, step_index)
-            rows.append(metrics)
-    return params, rows
+
+    def step(params: ParamVector, step_index: int):
+        pairs = dataset.take(rng.choice(n, size=min(batch, n), replace=False))
+        if method == "pnapo":
+            term = make_pnapo_term(ref_params, spec, schedule, step_index, rng)
+        elif method == "dpo":
+            term = make_dpo_term(ref_params, spec, schedule.beta, rng)
+        else:  # sft
+            term = make_sft_term(spec, rng)
+        return step_with_terms(params, pairs, term)
+
+    params = np.array(ref_params, dtype=np.float64, copy=True)
+    return params, _fit(params, steps, lr, step)
 
 
 def run_pretrain(
@@ -135,21 +127,16 @@ def run_pretrain(
             f"mixture ({mixture.dim}, {mixture.n_conditions}) does not match "
             f"model ({spec.data_dim}, {spec.cond_dim})"
         )
-    params = mlp_init(spec, seed)
-    optim = optim_init(params.size, lr)
     rng = np.random.default_rng(seed + 1)
     eye = np.eye(spec.cond_dim)
-    rows: list[dict] = []
-    # a diverging run overflows before loss_value_and_grad reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step_index in range(1, steps + 1):
-            ks = rng.integers(spec.cond_dim, size=batch)
-            x0 = mixture.sample_batch(rng, ks)
-            xT = rng.standard_normal((batch, spec.data_dim))
-            t = rng.random(batch)
-            loss, grad = loss_value_and_grad(cfm_objective(spec, x0, xT, eye[ks], t), params)
-            rows.append(
-                {"step": step_index, "loss": loss, "grad_norm": float(np.linalg.norm(grad))}
-            )
-            optim, params = adam_step(optim, params, grad)
-    return params, rows
+
+    def step(params: ParamVector, step_index: int):
+        ks = rng.integers(spec.cond_dim, size=batch)
+        x0 = mixture.sample_batch(rng, ks)
+        xT = rng.standard_normal((batch, spec.data_dim))
+        t = rng.random(batch)
+        loss, grad = cfm_objective(spec, x0, xT, eye[ks], t).value_and_grad(params)
+        return loss, grad, {}
+
+    params = mlp_init(spec, seed)
+    return params, _fit(params, steps, lr, step)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from rfpnapo.corpus import Corpus
-from rfpnapo.numerics import MlpSpec, mlp_init, pack_params, unpack_params
+from rfpnapo.numerics import MlpSpec, mlp_init, unpack_params
 from rfpnapo.prefdata import DatasetHeader, PreferenceDataset
 from rfpnapo.rectflow import default_mixture
 from rfpnapo.training import run_pretrain
@@ -38,6 +38,8 @@ def vjp_row(params, spec: MlpSpec, cache: list[np.ndarray], dy: np.ndarray) -> n
     """One row's parameter gradient of <dy, output>: outer products and matrix-vector products.
 
     cache[i] is the row's input to layer i; the reference the batch backward is checked against.
+    The flat gradient is concatenated here in the documented layout (flat_params), not
+    written through the package's views.
     """
     weights, _ = unpack_params(params, spec)
     n_layers = len(weights)
@@ -51,7 +53,12 @@ def vjp_row(params, spec: MlpSpec, cache: list[np.ndarray], dy: np.ndarray) -> n
         d_weights[i] = np.outer(dz, cache[i])
         d_biases[i] = dz
         dh = weights[i].T @ dz
-    return pack_params(d_weights, d_biases)
+    return flat_params(d_weights, d_biases)
+
+
+def flat_params(weights: list[np.ndarray], biases: list[np.ndarray]) -> np.ndarray:
+    """The documented parameter layout: every weight matrix row-major in layer order, then every bias."""
+    return np.concatenate([w.ravel() for w in weights] + list(biases), dtype=np.float64)
 
 
 @st.composite

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import copy
+import math
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import vjp_row
+from conftest import flat_params, vjp_row
 from rfpnapo.errors import DataError, NumericError, ParseError, ShapeError
 from rfpnapo.numerics import (
     ADAM_BETA1,
@@ -22,7 +25,6 @@ from rfpnapo.numerics import (
     mlp_forward,
     mlp_init,
     optim_init,
-    pack_params,
     read_checkpoint,
     sigmoid,
     softplus,
@@ -54,9 +56,37 @@ def test_init_deterministic_and_glorot_bounded():
         assert np.all(b_vec == 0.0)
 
 
-def test_pack_unpack_round_trip(small_spec, small_params):
-    weights, biases = unpack_params(small_params, small_spec)
-    assert np.array_equal(pack_params(weights, biases), small_params)
+LAYOUT_SPECS = [
+    MlpSpec(data_dim=2, cond_dim=3, hidden=(8, 6)),
+    MlpSpec(data_dim=1, cond_dim=1, hidden=()),
+    MlpSpec(data_dim=3, cond_dim=2, hidden=(5, 4, 7)),
+]
+
+
+@pytest.mark.parametrize("spec", LAYOUT_SPECS)
+def test_unpack_views_tile_the_vector_in_layout_order(spec):
+    # every weight matrix row-major in layer order, then every bias: each view
+    # is the next run of the vector, and together they cover it once
+    params = np.arange(spec.param_count(), dtype=np.float64)
+    weights, biases = unpack_params(params, spec)
+    shapes = spec.layer_shapes()
+    runs = [(w, (r, c)) for w, (r, c) in zip(weights, shapes)]
+    runs += [(b, (r,)) for b, (r, _) in zip(biases, shapes)]
+    off = 0
+    for view, shape in runs:
+        assert view.shape == shape and np.shares_memory(view, params)
+        assert np.array_equal(view.ravel(), np.arange(off, off + view.size))
+        off += view.size
+    assert off == params.size
+
+
+@pytest.mark.parametrize("spec", LAYOUT_SPECS)
+def test_mlp_init_is_one_uniform_draw_per_layer(spec):
+    rng = np.random.default_rng(5)
+    weights = [rng.uniform(-math.sqrt(6.0 / (r + c)), math.sqrt(6.0 / (r + c)), size=(r, c))
+               for r, c in spec.layer_shapes()]
+    biases = [np.zeros(r) for r, _ in spec.layer_shapes()]
+    assert mlp_init(spec, 5).tobytes() == flat_params(weights, biases).tobytes()
 
 
 def test_forward_shapes_and_batch_consistency(small_spec, small_params):
@@ -264,9 +294,9 @@ def test_sigmoid_softplus_stable_and_consistent():
 def test_adam_zero_gradient_keeps_params():
     state = optim_init(4, lr=0.1)
     params = np.array([1.0, -2.0, 3.0, 0.5])
-    new_state, new_params = adam_step(state, params, np.zeros(4))
-    assert np.array_equal(new_params, params)
-    assert new_state.step_count == 1
+    assert adam_step(state, params, np.zeros(4)) is None
+    assert np.array_equal(params, [1.0, -2.0, 3.0, 0.5])
+    assert state.step_count == 1
 
 
 def test_adam_first_step_magnitude_near_lr():
@@ -274,16 +304,16 @@ def test_adam_first_step_magnitude_near_lr():
     state = optim_init(3, lr=0.05)
     params = np.zeros(3)
     grad = np.array([1.0, -2.0, 0.5])
-    _, new_params = adam_step(state, params, grad)
-    assert np.allclose(np.abs(new_params), 0.05, rtol=1e-6)
-    assert np.all(np.sign(new_params) == -np.sign(grad))
+    adam_step(state, params, grad)
+    assert np.allclose(np.abs(params), 0.05, rtol=1e-6)
+    assert np.all(np.sign(params) == -np.sign(grad))
 
 
 def test_adam_converges_on_quadratic():
     state = optim_init(3, lr=0.1)
     params = np.array([2.0, -1.5, 0.7])
     for _ in range(400):
-        state, params = adam_step(state, params, params)  # grad of 0.5||p||^2
+        adam_step(state, params, params.copy())  # grad of 0.5||p||^2
     assert np.linalg.norm(params) < 1e-3
 
 
@@ -306,25 +336,49 @@ def _adam_step_reference(state, params, grad):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_adam_step_is_bitwise_the_expression(size, lr, steps, seed):
+    # the update writes the state's moments and count and the parameters in
+    # place, with the bits of the expression; the gradient is never written
     rng = np.random.default_rng(seed)
     state = optim_init(size, lr=lr)
+    moments = (state.first_moment, state.second_moment)
     params = rng.standard_normal(size) * 10.0 ** rng.integers(-3, 3, size)
     params[rng.random(size) < 0.1] = -0.0
-    for _ in range(steps):
+    for step in range(1, steps + 1):
         grad = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 3, size)
         grad[rng.random(size) < 0.1] = 0.0
-        inputs = [a.copy() for a in (state.first_moment, state.second_moment, params, grad)]
-        new_state, new_params = adam_step(state, params, grad)
-        # no input array is written
-        for before, after in zip(inputs, (state.first_moment, state.second_moment, params, grad)):
-            assert after.tobytes() == before.tobytes()
-        m_ref, v_ref, p_ref = _adam_step_reference(state, params, grad)
-        assert new_state.first_moment.tobytes() == m_ref.tobytes()
-        assert new_state.second_moment.tobytes() == v_ref.tobytes()
-        assert new_params.tobytes() == p_ref.tobytes()
-        assert new_state.step_count == state.step_count + 1
-        assert new_params is not params and new_state.first_moment is not state.first_moment
-        state, params = new_state, new_params
+        grad_bytes = grad.tobytes()
+        m_ref, v_ref, p_ref = _adam_step_reference(copy.deepcopy(state), params.copy(), grad.copy())
+        assert adam_step(state, params, grad) is None
+        assert grad.tobytes() == grad_bytes
+        assert state.first_moment.tobytes() == m_ref.tobytes()
+        assert state.second_moment.tobytes() == v_ref.tobytes()
+        assert params.tobytes() == p_ref.tobytes()
+        assert state.step_count == step
+        assert state.first_moment is moments[0] and state.second_moment is moments[1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    sizes=st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)),
+    warm_steps=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_adam_rejects_mismatched_sizes_before_any_write(sizes, warm_steps, seed):
+    # a state, parameter vector or gradient of another size raises ShapeError
+    # naming the sizes, and leaves every array and the step count as they were
+    state_size, param_size, grad_size = sizes
+    assume(not state_size == param_size == grad_size)
+    rng = np.random.default_rng(seed)
+    state = optim_init(state_size, lr=0.1)
+    for _ in range(warm_steps):
+        adam_step(state, rng.standard_normal(state_size), rng.standard_normal(state_size))
+    params, grad = rng.standard_normal(param_size), rng.standard_normal(grad_size)
+    arrays = (state.first_moment, state.second_moment, state.scratch, params, grad)
+    before = [a.tobytes() for a in arrays]
+    with pytest.raises(ShapeError, match=rf"\b{param_size}\b"):
+        adam_step(state, params, grad)
+    assert [a.tobytes() for a in arrays] == before
+    assert state.step_count == warm_steps
 
 
 @st.composite

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 
 from conftest import make_pairs, pair_batches
 from rfpnapo.errors import ConfigurationError, DataError
-from rfpnapo.numerics import FunctionLoss, finite_diff_check, mlp_init, optim_init, sigmoid
+from rfpnapo.numerics import FunctionLoss, adam_step, finite_diff_check, mlp_init, optim_init, sigmoid
 from rfpnapo.pnapo import (
     BetaSchedule,
     effective_beta,
@@ -167,8 +167,13 @@ def test_separate_branch_times_supported(small_spec, small_params):
 
 
 def _align_step(params, ref, spec, pairs, sched, step_index, seed, lr):
+    """One step as run_alignment's loop takes it: the batch's mean loss and gradient, then Adam."""
     term = make_pnapo_term(ref, spec, sched, step_index, np.random.default_rng(seed))
-    return step_with_terms(np.array(params), optim_init(params.size, lr), pairs, term, step_index)
+    params = np.array(params)
+    optim = optim_init(params.size, lr)
+    loss, grad, extra = step_with_terms(params, pairs, term)
+    adam_step(optim, params, grad)
+    return params, optim, loss, grad, extra
 
 
 def test_zero_gap_records_with_dynamic_schedule_freeze_params(small_spec, small_params):
@@ -176,20 +181,29 @@ def test_zero_gap_records_with_dynamic_schedule_freeze_params(small_spec, small_
     rng = np.random.default_rng(21)
     pairs = make_pairs(rng, small_spec, 4, delta_r=0.0)
     sched = BetaSchedule(beta=50.0, n1=10, n2=20, dynamic=True)
-    params, _, metrics = _align_step(small_params, small_params, small_spec, pairs, sched, 1, 0, lr=0.1)
-    assert metrics["loss"] == pytest.approx(LOG2, abs=1e-15)
-    assert metrics["beta_eff_mean"] == 0.0
+    params, _, loss, _, extra = _align_step(small_params, small_params, small_spec, pairs, sched, 1, 0, lr=0.1)
+    assert loss == pytest.approx(LOG2, abs=1e-15)
+    assert extra["beta_eff_mean"] == 0.0
     assert np.array_equal(params, small_params)  # zero gradient => Adam no-op
 
 
 def test_align_step_metrics_shape(small_spec, small_params):
+    # the step returns the batch means and its extra metric columns; the
+    # trainer loop adds the step, the gradient norm and the update
     rng = np.random.default_rng(22)
     pairs = make_pairs(rng, small_spec, 6, delta_r=0.5)
     sched = BetaSchedule(beta=5.0, n1=10, n2=20, dynamic=True)
-    params, optim2, metrics = _align_step(small_params, small_params, small_spec, pairs, sched, 3, 5, lr=1e-3)
-    assert set(metrics) == {"step", "loss", "margin_mean", "beta_eff_mean", "grad_norm"}
-    assert metrics["step"] == 3
-    assert optim2.step_count == 1
+    params, optim, loss, grad, extra = _align_step(
+        small_params, small_params, small_spec, pairs, sched, 3, 5, lr=1e-3
+    )
+    assert set(extra) == {"margin_mean", "beta_eff_mean"}
+    assert isinstance(loss, float)
+    losses, grad_sum, _, _ = make_pnapo_term(small_params, small_spec, sched, 3, np.random.default_rng(5))(
+        small_params, pairs
+    )
+    assert loss == float(np.mean(losses))
+    assert grad.tobytes() == (grad_sum / len(pairs)).tobytes()
+    assert optim.step_count == 1
     assert not np.array_equal(params, small_params)
 
 

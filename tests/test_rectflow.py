@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import flat_params
 from rfpnapo.errors import NumericError, ShapeError
 from rfpnapo.numerics import (
     MlpSpec,
@@ -12,7 +13,6 @@ from rfpnapo.numerics import (
     loss_value_and_grad,
     mlp_forward,
     mlp_init,
-    pack_params,
 )
 from rfpnapo.rectflow import (
     ConditionalMixture,
@@ -132,7 +132,7 @@ def test_euler_single_step_recovers_constant_field():
     weights = [np.zeros(s) for s in spec.layer_shapes()]
     biases = [np.zeros(s[0]) for s in spec.layer_shapes()]
     biases[-1] = np.array([0.3, -0.7])
-    params = pack_params(weights, biases)
+    params = flat_params(weights, biases)
     xT = np.array([[1.0, 2.0], [-0.5, 0.25]])
     x0 = euler_sample(params, spec, xT, np.eye(2), 1)
     assert x0.shape == (2, 2)
@@ -144,7 +144,7 @@ def test_euler_many_steps_constant_field_still_exact_to_tolerance():
     weights = [np.zeros(s) for s in spec.layer_shapes()]
     biases = [np.zeros(s[0]) for s in spec.layer_shapes()]
     biases[-1] = np.array([0.3, -0.7])
-    params = pack_params(weights, biases)
+    params = flat_params(weights, biases)
     xT = np.array([[1.0, 2.0]])
     x0 = euler_sample(params, spec, xT, np.eye(2)[[1]], 50)
     # constant velocity: every step subtracts b/steps, rounding is the only error
@@ -160,7 +160,7 @@ def test_euler_sample_reports_the_step_it_diverged_at():
     weights = [np.zeros(s) for s in spec.layer_shapes()]
     biases = [np.zeros(s[0]) for s in spec.layer_shapes()]
     biases[-1] = np.array([1e308])
-    params = pack_params(weights, biases)
+    params = flat_params(weights, biases)
     xT = np.zeros((30, 1))
     xT[29] = -1e308
     cond = np.ones((30, 1))

@@ -48,11 +48,12 @@ def test_pretrain_validates_arguments():
 
 
 def test_pretrain_divergence_is_a_numeric_error():
-    # lr = 1e300 overflows the parameters at the first Adam step; numpy's
-    # overflow warnings on the way would, under the package's error filter,
-    # be raised in place of the NumericError
+    # lr = 1e300 overflows the parameters at the first Adam step, so step 2's
+    # loss is not finite; the check and its message are the alignment
+    # trainer's. numpy's overflow warnings on the way would, under the
+    # package's error filter, be raised in place of the NumericError
     spec = MlpSpec(data_dim=2, cond_dim=2, hidden=(8, 8))
-    with pytest.raises(NumericError, match=r"^non-finite loss value"):
+    with pytest.raises(NumericError, match=r"^non-finite loss or gradient at step 2$"):
         run_pretrain(spec, default_mixture(2, 2, 0.4), steps=40, batch=8, lr=1e300, seed=9)
 
 
@@ -71,14 +72,24 @@ def test_alignment_first_step_loss_is_log_two(small_spec, small_params):
     assert set(rows[0]) == {"step", "loss", "margin_mean", "beta_eff_mean", "grad_norm"}
 
 
+def _row_bytes(rows):
+    return np.array([list(row.values()) for row in rows], dtype=np.float64).tobytes()
+
+
 def test_alignment_deterministic_per_method(small_spec, small_params):
+    # Adam updates the trainer's own copy in place: the reference and the
+    # dataset keep their bytes, and a second call returns the same bits
     records = _records(small_spec, 8)
+    ref = small_params.copy()
+    inputs = (ref, records.cond, records.x0, records.xT, records.delta_r)
+    before = [a.tobytes() for a in inputs]
     sched = BetaSchedule(beta=3.0, n1=2, n2=4, dynamic=True)
     for method in METHODS:
-        pa, ra = run_alignment(small_params, small_spec, records, method, sched, 5, 4, 1e-3, 11)
-        pb, rb = run_alignment(small_params, small_spec, records, method, sched, 5, 4, 1e-3, 11)
-        assert np.array_equal(pa, pb)
-        assert ra == rb
+        pa, ra = run_alignment(ref, small_spec, records, method, sched, 5, 4, 1e-3, 11)
+        assert [a.tobytes() for a in inputs] == before
+        pb, rb = run_alignment(ref, small_spec, records, method, sched, 5, 4, 1e-3, 11)
+        assert pa.tobytes() == pb.tobytes()
+        assert _row_bytes(ra) == _row_bytes(rb)
         assert not np.array_equal(pa, small_params)
 
 
