@@ -19,7 +19,7 @@ from .errors import (
 )
 from .numerics import MlpSpec, mlp_forward, mlp_init, read_checkpoint, write_checkpoint
 from .pnapo import BetaSchedule, effective_beta, pnapo_value_grad, score
-from .prefdata import PreferenceDataset, RewardSpec, build_dataset, read_dataset, write_dataset
+from .prefdata import PreferenceDataset, build_dataset, read_dataset, write_dataset
 from .rectflow import cfm_objective, euler_sample
 from .training import run_alignment, run_pretrain
 
@@ -32,7 +32,6 @@ __all__ = [
     "NumericError",
     "ParseError",
     "PreferenceDataset",
-    "RewardSpec",
     "RfpnapoError",
     "ShapeError",
     "build_dataset",

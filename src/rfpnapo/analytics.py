@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigurationError, ShapeError
 from .numerics import MlpSpec, ParamVector
 from .pnapo import pair_rows, score
-from .prefdata import PreferenceDataset, RewardSpec, reward_eval
+from .prefdata import PreferenceDataset, reward_eval
 from .rectflow import euler_sample
 
 MAX_STATES = 6
@@ -202,12 +202,12 @@ def estimator_variance(
 def eval_reward(
     params: ParamVector,
     spec: MlpSpec,
-    rspec: RewardSpec,
+    centers: np.ndarray,
     n_per_condition: int,
     steps: int,
     seed: int,
 ) -> np.ndarray:
-    """Analytic rewards of n_per_condition samples per condition, each decoded in `steps` steps.
+    """reward_eval's rewards of n_per_condition samples per condition, each decoded in `steps` steps.
 
     Trial i decodes prior draw i of default_rng(seed) under condition
     i mod cond_dim, one (n_per_condition * cond_dim, data_dim) block of draws.
@@ -221,7 +221,7 @@ def eval_reward(
     conds = np.eye(spec.cond_dim)[np.arange(n) % spec.cond_dim]
     noise = np.random.default_rng(seed).standard_normal((n, spec.data_dim))
     x0 = euler_sample(params, spec, noise, conds, steps)
-    return reward_eval(rspec, x0, conds)
+    return reward_eval(centers, x0, conds)
 
 
 def win_rate(rewards_a: np.ndarray, rewards_b: np.ndarray) -> float:

@@ -99,10 +99,10 @@ def cmd_gen_pairs(args: argparse.Namespace) -> int:
     start = time.monotonic()
     cfg = load_config(args.config)
     ref_params, spec = read_checkpoint(args.model)
-    rspec = cfg.reward(spec.data_dim, spec.cond_dim)
+    centers = cfg.reward(spec.data_dim, spec.cond_dim)
     ref_hash = sha256_file(args.model)
     dataset = build_dataset(
-        ref_params, spec, rspec,
+        ref_params, spec, centers,
         steps=cfg.get("sampler.steps"), n_records=args.n, base_seed=cfg.get("seed"), ref_hash=ref_hash,
     )
     write_dataset(args.out, dataset)
@@ -155,11 +155,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     params_a, spec_a = read_checkpoint(args.model)
     params_b, spec_b = read_checkpoint(args.against)
     # the reward is built for model's dims; against's samples of other dims fail in reward_eval
-    rspec = cfg.reward(spec_a.data_dim, spec_a.cond_dim)
+    centers = cfg.reward(spec_a.data_dim, spec_a.cond_dim)
     steps = cfg.get("sampler.steps")
     seed = cfg.get("seed")
-    rewards_a = eval_reward(params_a, spec_a, rspec, args.n, steps, seed)
-    rewards_b = eval_reward(params_b, spec_b, rspec, args.n, steps, seed)
+    rewards_a = eval_reward(params_a, spec_a, centers, args.n, steps, seed)
+    rewards_b = eval_reward(params_b, spec_b, centers, args.n, steps, seed)
     wr = win_rate(rewards_a, rewards_b)
     rows = [
         {

@@ -11,7 +11,6 @@ from .errors import ConfigurationError, ParseError
 from .fileio import read_lines
 from .numerics import MlpSpec
 from .pnapo import BetaSchedule
-from .prefdata import REWARD_KINDS, RewardSpec
 from .rectflow import ConditionalMixture, default_mixture
 
 
@@ -47,7 +46,7 @@ _parse_seed = _in_range(int, lambda v: v >= 0, "a non-negative integer")
 _parse_count = _in_range(int, lambda v: v >= 1, "an integer >= 1")
 _parse_positive = _in_range(_parse_finite_float, lambda v: v > 0, "a number > 0")
 _parse_fraction = _in_range(_parse_finite_float, lambda v: 0 <= v <= 1, "a number in [0, 1]")
-_parse_reward_kind = _in_range(str, lambda v: v in REWARD_KINDS, " | ".join(REWARD_KINDS))
+_parse_reward_kind = _in_range(str, lambda v: v == "mode_distance", "mode_distance")
 
 
 @dataclass(frozen=True)
@@ -179,15 +178,11 @@ class RunConfig:
         centers = np.array([center for group in modes for center in group])
         return ConditionalMixture(centers, np.array([len(group) for group in modes]), std)
 
-    def reward(self, data_dim: int, cond_dim: int) -> RewardSpec:
-        kind = self.get("reward.kind")
+    def reward(self, data_dim: int, cond_dim: int) -> np.ndarray:
+        """The (cond_dim, data_dim) reward centres: reward.params, else the origin for every condition."""
+        self.get("reward.kind")  # still required, though mode_distance is its one value
         rows = [vectors[0] for vectors in self._vector_groups("reward.params", data_dim, cond_dim)]
-        if not rows:
-            params = np.zeros((cond_dim, data_dim))
-            if kind == "direction_dot":
-                params[:, 0] = 1.0
-            return RewardSpec(kind=kind, params=params)
-        return RewardSpec(kind=kind, params=np.array(rows))
+        return np.array(rows) if rows else np.zeros((cond_dim, data_dim))
 
     def schedule(self) -> BetaSchedule:
         return BetaSchedule(

@@ -103,7 +103,8 @@ def read_records(lines: list[str], width: int, split: Callable, fault: Callable)
     holds record i's cells before its numbers; width is at least 1. The
     numbers become row i of the (n, width) matrix values in one np.array call,
     which converts each str with float(), so "1_0", "\u0661" and surrounding
-    whitespace are numbers.
+    whitespace are numbers. With no record line, values is (0, width), and a
+    width numpy cannot hold even there raises ParseError on line 1.
 
     Reading stops at the first line whose counts or numbers fail.
     fault(heads, values) then applies the format's value rules to the rows
@@ -114,10 +115,16 @@ def read_records(lines: list[str], width: int, split: Callable, fault: Callable)
     """
     records = [(lineno, raw) for lineno, raw in enumerate(lines[1:], start=2) if raw != ""]
     heads: list[list[str]] = []
+    if not records:
+        try:
+            return heads, np.empty((0, width))
+        except ValueError:  # numpy bounds a row's size even in an array of no rows
+            raise ParseError(f"a record of {width} numbers is past numpy's size limit", line=1) from None
     # a line of width numbers holds at least 2 * width - 1 characters, so the
-    # lines read fit in this many rows whatever width a header claims
+    # lines read fit in this many rows whatever width a header claims; with
+    # none, the first line fails its count and nothing is sized by the claim
     height = min(len(records), sum(len(raw) for _, raw in records) // (2 * width - 1))
-    values = np.empty((height, width))
+    values = np.empty((height, width if height else 0))
     error = None
     for lineno, raw in records:
         try:
@@ -127,7 +134,7 @@ def read_records(lines: list[str], width: int, split: Callable, fault: Callable)
             error = ParseError(str(exc), line=lineno)
             break
         heads.append(cells[: len(cells) - width])
-    found = fault(heads, values[: len(heads)])
+    found = fault(heads, values[: len(heads)]) if heads else None
     if found is not None:
         row, reason = found
         raise ParseError(reason.removeprefix("an ").removeprefix("a "), line=records[row][0])

@@ -1,4 +1,4 @@
-"""Preference pairs: analytic rewards, pair generation, labeling, dataset format.
+"""Preference pairs: the reward -||x - centers[k]||_2, pair generation, labeling, dataset format.
 
 Every record stores, verbatim, the prior noise that produced each candidate.
 That coupling is the whole point: downstream training scores a candidate
@@ -20,8 +20,6 @@ from .fileio import first_fault, read_lines, read_records, row_format, write_tex
 from .numerics import MlpSpec, ParamVector, row_dot, scale_by_peak
 from .rectflow import euler_sample
 
-REWARD_KINDS = ("mode_distance", "quadratic_bowl", "direction_dot")
-
 DATASET_TAG = "rfpnapo-pairs"
 DATASET_VERSION = "v1"
 
@@ -29,59 +27,34 @@ DATASET_VERSION = "v1"
 _FIELDS = ("cond", "x0", "xT", "delta_r")
 
 
-@dataclass(frozen=True)
-class RewardSpec:
-    """Analytic reward: kind plus one parameter vector per condition.
+def reward_eval(centers: np.ndarray, x: np.ndarray, cond: np.ndarray) -> np.ndarray:
+    """Reward of every row x[i] under condition cond[i]: -||x[i] - centers[argmax cond[i]]||_2.
 
-    kind:
-        mode_distance  -> reward = -||x - params[k]||_2
-        quadratic_bowl -> reward = -||x - params[k]||_2^2
-        direction_dot  -> reward = <params[k], x>
+    centers is (k, d), one centre per condition; x is (n, d) and cond (n, k).
+    Row i is bit for bit the single-row formula, a BLAS dot under the square
+    root, whatever the batch. The norm is taken of the offset as
+    numerics.scale_by_peak scales it, exactly, so it overflows only where the
+    reward itself does (an offset past float range); a reward that is not
+    finite raises NumericError naming its row.
     """
-
-    kind: str
-    params: np.ndarray  # (n_conditions, data_dim)
-
-    def __post_init__(self):
-        if self.kind not in REWARD_KINDS:
-            raise ConfigurationError(f"unknown reward kind {self.kind!r}")
-        object.__setattr__(self, "params", np.asarray(self.params, dtype=np.float64))
-        if self.params.ndim != 2:
-            raise ShapeError("reward params must be (n_conditions, data_dim)")
-
-
-def reward_eval(rspec: RewardSpec, x: np.ndarray, cond: np.ndarray) -> np.ndarray:
-    """Reward of every row x[i] under condition cond[i]: (n, d), (n, k) -> (n,).
-
-    Row i is bit for bit the single-row formula of the RewardSpec docstring
-    (a BLAS dot for norms and inner products), whatever the batch. A norm is
-    taken of the row as numerics.scale_by_peak scales it, exactly, so it
-    overflows only where the reward itself does; a reward that is not finite
-    raises NumericError naming its row.
-    """
+    centers = np.asarray(centers, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     cond = np.asarray(cond, dtype=np.float64)
-    k, d = rspec.params.shape
+    if centers.ndim != 2:
+        raise ShapeError(f"reward centres have shape {centers.shape}, expected (conditions, dim)")
+    k, d = centers.shape
     if cond.ndim != 2 or cond.shape[1] != k:
         raise ShapeError(f"conditions have shape {cond.shape}, reward defines {k} conditions")
     if x.shape != (cond.shape[0], d):
         raise ShapeError(f"samples have shape {x.shape}, reward expects ({cond.shape[0]}, {d})")
-    target = rspec.params[np.argmax(cond, axis=1)]
     # an overflow is reported below, with its row
     with np.errstate(over="ignore", invalid="ignore"):
-        if rspec.kind == "direction_dot":
-            rewards = row_dot(target, x)
-        else:
-            scaled, exp = scale_by_peak(x - target, axis=1)
-            sq = row_dot(scaled, scaled)
-            if rspec.kind == "mode_distance":
-                rewards = -np.ldexp(np.sqrt(sq), exp)
-            else:
-                rewards = -np.ldexp(sq, 2 * exp)
+        scaled, exp = scale_by_peak(x - centers[np.argmax(cond, axis=1)], axis=1)
+        rewards = -np.ldexp(np.sqrt(row_dot(scaled, scaled)), exp)
     finite = np.isfinite(rewards)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise NumericError(f"{rspec.kind} reward of sample row {i} is {rewards[i]}, not a finite number")
+        raise NumericError(f"reward of sample row {i} is {rewards[i]}, not a finite number")
     return rewards
 
 
@@ -136,42 +109,33 @@ class PreferenceDataset:
 
 
 def label_pairs(
-    rspec: RewardSpec, header: DatasetHeader, cond: np.ndarray, x0: np.ndarray, xT: np.ndarray
+    centers: np.ndarray, header: DatasetHeader, cond: np.ndarray, x0: np.ndarray, xT: np.ndarray
 ) -> PreferenceDataset:
     """Order each candidate pair by reward. Ties keep the first candidate as winner.
 
     Args:
+        centers: (cond_dim, dim) reward centres, as reward_eval takes them.
         cond: (n, cond_dim) conditions.
         x0, xT: (n, 2, dim) samples and their prior noises, candidates A then B.
 
-    Two finite rewards can still differ by more than a float holds; that gap
-    raises NumericError naming its pair.
+    Both rewards are finite and at most 0, so their gap is a finite number.
     """
-    rewards = reward_eval(rspec, x0.reshape(-1, header.dim), np.repeat(cond, 2, axis=0))
+    rewards = reward_eval(centers, x0.reshape(-1, header.dim), np.repeat(cond, 2, axis=0))
     ra, rb = rewards[0::2], rewards[1::2]
-    # an overflow is reported below, with its pair
-    with np.errstate(over="ignore"):
-        gap = ra - rb
-    finite = np.isfinite(gap)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise NumericError(
-            f"reward gap of pair {i} is {gap[i]}: rewards {ra[i]} and {rb[i]} differ by more than a float holds"
-        )
     swap = ra < rb
     return PreferenceDataset(
         header,
         cond,
         x0=np.where(swap[:, None, None], x0[:, ::-1], x0),
         xT=np.where(swap[:, None, None], xT[:, ::-1], xT),
-        delta_r=np.where(swap, -gap, gap),  # rb - ra is exactly -(ra - rb)
+        delta_r=np.abs(ra - rb),
     )
 
 
 def build_dataset(
     ref_params: ParamVector,
     spec: MlpSpec,
-    rspec: RewardSpec,
+    centers: np.ndarray,
     steps: int,
     n_records: int,
     base_seed: int,
@@ -186,9 +150,9 @@ def build_dataset(
     """
     if n_records < 0:
         raise ConfigurationError(f"record count must be >= 0, got {n_records}")
-    if rspec.params.shape != (spec.cond_dim, spec.data_dim):
+    if np.shape(centers) != (spec.cond_dim, spec.data_dim):
         raise ShapeError(
-            f"reward params shape {rspec.params.shape} does not match model "
+            f"reward centres shape {np.shape(centers)} does not match model "
             f"({spec.cond_dim}, {spec.data_dim})"
         )
     ks = np.empty(n_records, dtype=np.int64)
@@ -202,7 +166,7 @@ def build_dataset(
         ref_params, spec, noises.reshape(-1, spec.data_dim), np.repeat(conds, 2, axis=0), steps
     ).reshape(noises.shape)
     header = DatasetHeader(dim=spec.data_dim, cond_dim=spec.cond_dim, steps=steps, ref_hash=ref_hash)
-    return label_pairs(rspec, header, conds, samples, noises)
+    return label_pairs(centers, header, conds, samples, noises)
 
 
 def audit_dataset(dataset: PreferenceDataset, ref_params: ParamVector, spec: MlpSpec) -> float:

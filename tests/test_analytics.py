@@ -16,7 +16,6 @@ from rfpnapo.analytics import (
     win_rate,
 )
 from rfpnapo.errors import ConfigurationError, ShapeError
-from rfpnapo.prefdata import RewardSpec
 
 
 def test_chain_validation_rejects_bad_rows():
@@ -142,17 +141,14 @@ def test_estimator_variance_deterministic(trained_pair):
 
 def test_eval_reward_and_self_win_rate(trained_pair):
     ref, later, spec = trained_pair
-    rspec = RewardSpec(
-        kind="mode_distance",
-        params=np.array([[2.0, 0.0], [0.0, 2.0], [-2.0, 0.0], [0.0, -2.0]]),
-    )
-    rewards = eval_reward(ref, spec, rspec, n_per_condition=5, steps=8, seed=3)
+    centers = np.array([[2.0, 0.0], [0.0, 2.0], [-2.0, 0.0], [0.0, -2.0]])
+    rewards = eval_reward(ref, spec, centers, n_per_condition=5, steps=8, seed=3)
     assert rewards.shape == (20,)
     assert np.all(np.isfinite(rewards))
-    rewards2 = eval_reward(ref, spec, rspec, n_per_condition=5, steps=8, seed=3)
+    rewards2 = eval_reward(ref, spec, centers, n_per_condition=5, steps=8, seed=3)
     assert rewards.tobytes() == rewards2.tobytes()
     with pytest.raises(ConfigurationError):
-        eval_reward(ref, spec, rspec, n_per_condition=0, steps=8, seed=3)
+        eval_reward(ref, spec, centers, n_per_condition=0, steps=8, seed=3)
     # a model against itself never wins or loses a pair
     assert win_rate(rewards, rewards2) == 0.5
     with pytest.raises(ShapeError):
@@ -161,12 +157,9 @@ def test_eval_reward_and_self_win_rate(trained_pair):
 
 def test_win_rate_detects_strictly_better_model(trained_pair):
     ref, later, spec = trained_pair
-    rspec = RewardSpec(
-        kind="mode_distance",
-        params=np.array([[2.0, 0.0], [0.0, 2.0], [-2.0, 0.0], [0.0, -2.0]]),
-    )
-    r_later = eval_reward(later, spec, rspec, n_per_condition=20, steps=8, seed=5)
-    r_ref = eval_reward(ref, spec, rspec, n_per_condition=20, steps=8, seed=5)
+    centers = np.array([[2.0, 0.0], [0.0, 2.0], [-2.0, 0.0], [0.0, -2.0]])
+    r_later = eval_reward(later, spec, centers, n_per_condition=20, steps=8, seed=5)
+    r_ref = eval_reward(ref, spec, centers, n_per_condition=20, steps=8, seed=5)
     wr_later = win_rate(r_later, r_ref)
     wr_ref = win_rate(r_ref, r_later)
     assert wr_later + wr_ref == pytest.approx(1.0, abs=1e-15)

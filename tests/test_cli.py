@@ -483,11 +483,27 @@ def test_eval_against_a_checkpoint_of_other_dims_exits_4_and_writes_nothing(tmp_
 def test_pair_header_claiming_a_huge_dim_fails_on_line_2(tmp_path, tiny_run, capsys):
     # the reader sizes its matrix by the record text, not by the header's claim
     pairs = tmp_path / "huge.txt"
-    pairs.write_text(f"rfpnapo-pairs v1 dim={10**15} cdim=2 steps=5 refhash=abc\n1 0 | 1 | 1 | 1 | 1 | 0.5\n")
+    for key, found in (("dim", 1), ("cdim", 2)):
+        for claim in (10**15, 10**20):
+            dims = {"dim": 2, "cdim": 2, key: claim}
+            pairs.write_text(f"rfpnapo-pairs v1 dim={dims['dim']} cdim={dims['cdim']} steps=5 refhash=abc\n"
+                             "1 0 | 1 | 1 | 1 | 1 | 0.5\n")
+            capsys.readouterr()
+            assert main(["align", "--config", tiny_run["cfg"], "--model", tiny_run["ref"], "--pairs", str(pairs),
+                         "--out", str(tmp_path / "a.ckpt")]) == 5
+            assert f"line 2: expected {claim} numbers, found {found}" in capsys.readouterr().err
+            assert list(tmp_path.iterdir()) == [pairs]
+
+
+@pytest.mark.parametrize("key", ["dim", "cdim"])
+def test_header_only_pair_file_past_numpys_size_limit_fails_on_line_1(tmp_path, tiny_run, capsys, key):
+    dims = {"dim": 2, "cdim": 2, key: 10**20}
+    pairs = tmp_path / "huge.txt"
+    pairs.write_text(f"rfpnapo-pairs v1 dim={dims['dim']} cdim={dims['cdim']} steps=5 refhash=abc\n")
     capsys.readouterr()
     assert main(["align", "--config", tiny_run["cfg"], "--model", tiny_run["ref"], "--pairs", str(pairs),
                  "--out", str(tmp_path / "a.ckpt")]) == 5
-    assert f"line 2: expected {10**15} numbers, found 1" in capsys.readouterr().err
+    assert "line 1: a record of " in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [pairs]
 
 
@@ -500,7 +516,7 @@ _OUT_OF_RANGE = [
     *[(key, raw) for key in ("train.lr", "pnapo.beta", "data.mixture.std") for raw in ("0", "-1e-3")],
     *[(f"corpus.{name}_threshold", raw) for name in ("toxicity", "jaccard", "cosine")
       for raw in ("-0.1", "1.5")],
-    ("reward.kind", "mode"),
+    ("reward.kind", "mode"), ("reward.kind", "direction_dot"), ("reward.kind", "quadratic_bowl"),
 ]
 
 

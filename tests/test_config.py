@@ -128,19 +128,31 @@ seed = 0
 reward.kind = mode_distance
 reward.params = 1,0 ; 0,1
 """))
-    rspec = cfg.reward(2, 2)
-    assert rspec.kind == "mode_distance"
-    assert np.array_equal(rspec.params, [[1.0, 0.0], [0.0, 1.0]])
+    centers = cfg.reward(2, 2)
+    assert centers.dtype == np.float64
+    assert np.array_equal(centers, [[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ConfigurationError):
         cfg.reward(2, 3)  # condition count mismatch
 
 
 def test_reward_builder_defaults(tmp_path):
-    cfg = load_config(_write(tmp_path, "seed = 0\nreward.kind = direction_dot\n"))
-    rspec = cfg.reward(3, 2)
-    assert rspec.params.shape == (2, 3)
-    # default direction is the first axis
-    assert np.array_equal(rspec.params[0], [1.0, 0.0, 0.0])
+    cfg = load_config(_write(tmp_path, "seed = 0\nreward.kind = mode_distance\n"))
+    centers = cfg.reward(3, 2)
+    # every condition's centre is the origin
+    assert centers.dtype == np.float64
+    assert np.array_equal(centers, np.zeros((2, 3)))
+    # the kind stays required, though it has one value
+    with pytest.raises(ConfigurationError, match="missing required config key 'reward.kind'"):
+        load_config(_write(tmp_path, "seed = 0\n")).reward(3, 2)
+
+
+@pytest.mark.parametrize("kind", ["direction_dot", "quadratic_bowl", "mode"])
+def test_reward_kind_has_one_value(tmp_path, kind):
+    path = _write(tmp_path, f"seed = 0\nreward.kind = {kind}\n")
+    with pytest.raises(ConfigurationError, match=(
+        f"^{re.escape(path)}:2: bad value for reward.kind: expected mode_distance, got '{kind}'$"
+    )):
+        load_config(path)
 
 
 def test_schedule_and_sampler_builders(tmp_path):

@@ -9,12 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_pairs, pair_batches
-from rfpnapo.errors import ConfigurationError, DataError, NumericError, ParseError, ShapeError
+from rfpnapo.errors import DataError, NumericError, ParseError, ShapeError
 from rfpnapo.numerics import MlpSpec, mlp_init
 from rfpnapo.prefdata import (
     DatasetHeader,
     PreferenceDataset,
-    RewardSpec,
     audit_dataset,
     build_dataset,
     label_pairs,
@@ -25,74 +24,57 @@ from rfpnapo.prefdata import (
 from rfpnapo.rectflow import euler_sample
 
 
-def _reward(rspec: RewardSpec, x, k: int) -> float:
+def _reward(centers, x, k: int) -> float:
     """The reward of one sample under condition k, as a batch of one row."""
-    cond = np.eye(rspec.params.shape[0])[[k]]
-    return float(reward_eval(rspec, np.asarray(x, dtype=np.float64)[None], cond)[0])
+    cond = np.eye(len(centers))[[k]]
+    return float(reward_eval(centers, np.asarray(x, dtype=np.float64)[None], cond)[0])
 
 
 def test_reward_mode_distance():
-    rspec = RewardSpec(kind="mode_distance", params=np.array([[1.0, 0.0], [0.0, 2.0]]))
-    assert _reward(rspec, [1.0, 0.0], 0) == 0.0
-    assert _reward(rspec, [4.0, 4.0], 0) == -5.0
-    assert _reward(rspec, [0.0, 0.0], 1) == -2.0
-
-
-def test_reward_quadratic_bowl():
-    rspec = RewardSpec(kind="quadratic_bowl", params=np.array([[1.0, 1.0]]))
-    # r = -||x - target||^2
-    assert _reward(rspec, [2.0, 0.0], 0) == -2.0
-
-
-def test_reward_direction_dot():
-    rspec = RewardSpec(kind="direction_dot", params=np.array([[0.0, 1.0]]))
-    assert _reward(rspec, [3.0, 2.5], 0) == 2.5
+    centers = [[1.0, 0.0], [0.0, 2.0]]
+    assert _reward(centers, [1.0, 0.0], 0) == 0.0
+    assert _reward(centers, [4.0, 4.0], 0) == -5.0
+    assert _reward(centers, [0.0, 0.0], 1) == -2.0
 
 
 def test_reward_of_a_huge_sample_is_its_norm_or_a_numeric_error():
     # the squared norm of (1e200, 1e200) is past float range, its norm is not
     cond = np.ones((2, 1))
     x = np.array([[3.0, 4.0], [1e200, 1e200]])
-    rewards = reward_eval(RewardSpec(kind="mode_distance", params=np.zeros((1, 2))), x, cond)
+    rewards = reward_eval(np.zeros((1, 2)), x, cond)
     assert rewards[0] == -5.0
     assert rewards[1] == pytest.approx(-math.sqrt(2.0) * 1e200, rel=1e-15)
-    for kind, scale in (("quadratic_bowl", 1.0), ("direction_dot", 1e200)):
-        with pytest.raises(NumericError, match=f"^{kind} reward of sample row 1 is"):
-            reward_eval(RewardSpec(kind=kind, params=np.full((1, 2), scale)), x, cond)
+    # an offset past float range: 1e308 from a centre at -1e308
+    x[1] = [1e308, 0.0]
+    with pytest.raises(NumericError, match="^reward of sample row 1 is -inf, not a finite number$"):
+        reward_eval(np.array([[-1e308, 0.0]]), x, cond)
 
 
-def _reward_row(rspec: RewardSpec, x: np.ndarray, cond: np.ndarray) -> float:
-    """One row's reward by the single-row formulas the batch must reproduce."""
-    k = int(np.argmax(cond))
-    if rspec.kind == "mode_distance":
-        return float(-np.linalg.norm(x - rspec.params[k]))
-    if rspec.kind == "quadratic_bowl":
-        delta = x - rspec.params[k]
-        return float(-(delta @ delta))
-    return float(np.dot(rspec.params[k], x))
+def _reward_row(centers: np.ndarray, x: np.ndarray, cond: np.ndarray) -> float:
+    """One row's reward by the single-row formula the batch must reproduce."""
+    return float(-np.linalg.norm(x - centers[int(np.argmax(cond))]))
 
 
 @settings(max_examples=80, deadline=None)
 @given(
-    kind=st.sampled_from(["mode_distance", "quadratic_bowl", "direction_dot"]),
     n=st.integers(0, 30),
     d=st.sampled_from([1, 2, 3, 5, 16, 33, 240]),
     k=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_batched_reward_is_bitwise_the_per_row_formula(kind, n, d, k, seed):
+def test_batched_reward_is_bitwise_the_per_row_formula(n, d, k, seed):
     rng = np.random.default_rng(seed)
-    rspec = RewardSpec(kind=kind, params=rng.standard_normal((k, d)))
+    centers = rng.standard_normal((k, d))
     x = rng.standard_normal((n, d)) * 3.0
     cond = np.eye(k)[rng.integers(k, size=n)]
-    batch = reward_eval(rspec, x, cond)
-    reference = np.array([_reward_row(rspec, x[i], cond[i]) for i in range(n)])
+    batch = reward_eval(centers, x, cond)
+    reference = np.array([_reward_row(centers, x[i], cond[i]) for i in range(n)])
     assert batch.shape == (n,)
     assert batch.tobytes() == reference.tobytes()
 
 
 def test_reward_eval_rejects_mismatched_shapes():
-    rspec = RewardSpec(kind="mode_distance", params=np.zeros((2, 3)))
+    centers = np.zeros((2, 3))
     for x, cond in (
         (np.zeros(3), np.eye(2)[0]),  # one unbatched row
         (np.zeros((4, 2)), np.eye(2)[[0, 1, 0, 1]]),  # wrong sample width
@@ -100,24 +82,22 @@ def test_reward_eval_rejects_mismatched_shapes():
         (np.zeros((4, 3)), np.eye(2)[[0, 1, 0]]),  # rows disagree
     ):
         with pytest.raises(ShapeError):
-            reward_eval(rspec, x, cond)
-
-
-def test_reward_unknown_kind_rejected():
-    with pytest.raises(ConfigurationError):
-        RewardSpec(kind="mystery", params=np.zeros((1, 2)))
+            reward_eval(centers, x, cond)
+    for bad in (np.zeros(3), np.zeros((1, 2, 3))):  # centres not one row per condition
+        with pytest.raises(ShapeError, match="reward centres have shape"):
+            reward_eval(bad, np.zeros((1, 3)), np.eye(1))
 
 
 def test_label_pair_tie_prefers_first_and_gap_nonnegative():
     rng = np.random.default_rng(3)
-    rspec = RewardSpec(kind="direction_dot", params=np.array([[1.0, 0.0]]))
+    centers = np.array([[3.0, 0.0]])
     header = DatasetHeader(dim=2, cond_dim=1, steps=1, ref_hash="h")
     xa, xta = np.array([2.0, 0.0]), np.array([0.5, 0.5])
     xb, xtb = np.array([1.0, 0.0]), np.array([-0.5, 0.5])
     # pair 0: a wins; pair 1: b listed first, a still wins; pair 2: exact tie
     x0 = np.array([[xa, xb], [xb, xa], [xa, xa.copy()]])
     xT = np.array([[xta, xtb], [xtb, xta], [xta, xta.copy()]])
-    ds = label_pairs(rspec, header, np.ones((3, 1)), x0, xT)
+    ds = label_pairs(centers, header, np.ones((3, 1)), x0, xT)
     # axis 1 is winner then loser, the samples and their noises moving together
     assert np.array_equal(ds.x0[0], [xa, xb]) and np.array_equal(ds.xT[0], [xta, xtb])
     assert ds.delta_r[0] == 1.0
@@ -127,19 +107,34 @@ def test_label_pair_tie_prefers_first_and_gap_nonnegative():
     assert ds.delta_r[2] == 0.0
     assert np.array_equal(ds.x0[2, 0], xa)
     x0 = rng.standard_normal((20, 2, 2))
-    ds = label_pairs(rspec, header, np.ones((20, 1)), x0, rng.standard_normal((20, 2, 2)))
+    ds = label_pairs(centers, header, np.ones((20, 1)), x0, rng.standard_normal((20, 2, 2)))
     assert np.all(ds.delta_r >= 0.0)
 
 
-def test_label_pairs_names_a_pair_whose_reward_gap_overflows():
-    # both rewards are finite, +-1e308, but their difference is not
-    rspec = RewardSpec(kind="direction_dot", params=np.array([[1e300, 0.0]]))
-    header = DatasetHeader(dim=2, cond_dim=1, steps=1, ref_hash="h")
-    x0 = np.array([[[1.0, 0.0], [0.0, 0.0]], [[1e8, 0.0], [-1e8, 0.0]]])
-    with pytest.raises(NumericError, match="reward gap of pair 1 is inf"):
-        label_pairs(rspec, header, np.ones((2, 1)), x0, np.zeros_like(x0))
-    with pytest.raises(NumericError, match="reward gap of pair 0 is -inf"):
-        label_pairs(rspec, header, np.ones((1, 1)), x0[1:, ::-1], np.zeros_like(x0[1:]))
+_HUGE = st.floats(-1e308, 1e308, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    centers=st.lists(st.tuples(_HUGE, _HUGE), min_size=1, max_size=3),
+    samples=st.lists(st.tuples(_HUGE, _HUGE, _HUGE, _HUGE), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(centers=[(-1e308, 0.0)], samples=[(1e308, 0.0, 0.0, 0.0)], seed=0)
+@example(centers=[(0.0, 0.0)], samples=[(1e308, 0.0, 0.0, 0.0), (-1e308, 0.0, 1e308, 0.0)], seed=0)
+def test_label_pairs_gap_is_finite_or_the_reward_fails(centers, samples, seed):
+    # both rewards are finite and at most 0, so no gap can overflow: labelling
+    # fails only through reward_eval's NumericError
+    centers = np.array(centers)
+    x0 = np.array(samples).reshape(-1, 2, 2)
+    cond = np.eye(len(centers))[np.random.default_rng(seed).integers(len(centers), size=len(x0))]
+    header = DatasetHeader(dim=2, cond_dim=len(centers), steps=1, ref_hash="h")
+    try:
+        ds = label_pairs(centers, header, cond, x0, np.zeros_like(x0))
+    except NumericError as exc:
+        assert str(exc).startswith("reward of sample row ")
+        return
+    assert np.all(np.isfinite(ds.delta_r)) and np.all(ds.delta_r >= 0.0)
 
 
 @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
@@ -177,10 +172,7 @@ def test_record_validation():
 def _tiny_setup():
     spec = MlpSpec(data_dim=2, cond_dim=3, hidden=(8,))
     ref = mlp_init(spec, 44)
-    rspec = RewardSpec(
-        kind="mode_distance", params=np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-    )
-    return spec, ref, rspec
+    return spec, ref, np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
 
 
 def _record_bytes(ds):
@@ -191,12 +183,12 @@ def _record_bytes(ds):
 
 
 def test_generate_pair_deterministic():
-    spec, ref, rspec = _tiny_setup()
-    a = build_dataset(ref, spec, rspec, steps=6, n_records=5, base_seed=77, ref_hash="h")
-    b = build_dataset(ref, spec, rspec, steps=6, n_records=5, base_seed=77, ref_hash="h")
+    spec, ref, centers = _tiny_setup()
+    a = build_dataset(ref, spec, centers, steps=6, n_records=5, base_seed=77, ref_hash="h")
+    b = build_dataset(ref, spec, centers, steps=6, n_records=5, base_seed=77, ref_hash="h")
     assert _record_bytes(a) == _record_bytes(b)
     # record i depends on seed base_seed + i only: a shifted range shares records
-    shifted = build_dataset(ref, spec, rspec, steps=6, n_records=5, base_seed=78, ref_hash="h")
+    shifted = build_dataset(ref, spec, centers, steps=6, n_records=5, base_seed=78, ref_hash="h")
     assert _record_bytes(shifted)[:4] == _record_bytes(a)[1:]
     assert _record_bytes(shifted)[4] not in _record_bytes(a)
 
@@ -204,8 +196,8 @@ def test_generate_pair_deterministic():
 def test_build_dataset_stores_drawn_noises_bitwise():
     # documented per-record RNG order: condition, noise A, noise B; each stored
     # noise is the draw itself and each stored sample is that noise sampled alone
-    spec, ref, rspec = _tiny_setup()
-    ds = build_dataset(ref, spec, rspec, steps=7, n_records=6, base_seed=33, ref_hash="h")
+    spec, ref, centers = _tiny_setup()
+    ds = build_dataset(ref, spec, centers, steps=7, n_records=6, base_seed=33, ref_hash="h")
     for i in range(len(ds)):
         rng = np.random.default_rng(33 + i)
         cond = np.eye(spec.cond_dim)[rng.integers(spec.cond_dim)]
@@ -234,8 +226,7 @@ def test_build_dataset_and_exact_replay(
     spec = MlpSpec(data_dim=data_dim, cond_dim=cond_dim, hidden=tuple(hidden))
     ref = mlp_init(spec, init_seed)
     modes = np.random.default_rng(init_seed).standard_normal((cond_dim, data_dim))
-    rspec = RewardSpec(kind="mode_distance", params=modes)
-    ds = build_dataset(ref, spec, rspec, steps, n, base_seed, ref_hash="h")
+    ds = build_dataset(ref, spec, modes, steps, n, base_seed, ref_hash="h")
     assert len(ds) == n
     assert ds.header.dim == data_dim and ds.header.cond_dim == cond_dim and ds.header.steps == steps
     # stored samples replay bit-exactly from the stored noise, before and
@@ -256,8 +247,8 @@ SLOTS = [
 @pytest.mark.parametrize("array, slot", SLOTS)
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_audit_flags_non_finite_values(array, slot, bad):
-    spec, ref, rspec = _tiny_setup()
-    ds = build_dataset(ref, spec, rspec, steps=4, n_records=5, base_seed=60, ref_hash="h")
+    spec, ref, centers = _tiny_setup()
+    ds = build_dataset(ref, spec, centers, steps=4, n_records=5, base_seed=60, ref_hash="h")
     assert audit_dataset(ds, ref, spec) == 0.0
     getattr(ds, array)[3, slot, 1] = bad
     assert audit_dataset(ds, ref, spec) == math.inf
@@ -265,9 +256,9 @@ def test_audit_flags_non_finite_values(array, slot, bad):
 
 def test_build_dataset_rejects_mismatched_reward_params():
     spec, ref, _ = _tiny_setup()
-    bad = RewardSpec(kind="mode_distance", params=np.zeros((2, 2)))  # needs 3 rows
-    with pytest.raises(ShapeError):
-        build_dataset(ref, spec, bad, 3, 2, 0, "h")
+    for bad in (np.zeros((2, 2)), np.zeros((3, 3)), np.zeros(6)):  # needs (3, 2)
+        with pytest.raises(ShapeError, match="reward centres shape"):
+            build_dataset(ref, spec, bad, 3, 2, 0, "h")
 
 
 @settings(max_examples=40, deadline=None)
@@ -305,8 +296,8 @@ def test_record_fields_land_in_their_slots(tmp_path):
 
 
 def test_dataset_write_is_byte_stable(tmp_path):
-    spec, ref, rspec = _tiny_setup()
-    ds = build_dataset(ref, spec, rspec, 3, 4, 12, "00ff")
+    spec, ref, centers = _tiny_setup()
+    ds = build_dataset(ref, spec, centers, 3, 4, 12, "00ff")
     p1, p2 = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
     write_dataset(p1, ds)
     write_dataset(p2, ds)
@@ -394,23 +385,38 @@ def test_read_dataset_error_positions(tmp_path):
 
 
 def test_read_dataset_sizes_its_matrix_by_the_text_not_the_header(tmp_path):
-    # a header may claim any dim; the one record holds one number per vector,
-    # so reading fails on line 2 without reserving the 3.2 GB the claim implies
+    # a header may claim any dims; the one record holds two condition values
+    # and one number per vector, so reading fails on line 2 without reserving
+    # what the claim implies, even past numpy's index range
     path = tmp_path / "pairs.txt"
-    path.write_text(f"rfpnapo-pairs v1 dim={10**8} cdim=2 steps=3 refhash=aa\n1 0 | 1 | 1 | 1 | 1 | 0.5\n")
-    tracemalloc.start()
-    try:
-        with pytest.raises(ParseError, match=f"^line 2: expected {10**8} numbers, found 1$"):
-            read_dataset(str(path))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**24
+    for key, found in (("dim", 1), ("cdim", 2)):
+        for claim in (10**15, 10**20):
+            dims = {"dim": 1, "cdim": 2, key: claim}
+            path.write_text(f"rfpnapo-pairs v1 dim={dims['dim']} cdim={dims['cdim']} steps=3 refhash=aa\n"
+                            "1 0 | 1 | 1 | 1 | 1 | 0.5\n")
+            tracemalloc.start()
+            try:
+                with pytest.raises(ParseError, match=f"^line 2: expected {claim} numbers, found {found}$"):
+                    read_dataset(str(path))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**24
+
+
+@pytest.mark.parametrize("key", ["dim", "cdim"])
+def test_header_only_file_past_numpys_size_limit_fails_on_line_1(tmp_path, key):
+    # no record fails first, and an empty dataset of these dims cannot be made
+    dims = {"dim": 1, "cdim": 2, key: 10**20}
+    path = tmp_path / "pairs.txt"
+    path.write_text(f"rfpnapo-pairs v1 dim={dims['dim']} cdim={dims['cdim']} steps=3 refhash=aa\n")
+    with pytest.raises(ParseError, match=r"^line 1: a record of \d+ numbers is past numpy's size limit$"):
+        read_dataset(str(path))
 
 
 def test_read_dataset_empty_is_header_only(tmp_path):
-    spec, ref, rspec = _tiny_setup()
-    ds = build_dataset(ref, spec, rspec, 3, 0, 5, "beef")
+    spec, ref, centers = _tiny_setup()
+    ds = build_dataset(ref, spec, centers, 3, 0, 5, "beef")
     path = str(tmp_path / "empty.txt")
     write_dataset(path, ds)
     lines = open(path).read().splitlines()
@@ -420,9 +426,9 @@ def test_read_dataset_empty_is_header_only(tmp_path):
 
 
 def test_delta_r_reflects_reward_ordering():
-    spec, ref, rspec = _tiny_setup()
-    ds = build_dataset(ref, spec, rspec, 5, 30, 7, "h")
-    rw = reward_eval(rspec, ds.x0[:, 0], ds.cond)
-    rl = reward_eval(rspec, ds.x0[:, 1], ds.cond)
+    spec, ref, centers = _tiny_setup()
+    ds = build_dataset(ref, spec, centers, 5, 30, 7, "h")
+    rw = reward_eval(centers, ds.x0[:, 0], ds.cond)
+    rl = reward_eval(centers, ds.x0[:, 1], ds.cond)
     assert np.all(rw >= rl)
     np.testing.assert_allclose(ds.delta_r, rw - rl, rtol=0.0, atol=1e-15)
