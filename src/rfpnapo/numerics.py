@@ -9,13 +9,13 @@ matrices in layer order (row-major, shape (fan_out, fan_in)) followed by all
 bias vectors in layer order, as unpack_params splits it. Everything here is
 a function of explicit arrays; adam_step alone writes its arguments.
 
-There are two forward kernels. forward_tiles runs the layers on rows in
-fixed FORWARD_TILE-row GEMM tiles, writing each layer into a tile_workspace
-buffer, so each row's bits do not depend on its batch; a stored noise must
-replay to its stored sample. forward_single_cached runs it on a fresh
-workspace per call, for alignment and scoring, and the Euler sampler on one
-workspace for all of its steps. forward_batch_cached is one
-GEMM over the whole batch, for pretraining, whose rows are never replayed.
+One loop, forward_tiles, runs the layers, one GEMM per tile into buffers
+whose shape sets the tile height. In FORWARD_TILE-row tiles (tile_workspace)
+each row's bits do not depend on its batch; a stored noise must replay to its
+stored sample. forward_single_cached runs it so for alignment and scoring, and
+the Euler sampler on one workspace for all of its steps. forward_batch_cached
+runs it with the whole batch as one tile, for pretraining, whose rows are
+never replayed.
 """
 from __future__ import annotations
 
@@ -164,19 +164,40 @@ def forward_single_cached(
     the installed BLAS, not of numpy; the property tests in test_numerics and
     test_rectflow check it on layers up to 700 and 300 wide.
     """
+    return _forward_cached(params, spec, inp, tiled=True)
+
+
+def forward_batch_cached(
+    params: ParamVector, spec: MlpSpec, inputs: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """forward_single_cached as one tile of all B rows, unpadded, for pretraining.
+
+    A row's bits then depend on B, which pretraining's rows, never replayed,
+    allow; perfbench/tracing.py times pretraining's forward under this name.
+    """
+    return _forward_cached(params, spec, inputs, tiled=False)
+
+
+def _forward_cached(
+    params: ParamVector, spec: MlpSpec, inp: np.ndarray, tiled: bool
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The cached forward in FORWARD_TILE-row tiles when `tiled`, else as one tile of every row."""
     weights, biases = unpack_params(params, spec)
     if inp.ndim != 2 or inp.shape[1] != spec.input_dim:
         raise ShapeError(f"input has shape {inp.shape}, expected (R, {spec.input_dim})")
     rows = inp.shape[0]
-    padded, outs = tile_workspace(weights, rows)
-    padded[:rows] = inp
+    if tiled:
+        padded, outs = tile_workspace(weights, rows)
+        padded[:rows] = inp
+    else:
+        padded, outs = inp, [np.empty((1, rows, w.shape[0])) for w in weights]
     y = forward_tiles(weights, biases, padded, outs)
     cache = [inp] + [z.reshape(-1, z.shape[2])[:rows] for z in outs[:-1]]
     return y.reshape(-1, spec.output_dim)[:rows], cache
 
 
 def tile_workspace(weights: list[np.ndarray], rows: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Buffers for forward_tiles on `rows` rows.
+    """Buffers for forward_tiles on `rows` rows in FORWARD_TILE-row tiles.
 
     Returns a zeroed (tiles * FORWARD_TILE, input_dim) input, whose first
     `rows` rows the caller fills and whose padding rows stay zero, and one
@@ -190,14 +211,14 @@ def tile_workspace(weights: list[np.ndarray], rows: int) -> tuple[np.ndarray, li
 def forward_tiles(
     weights: list[np.ndarray], biases: list[np.ndarray], padded: np.ndarray, outs: list[np.ndarray]
 ) -> np.ndarray:
-    """The layers on a tile_workspace input, each written into its output buffer.
+    """The layers on a (tiles * height, input_dim) input, each written into its output buffer.
 
-    outs[i] becomes layer i's output, post-tanh for every layer but the
-    last, which is returned. Each layer is
-    `np.matmul(h, w.T, out=z); z += b; np.tanh(z, out=z)`: the bits of
-    `np.tanh(np.matmul(h, w.T) + b)` with no temporary allocated.
+    outs[i], of shape (tiles, height, fan_out), becomes layer i's output,
+    post-tanh for every layer but the last, which is returned; its first two
+    axes set the tiling. Each layer is a matmul into z, then `z += b` and an
+    in-place tanh: the bits of `tanh(h @ w.T + b)` with no temporary allocated.
     """
-    h = padded.reshape(-1, FORWARD_TILE, padded.shape[1])
+    h = padded.reshape(*outs[0].shape[:2], padded.shape[1])
     for w, b, z in zip(weights[:-1], biases[:-1], outs):
         np.matmul(h, w.T, out=z)
         z += b
@@ -207,22 +228,6 @@ def forward_tiles(
     np.matmul(h, weights[-1].T, out=y)
     y += biases[-1]
     return y
-
-
-def forward_batch_cached(
-    params: ParamVector, spec: MlpSpec, inputs: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Forward pass on a (B, input_dim) matrix of pre-assembled rows."""
-    weights, biases = unpack_params(params, spec)
-    if inputs.ndim != 2 or inputs.shape[1] != spec.input_dim:
-        raise ShapeError(f"batch input has shape {inputs.shape}, expected (B, {spec.input_dim})")
-    cache = [inputs]
-    h = inputs
-    for w, b in zip(weights[:-1], biases[:-1]):
-        h = np.tanh(h @ w.T + b)
-        cache.append(h)
-    y = h @ weights[-1].T + biases[-1]
-    return y, cache
 
 
 def vjp_batch(
@@ -474,15 +479,8 @@ def read_checkpoint(path: str) -> tuple[ParamVector, MlpSpec]:
         raise ParseError("checkpoint parameters contain non-finite values")
     off += 8 * n_values
     input_dim, cond_dim, output_dim = struct.unpack_from("<III", blob, off)
-    # structural consistency: shapes must chain and match the declared dims
-    if shapes[0][1] != input_dim or shapes[-1][0] != output_dim:
-        raise ShapeError("checkpoint layer shapes do not match declared dims")
-    for (r_prev, _), (_, c_next) in zip(shapes[:-1], shapes[1:]):
-        if r_prev != c_next:
-            raise ShapeError("checkpoint layer shapes do not chain")
-    if input_dim != output_dim + cond_dim + 1:
-        raise ShapeError(
-            f"declared dims inconsistent: input {input_dim} != data {output_dim} + cond {cond_dim} + 1"
-        )
     spec = MlpSpec(data_dim=output_dim, cond_dim=cond_dim, hidden=tuple(r for r, _ in shapes[:-1]))
+    if spec.layer_shapes() != shapes or spec.input_dim != input_dim:
+        raise ShapeError(f"checkpoint layer shapes {shapes} and input width {input_dim} "
+                         f"are not those of {spec}")
     return values.astype(np.float64), spec

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,33 @@ def vjp_row(params, spec: MlpSpec, cache: list[np.ndarray], dy: np.ndarray) -> n
 def flat_params(weights: list[np.ndarray], biases: list[np.ndarray]) -> np.ndarray:
     """The documented parameter layout: every weight matrix row-major in layer order, then every bias."""
     return np.concatenate([w.ravel() for w in weights] + list(biases), dtype=np.float64)
+
+
+def checkpoint_bytes(shapes: list[tuple[int, int]], dims: tuple[int, int, int]) -> bytes:
+    """A checkpoint file's bytes, built by hand from a layer table and a trailer.
+
+    The table `shapes` is followed by as many finite values as it needs, then
+    by the trailer `dims` = (input_dim, cond_dim, output_dim).
+    """
+    n_values = sum(r * c + r for r, c in shapes)
+    return b"".join([
+        b"RFPK", struct.pack("<II", 1, len(shapes)),
+        *(struct.pack("<II", r, c) for r, c in shapes),
+        np.linspace(-1.0, 1.0, n_values).astype("<f8").tobytes(),
+        struct.pack("<III", *dims),
+    ])
+
+
+# checkpoints that pass every parse check, as their value counts match their
+# tables, but whose tables and trailers describe no one MlpSpec
+INCONSISTENT_CHECKPOINTS = [
+    pytest.param([(8, 6), (6, 8), (2, 6)], (6, 4, 2), id="bumped_cond_dim"),
+    pytest.param([(8, 6), (5, 7), (2, 5)], (6, 3, 2), id="broken_chain"),
+    pytest.param([(8, 6), (2, 8)], (6, 2, 3), id="wrong_output_dim"),
+    pytest.param([(8, 6), (2, 8)], (5, 3, 2), id="wrong_declared_input_dim"),
+    pytest.param([(8, 7), (2, 8)], (7, 3, 2), id="input_dim_not_data_cond_time"),
+    pytest.param([(8, 3), (2, 8)], (3, 0, 2), id="zero_cond_dim"),
+]
 
 
 @st.composite

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES
+from conftest import FIXTURES, INCONSISTENT_CHECKPOINTS, checkpoint_bytes
 from rfpnapo import analytics, cli
 from rfpnapo.cli import _write_csv, main
 from rfpnapo.config import _KEYS, load_config
@@ -469,6 +469,17 @@ def test_align_dim_mismatch_via_different_checkpoint(tmp_path, tiny_run, capsys,
                  "--method", method, "--out", str(tmp_path / "a.ckpt")]) == 4
     assert "rfpnapo: path rows have shapes" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("shapes, dims", INCONSISTENT_CHECKPOINTS)
+def test_align_on_an_inconsistent_checkpoint_exits_4_and_writes_nothing(tmp_path, tiny_run, capsys, shapes, dims):
+    model = tmp_path / "bad.ckpt"
+    model.write_bytes(checkpoint_bytes(shapes, dims))
+    capsys.readouterr()
+    assert main(["align", "--config", tiny_run["cfg"], "--model", str(model), "--pairs", tiny_run["pairs"],
+                 "--out", str(tmp_path / "a.ckpt")]) == 4
+    assert capsys.readouterr().err.startswith("rfpnapo: ")
+    assert list(tmp_path.iterdir()) == [model]
 
 
 @pytest.mark.parametrize("other", ["dim3", "cond3"])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import flat_params, vjp_row
+from conftest import INCONSISTENT_CHECKPOINTS, checkpoint_bytes, flat_params, vjp_row
 from rfpnapo.errors import DataError, NumericError, ParseError, ShapeError
 from rfpnapo.numerics import (
     ADAM_BETA1,
@@ -128,6 +128,15 @@ def _forward_tiles_out_of_place(params, spec, inp):
     return (np.matmul(h, weights[-1].T) + biases[-1]).reshape(-1, spec.output_dim)[:rows]
 
 
+def _forward_batch_out_of_place(params, spec, inp):
+    """One GEMM per layer over the whole batch, as fresh-array expressions: the pretraining reference."""
+    weights, biases = unpack_params(params, spec)
+    cache = [inp]
+    for w, b in zip(weights[:-1], biases[:-1]):
+        cache.append(np.tanh(cache[-1] @ w.T + b))
+    return cache[-1] @ weights[-1].T + biases[-1], cache
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     data_dim=st.integers(1, 4),
@@ -161,6 +170,31 @@ def test_forward_rows_are_batch_invariant(data_dim, cond_dim, hidden, rows, seed
     if rows:
         gemv = np.array([_forward_gemv(params, spec, row) for row in inp])
         assert np.max(np.abs(y - gemv)) <= 1e-12 * max(1.0, np.max(np.abs(gemv)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data_dim=st.integers(1, 4),
+    cond_dim=st.integers(1, 3),
+    hidden=st.lists(st.integers(1, 700), max_size=2),
+    rows=st.integers(0, 200),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pretrain_forward_is_one_gemm_per_layer(data_dim, cond_dim, hidden, rows, seed):
+    # forward_batch_cached runs the batch as one tile of forward_tiles; its
+    # output and cache keep the bits of the whole-batch expressions, so every
+    # pretrained checkpoint keeps its bytes
+    spec = MlpSpec(data_dim=data_dim, cond_dim=cond_dim, hidden=tuple(hidden))
+    rng = np.random.default_rng(seed)
+    params = mlp_init(spec, seed) + 0.1 * rng.standard_normal(spec.param_count())
+    inp = rng.standard_normal((rows, spec.input_dim))
+    y, cache = forward_batch_cached(params, spec, inp)
+    y_ref, cache_ref = _forward_batch_out_of_place(params, spec, inp)
+    assert y.shape == y_ref.shape == (rows, data_dim)
+    assert y.tobytes() == y_ref.tobytes()
+    assert [h.shape for h in cache] == [h.shape for h in cache_ref]
+    for h, h_ref in zip(cache, cache_ref):
+        assert h.tobytes() == h_ref.tobytes()
 
 
 def test_quadratic_loss_gradient_is_exact():
@@ -475,17 +509,12 @@ def test_write_checkpoint_rejects_non_finite_parameters_and_writes_nothing(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["existing.ckpt"]
 
 
-def test_checkpoint_rejects_inconsistent_dims(tmp_path, small_spec, small_params):
-    path = tmp_path / "model.ckpt"
-    write_checkpoint(str(path), small_params, small_spec)
-    blob = bytearray(path.read_bytes())
-    # trailer carries (input_dim, cond_dim, output_dim); bump cond_dim so the
-    # recomputed input width no longer matches the stored first-layer fan-in
-    blob[-8:-4] = (small_spec.cond_dim + 1).to_bytes(4, "little")
-    bad = tmp_path / "dims.ckpt"
-    bad.write_bytes(bytes(blob))
+@pytest.mark.parametrize("shapes, dims", INCONSISTENT_CHECKPOINTS)
+def test_checkpoint_rejects_inconsistent_dims(tmp_path, shapes, dims):
+    path = tmp_path / "dims.ckpt"
+    path.write_bytes(checkpoint_bytes(shapes, dims))
     with pytest.raises(ShapeError):
-        read_checkpoint(str(bad))
+        read_checkpoint(str(path))
 
 
 def test_spec_validation():
