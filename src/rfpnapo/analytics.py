@@ -10,8 +10,6 @@ quality on toy tasks.
 """
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -93,46 +91,23 @@ def random_chain(seed: int, n_states: int, horizon: int) -> TabularChain:
     return TabularChain(p, q)
 
 
-def _path_prob(start: float, kernels: np.ndarray, path: tuple) -> float:
-    # path = (x_1, ..., x_T); kernels[j] links x_{j+2} -> x_{j+1}
-    prob = start
-    for j in range(len(kernels)):
-        prob *= kernels[j][path[j + 1], path[j]]
-    return float(prob)
+def _path_probs(start: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+    """Probabilities of every path (x_1, ..., x_T) as one (S,) * T array, T = len(kernels) + 1.
 
-
-def _joint_kl(chain: TabularChain, x0: int) -> float:
-    total = 0.0
-    for path in itertools.product(range(chain.n_states), repeat=chain.horizon):
-        q = _path_prob(chain.q[0, x0, path[-1]], chain.q[1:], path)
-        p = _path_prob(chain.p[0, x0, path[-1]], chain.p[1:], path)
-        total += q * math.log(q / p)
-    return total
-
-
-def _endpoint_kl(chain: TabularChain, x0: int) -> float:
-    q_row, p_row = chain.q[0, x0], chain.p[0, x0]
-    return float(np.sum(q_row * np.log(q_row / p_row)))
-
-
-def _conditional_kl_mean(chain: TabularChain, x0: int) -> float:
-    """Average over q's endpoint marginal of KL between the interior conditionals.
-
-    Conditioned on the endpoint, each side's interior distribution is just its
-    kernel product (the terminal factor cancels), already normalized.
+    Axis j is x_{j+1}, so the array's C order is itertools.product order. start
+    weights x_T, the last axis; kernels[j] links x_{j+2} -> x_{j+1} and is
+    multiplied in for j = 0, 1, ..., the order a per-path product would take.
     """
-    if chain.horizon == 1:
-        return 0.0  # no interior states at all
-    total = 0.0
-    for end in range(chain.n_states):
-        inner = 0.0
-        for interior in itertools.product(range(chain.n_states), repeat=chain.horizon - 1):
-            path = interior + (end,)
-            q = _path_prob(1.0, chain.q[1:], path)
-            p = _path_prob(1.0, chain.p[1:], path)
-            inner += q * math.log(q / p)
-        total += chain.q[0, x0, end] * inner
-    return total
+    s, horizon = len(start), len(kernels) + 1
+    probs = np.broadcast_to(start, (s,) * horizon)
+    for j, kernel in enumerate(kernels):
+        probs = probs * kernel.T.reshape((1,) * j + (s, s) + (1,) * (horizon - 2 - j))
+    return probs
+
+
+def _kl_sum(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Sum of q log(q / p) over the last axis, added in order as a `+=` loop would."""
+    return np.cumsum(q * np.log(q / p), axis=-1)[..., -1]
 
 
 def chain_rule_identity(chain: TabularChain, x0: int) -> tuple[float, float, float]:
@@ -143,10 +118,16 @@ def chain_rule_identity(chain: TabularChain, x0: int) -> tuple[float, float, flo
     """
     if not 0 <= x0 < chain.n_states:
         raise ShapeError(f"x0 must index a state in [0, {chain.n_states})")
-    total = _joint_kl(chain, x0)
-    endpoint = _endpoint_kl(chain, x0)
-    conditional = _conditional_kl_mean(chain, x0)
-    return total, endpoint, conditional
+    s, sides = chain.n_states, (chain.q, chain.p)
+    ends = [side[0, x0] for side in sides]
+    joints = [_path_probs(side[0, x0], side[1:]).ravel() for side in sides]
+    # conditioned on x_T the terminal factor cancels: the interior is the kernel product alone
+    interiors = [np.moveaxis(_path_probs(np.ones(s), side[1:]), -1, 0).reshape(s, -1) for side in sides]
+    total = _kl_sum(*joints)
+    endpoint = _kl_sum(*ends)
+    # the interior KL at each x_T, averaged over q's endpoint marginal
+    conditional = np.cumsum(ends[0] * _kl_sum(*interiors))[-1]
+    return float(total), float(endpoint), float(conditional)
 
 
 # --- estimator variance --------------------------------------------------------

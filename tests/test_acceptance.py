@@ -417,10 +417,11 @@ def test_c10_subcommands_byte_identical(capsys, tmp_path):
     both("eval", lambda o: ("eval", "--config", str(cfg), "--model", aligned, "--against", ref, "--n", "4", "--out", o))
     both("corpus", lambda o: ("corpus", str(tsv), "--config", str(corpus_cfg), "--out", o))
 
-    # verify writes no artifact; its report must still be byte-stable
-    v1 = _cli("verify", "--suite", "schedule")
-    v2 = _cli("verify", "--suite", "schedule")
-    identical["verify"] = v1.stdout == v2.stdout and v1.returncode == v2.returncode == 0
+    # verify writes no artifact; each suite's report must still be byte-stable
+    for suite in ("kl", "gradcheck", "variance", "schedule"):
+        v1 = _cli("verify", "--suite", suite)
+        v2 = _cli("verify", "--suite", suite)
+        identical[f"verify-{suite}"] = v1.stdout == v2.stdout and v1.returncode == v2.returncode == 0
 
     ok = all(identical.values())
     _emit(capsys, 10, "all subcommands rerun byte-identically", ok,

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_pairs
 from rfpnapo.analytics import (
@@ -91,6 +95,48 @@ def test_kl_check_various_sizes():
         assert np.isfinite(total) and np.isfinite(endpoint) and np.isfinite(conditional)
         assert abs(total - (endpoint + conditional)) <= 1e-10
         assert conditional <= total + 1e-9
+
+
+def _loop_path_prob(start, kernels, path):
+    # path = (x_1, ..., x_T); kernels[j] links x_{j+2} -> x_{j+1}
+    prob = start
+    for j in range(len(kernels)):
+        prob *= kernels[j][path[j + 1], path[j]]
+    return float(prob)
+
+
+def _loop_chain_rule(chain, x0):
+    """(total, endpoint, conditional) by per-path loops: the reference the path arrays are checked against."""
+    s, horizon = chain.n_states, chain.horizon
+    total = 0.0
+    for path in itertools.product(range(s), repeat=horizon):
+        q = _loop_path_prob(chain.q[0, x0, path[-1]], chain.q[1:], path)
+        p = _loop_path_prob(chain.p[0, x0, path[-1]], chain.p[1:], path)
+        total += q * math.log(q / p)
+    q_row, p_row = chain.q[0, x0], chain.p[0, x0]
+    endpoint = float(np.sum(q_row * np.log(q_row / p_row)))
+    conditional = 0.0
+    for end in range(s):
+        inner = 0.0
+        for interior in itertools.product(range(s), repeat=horizon - 1):
+            path = interior + (end,)
+            q = _loop_path_prob(1.0, chain.q[1:], path)
+            p = _loop_path_prob(1.0, chain.p[1:], path)
+            inner += q * math.log(q / p)
+        conditional += chain.q[0, x0, end] * inner
+    return total, endpoint, conditional
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(2, 6), horizon=st.integers(1, 4))
+def test_chain_rule_matches_the_path_loops(seed, n_states, horizon):
+    chain = random_chain(seed, n_states, horizon)
+    for x0 in range(n_states):
+        terms = chain_rule_identity(chain, x0)
+        for got, want in zip(terms, _loop_chain_rule(chain, x0)):
+            assert got == pytest.approx(want, rel=0.0, abs=1e-14)
+        total, endpoint, conditional = terms
+        assert abs(total - (endpoint + conditional)) <= 1e-10
 
 
 def test_pinned_time_delta_is_bit_stable(trained_pair):

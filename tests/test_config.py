@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import FIXTURES
 from rfpnapo.config import load_config
 from rfpnapo.errors import ConfigurationError
 
@@ -203,3 +204,22 @@ def test_non_utf8_config_rejected_with_position(tmp_path):
     path.write_bytes(b"seed = 1\r\n# caf\xc3\xa9\r\ntrain.lr = 1e-3 # caf\xe9\n")
     with pytest.raises(ConfigurationError, match=f"{re.escape(str(path))}:3: config is not UTF-8"):
         load_config(str(path))
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.cfg")), ids=lambda path: path.name)
+def test_every_committed_fixture_config_loads(path):
+    # each committed config builds what its commands read from it
+    cfg = load_config(str(path))
+    if "data.dim" in cfg.values:
+        spec = cfg.mlp_spec()
+        assert cfg.mixture().centers.shape[1] == spec.data_dim
+        if "reward.kind" in cfg.values:
+            assert cfg.reward(spec.data_dim, spec.cond_dim).shape == (spec.cond_dim, spec.data_dim)
+    if "pnapo.beta" in cfg.values:
+        assert cfg.schedule().beta == cfg.get("pnapo.beta")
+
+
+def test_matched_temperature_arm_changes_only_beta():
+    fixed = load_config(str(FIXTURES / "toy_align_fixed.cfg")).values
+    matched = load_config(str(FIXTURES / "toy_align_matched.cfg")).values
+    assert matched == {**fixed, "pnapo.beta": 6.5}
