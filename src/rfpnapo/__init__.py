@@ -18,7 +18,7 @@ from .errors import (
     ShapeError,
 )
 from .numerics import MlpSpec, mlp_forward, mlp_init, read_checkpoint, write_checkpoint
-from .pnapo import BetaSchedule, effective_beta, pnapo_value_grad, score
+from .pnapo import BetaSchedule, effective_beta, pnapo_value_grad, score_gap
 from .prefdata import PreferenceDataset, build_dataset, read_dataset, write_dataset
 from .rectflow import cfm_objective, euler_sample
 from .training import run_alignment, run_pretrain
@@ -45,7 +45,7 @@ __all__ = [
     "read_dataset",
     "run_alignment",
     "run_pretrain",
-    "score",
+    "score_gap",
     "write_checkpoint",
     "write_dataset",
     "__version__",

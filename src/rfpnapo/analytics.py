@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ShapeError
 from .numerics import MlpSpec, ParamVector
-from .pnapo import pair_rows, score
+from .pnapo import score_gap
 from .prefdata import PreferenceDataset, reward_eval
 from .rectflow import euler_sample
 
@@ -133,21 +133,6 @@ def chain_rule_identity(chain: TabularChain, x0: int) -> tuple[float, float, flo
 # --- estimator variance --------------------------------------------------------
 
 
-def pnapo_delta(
-    params: ParamVector,
-    ref_params: ParamVector,
-    spec: MlpSpec,
-    pairs: PreferenceDataset,
-    t: np.ndarray | float,
-) -> np.ndarray:
-    """Winner-minus-loser score gap of every pair, on its stored noises.
-
-    t is one time for all pairs or one per pair, shape (n, 1).
-    """
-    s = score(params, ref_params, spec, pair_rows(pairs, t))
-    return s[0::2] - s[1::2]
-
-
 def estimator_variance(
     params: ParamVector,
     ref_params: ParamVector,
@@ -161,8 +146,9 @@ def estimator_variance(
     RNG order, as in make_dpo_term: the n_draws times as one (n_draws, 1)
     block, then the fresh priors as one (n_draws, 2, dim) block, winner then
     loser per draw. The stored-noise gap varies only through t; the
-    fresh-noise gap re-draws both priors as well. All draws are scored in one
-    batch. Returns (var_stored, var_fresh), each with ddof=1 over n_draws.
+    fresh-noise gap re-draws both priors as well. Each policy's n_draws gaps
+    are one score_gap call. Returns (var_stored, var_fresh), each with ddof=1
+    over n_draws.
     """
     if n_draws < 2:
         raise ConfigurationError(f"variance needs at least 2 draws, got {n_draws}")
@@ -172,8 +158,8 @@ def estimator_variance(
     t = rng.random((n_draws, 1))
     eps = rng.standard_normal((n_draws, 2, spec.data_dim))
     repeated = pair.take(np.zeros(n_draws, dtype=int))
-    stored = pnapo_delta(params, ref_params, spec, repeated, t)
-    fresh = pnapo_delta(params, ref_params, spec, replace(repeated, xT=eps), t)
+    stored = score_gap(params, ref_params, spec, repeated, t)
+    fresh = score_gap(params, ref_params, spec, replace(repeated, xT=eps), t)
     return float(np.var(stored, ddof=1)), float(np.var(fresh, ddof=1))
 
 

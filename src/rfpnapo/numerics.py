@@ -330,22 +330,13 @@ class FunctionLoss:
         return float(np.asarray(v).sum()), np.asarray(g, dtype=np.float64)
 
 
-def loss_value_and_grad(loss: FunctionLoss, params: ParamVector) -> tuple[float, ParamVector]:
-    """Evaluate a loss and its reverse-mode gradient, rejecting non-finite output."""
-    value, grad = loss.value_and_grad(params)
-    if not math.isfinite(value):
-        raise NumericError(f"non-finite loss value {value!r}")
-    if not np.all(np.isfinite(grad)):
-        raise NumericError("non-finite entries in loss gradient")
-    return value, grad
-
-
 def finite_diff_check(loss: FunctionLoss, params: ParamVector, h: float = 1e-5) -> float:
     """Compare the analytic gradient against central finite differences.
 
     Returns:
         max over coordinates of |analytic - numeric|, divided by the largest
-        |numeric| (at least 1e-12).
+        |numeric| (at least 1e-12). A non-finite analytic value or gradient
+        raises NumericError.
 
     The error is scaled by the gradient's size, not by each coordinate's own:
     a central difference carries rounding noise of about eps * |loss| / h, so
@@ -354,7 +345,11 @@ def finite_diff_check(loss: FunctionLoss, params: ParamVector, h: float = 1e-5) 
     there (analytic 1.7e-10 against numeric 0.0 at loss 43).
     """
     params = np.asarray(params, dtype=np.float64)
-    _, analytic = loss_value_and_grad(loss, params)
+    value, analytic = loss.value_and_grad(params)
+    if not math.isfinite(value):
+        raise NumericError(f"non-finite loss value {value!r}")
+    if not np.all(np.isfinite(analytic)):
+        raise NumericError("non-finite entries in loss gradient")
     numeric = np.empty(params.size)
     work = params.copy()
     for i in range(params.size):

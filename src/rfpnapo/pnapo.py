@@ -3,16 +3,19 @@
 A candidate is scored by how much worse the trained network explains the
 straight path from the candidate's own stored prior noise than the frozen
 reference does (squared velocity error at a random time, trained minus
-reference). The loss is a logistic preference objective on the winner/loser
-score gap, with an effective weight that grows with the reward gap and
-anneals over training steps.
+reference). A pair's winner-minus-loser score gap is stated once, in
+_score_gaps, and score_gap returns it alone. The logistic preference loss is
+built on that gap, with an effective weight that grows with the reward gap
+and anneals over training steps. The fresh-noise baseline is the same gap
+with the stored noises swapped for fresh draws, and the variance estimator
+compares the two.
 
 Every function here works on a batch of pairs at once: the winner and loser
 rows of all B pairs go through one trained and one reference forward pass
 and one backward pass. Each row's score is that of scoring it alone, bit for
-bit, so per-pair losses and margins do not depend on the batch; the gradient
-of their sum is one GEMM per layer, equal to the sum of the pairs' gradients
-up to the order of addition.
+bit, so per-pair gaps, losses and margins do not depend on the batch; the
+gradient of their sum is one GEMM per layer, equal to the sum of the pairs'
+gradients up to the order of addition.
 """
 from __future__ import annotations
 
@@ -80,36 +83,42 @@ def effective_beta(sched: BetaSchedule, delta_r, n: int):
     return sched.beta * f_controller(delta_r) * g_controller(n, sched)
 
 
-def pair_rows(pairs: "PreferenceDataset", t: np.ndarray | float) -> tuple[np.ndarray, ...]:
-    """(x0, xT, cond, t) of the winner then the loser row of every pair, for path_inputs.
+def _score_gaps(
+    params: ParamVector,
+    ref_params: ParamVector,
+    spec: MlpSpec,
+    pairs: "PreferenceDataset",
+    t: np.ndarray | float,
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Per-pair score gaps, plus the row residuals and forward cache the backward pass needs.
 
-    t broadcasts to (B, 2): a scalar, (B, 1) for one time per pair, or (B, 2).
+    Row 2i is pair i's winner, row 2i + 1 its loser. t broadcasts to (B, 2): a
+    scalar, (B, 1) for one time per pair, or (B, 2).
     """
     b, d = len(pairs), pairs.header.dim
-    return (
+    inp, u = path_inputs(
+        spec,
         pairs.x0.reshape(2 * b, d),
         pairs.xT.reshape(2 * b, d),
         np.repeat(pairs.cond, 2, axis=0),
         np.broadcast_to(t, (b, 2)).reshape(-1),
     )
-
-
-def _scores(
-    params: ParamVector, ref_params: ParamVector, spec: MlpSpec, rows: tuple[np.ndarray, ...]
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Row scores, plus the residuals and forward cache the backward pass needs."""
-    inp, u = path_inputs(spec, *rows)
     v, cache = forward_single_cached(params, spec, inp)
     v_ref, _ = forward_single_cached(ref_params, spec, inp)
     res, ref_res = u - v, u - v_ref
-    return row_dot(res, res) - row_dot(ref_res, ref_res), res, cache
+    s = row_dot(res, res) - row_dot(ref_res, ref_res)
+    return s[0::2] - s[1::2], res, cache
 
 
-def score(
-    params: ParamVector, ref_params: ParamVector, spec: MlpSpec, rows: tuple[np.ndarray, ...]
+def score_gap(
+    params: ParamVector,
+    ref_params: ParamVector,
+    spec: MlpSpec,
+    pairs: "PreferenceDataset",
+    t: np.ndarray | float,
 ) -> np.ndarray:
-    """Trained-minus-reference squared velocity error of each pair_rows row on its straight path."""
-    return _scores(params, ref_params, spec, rows)[0]
+    """The (B,) winner-minus-loser score gaps on the pairs' stored noises; t as in _score_gaps."""
+    return _score_gaps(params, ref_params, spec, pairs, t)[0]
 
 
 def pnapo_value_grad(
@@ -125,12 +134,12 @@ def pnapo_value_grad(
     Each pair's loss is softplus(z), z = beta_eff * (s_winner - s_loser), both
     scores taken on the pair's stored noises; at the reference point
     (params == ref_params) both scores vanish and every loss is log 2. The
-    margin is -z. t broadcasts to (B, 2) as in pair_rows.
+    margin is -z. t broadcasts to (B, 2) as in _score_gaps.
     """
-    s, res, cache = _scores(params, ref_params, spec, pair_rows(pairs, t))
-    z = beta_eff * (s[0::2] - s[1::2])
+    gaps, res, cache = _score_gaps(params, ref_params, spec, pairs, t)
+    z = beta_eff * gaps
     coef = sigmoid(z) * beta_eff  # d softplus(z) / d(s_w - s_l)
-    # each row's cotangent, rows in pair_rows order: winner -2 * coef * res, loser +2 * coef * res
+    # each row's cotangent, rows in _score_gaps order: winner -2 * coef * res, loser +2 * coef * res
     dy = np.stack([-2.0 * coef, 2.0 * coef], axis=1).reshape(-1, 1) * res
     return softplus(z), vjp_single(params, spec, cache, dy), -z
 

@@ -10,10 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import chain_rule_identity, estimator_variance, pnapo_delta, random_chain
+from .analytics import chain_rule_identity, estimator_variance, random_chain
 from .baselines import dpo_value_grad, sft_value_grad
 from .numerics import FunctionLoss, MlpSpec, finite_diff_check, mlp_init
-from .pnapo import BetaSchedule, f_controller, g_controller, pnapo_value_grad
+from .pnapo import BetaSchedule, f_controller, g_controller, pnapo_value_grad, score_gap
 from .prefdata import DatasetHeader, PreferenceDataset, build_dataset
 from .rectflow import cfm_objective, default_mixture
 from .training import run_pretrain
@@ -103,8 +103,8 @@ def suite_variance() -> list[CheckResult]:
     model, _ = run_pretrain(spec, mixture, steps=450, batch=32, lr=3e-3, seed=11)
     centers = np.array([[2.0, 0.0], [0.0, 2.0], [-2.0, 0.0], [0.0, -2.0]])
     dataset = build_dataset(ref, spec, centers, steps=25, n_records=1, base_seed=5, ref_hash="verify")
-    base = pnapo_delta(model, ref, spec, dataset, t=0.37)[0]
-    worst = max(abs(pnapo_delta(model, ref, spec, dataset, t=0.37)[0] - base) for _ in range(100))
+    base = score_gap(model, ref, spec, dataset, t=0.37)[0]
+    worst = max(abs(score_gap(model, ref, spec, dataset, t=0.37)[0] - base) for _ in range(100))
     var_stored, var_fresh = estimator_variance(model, ref, spec, dataset, n_draws=1000, seed=123)
     return [
         CheckResult("variance_pinned_t_bitident", worst == 0.0, worst, 0.0, 0.0),

@@ -19,9 +19,9 @@ import pytest
 
 from conftest import FIXTURES, make_pairs
 from rfpnapo.baselines import dpo_value_grad
-from rfpnapo.analytics import estimator_variance, pnapo_delta
+from rfpnapo.analytics import estimator_variance
 from rfpnapo.numerics import MlpSpec, mlp_init, read_checkpoint
-from rfpnapo.pnapo import BetaSchedule, f_controller, g_controller, pnapo_value_grad
+from rfpnapo.pnapo import BetaSchedule, f_controller, g_controller, pnapo_value_grad, score_gap
 from rfpnapo.prefdata import audit_dataset, read_dataset
 
 SEEDS = (11, 22, 33, 44, 55)
@@ -204,9 +204,9 @@ def test_c05_estimator_pinning(capsys, toy_runs):
     aligned, _ = read_checkpoint(str(run["aligned"]))
     pair = read_dataset(str(run["pairs"])).take([0])
 
-    base = pnapo_delta(aligned, ref, spec, pair, t=0.37)[0]
+    base = score_gap(aligned, ref, spec, pair, t=0.37)[0]
     pinned_worst = max(
-        abs(pnapo_delta(aligned, ref, spec, pair, t=0.37)[0] - base) for _ in range(200)
+        abs(score_gap(aligned, ref, spec, pair, t=0.37)[0] - base) for _ in range(200)
     )
     var_stored, var_fresh = estimator_variance(aligned, ref, spec, pair, n_draws=1000, seed=123)
     ok = pinned_worst == 0.0 and var_fresh > 0.0

@@ -12,14 +12,16 @@ from hypothesis import strategies as st
 from conftest import make_pairs
 from rfpnapo.analytics import (
     TabularChain,
+    _kl_sum,
+    _path_probs,
     chain_rule_identity,
     estimator_variance,
     eval_reward,
-    pnapo_delta,
     random_chain,
     win_rate,
 )
 from rfpnapo.errors import ConfigurationError, ShapeError
+from rfpnapo.pnapo import score_gap
 
 
 def test_chain_validation_rejects_bad_rows():
@@ -139,17 +141,50 @@ def test_chain_rule_matches_the_path_loops(seed, n_states, horizon):
         assert abs(total - (endpoint + conditional)) <= 1e-10
 
 
+def _sequential_kl(q, p):
+    """q log(q / p) summed over the last axis by a left-to-right `+=` loop."""
+    terms = q * np.log(q / p)
+    out = np.empty(terms.shape[:-1])
+    for idx in np.ndindex(out.shape):
+        acc = 0.0
+        for term in terms[idx]:
+            acc += term
+        out[idx] = acc
+    return out
+
+
+@pytest.mark.parametrize(
+    "seeds, n_states, horizon", [(range(100), 4, 3), (range(5), 6, 4)], ids=["kl_suite", "largest"]
+)
+def test_kl_sum_adds_in_path_order(seeds, n_states, horizon):
+    # the digits `verify --suite kl` prints depend on the order of every sum;
+    # a pairwise np.sum changes them on most of the suite's joints
+    for seed in seeds:
+        chain = random_chain(seed, n_states, horizon)
+        sides = (chain.q, chain.p)
+        ends = [side[0] for side in sides]  # every x0's endpoint row at once
+        interiors = [
+            np.moveaxis(_path_probs(np.ones(n_states), side[1:]), -1, 0).reshape(n_states, -1)
+            for side in sides
+        ]
+        joints = [
+            [_path_probs(side[0, x0], side[1:]).ravel() for side in sides] for x0 in range(n_states)
+        ]
+        for q, p in [ends, interiors, *joints]:
+            assert _kl_sum(q, p).tobytes() == _sequential_kl(q, p).tobytes()
+
+
 def test_pinned_time_delta_is_bit_stable(trained_pair):
     ref, later, spec = trained_pair
     rng = np.random.default_rng(60)
     pairs = make_pairs(rng, spec, 5)
-    base = pnapo_delta(later, ref, spec, pairs, t=0.37)
+    base = score_gap(later, ref, spec, pairs, t=0.37)
     assert base.shape == (5,)
     for _ in range(50):
-        assert pnapo_delta(later, ref, spec, pairs, t=0.37).tobytes() == base.tobytes()
+        assert score_gap(later, ref, spec, pairs, t=0.37).tobytes() == base.tobytes()
     # a pair's gap does not depend on the batch it is scored in
     for i in range(5):
-        assert pnapo_delta(later, ref, spec, pairs.take([i]), t=0.37)[0] == base[i]
+        assert score_gap(later, ref, spec, pairs.take([i]), t=0.37)[0] == base[i]
 
 
 def test_fresh_noise_variance_positive(trained_pair):
@@ -176,8 +211,8 @@ def test_estimator_variance_deterministic(trained_pair):
     t = rng.random((50, 1))
     eps = rng.standard_normal((50, 2, spec.data_dim))
     repeated = pair.take(np.zeros(50, dtype=int))
-    stored = pnapo_delta(later, ref, spec, repeated, t)
-    fresh = pnapo_delta(later, ref, spec, dataclasses.replace(repeated, xT=eps), t)
+    stored = score_gap(later, ref, spec, repeated, t)
+    fresh = score_gap(later, ref, spec, dataclasses.replace(repeated, xT=eps), t)
     assert a == (float(np.var(stored, ddof=1)), float(np.var(fresh, ddof=1)))
     with pytest.raises(ConfigurationError):
         estimator_variance(later, ref, spec, pair, n_draws=1, seed=9)

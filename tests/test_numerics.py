@@ -21,7 +21,6 @@ from rfpnapo.numerics import (
     finite_diff_check,
     forward_batch_cached,
     forward_single_cached,
-    loss_value_and_grad,
     mlp_forward,
     mlp_init,
     optim_init,
@@ -198,17 +197,17 @@ def test_pretrain_forward_is_one_gemm_per_layer(data_dim, cond_dim, hidden, rows
 
 
 def test_quadratic_loss_gradient_is_exact():
-    # value 0.5*||p||^2 has gradient p; the checked entry point must agree
+    # value 0.5*||p||^2 has gradient p; the wrapper and the check must agree
     loss = FunctionLoss(lambda p: (0.5 * float(p @ p), p.copy()))
     p = np.linspace(-1.0, 1.0, 11)
-    v, g = loss_value_and_grad(loss, p)
+    v, g = loss.value_and_grad(p)
     assert v == 0.5 * float(p @ p)
     assert np.array_equal(g, p)
     assert finite_diff_check(loss, p) < 1e-8
     # per-row losses are summed, and results after the gradient are ignored,
     # which is the shape of the (losses, grad, margins) kernels
     rows = FunctionLoss(lambda p: (0.5 * p * p, p.copy(), -p))
-    v_rows, g_rows = loss_value_and_grad(rows, p)
+    v_rows, g_rows = rows.value_and_grad(p)
     assert v_rows == float(np.sum(0.5 * p * p)) == rows.value(p)
     assert np.array_equal(g_rows, p)
     assert finite_diff_check(rows, p) < 1e-8
@@ -257,9 +256,14 @@ def test_constant_loss_has_zero_gradient():
 
 
 def test_non_finite_loss_raises():
+    # the gradient check refuses a non-finite analytic value or gradient
+    # before it takes a single difference
     loss = FunctionLoss(lambda p: (float("nan"), np.zeros_like(p)))
-    with pytest.raises(NumericError):
-        loss_value_and_grad(loss, np.ones(3))
+    with pytest.raises(NumericError, match="non-finite loss value nan"):
+        finite_diff_check(loss, np.ones(3))
+    grad = FunctionLoss(lambda p: (0.0, np.full_like(p, np.inf)))
+    with pytest.raises(NumericError, match="non-finite entries in loss gradient"):
+        finite_diff_check(grad, np.ones(3))
 
 
 def test_vjp_single_matches_finite_differences(small_spec, small_params):

@@ -16,9 +16,8 @@ from rfpnapo.pnapo import (
     f_controller,
     g_controller,
     make_pnapo_term,
-    pair_rows,
     pnapo_value_grad,
-    score,
+    score_gap,
 )
 from rfpnapo.training import run_alignment, step_with_terms
 
@@ -88,12 +87,23 @@ def test_schedule_validation():
         BetaSchedule(beta=1.0, n1=2000, n2=1000, dynamic=True)
 
 
-def test_score_zero_when_params_equal_reference(small_spec, small_params):
-    rng = np.random.default_rng(14)
-    pairs = make_pairs(rng, small_spec, 10)
-    s = score(small_params, small_params, small_spec, pair_rows(pairs, rng.random((10, 2))))
-    assert s.shape == (20,)
-    assert np.all(s == 0.0)
+@settings(max_examples=40, deadline=None)
+@given(case=pair_batches(max_pairs=8))
+def test_loss_and_estimator_read_one_gap(case):
+    # the loss's margins are -(beta_eff * gap) of the gap score_gap returns,
+    # bit for bit, whichever way the times are shaped
+    spec, rng, pairs = case
+    n = len(pairs)
+    params = mlp_init(spec, int(rng.integers(1000)))
+    ref = mlp_init(spec, int(rng.integers(1000, 2000)))
+    beta_eff = rng.random(n) * 60 + 1e-3
+    for t in (float(rng.random()), rng.random((n, 1)), rng.random((n, 2))):
+        gaps = score_gap(params, ref, spec, pairs, t)
+        assert gaps.shape == (n,)
+        _, _, margins = pnapo_value_grad(params, ref, spec, pairs, t, beta_eff)
+        assert margins.tobytes() == (-(beta_eff * gaps)).tobytes()
+        # at the reference point both scores of every pair vanish
+        assert np.all(score_gap(params, params, spec, pairs, t) == 0.0)
 
 
 @settings(max_examples=40, deadline=None)

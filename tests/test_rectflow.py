@@ -10,7 +10,6 @@ from rfpnapo.errors import NumericError, ShapeError
 from rfpnapo.numerics import (
     MlpSpec,
     forward_single_cached,
-    loss_value_and_grad,
     mlp_forward,
     mlp_init,
 )
