@@ -5,12 +5,15 @@ summation, the chain rule: the joint divergence of two path measures is their
 endpoint divergence plus the mean divergence of their interiors conditioned on
 the endpoint. The endpoint term is a KL and so never negative, which is why
 conditioning both measures on a shared endpoint can only shrink their
-divergence. The other half measures estimator variance and sampled reward
-quality on toy tasks.
+divergence. A chain is one (2, horizon, S, S) block: side 0 is p, side 1 is q,
+and each side's matrix 0 is its terminal distribution (row = data state x0),
+matrix j >= 1 its reverse kernel from time j+1 to time j (row = the later
+state). The other half measures estimator variance and sampled reward quality
+on toy tasks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -27,57 +30,16 @@ ROW_SUM_TOL = 1e-12
 SMOOTHING = 0.05  # added to every uniform draw of random_chain, so no entry is near 0
 
 
-def _check_stochastic(name: str, stack: np.ndarray, n_states: int) -> None:
-    """Every matrix of the (horizon, S, S) stack is row-stochastic, its entries at least MIN_ENTRY."""
-    if stack.shape[1:] != (n_states, n_states):
-        raise ShapeError(f"{name} must be (horizon, {n_states}, {n_states}), got {stack.shape}")
-    if np.any(stack < MIN_ENTRY):
-        raise ShapeError(f"{name} has entries below {MIN_ENTRY}; smooth the chain first")
-    if np.max(np.abs(stack.sum(axis=2) - 1.0)) > ROW_SUM_TOL:
-        raise ShapeError(f"{name} rows must sum to 1 within {ROW_SUM_TOL}")
+def _check_caps(n_states: int, horizon: int) -> None:
+    if n_states > MAX_STATES or horizon > MAX_HORIZON:
+        raise ConfigurationError(
+            f"exact enumeration is capped at {MAX_STATES} states and horizon "
+            f"{MAX_HORIZON}; got {n_states} and {horizon}"
+        )
 
 
-@dataclass
-class TabularChain:
-    """Two reverse-time chains over the same finite state space.
-
-    Each side is one (horizon, S, S) stack. Matrix 0 is the terminal
-    distribution (row = starting data state x0); matrix j >= 1 is a reverse
-    kernel (row = the later-time state being conditioned on), producing the
-    state at time j from the state at time j+1.
-    """
-
-    p: np.ndarray
-    q: np.ndarray
-
-    def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=np.float64)
-        self.q = np.asarray(self.q, dtype=np.float64)
-        if self.p.ndim != 3 or self.p.shape[0] < 1 or self.q.shape != self.p.shape:
-            raise ShapeError(
-                f"p and q must be (horizon, S, S) stacks of one shape with horizon >= 1; "
-                f"got {self.p.shape} and {self.q.shape}"
-            )
-        s = self.n_states
-        if s > MAX_STATES or self.horizon > MAX_HORIZON:
-            raise ConfigurationError(
-                f"exact enumeration is capped at {MAX_STATES} states and horizon "
-                f"{MAX_HORIZON}; got {s} and {self.horizon}"
-            )
-        _check_stochastic("p", self.p, s)
-        _check_stochastic("q", self.q, s)
-
-    @property
-    def n_states(self) -> int:
-        return self.p.shape[1]
-
-    @property
-    def horizon(self) -> int:
-        return self.p.shape[0]
-
-
-def random_chain(seed: int, n_states: int, horizon: int) -> TabularChain:
-    """A smoothed random chain pair; the two sides draw their own endpoint marginals.
+def random_chain(seed: int, n_states: int, horizon: int) -> np.ndarray:
+    """A smoothed random (2, horizon, S, S) chain block; the two sides draw their own endpoint marginals.
 
     RNG order: one uniform (2, horizon, S, S) block, so the p side's terminal
     then kernels, then the q side's.
@@ -86,9 +48,9 @@ def random_chain(seed: int, n_states: int, horizon: int) -> TabularChain:
         raise ConfigurationError(
             f"a chain needs at least 2 states and horizon 1; got {n_states} and {horizon}"
         )
+    _check_caps(n_states, horizon)
     raw = np.random.default_rng(seed).uniform(0.0, 1.0, (2, horizon, n_states, n_states)) + SMOOTHING
-    p, q = raw / raw.sum(axis=3, keepdims=True)
-    return TabularChain(p, q)
+    return raw / raw.sum(axis=3, keepdims=True)
 
 
 def _path_probs(start: np.ndarray, kernels: np.ndarray) -> np.ndarray:
@@ -110,15 +72,26 @@ def _kl_sum(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.cumsum(q * np.log(q / p), axis=-1)[..., -1]
 
 
-def chain_rule_identity(chain: TabularChain, x0: int) -> tuple[float, float, float]:
+def chain_rule_identity(chain: np.ndarray, x0: int) -> tuple[float, float, float]:
     """Exact decomposition: joint KL = endpoint KL + mean conditional KL.
 
+    chain is a (2, horizon, S, S) block, p then q, every row stochastic with
+    entries at least MIN_ENTRY; it is checked here, before any enumeration.
     Returns (total, endpoint_term, conditional_term); the first equals the sum
     of the other two up to float roundoff.
     """
-    if not 0 <= x0 < chain.n_states:
-        raise ShapeError(f"x0 must index a state in [0, {chain.n_states})")
-    s, sides = chain.n_states, (chain.q, chain.p)
+    chain = np.asarray(chain, dtype=np.float64)
+    if chain.ndim != 4 or chain.shape[0] != 2 or min(chain.shape[1:]) < 1 or chain.shape[2] != chain.shape[3]:
+        raise ShapeError(f"a chain must be a (2, horizon, S, S) block, horizon and S >= 1; got {chain.shape}")
+    s = chain.shape[2]
+    _check_caps(s, chain.shape[1])
+    if not np.all(chain >= MIN_ENTRY):  # a NaN fails this too
+        raise ShapeError(f"the chain has entries below {MIN_ENTRY}; smooth the chain first")
+    if np.max(np.abs(chain.sum(axis=3) - 1.0)) > ROW_SUM_TOL:
+        raise ShapeError(f"the chain's rows must sum to 1 within {ROW_SUM_TOL}")
+    if not 0 <= x0 < s:
+        raise ShapeError(f"x0 must index a state in [0, {s})")
+    sides = (chain[1], chain[0])
     ends = [side[0, x0] for side in sides]
     joints = [_path_probs(side[0, x0], side[1:]).ravel() for side in sides]
     # conditioned on x_T the terminal factor cancels: the interior is the kernel product alone

@@ -80,6 +80,9 @@ def _vector_list_parser(several_per_entry: bool) -> Callable[[str], VectorList]:
                 ))
             except ValueError as exc:
                 raise ValueError(f"vector {k}: {exc}") from None
+            width = len(groups[0][0])
+            if any(len(vec) != width for vec in groups[-1]):
+                raise ValueError(f"vector {k}: every vector needs the {width} coordinates of the first")
         return VectorList(raw, tuple(groups))
 
     return parse

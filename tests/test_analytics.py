@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_pairs
+from rfpnapo import analytics
 from rfpnapo.analytics import (
-    TabularChain,
+    MIN_ENTRY,
     _kl_sum,
     _path_probs,
     chain_rule_identity,
@@ -25,11 +26,50 @@ from rfpnapo.pnapo import score_gap
 
 
 def test_chain_validation_rejects_bad_rows():
-    ok = random_chain(0, 3, 2)
-    bad_terminal = np.array(ok.p)
-    bad_terminal[0, 0] *= 2.0
+    bad_terminal = random_chain(0, 3, 2)
+    bad_terminal[0, 0, 0] *= 2.0
     with pytest.raises(ShapeError):
-        TabularChain(bad_terminal, ok.q)
+        chain_rule_identity(bad_terminal, x0=0)
+
+
+def _low_entry(chain, side):
+    chain[side, 1, 2] = [1.0 - MIN_ENTRY / 2, MIN_ENTRY / 4, MIN_ENTRY / 4]
+    return chain
+
+
+def _long_row(chain):
+    chain[1, 0, 1, 0] += 1e-9
+    return chain
+
+
+@pytest.mark.parametrize(
+    "fault, x0, error",
+    [
+        pytest.param(lambda c: c[0], 0, ShapeError, id="3d"),
+        pytest.param(lambda c: c[:1], 0, ShapeError, id="one_side"),
+        pytest.param(lambda c: np.concatenate([c, c[:1]]), 0, ShapeError, id="three_sides"),
+        pytest.param(lambda c: c[:, :, :2], 0, ShapeError, id="non_square"),
+        pytest.param(lambda c: c[:, :0], 0, ShapeError, id="horizon_0"),
+        pytest.param(lambda c: _low_entry(c, 0), 0, ShapeError, id="low_entry_p"),
+        pytest.param(lambda c: _low_entry(c, 1), 0, ShapeError, id="low_entry_q"),
+        pytest.param(lambda c: np.where(c == c[0, 0, 0, 0], np.nan, c), 0, ShapeError, id="nan"),
+        pytest.param(_long_row, 0, ShapeError, id="row_sum"),
+        pytest.param(lambda c: c, -1, ShapeError, id="x0_negative"),
+        pytest.param(lambda c: c, 3, ShapeError, id="x0_past_states"),
+        pytest.param(lambda c: np.full((2, 2, 7, 7), 1.0 / 7), 0, ConfigurationError, id="7_states"),
+        pytest.param(lambda c: np.concatenate([c, c, c[:, :1]], axis=1), 0, ConfigurationError, id="horizon_5"),
+    ],
+)
+def test_chain_rule_identity_checks_the_block_before_enumerating(monkeypatch, fault, x0, error):
+    chain = fault(random_chain(5, 3, 2))
+
+    def enumerate_paths(*args):
+        raise AssertionError("the chain was enumerated before it was checked")
+
+    monkeypatch.setattr(analytics, "_path_probs", enumerate_paths)
+    monkeypatch.setattr(analytics, "_kl_sum", enumerate_paths)
+    with pytest.raises(error):
+        chain_rule_identity(chain, x0)
 
 
 def test_chain_caps_enforced():
@@ -59,9 +99,8 @@ def test_random_chain_draws_its_matrices_in_documented_order(seed, n_states, hor
     p = [stochastic() for _ in range(horizon)]
     q = [stochastic() for _ in range(horizon)]
     chain = random_chain(seed, n_states, horizon)
-    assert chain.p.shape == chain.q.shape == (horizon, n_states, n_states)
-    assert chain.p.tobytes() == np.array(p).tobytes()
-    assert chain.q.tobytes() == np.array(q).tobytes()
+    assert chain.dtype == np.float64 and chain.shape == (2, horizon, n_states, n_states)
+    assert chain.tobytes() == np.array(p).tobytes() + np.array(q).tobytes()
 
 
 def test_single_step_chain_has_no_interior():
@@ -75,8 +114,8 @@ def test_chain_rule_decomposition_exact_over_seeds():
     for seed in range(25):
         drawn = random_chain(seed, 4, 3)
         for matched in (True, False):
-            matched_q = np.concatenate([drawn.p[:1], drawn.q[1:]])
-            chain = dataclasses.replace(drawn, q=matched_q) if matched else drawn
+            matched_q = np.concatenate([drawn[0, :1], drawn[1, 1:]])
+            chain = np.stack([drawn[0], matched_q]) if matched else drawn
             x0 = seed % 4
             total, endpoint, conditional = chain_rule_identity(chain, x0)
             assert abs(total - (endpoint + conditional)) <= 1e-10
@@ -109,23 +148,23 @@ def _loop_path_prob(start, kernels, path):
 
 def _loop_chain_rule(chain, x0):
     """(total, endpoint, conditional) by per-path loops: the reference the path arrays are checked against."""
-    s, horizon = chain.n_states, chain.horizon
+    s, horizon = chain.shape[2], chain.shape[1]
     total = 0.0
     for path in itertools.product(range(s), repeat=horizon):
-        q = _loop_path_prob(chain.q[0, x0, path[-1]], chain.q[1:], path)
-        p = _loop_path_prob(chain.p[0, x0, path[-1]], chain.p[1:], path)
+        q = _loop_path_prob(chain[1][0, x0, path[-1]], chain[1][1:], path)
+        p = _loop_path_prob(chain[0][0, x0, path[-1]], chain[0][1:], path)
         total += q * math.log(q / p)
-    q_row, p_row = chain.q[0, x0], chain.p[0, x0]
+    q_row, p_row = chain[1][0, x0], chain[0][0, x0]
     endpoint = float(np.sum(q_row * np.log(q_row / p_row)))
     conditional = 0.0
     for end in range(s):
         inner = 0.0
         for interior in itertools.product(range(s), repeat=horizon - 1):
             path = interior + (end,)
-            q = _loop_path_prob(1.0, chain.q[1:], path)
-            p = _loop_path_prob(1.0, chain.p[1:], path)
+            q = _loop_path_prob(1.0, chain[1][1:], path)
+            p = _loop_path_prob(1.0, chain[0][1:], path)
             inner += q * math.log(q / p)
-        conditional += chain.q[0, x0, end] * inner
+        conditional += chain[1][0, x0, end] * inner
     return total, endpoint, conditional
 
 
@@ -161,7 +200,7 @@ def test_kl_sum_adds_in_path_order(seeds, n_states, horizon):
     # a pairwise np.sum changes them on most of the suite's joints
     for seed in seeds:
         chain = random_chain(seed, n_states, horizon)
-        sides = (chain.q, chain.p)
+        sides = (chain[1], chain[0])
         ends = [side[0] for side in sides]  # every x0's endpoint row at once
         interiors = [
             np.moveaxis(_path_probs(np.ones(n_states), side[1:]), -1, 0).reshape(n_states, -1)
@@ -174,6 +213,7 @@ def test_kl_sum_adds_in_path_order(seeds, n_states, horizon):
             assert _kl_sum(q, p).tobytes() == _sequential_kl(q, p).tobytes()
 
 
+@pytest.mark.kernel_invariance
 def test_pinned_time_delta_is_bit_stable(trained_pair):
     ref, later, spec = trained_pair
     rng = np.random.default_rng(60)

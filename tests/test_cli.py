@@ -194,6 +194,19 @@ def test_non_finite_config_float_exits_config_error(tmp_path, capsys, value):
         assert not (tmp_path / "x.ckpt").exists()
 
 
+@pytest.mark.parametrize(
+    "key, raw", [("reward.params", "2,0 ; 0"), ("data.mixture.modes", "1,1 | 2 ; 3,3")]
+)
+def test_ragged_vector_list_exits_2_at_load(tmp_path, capsys, key, raw):
+    # rejected at load with its line, though pretrain never reads reward.params
+    lines = [line for line in TINY_CFG.splitlines() if not line.startswith(f"{key} =")]
+    cfg = tmp_path / "ragged.cfg"
+    cfg.write_text("\n".join(lines + [f"{key} = {raw}"]) + "\n")
+    assert main(["pretrain", "--config", str(cfg), "--out", str(tmp_path / "x.ckpt")]) == 2
+    assert f"rfpnapo: {cfg}:{len(lines) + 1}: bad value for {key}: vector " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_dpo_alignment_ignores_stored_noise_fields(tmp_path, tiny_cfg, capsys):
     ref, pairs, aligned = _run_pipeline(tmp_path, tiny_cfg, method="dpo")
     # corrupt the stored noise columns (fields 4 and 5 of each record line)

@@ -88,6 +88,21 @@ def test_reward_params_reject_the_centre_separator_with_position(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize(
+    "key, raw, vector",
+    [("reward.params", "2,0; 0; -2,0; 0,-2", 1), ("data.mixture.modes", "1,1 | 2 ; 3,3", 0),
+     ("data.mixture.modes", "1,1 | 2,2 ; 3,3,3", 1)],
+)
+def test_ragged_vector_list_rejected_with_position(tmp_path, key, raw, vector):
+    # vectors of differing widths are a fault of the one key, whatever data.dim says
+    path = _write(tmp_path, f"seed = 1\n{key} = {raw}\n")
+    with pytest.raises(
+        ConfigurationError,
+        match=f"^{re.escape(path)}:2: bad value for {key}: vector {vector}: every vector needs the 2 coordinates",
+    ):
+        load_config(path)
+
+
 def test_mixture_builder_custom_modes(tmp_path):
     cfg = load_config(_write(tmp_path, """
 seed = 0

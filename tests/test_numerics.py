@@ -136,6 +136,7 @@ def _forward_batch_out_of_place(params, spec, inp):
     return cache[-1] @ weights[-1].T + biases[-1], cache
 
 
+@pytest.mark.kernel_invariance
 @settings(max_examples=40, deadline=None)
 @given(
     data_dim=st.integers(1, 4),
@@ -171,6 +172,7 @@ def test_forward_rows_are_batch_invariant(data_dim, cond_dim, hidden, rows, seed
         assert np.max(np.abs(y - gemv)) <= 1e-12 * max(1.0, np.max(np.abs(gemv)))
 
 
+@pytest.mark.kernel_invariance
 @settings(max_examples=40, deadline=None)
 @given(
     data_dim=st.integers(1, 4),

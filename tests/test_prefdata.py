@@ -209,6 +209,7 @@ def test_build_dataset_stores_drawn_noises_bitwise():
             assert x0.tobytes() == alone.tobytes()
 
 
+@pytest.mark.kernel_invariance
 @settings(max_examples=40, deadline=None)
 @given(
     data_dim=st.integers(1, 3),

@@ -194,6 +194,7 @@ def _euler_per_row(params, spec, xT, cond, steps):
     return out
 
 
+@pytest.mark.kernel_invariance
 @settings(max_examples=60, deadline=None)
 @given(
     data_dim=st.integers(1, 5),

@@ -213,6 +213,7 @@ def _batch_term(ref, spec, method, sched, step_index, rng):
     return make_sft_term(spec, rng)
 
 
+@pytest.mark.kernel_invariance
 @pytest.mark.parametrize("method", METHODS)
 @settings(max_examples=50, deadline=None)
 @given(case=pair_batches(max_pairs=8), extra_batch=st.integers(-7, 3), seed=st.integers(0, 2**16),
