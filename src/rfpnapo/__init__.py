@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     ConfigurationError,
-    DataError,
     MissingInputError,
     NumericError,
     ParseError,
@@ -26,7 +25,6 @@ from .training import run_alignment, run_pretrain
 __all__ = [
     "BetaSchedule",
     "ConfigurationError",
-    "DataError",
     "MissingInputError",
     "MlpSpec",
     "NumericError",

@@ -161,13 +161,10 @@ class RunConfig:
 
     def _vector_groups(self, key: str, dim: int, n_conditions: int) -> tuple:
         """The groups of a vector-list key: none, or one per condition, each vector dim wide."""
-        groups = self.get(key).groups
-        for k, vectors in enumerate(groups):
-            for vec in vectors:
-                if len(vec) != dim:
-                    raise ConfigurationError(
-                        f"{key}: condition {k} has a vector of {len(vec)} coordinates, expected {dim}"
-                    )
+        groups = self.get(key).groups  # the parser gave every vector the first one's width
+        if groups and len(groups[0][0]) != dim:
+            width = len(groups[0][0])
+            raise ConfigurationError(f"{key}: condition 0 has a vector of {width} coordinates, expected {dim}")
         if groups and len(groups) != n_conditions:
             raise ConfigurationError(f"{key} defines {len(groups)} conditions, expected {n_conditions}")
         return groups

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, ParseError, ShapeError
+from .errors import ConfigurationError, ParseError, ShapeError
 from .fileio import first_fault, read_lines, read_records, row_format, write_text
 from .numerics import row_dot, scale_by_peak
 
@@ -134,12 +134,13 @@ def embedding_dedup(corpus: Corpus, threshold: float) -> Corpus:
     norms = np.sqrt(row_dot(scaled, scaled))
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
-        raise DataError(f"zero-norm embedding for record {corpus.ids[zero[0]]!r}")
+        raise ShapeError(f"zero-norm embedding for record {corpus.ids[zero[0]]!r}")
     units = scaled / norms[:, None]
     keep = np.zeros(len(corpus), dtype=bool)
     m = 0
     for i, unit in enumerate(units):
-        if m and float(np.max(units[:m] @ unit)) > threshold:
+        # a computed cosine can round above 1; capped, a threshold of 1 keeps every record
+        if m and min(float(np.max(units[:m] @ unit)), 1.0) > threshold:
             continue
         keep[i] = True
         units[m] = unit
@@ -287,12 +288,12 @@ def _record_fault(ids, toxicity: np.ndarray, embeddings: np.ndarray) -> tuple[in
 
 
 def write_corpus(path: str, corpus: Corpus) -> None:
-    """Write a corpus TSV; a record read_corpus would reject raises DataError before any write."""
+    """Write a corpus TSV; a record read_corpus would reject raises ShapeError before any write."""
     fault = _record_fault(corpus.ids, corpus.toxicity, corpus.embeddings)
     if fault is not None:
         row, reason = fault
         who = f"record {corpus.ids[row]!r}" if corpus.ids[row] else f"record at row {row}"
-        raise DataError(f"{who} has {reason}; not representable")
+        raise ShapeError(f"{who} has {reason}; not representable")
     dim = corpus.embeddings.shape[1]
     header = ["id", "text", "tox"] + [f"e{i}" for i in range(dim)]
     lines = ["\t".join(header)]
@@ -301,7 +302,7 @@ def write_corpus(path: str, corpus: Corpus) -> None:
         corpus.ids, corpus.texts, corpus.toxicity.tolist(), corpus.embeddings
     ):
         if not _UNWRITABLE.isdisjoint(rec_id) or not _UNWRITABLE.isdisjoint(text):
-            raise DataError(f"record {rec_id!r} contains a tab or line break; not representable")
+            raise ShapeError(f"record {rec_id!r} contains a tab or line break; not representable")
         lines.append("\t".join([rec_id, text, fmt % (tox, *embedding.tolist())]))
     write_text(path, lines)
 

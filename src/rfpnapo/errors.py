@@ -1,8 +1,8 @@
 """Exception taxonomy shared across the package.
 
-Each class carries the exit code the CLI returns for it: configuration 2,
-missing input 3, shape/consistency 4 (DataError included), parse 5, and 1
-for the base class and NumericError.
+Each class carries the exit code the CLI returns for it, and each subclass
+has its own: numeric 1, configuration 2, missing input 3, shape 4, parse 5.
+The base class carries 1 as well.
 """
 from __future__ import annotations
 
@@ -26,13 +26,9 @@ class MissingInputError(RfpnapoError):
 
 
 class ShapeError(RfpnapoError):
-    """Dimension mismatch or structural inconsistency between artifacts."""
+    """A shape, size or value that does not fit: between artifacts or inside one."""
 
     exit_code = 4
-
-
-class DataError(ShapeError):
-    """Content-level inconsistency inside an otherwise well-formed artifact."""
 
 
 class ParseError(RfpnapoError):

@@ -100,8 +100,8 @@ def read_records(lines: list[str], width: int, split: Callable, fault: Callable)
 
     split(line) gives a line's cells, its width numbers last, and raises
     ValueError with the reason for a wrong field or column count; heads[i]
-    holds record i's cells before its numbers; width is at least 1. The
-    numbers become row i of the (n, width) matrix values in one np.array call,
+    holds record i's cells before its numbers; width is at least 1. A line's
+    numbers become row i of the (n, width) matrix values by one np.array call,
     which converts each str with float(), so "1_0", "\u0661" and surrounding
     whitespace are numbers. With no record line, values is (0, width), and a
     width numpy cannot hold even there raises ParseError on line 1.
@@ -120,21 +120,18 @@ def read_records(lines: list[str], width: int, split: Callable, fault: Callable)
             return heads, np.empty((0, width))
         except ValueError:  # numpy bounds a row's size even in an array of no rows
             raise ParseError(f"a record of {width} numbers is past numpy's size limit", line=1) from None
-    # a line of width numbers holds at least 2 * width - 1 characters, so the
-    # lines read fit in this many rows whatever width a header claims; with
-    # none, the first line fails its count and nothing is sized by the claim
-    height = min(len(records), sum(len(raw) for _, raw in records) // (2 * width - 1))
-    values = np.empty((height, width if height else 0))
+    rows: list[np.ndarray] = []
     error = None
     for lineno, raw in records:
         try:
             cells = split(raw)
-            values[len(heads)] = np.array(cells[len(cells) - width :], dtype=np.float64)
+            rows.append(np.array(cells[len(cells) - width :], dtype=np.float64))
         except ValueError as exc:
             error = ParseError(str(exc), line=lineno)
             break
         heads.append(cells[: len(cells) - width])
-    found = fault(heads, values[: len(heads)]) if heads else None
+    values = np.array(rows)
+    found = fault(heads, values) if heads else None
     if found is not None:
         row, reason = found
         raise ParseError(reason.removeprefix("an ").removeprefix("a "), line=records[row][0])

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, NumericError, ParseError, ShapeError
+from .errors import ConfigurationError, NumericError, ParseError, ShapeError
 from .fileio import require_file, write_bytes
 
 CHECKPOINT_MAGIC = b"RFPK"
@@ -430,11 +430,11 @@ def adam_step(state: OptimState, params: ParamVector, grad: ParamVector) -> None
 
 
 def write_checkpoint(path: str, params: ParamVector, spec: MlpSpec) -> None:
-    """Write a checkpoint; a parameter read_checkpoint would reject raises DataError before any write."""
+    """Write a checkpoint; a parameter read_checkpoint would reject raises ShapeError before any write."""
     weights, _ = unpack_params(params, spec)
     finite = np.isfinite(params)
     if not finite.all():
-        raise DataError(f"parameter {int(np.argmin(finite))} is non-finite; not representable")
+        raise ShapeError(f"parameter {int(np.argmin(finite))} is non-finite; not representable")
     parts = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(weights))]
     for w in weights:
         parts.append(struct.pack("<II", w.shape[0], w.shape[1]))

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError
+from .errors import ConfigurationError, ShapeError
 from .numerics import (
     MlpSpec,
     ParamVector,
@@ -62,7 +62,7 @@ def f_controller(delta_r):
     delta_r = np.asarray(delta_r, dtype=np.float64)
     bad = ~(np.isfinite(delta_r) & (delta_r >= 0.0))
     if bad.any():
-        raise DataError(f"reward gap must be finite and >= 0, got {float(delta_r[bad][0])!r}")
+        raise ShapeError(f"reward gap must be finite and >= 0, got {float(delta_r[bad][0])!r}")
     return 2.0 * sigmoid(delta_r) - 1.0
 
 

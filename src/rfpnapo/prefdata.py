@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, NumericError, ParseError, RfpnapoError, ShapeError
+from .errors import ConfigurationError, NumericError, ParseError, RfpnapoError, ShapeError
 from .fileio import first_fault, read_lines, read_records, row_format, write_text
 from .numerics import MlpSpec, ParamVector, row_dot, scale_by_peak
 from .rectflow import euler_sample
@@ -98,7 +98,7 @@ class PreferenceDataset:
         ok = np.isfinite(self.delta_r) & (self.delta_r >= 0.0)
         if not ok.all():
             i = int(np.argmin(ok))
-            raise DataError(f"pair {i} has preference gap {self.delta_r[i]}, not a finite number >= 0")
+            raise ShapeError(f"pair {i} has preference gap {self.delta_r[i]}, not a finite number >= 0")
 
     def __len__(self) -> int:
         return self.delta_r.shape[0]
@@ -212,13 +212,13 @@ def _record_fault(
 
 
 def write_dataset(path: str, dataset: PreferenceDataset) -> None:
-    """Write the pair file; a pair read_dataset would reject raises DataError before any write.
+    """Write the pair file; a pair read_dataset would reject raises ShapeError before any write.
 
     The dataclass is mutable, so its arrays are checked here, not trusted.
     """
     fault = _record_fault(dataset.cond, dataset.x0, dataset.xT, dataset.delta_r)
     if fault is not None:
-        raise DataError(f"pair {fault[0]} has {fault[1]}; not representable")
+        raise ShapeError(f"pair {fault[0]} has {fault[1]}; not representable")
     h, n = dataset.header, len(dataset)
     lines = [
         f"{DATASET_TAG} {DATASET_VERSION} dim={h.dim} cdim={h.cond_dim} "

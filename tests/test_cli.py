@@ -346,6 +346,11 @@ def test_gen_pairs_n_zero_writes_header_only(tmp_path, tiny_cfg, capsys):
     capsys.readouterr()
     lines = Path(out).read_text().splitlines()
     assert len(lines) == 1 and lines[0].startswith("rfpnapo-pairs v1 ")
+    # aligning on no pairs is a configuration fault, refused before any output
+    aligned = tmp_path / "aligned.ckpt"
+    assert main(["align", "--config", tiny_cfg, "--model", ref, "--pairs", out, "--out", str(aligned)]) == 2
+    assert "alignment needs at least one preference record" in capsys.readouterr().err
+    assert not list(tmp_path.glob("aligned.ckpt*"))
 
 
 def test_exit_codes(tmp_path, tiny_cfg, capsys):

@@ -21,7 +21,7 @@ from rfpnapo.corpus import (
     toxicity_filter,
     write_corpus,
 )
-from rfpnapo.errors import ConfigurationError, DataError, ParseError
+from rfpnapo.errors import ConfigurationError, ParseError, ShapeError
 
 
 def _rec(i: int, text: str = "hello world", tox: float = 0.0, emb=None) -> tuple:
@@ -151,9 +151,17 @@ def test_embedding_dedup_orthogonal_vs_parallel():
     assert list(kept.ids) == ["p0", "p1"]
 
 
+def test_embedding_dedup_at_threshold_one_keeps_identical_embeddings():
+    # the computed cosine of [1, 1, 1] with itself is 1.0000000000000002; a
+    # cosine is at most 1, so a threshold of 1 keeps both, as Jaccard does
+    records = [_rec(0, emb=[1.0, 1.0, 1.0]), _rec(1, text="other words", emb=[1.0, 1.0, 1.0])]
+    kept = embedding_dedup(_corpus(records), 1.0)
+    assert list(kept.ids) == ["p0", "p1"]
+
+
 def test_embedding_dedup_zero_norm_is_an_error():
     records = [_rec(0), _rec(1, emb=[0.0, 0.0])]
-    with pytest.raises(DataError, match="p1"):
+    with pytest.raises(ShapeError, match="p1"):
         embedding_dedup(_corpus(records), 0.8)
 
 
@@ -173,7 +181,7 @@ def test_embedding_dedup_scales_rows_at_the_ends_of_the_finite_range():
 
 def test_embedding_dedup_all_zero_rows_still_raise():
     records = [_rec(0, emb=[0.0, -0.0]), _rec(1, emb=[-0.0, 0.0])]
-    with pytest.raises(DataError, match="zero-norm embedding for record 'p0'"):
+    with pytest.raises(ShapeError, match="zero-norm embedding for record 'p0'"):
         embedding_dedup(_corpus(records), 0.8)
 
 
@@ -296,7 +304,7 @@ def test_corpus_rejects_tabs_in_text(tmp_path):
     path = tmp_path / "bad.tsv"
     for bad in ["\t", *breaks]:
         for rec_id, text in ((f"x{bad}", "ok"), ("x", f"has{bad}break")):
-            with pytest.raises(DataError):
+            with pytest.raises(ShapeError):
                 write_corpus(str(path), _corpus([(rec_id, text, 0.0, np.ones(2))]))
             assert not path.exists()
 
@@ -313,7 +321,7 @@ def test_corpus_writer_rejects_what_the_reader_rejects(tmp_path, row, message):
     # each of these rows read_corpus refuses, so writing one would leave a
     # file that cannot be read back
     path = tmp_path / "bad.tsv"
-    with pytest.raises(DataError, match=message):
+    with pytest.raises(ShapeError, match=message):
         write_corpus(str(path), _corpus([_rec(0, emb=[1.0, 2.0]), row]))
     assert list(tmp_path.iterdir()) == []
 
@@ -351,7 +359,7 @@ def _stacked_dedup(embeddings: np.ndarray, threshold: float) -> tuple[list[int],
     for i, unit in enumerate(units):
         if kept_units:
             maxima.append(float(np.max(np.stack(kept_units) @ unit)))
-            if maxima[-1] > threshold:
+            if min(maxima[-1], 1.0) > threshold:
                 continue
         kept.append(i)
         kept_units.append(unit)

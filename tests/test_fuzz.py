@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from conftest import corpora, make_pairs, pair_batches
 from rfpnapo.config import _KEYS, load_config
 from rfpnapo.corpus import Corpus, read_corpus, run_pipeline, write_corpus
-from rfpnapo.errors import ConfigurationError, DataError, ParseError, RfpnapoError
+from rfpnapo.errors import ConfigurationError, ParseError, RfpnapoError, ShapeError
 from rfpnapo.fileio import row_format
 from rfpnapo.numerics import MlpSpec, mlp_init, optim_init, read_checkpoint, write_checkpoint
 from rfpnapo.prefdata import read_dataset, write_dataset
@@ -171,7 +171,7 @@ def _agree(write, read, records, path: Path, lines: list[str], name: str) -> Non
     """write refuses records, naming its row 1 as name, exactly when read refuses lines, on line 3."""
     try:
         write(str(path), records)
-    except DataError as exc:
+    except ShapeError as exc:
         refused = str(exc)
     else:
         refused = None

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import INCONSISTENT_CHECKPOINTS, checkpoint_bytes, flat_params, vjp_row
-from rfpnapo.errors import DataError, NumericError, ParseError, ShapeError
+from rfpnapo.errors import NumericError, ParseError, ShapeError
 from rfpnapo.numerics import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -503,13 +503,13 @@ def test_write_checkpoint_rejects_non_finite_parameters_and_writes_nothing(
     params = small_params.copy()
     params[3] = bad
     fresh = tmp_path / "fresh.ckpt"
-    with pytest.raises(DataError, match="parameter 3 is non-finite"):
+    with pytest.raises(ShapeError, match="parameter 3 is non-finite"):
         write_checkpoint(str(fresh), params, small_spec)
     assert not fresh.exists()
     existing = tmp_path / "existing.ckpt"
     write_checkpoint(str(existing), small_params, small_spec)
     before = existing.read_bytes()
-    with pytest.raises(DataError):
+    with pytest.raises(ShapeError):
         write_checkpoint(str(existing), params, small_spec)
     assert existing.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["existing.ckpt"]

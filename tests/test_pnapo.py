@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import make_pairs, pair_batches
-from rfpnapo.errors import ConfigurationError, DataError
+from rfpnapo.errors import ConfigurationError, ShapeError
 from rfpnapo.numerics import FunctionLoss, adam_step, finite_diff_check, mlp_init, optim_init, sigmoid
 from rfpnapo.pnapo import (
     BetaSchedule,
@@ -28,9 +28,9 @@ def test_f_controller_values():
     assert f_controller(0.0) == 0.0
     assert f_controller(math.log(3.0)) == pytest.approx(0.5, abs=1e-12)
     assert f_controller(10.0) > 0.9999
-    with pytest.raises(DataError):
+    with pytest.raises(ShapeError):
         f_controller(-0.1)
-    with pytest.raises(DataError):
+    with pytest.raises(ShapeError):
         f_controller(float("inf"))
 
 

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_pairs, pair_batches
-from rfpnapo.errors import DataError, NumericError, ParseError, ShapeError
+from rfpnapo.errors import NumericError, ParseError, ShapeError
 from rfpnapo.numerics import MlpSpec, mlp_init
 from rfpnapo.prefdata import (
     DatasetHeader,
@@ -140,7 +140,7 @@ def test_label_pairs_gap_is_finite_or_the_reward_fails(centers, samples, seed):
 @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
 def test_dataset_names_its_first_bad_gap(bad):
     header = DatasetHeader(dim=1, cond_dim=1, steps=1, ref_hash="h")
-    with pytest.raises(DataError, match=f"pair 1 has preference gap {bad}, not a finite number >= 0"):
+    with pytest.raises(ShapeError, match=f"pair 1 has preference gap {bad}, not a finite number >= 0"):
         PreferenceDataset(header, np.ones((3, 1)), np.zeros((3, 2, 1)), np.zeros((3, 2, 1)),
                           np.array([0.5, bad, -2.0]))
 
@@ -163,9 +163,9 @@ def test_record_validation():
         PreferenceDataset(**{**ok, "cond": np.eye(3)[[0]]})
     with pytest.raises(ShapeError):
         PreferenceDataset(**{**ok, "delta_r": [0.1, 0.2]})
-    with pytest.raises(DataError):
+    with pytest.raises(ShapeError):
         PreferenceDataset(**{**ok, "delta_r": [-0.5]})
-    with pytest.raises(DataError):
+    with pytest.raises(ShapeError):
         PreferenceDataset(**{**ok, "delta_r": [float("nan")]})
 
 
@@ -323,7 +323,7 @@ def test_write_dataset_rejects_non_finite_values_and_writes_nothing(tmp_path, fi
     ds = make_pairs(np.random.default_rng(5), MlpSpec(data_dim=2, cond_dim=2, hidden=(3,)), 3)
     getattr(ds, field)[index] = bad
     path = tmp_path / "pairs.txt"
-    with pytest.raises(DataError, match=message):
+    with pytest.raises(ShapeError, match=message):
         write_dataset(str(path), ds)
     assert not path.exists()
 
@@ -334,7 +334,7 @@ def test_write_dataset_rejects_a_condition_that_is_not_one_hot(tmp_path, cond):
     ds = make_pairs(np.random.default_rng(6), MlpSpec(data_dim=2, cond_dim=2, hidden=(3,)), 3)
     ds.cond[2] = cond
     path = tmp_path / "pairs.txt"
-    with pytest.raises(DataError, match="pair 2 has a condition that is not one-hot"):
+    with pytest.raises(ShapeError, match="pair 2 has a condition that is not one-hot"):
         write_dataset(str(path), ds)
     assert not path.exists()
 
