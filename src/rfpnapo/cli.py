@@ -1,8 +1,10 @@
 """Command-line front end: pretrain | gen-pairs | align | eval | verify | corpus.
 
-Each artifact command reads, runs, then writes its outputs and a
-`<out>.manifest.json` with the config snapshot and the sha256 of every file
-argument (FILE_ARGS) and output; training commands also write
+main owns the skeleton of every artifact command: it takes the start time,
+hashes each file argument (FILE_ARGS) once before the run, loads the config,
+calls the `cmd_*`, then writes `<out>.manifest.json` with the config snapshot
+and the input and output hashes, and prints the command's summary. A `cmd_*`
+only reads, runs and writes its outputs; training commands also write
 `<out>.metrics.csv`, headed by the keys of the trainer's rows. The callees
 check what they read; a failure exits with its error class's code (see
 errors.py); success is 0.
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -52,20 +55,10 @@ def _command(args: argparse.Namespace) -> list[str]:
 
 
 def _write_manifest(
-    args: argparse.Namespace,
-    cfg: RunConfig,
-    start: float,
-    outputs: list[str],
-    hashed: dict[str, str] | None = None,
-    **extras,
+    args: argparse.Namespace, cfg: RunConfig, start: float, inputs: dict[str, str], outputs: list[str], extras: dict,
 ) -> None:
-    """Write <out>.manifest.json, timed from start; hashed holds input hashes the command already took."""
+    """Write <out>.manifest.json, timed from start, with the input hashes main took before the run."""
     wall_time_s = time.monotonic() - start
-    inputs = dict(hashed or {})
-    for dest in FILE_ARGS:
-        path = getattr(args, dest, None)
-        if path is not None and path not in inputs:
-            inputs[path] = sha256_file(path)
     doc = {
         "artifact_version": 1,
         "command": _command(args),
@@ -78,9 +71,11 @@ def _write_manifest(
     write_text(args.out + ".manifest.json", [json.dumps(doc, indent=2, sort_keys=True)])
 
 
-def cmd_pretrain(args: argparse.Namespace) -> int:
-    start = time.monotonic()
-    cfg = load_config(args.config)
+# what an artifact command hands back to main: its output paths, its manifest extras and its summary
+Result = tuple[list[str], dict, str]
+
+
+def cmd_pretrain(args: argparse.Namespace, cfg: RunConfig, inputs: dict[str, str]) -> Result:
     spec = cfg.mlp_spec()
     params, rows = run_pretrain(
         spec, cfg.mixture(),
@@ -90,36 +85,30 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
     write_checkpoint(args.out, params, spec)
     metrics_path = args.out + ".metrics.csv"
     _write_csv(metrics_path, rows)
-    _write_manifest(args, cfg, start, [args.out, metrics_path])
-    print(f"pretrain: {len(rows)} steps, final loss {fmt17(rows[-1]['loss'])}, wrote {args.out}")
-    return 0
+    summary = f"pretrain: {len(rows)} steps, final loss {fmt17(rows[-1]['loss'])}, wrote {args.out}"
+    return [args.out, metrics_path], {}, summary
 
 
-def cmd_gen_pairs(args: argparse.Namespace) -> int:
-    start = time.monotonic()
-    cfg = load_config(args.config)
+def cmd_gen_pairs(args: argparse.Namespace, cfg: RunConfig, inputs: dict[str, str]) -> Result:
     ref_params, spec = read_checkpoint(args.model)
     centers = cfg.reward(spec.data_dim, spec.cond_dim)
-    ref_hash = sha256_file(args.model)
+    ref_hash = inputs[args.model]
     dataset = build_dataset(
         ref_params, spec, centers,
         steps=cfg.get("sampler.steps"), n_records=args.n, base_seed=cfg.get("seed"), ref_hash=ref_hash,
     )
     write_dataset(args.out, dataset)
-    _write_manifest(args, cfg, start, [args.out], {args.model: ref_hash}, ref_hash=ref_hash)
-    print(f"gen-pairs: {len(dataset)} records from {args.model}, wrote {args.out}")
-    return 0
+    summary = f"gen-pairs: {len(dataset)} records from {args.model}, wrote {args.out}"
+    return [args.out], {"ref_hash": ref_hash}, summary
 
 
-def cmd_align(args: argparse.Namespace) -> int:
-    start = time.monotonic()
-    cfg = load_config(args.config)
+def cmd_align(args: argparse.Namespace, cfg: RunConfig, inputs: dict[str, str]) -> Result:
     ref_params, spec = read_checkpoint(args.model)
     dataset = read_dataset(args.pairs)  # dims that differ from spec's fail in path_inputs
     schedule = cfg.schedule()  # n1 < n2 fails here, before the run
     # pairs sampled from another checkpoint are the paper's off-policy
     # setting, so a mismatch is recorded and noted, never an error
-    ref_hash = sha256_file(args.model)
+    ref_hash = inputs[args.model]
     pairs_ref_hash = dataset.header.ref_hash
     if pairs_ref_hash != ref_hash:
         print(
@@ -135,23 +124,17 @@ def cmd_align(args: argparse.Namespace) -> int:
     write_checkpoint(args.out, params, spec)
     metrics_path = args.out + ".metrics.csv"
     _write_csv(metrics_path, rows)
-    _write_manifest(
-        args, cfg, start, [args.out, metrics_path], {args.model: ref_hash},
-        method=args.method,
-        ref_hash=ref_hash,
-        pairs_ref_hash=pairs_ref_hash,
-        ref_hash_match=pairs_ref_hash == ref_hash,
+    extras = dict(
+        method=args.method, ref_hash=ref_hash, pairs_ref_hash=pairs_ref_hash, ref_hash_match=pairs_ref_hash == ref_hash,
     )
-    print(
+    summary = (
         f"align[{args.method}]: {len(rows)} steps on {len(dataset)} records, "
         f"final loss {fmt17(rows[-1]['loss'])}, wrote {args.out}"
     )
-    return 0
+    return [args.out, metrics_path], extras, summary
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    start = time.monotonic()
-    cfg = load_config(args.config)
+def cmd_eval(args: argparse.Namespace, cfg: RunConfig, inputs: dict[str, str]) -> Result:
     params_a, spec_a = read_checkpoint(args.model)
     params_b, spec_b = read_checkpoint(args.against)
     # the reward is built for model's dims; against's samples of other dims fail in reward_eval
@@ -173,13 +156,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
         for label, rewards, win in (("model", rewards_a, wr), ("against", rewards_b, 1.0 - wr))
     ]
     _write_csv(args.out, rows)
-    _write_manifest(args, cfg, start, [args.out])
-    for row in rows:
-        print(
-            f"eval[{row['model']}]: mean reward {fmt17(row['mean_reward'])}, "
-            f"median {fmt17(row['median_reward'])}, win rate {fmt17(row['win_rate'])}"
-        )
-    return 0
+    summary = "\n".join(
+        f"eval[{row['model']}]: mean reward {fmt17(row['mean_reward'])}, "
+        f"median {fmt17(row['median_reward'])}, win rate {fmt17(row['win_rate'])}"
+        for row in rows
+    )
+    return [args.out], {}, summary
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -191,9 +173,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if n_pass == len(results) else 1
 
 
-def cmd_corpus(args: argparse.Namespace) -> int:
-    start = time.monotonic()
-    cfg = load_config(args.config)
+def cmd_corpus(args: argparse.Namespace, cfg: RunConfig, inputs: dict[str, str]) -> Result:
     corpus = read_corpus(args.input)
     survivors, counts = run_pipeline(
         corpus,
@@ -206,10 +186,8 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         seed=cfg.get("seed"),
     )
     write_corpus(args.out, survivors)
-    _write_manifest(args, cfg, start, [args.out], stage_counts=counts)
     stages = ", ".join(f"{k}={v}" for k, v in counts.items())
-    print(f"corpus: {stages}, wrote {args.out}")
-    return 0
+    return [args.out], {"stage_counts": counts}, f"corpus: {stages}, wrote {args.out}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,7 +240,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "verify":
+            return args.func(args)
+        start = time.monotonic()
+        # each file argument is hashed once, before the command can replace it;
+        # a missing one is left to the reader that needs it, which exits 3
+        inputs: dict[str, str] = {}
+        for dest in FILE_ARGS:
+            path = getattr(args, dest, None)
+            if path is not None and path not in inputs and os.path.isfile(path):
+                inputs[path] = sha256_file(path)
+        cfg = load_config(args.config)
+        outputs, extras, summary = args.func(args, cfg, inputs)
+        _write_manifest(args, cfg, start, inputs, outputs, extras)
+        print(summary)
+        return 0
     except RfpnapoError as exc:
         print(f"rfpnapo: {exc}", file=sys.stderr)
         return exc.exit_code

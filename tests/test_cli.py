@@ -105,7 +105,8 @@ def test_manifest_hashes_are_correct(tmp_path, tiny_cfg, capsys):
 
 
 def test_each_file_is_hashed_once_per_command(tmp_path, tiny_cfg, capsys, monkeypatch):
-    # gen-pairs and align hash --model for ref_hash; the manifest reuses that hash
+    # main hashes each file argument once, before the run; gen-pairs and align
+    # read ref_hash from those hashes, and the manifest lists them
     hashed = Counter()
 
     def counting(path):
@@ -124,6 +125,9 @@ def test_each_file_is_hashed_once_per_command(tmp_path, tiny_cfg, capsys, monkey
          {tiny_cfg, ref, pairs}),
         (["eval", "--config", tiny_cfg, "--model", aligned, "--against", ref, "--n", "3", "--out", report],
          {tiny_cfg, aligned, ref}),
+        # one path named twice is hashed once and listed once
+        (["eval", "--config", tiny_cfg, "--model", ref, "--against", ref, "--n", "3", "--out", report],
+         {tiny_cfg, ref}),
         (["corpus", tsv, "--config", tiny_cfg, "--out", kept], {tsv, tiny_cfg}),
     ]
     for argv, file_args in commands:
@@ -138,6 +142,21 @@ def test_each_file_is_hashed_once_per_command(tmp_path, tiny_cfg, capsys, monkey
         if "ref_hash" in doc:
             assert doc["ref_hash"] == _sha(ref)
     capsys.readouterr()
+
+
+def test_out_naming_an_input_keeps_the_inputs_hash_from_before_the_run(tmp_path, capsys):
+    # corpus filters its input in place; the manifest's input hash is the file
+    # the command read, not the one it wrote over it
+    tsv = tmp_path / "corpus.tsv"
+    tsv.write_bytes((FIXTURES / "corpus_small.tsv").read_bytes())
+    before = _sha(str(tsv))
+    assert main(["corpus", str(tsv), "--config", str(FIXTURES / "corpus.cfg"), "--out", str(tsv)]) == 0
+    capsys.readouterr()
+    after = _sha(str(tsv))
+    assert after != before
+    doc = json.loads(Path(str(tsv) + ".manifest.json").read_text())
+    assert doc["inputs"][str(tsv)] == before
+    assert doc["outputs"] == {str(tsv): after}
 
 
 def test_rerun_is_byte_identical(tmp_path, tiny_cfg, capsys):

@@ -111,6 +111,20 @@ def test_label_pair_tie_prefers_first_and_gap_nonnegative():
     assert np.all(ds.delta_r >= 0.0)
 
 
+def test_label_pair_tie_between_distinct_candidates_keeps_candidate_a():
+    # two different samples at the same distance from the centre, from
+    # different noises: a tie must leave candidate A the winner, bit for bit
+    centers = np.array([[3.0, 0.0]])
+    header = DatasetHeader(dim=2, cond_dim=1, steps=1, ref_hash="h")
+    x0 = np.array([[[3.0, 1.0], [3.0, -1.0]]])
+    xT = np.array([[[0.25, -0.75], [-1.5, 0.5]]])
+    cond = np.ones((1, 1))
+    assert _reward(centers, x0[0, 0], 0) == _reward(centers, x0[0, 1], 0) == -1.0
+    ds = label_pairs(centers, header, cond, x0, xT)
+    assert ds.x0.tobytes() == x0.tobytes() and ds.xT.tobytes() == xT.tobytes()
+    assert ds.delta_r[0] == 0.0
+
+
 _HUGE = st.floats(-1e308, 1e308, allow_nan=False, allow_infinity=False)
 
 

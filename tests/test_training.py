@@ -11,15 +11,17 @@ from conftest import make_pairs, pair_batches, vjp_row
 from rfpnapo.errors import ConfigurationError, NumericError
 from rfpnapo.numerics import (
     MlpSpec,
+    adam_step,
     forward_single_cached,
     mlp_init,
+    optim_init,
     sigmoid,
     softplus,
 )
 from rfpnapo import training
 from rfpnapo.baselines import make_dpo_term, make_sft_term
 from rfpnapo.pnapo import BetaSchedule, effective_beta, make_pnapo_term
-from rfpnapo.rectflow import default_mixture
+from rfpnapo.rectflow import cfm_objective, default_mixture
 from rfpnapo.training import METHODS, run_alignment, run_pretrain
 
 
@@ -33,6 +35,28 @@ def test_pretrain_deterministic_and_loss_drops():
     assert rows1[0]["step"] == 1 and rows1[-1]["step"] == 150
     assert set(rows1[0]) == {"step", "loss", "grad_norm"}
     assert rows1[-1]["loss"] < rows1[0]["loss"]
+
+
+def test_pretrain_step_follows_its_documented_rng_order():
+    # one step by hand from default_rng(seed + 1): condition indices, the
+    # mixture's draws, prior noise (batch, d), times (batch,); then one Adam
+    # step from mlp_init(spec, seed)
+    spec = MlpSpec(data_dim=2, cond_dim=3, hidden=(8,))
+    mixture = default_mixture(2, 3, 0.4)
+    batch, lr, seed = 16, 3e-3, 21
+    rng = np.random.default_rng(seed + 1)
+    ks = rng.integers(spec.cond_dim, size=batch)
+    x0 = mixture.sample_batch(rng, ks)
+    xT = rng.standard_normal((batch, spec.data_dim))
+    t = rng.random(batch)
+    params = mlp_init(spec, seed)
+    loss, grad = cfm_objective(spec, x0, xT, np.eye(spec.cond_dim)[ks], t).value_and_grad(params)
+    row = {"step": 1, "loss": loss, "grad_norm": float(np.linalg.norm(grad))}
+    adam_step(optim_init(params.size, lr), params, grad)
+
+    got, rows = run_pretrain(spec, mixture, steps=1, batch=batch, lr=lr, seed=seed)
+    assert got.tobytes() == params.tobytes()
+    assert rows == [row]
 
 
 def test_pretrain_validates_arguments():
