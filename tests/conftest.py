@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import json
 import struct
 from pathlib import Path
 
@@ -14,6 +17,45 @@ from rfpnapo.rectflow import default_mixture
 from rfpnapo.training import run_pretrain
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _unknown_if_absent(read):
+    """read()'s value, or "unknown" where this numpy build or its BLAS does not expose it."""
+    try:
+        value = read()
+    except (AttributeError, KeyError, OSError, TypeError, ValueError):
+        return "unknown"
+    return value.decode() if isinstance(value, bytes) else value
+
+
+def _openblas_call(symbol: str, restype):
+    """Call a no-argument function of the scipy-openblas library that numpy's wheel bundles."""
+    (path,) = (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so")
+    function = getattr(ctypes.CDLL(str(path)), symbol)
+    function.restype = restype
+    return function()
+
+
+def fingerprint() -> dict[str, object]:
+    """The facts outside the source that an artifact's bits depend on.
+
+    These are the numpy version, its BLAS and the CPU paths both take: the
+    OpenBLAS core (`OPENBLAS_CORETYPE` picks another), the BLAS thread count
+    (`OPENBLAS_NUM_THREADS`) and the SIMD extensions numpy dispatches to.
+    """
+    config = _unknown_if_absent(lambda: np.show_config(mode="dicts"))
+    return {
+        "numpy": np.__version__,
+        "blas": _unknown_if_absent(lambda: "{name} {version}".format(**config["Build Dependencies"]["blas"])),
+        "openblas_core": _unknown_if_absent(lambda: _openblas_call("scipy_openblas_get_corename64_", ctypes.c_char_p)),
+        "blas_threads": _unknown_if_absent(lambda: _openblas_call("scipy_openblas_get_num_threads64_", ctypes.c_int)),
+        "simd": _unknown_if_absent(lambda: config["SIMD Extensions"]["found"]),
+    }
+
+
+def fingerprint_key(facts: dict[str, object]) -> str:
+    """A short sha256 of a fingerprint, which names its golden digest file."""
+    return hashlib.sha256(json.dumps(facts, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def make_pairs(

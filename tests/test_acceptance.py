@@ -2,13 +2,17 @@
 single PASS/FAIL line so the run reads as a checklist.
 
 The heavyweight pipeline (five seeded pretrain -> pair -> align -> eval runs
-plus a constant-temperature arm for the ablation comparison) executes once in
-a module-scoped fixture and is shared by the criteria that consume it.
+plus two constant-temperature arms for the ablation comparison) executes once
+in a module-scoped fixture and is shared by the criteria that consume it.
+Every CLI run turns a numpy RuntimeWarning into an error, so a warning that
+escapes the package fails the run.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -17,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, make_pairs
+from conftest import FIXTURES, fingerprint, fingerprint_key, make_pairs
 from rfpnapo.baselines import dpo_value_grad
 from rfpnapo.analytics import estimator_variance
 from rfpnapo.numerics import MlpSpec, mlp_init, read_checkpoint
@@ -25,6 +29,7 @@ from rfpnapo.pnapo import pnapo_value_grad, score_gap
 from rfpnapo.prefdata import audit_dataset, read_dataset
 
 SEEDS = (11, 22, 33, 44, 55)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _emit(capsys, num: int, name: str, ok: bool, detail: str) -> None:
@@ -33,7 +38,8 @@ def _emit(capsys, num: int, name: str, ok: bool, detail: str) -> None:
 
 
 def _cli(*args: str) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, "-m", "rfpnapo", *args], capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-m", "rfpnapo", *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"})
 
 
 def _with_seed(template: str, seed: int) -> str:
@@ -48,11 +54,12 @@ def _with_seed(template: str, seed: int) -> str:
 
 @pytest.fixture(scope="module")
 def toy_runs(tmp_path_factory):
-    """The committed five-seed experiment, dynamic and constant-beta arms."""
+    """The committed five-seed experiment: the dynamic arm, the constant-beta arms and dynamic against matched."""
     root = tmp_path_factory.mktemp("toy")
     pre_tpl = (FIXTURES / "toy_pretrain.cfg").read_text()
     dyn_tpl = (FIXTURES / "toy_align.cfg").read_text()
     fix_tpl = (FIXTURES / "toy_align_fixed.cfg").read_text()
+    mat_tpl = (FIXTURES / "toy_align_matched.cfg").read_text()
     runs = {}
     for seed in SEEDS:
         d = root / f"s{seed}"
@@ -60,15 +67,19 @@ def toy_runs(tmp_path_factory):
         pre_cfg = d / "pretrain.cfg"
         dyn_cfg = d / "align.cfg"
         fix_cfg = d / "align_fixed.cfg"
+        mat_cfg = d / "align_matched.cfg"
         pre_cfg.write_text(_with_seed(pre_tpl, seed))
         dyn_cfg.write_text(_with_seed(dyn_tpl, seed))
         fix_cfg.write_text(_with_seed(fix_tpl, seed))
+        mat_cfg.write_text(_with_seed(mat_tpl, seed))
         ref = d / "ref.ckpt"
         pairs = d / "pairs.txt"
         dyn = d / "aligned.ckpt"
         fix = d / "aligned_fixed.ckpt"
+        mat = d / "aligned_matched.ckpt"
         ev_dyn = d / "eval_dynamic.csv"
         ev_fix = d / "eval_fixed.csv"
+        ev_head = d / "eval_dynamic_against_matched.csv"
 
         stage_times = {}
         t0 = time.monotonic()
@@ -100,6 +111,12 @@ def toy_runs(tmp_path_factory):
                         "--pairs", str(pairs), "--out", str(fix), "--method", "pnapo").returncode
         fixed_eval_rc = _cli("eval", "--config", str(fix_cfg), "--model", str(fix),
                              "--against", str(ref), "--n", "50", "--out", str(ev_fix)).returncode
+        # constant beta at the dynamic arm's mean beta_eff, evaluated head to
+        # head against the dynamic arm (reported, not gated)
+        matched_rc = _cli("align", "--config", str(mat_cfg), "--model", str(ref),
+                          "--pairs", str(pairs), "--out", str(mat), "--method", "pnapo").returncode
+        head_eval_rc = _cli("eval", "--config", str(dyn_cfg), "--model", str(dyn),
+                            "--against", str(mat), "--n", "50", "--out", str(ev_head)).returncode
 
         runs[seed] = {
             "dir": d,
@@ -109,9 +126,12 @@ def toy_runs(tmp_path_factory):
             "aligned_fixed": fix,
             "eval_dynamic": ev_dyn,
             "eval_fixed": ev_fix,
+            "eval_dynamic_against_matched": ev_head,
             "stage_times": stage_times,
             "fixed_rc": fixed_rc,
             "fixed_eval_rc": fixed_eval_rc,
+            "matched_rc": matched_rc,
+            "head_eval_rc": head_eval_rc,
         }
     return runs
 
@@ -240,9 +260,11 @@ def test_c08_ablation_harness_completes(capsys, toy_runs):
     schema_ok = True
     completed = True
     direction = 0
+    head_wins = []
     for seed in SEEDS:
         run = toy_runs[seed]
-        completed = completed and run["fixed_rc"] == 0 and run["fixed_eval_rc"] == 0
+        completed = completed and run["fixed_rc"] == run["fixed_eval_rc"] == 0
+        completed = completed and run["matched_rc"] == run["head_eval_rc"] == 0
         dyn_csv = Path(str(run["aligned"]) + ".metrics.csv").read_text().splitlines()
         fix_csv = Path(str(run["aligned_fixed"]) + ".metrics.csv").read_text().splitlines()
         schema_ok = schema_ok and dyn_csv[0] == fix_csv[0] == "step,loss,margin_mean,beta_eff_mean,grad_norm"
@@ -250,10 +272,14 @@ def test_c08_ablation_harness_completes(capsys, toy_runs):
         dyn_mean = _read_eval(run["eval_dynamic"])["model"]["mean"]
         fix_mean = _read_eval(run["eval_fixed"])["model"]["mean"]
         direction += dyn_mean >= fix_mean
+        head_wins.append(_read_eval(run["eval_dynamic_against_matched"])["model"]["win"])
     ok = completed and schema_ok
-    # the >= 3/5 direction count mirrors a reported trend; logged, not gated
+    # the direction count and the head-to-head wins against the matched
+    # constant beta report a trend; logged, not gated
     _emit(capsys, 8, "dynamic and constant temperature arms comparable", ok,
-          f"completed 5/5, schema shared, dynamic >= constant mean reward in {direction}/5 seeds")
+          f"completed 5/5, schema shared, dynamic >= constant mean reward in {direction}/5 seeds; "
+          f"dynamic against matched beta win " + " ".join(f"s{s}={w:.3f}" for s, w in zip(SEEDS, head_wins))
+          + f", dynamic wins in {sum(w > 0.5 for w in head_wins)}/5 seeds")
     assert ok
 
 
@@ -411,3 +437,56 @@ def test_c10_subcommands_byte_identical(capsys, tmp_path):
     _emit(capsys, 10, "all subcommands rerun byte-identically", ok,
           ", ".join(f"{k}={'ok' if v else 'DIFF'}" for k, v in identical.items()))
     assert ok, identical
+
+
+def test_c11_outputs_match_the_golden_digests(capsys, toy_runs, tmp_path):
+    """Every output of the committed runs keeps the bytes recorded for this machine's fingerprint.
+
+    The outputs are every file toy_runs writes but its configs and its
+    manifests, which name the run's directory; the dpo and sft arms at the first seed; the stdout of
+    the four verify suites; and corpus on the small corpus fixture. The
+    digests go to this test's tmp dir whatever the outcome, so a change that
+    moves bits on purpose copies that file to tests/golden/. A machine
+    without a file of its own skips, and no digest is compared across
+    fingerprints.
+    """
+    def ok_run(*args: str) -> subprocess.CompletedProcess:
+        r = _cli(*args)
+        assert r.returncode == 0, (args, r.stderr)
+        return r
+
+    root = toy_runs[SEEDS[0]]["dir"].parent
+    outputs = {str(p.relative_to(root)): p for p in sorted(root.rglob("*"))
+               if p.is_file() and not p.name.endswith((".cfg", ".manifest.json"))}
+    run = toy_runs[SEEDS[0]]
+    cfg = str(run["dir"] / "align.cfg")
+    for method in ("dpo", "sft"):
+        ckpt, ev = tmp_path / f"aligned_{method}.ckpt", tmp_path / f"eval_{method}.csv"
+        ok_run("align", "--config", cfg, "--model", str(run["ref"]), "--pairs", str(run["pairs"]),
+               "--out", str(ckpt), "--method", method)
+        ok_run("eval", "--config", cfg, "--model", str(ckpt), "--against", str(run["ref"]),
+               "--n", "50", "--out", str(ev))
+        for p in (ckpt, Path(f"{ckpt}.metrics.csv"), ev):
+            outputs[f"s{SEEDS[0]}/{p.name}"] = p
+    corpus = tmp_path / "corpus_small.out.tsv"
+    ok_run("corpus", str(FIXTURES / "corpus_small.tsv"), "--config", str(FIXTURES / "corpus.cfg"),
+           "--out", str(corpus))
+    outputs[corpus.name] = corpus
+    digests = {name: hashlib.sha256(p.read_bytes()).hexdigest() for name, p in outputs.items()}
+    for suite in ("gradcheck", "kl", "variance", "schedule"):
+        stdout = ok_run("verify", "--suite", suite).stdout
+        digests[f"verify-{suite}.stdout"] = hashlib.sha256(stdout.encode()).hexdigest()
+
+    facts = fingerprint()
+    key = fingerprint_key(facts)
+    computed = tmp_path / f"{key}.json"
+    computed.write_text(json.dumps({"fingerprint": facts, "digests": digests}, indent=1, sort_keys=True) + "\n")
+    golden = GOLDEN / computed.name
+    if not golden.exists():
+        pytest.skip(f"no golden digests for fingerprint {key} {facts}; this run's are in {computed}")
+    expected = json.loads(golden.read_text())["digests"]
+    differing = sorted(n for n in expected.keys() | digests.keys() if expected.get(n) != digests.get(n))
+    _emit(capsys, 11, "every output matches the golden digests of this fingerprint", not differing,
+          f"{len(digests) - len(differing)}/{len(expected.keys() | digests.keys())} outputs agree, "
+          f"fingerprint {key}, this run's digests in {computed}")
+    assert not differing, f"outputs differing from {golden}: {differing}; this run's digests are in {computed}"
