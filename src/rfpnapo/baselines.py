@@ -11,23 +11,21 @@ the gradient of their sum is the backward GEMM's.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
 from .numerics import MlpSpec, ParamVector, forward_single_cached, row_dot, vjp_single
 from .pnapo import pnapo_value_grad
+from .prefdata import PreferenceDataset
 from .rectflow import path_inputs
-
-if TYPE_CHECKING:
-    from .prefdata import PreferenceDataset
 
 
 def dpo_value_grad(
     params: ParamVector,
     ref_params: ParamVector,
     spec: MlpSpec,
-    pairs: "PreferenceDataset",
+    pairs: PreferenceDataset,
     eps: np.ndarray,
     t: np.ndarray | float,
     beta: float,
@@ -49,7 +47,7 @@ def make_dpo_term(
 ) -> Callable:
     """The batch DPO functional; its draw order is in training.run_alignment."""
 
-    def term(params: ParamVector, pairs: "PreferenceDataset"):
+    def term(params: ParamVector, pairs: PreferenceDataset):
         b = len(pairs)
         t = rng.random((b, 1))
         eps = rng.standard_normal((b, 2, pairs.header.dim))
@@ -60,7 +58,7 @@ def make_dpo_term(
 
 
 def sft_value_grad(
-    params: ParamVector, spec: MlpSpec, pairs: "PreferenceDataset", xT: np.ndarray, t: np.ndarray
+    params: ParamVector, spec: MlpSpec, pairs: PreferenceDataset, xT: np.ndarray, t: np.ndarray
 ) -> tuple[np.ndarray, ParamVector]:
     """Per-pair matching losses on the winners, and the parameter gradient of their sum.
 
@@ -76,7 +74,7 @@ def sft_value_grad(
 def make_sft_term(spec: MlpSpec, rng: np.random.Generator) -> Callable:
     """The batch SFT functional on the winners; its draw order is in training.run_alignment."""
 
-    def term(params: ParamVector, pairs: "PreferenceDataset"):
+    def term(params: ParamVector, pairs: PreferenceDataset):
         b = len(pairs)
         xT = rng.standard_normal((b, spec.data_dim))
         t = rng.random(b)

@@ -130,9 +130,10 @@ class RunConfig:
     values: dict[str, object] = field(default_factory=dict)
 
     def get(self, key: str):
-        """The key's value or default; a key with neither raises ConfigurationError naming it."""
-        if key not in _KEYS:
-            raise ConfigurationError(f"unknown config key {key!r}")
+        """A key's value or default; a key with neither raises ConfigurationError naming it.
+
+        Only package code calls this, with keys of _KEYS; load_config refuses any other key.
+        """
         if key in self.values:
             return self.values[key]
         _, default = _KEYS[key]

@@ -453,7 +453,7 @@ def read_checkpoint(path: str) -> tuple[ParamVector, MlpSpec]:
     version, n_layers = struct.unpack_from("<II", blob, 4)
     if version != CHECKPOINT_VERSION:
         raise ParseError(f"unsupported checkpoint version {version}")
-    if n_layers < 1 or n_layers > 1024:
+    if n_layers < 1:
         raise ParseError(f"implausible layer count {n_layers}")
     off = 12
     if len(blob) < off + 8 * n_layers:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -35,10 +35,8 @@ from .numerics import (
     softplus,
     vjp_single,
 )
+from .prefdata import PreferenceDataset
 from .rectflow import path_inputs
-
-if TYPE_CHECKING:
-    from .prefdata import PreferenceDataset
 
 
 @dataclass(frozen=True)
@@ -87,7 +85,7 @@ def _score_gaps(
     params: ParamVector,
     ref_params: ParamVector,
     spec: MlpSpec,
-    pairs: "PreferenceDataset",
+    pairs: PreferenceDataset,
     t: np.ndarray | float,
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Per-pair score gaps, plus the row residuals and forward cache the backward pass needs.
@@ -114,7 +112,7 @@ def score_gap(
     params: ParamVector,
     ref_params: ParamVector,
     spec: MlpSpec,
-    pairs: "PreferenceDataset",
+    pairs: PreferenceDataset,
     t: np.ndarray | float,
 ) -> np.ndarray:
     """The (B,) winner-minus-loser score gaps on the pairs' stored noises; t as in _score_gaps."""
@@ -125,7 +123,7 @@ def pnapo_value_grad(
     params: ParamVector,
     ref_params: ParamVector,
     spec: MlpSpec,
-    pairs: "PreferenceDataset",
+    pairs: PreferenceDataset,
     t: np.ndarray | float,
     beta_eff: np.ndarray,
 ) -> tuple[np.ndarray, ParamVector, np.ndarray]:
@@ -157,7 +155,7 @@ def make_pnapo_term(
     everything else comes from the pairs.
     """
 
-    def term(params: ParamVector, pairs: "PreferenceDataset"):
+    def term(params: ParamVector, pairs: PreferenceDataset):
         t = rng.random((len(pairs), 1))
         beta_eff = effective_beta(sched, pairs.delta_r, step_index)
         losses, grad, margins = pnapo_value_grad(params, ref_params, spec, pairs, t, beta_eff)

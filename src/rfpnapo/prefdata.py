@@ -173,16 +173,15 @@ def audit_dataset(dataset: PreferenceDataset, ref_params: ParamVector, spec: Mlp
     """Replay every stored noise in one batch and return the max |stored - replayed|.
 
     0.0 means every stored sample replays exactly. Any non-finite stored
-    sample or noise makes the deviation infinite, never 0.0.
+    sample or noise makes the deviation infinite, never 0.0. An empty dataset
+    replays too, so one whose dims are not the model's raises ShapeError.
     """
-    if len(dataset) == 0:
-        return 0.0
     stored, noises = (pairs.reshape(-1, dataset.header.dim) for pairs in (dataset.x0, dataset.xT))
     if not (np.all(np.isfinite(stored)) and np.all(np.isfinite(noises))):
         return math.inf
     conds = np.repeat(dataset.cond, 2, axis=0)
     replayed = euler_sample(ref_params, spec, noises, conds, dataset.header.steps)
-    return float(np.max(np.abs(stored - replayed)))
+    return float(np.max(np.abs(stored - replayed), initial=0.0))
 
 
 # --- text format --------------------------------------------------------------

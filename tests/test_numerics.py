@@ -456,6 +456,26 @@ def test_checkpoint_round_trip_bit_exact(tmp_path_factory, case):
     assert open(path, "rb").read() == data1
 
 
+def test_checkpoint_round_trips_any_depth_the_writer_writes(tmp_path):
+    # 1025 layers; only the file's size bounds the layer count the reader takes
+    spec = MlpSpec(data_dim=1, cond_dim=1, hidden=(1,) * 1024)
+    params = mlp_init(spec, 8)
+    path = str(tmp_path / "deep.ckpt")
+    write_checkpoint(path, params, spec)
+    params2, spec2 = read_checkpoint(path)
+    assert spec2 == spec and params2.tobytes() == params.tobytes()
+
+
+def test_checkpoint_layer_count_past_the_file_reads_as_truncated(tmp_path, small_spec, small_params):
+    path = tmp_path / "model.ckpt"
+    write_checkpoint(str(path), small_params, small_spec)
+    blob = bytearray(path.read_bytes())
+    blob[8:12] = (2**32 - 1).to_bytes(4, "little")
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ParseError, match=r"^truncated checkpoint \(layer shape table\)$"):
+        read_checkpoint(str(path))
+
+
 def test_checkpoint_rejects_corruption(tmp_path, small_spec, small_params):
     path = tmp_path / "model.ckpt"
     write_checkpoint(str(path), small_params, small_spec)

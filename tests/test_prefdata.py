@@ -269,6 +269,15 @@ def test_audit_flags_non_finite_values(array, slot, bad):
     assert audit_dataset(ds, ref, spec) == math.inf
 
 
+def test_audit_replays_an_empty_dataset_against_the_models_dims():
+    spec, ref, centers = _tiny_setup()
+    assert audit_dataset(build_dataset(ref, spec, centers, 4, 0, 61, "h"), ref, spec) == 0.0
+    # no record to replay still names the dims the model cannot take
+    other = make_pairs(np.random.default_rng(62), MlpSpec(data_dim=3, cond_dim=3, hidden=()), n=0)
+    with pytest.raises(ShapeError):
+        audit_dataset(other, ref, spec)
+
+
 def test_build_dataset_rejects_mismatched_reward_params():
     spec, ref, _ = _tiny_setup()
     for bad in (np.zeros((2, 2)), np.zeros((3, 3)), np.zeros(6)):  # needs (3, 2)
