@@ -1,8 +1,6 @@
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import json
 import struct
 from pathlib import Path
 
@@ -51,12 +49,6 @@ def fingerprint() -> dict[str, object]:
         "blas_threads": _unknown_if_absent(lambda: _openblas_call("scipy_openblas_get_num_threads64_", ctypes.c_int)),
         "simd": _unknown_if_absent(lambda: config["SIMD Extensions"]["found"]),
     }
-
-
-def fingerprint_key(facts: dict[str, object]) -> str:
-    """A short sha256 of a fingerprint, which names its golden digest file."""
-    return hashlib.sha256(json.dumps(facts, sort_keys=True).encode()).hexdigest()[:16]
-
 
 def make_pairs(
     rng: np.random.Generator, spec: MlpSpec, n: int = 1, delta_r=0.5

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, fingerprint, fingerprint_key, make_pairs
+from conftest import FIXTURES, fingerprint, make_pairs
 from rfpnapo.baselines import dpo_value_grad
 from rfpnapo.analytics import estimator_variance
 from rfpnapo.numerics import MlpSpec, mlp_init, read_checkpoint
@@ -478,7 +478,7 @@ def test_c11_outputs_match_the_golden_digests(capsys, toy_runs, tmp_path):
         digests[f"verify-{suite}.stdout"] = hashlib.sha256(stdout.encode()).hexdigest()
 
     facts = fingerprint()
-    key = fingerprint_key(facts)
+    key = hashlib.sha256(json.dumps(facts, sort_keys=True).encode()).hexdigest()[:16]
     computed = tmp_path / f"{key}.json"
     computed.write_text(json.dumps({"fingerprint": facts, "digests": digests}, indent=1, sort_keys=True) + "\n")
     golden = GOLDEN / computed.name
