@@ -50,6 +50,7 @@ def fingerprint() -> dict[str, object]:
         "simd": _unknown_if_absent(lambda: config["SIMD Extensions"]["found"]),
     }
 
+
 def make_pairs(
     rng: np.random.Generator, spec: MlpSpec, n: int = 1, delta_r=0.5
 ) -> PreferenceDataset:

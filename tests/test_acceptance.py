@@ -278,7 +278,7 @@ def test_c08_ablation_harness_completes(capsys, toy_runs):
     # constant beta report a trend; logged, not gated
     _emit(capsys, 8, "dynamic and constant temperature arms comparable", ok,
           f"completed 5/5, schema shared, dynamic >= constant mean reward in {direction}/5 seeds; "
-          f"dynamic against matched beta win " + " ".join(f"s{s}={w:.3f}" for s, w in zip(SEEDS, head_wins))
+          "dynamic against matched beta win " + " ".join(f"s{s}={w:.3f}" for s, w in zip(SEEDS, head_wins))
           + f", dynamic wins in {sum(w > 0.5 for w in head_wins)}/5 seeds")
     assert ok
 
@@ -443,12 +443,12 @@ def test_c11_outputs_match_the_golden_digests(capsys, toy_runs, tmp_path):
     """Every output of the committed runs keeps the bytes recorded for this machine's fingerprint.
 
     The outputs are every file toy_runs writes but its configs and its
-    manifests, which name the run's directory; the dpo and sft arms at the first seed; the stdout of
-    the four verify suites; and corpus on the small corpus fixture. The
-    digests go to this test's tmp dir whatever the outcome, so a change that
-    moves bits on purpose copies that file to tests/golden/. A machine
-    without a file of its own skips, and no digest is compared across
-    fingerprints.
+    manifests, which name the run's directory; the dpo and sft arms at the
+    first seed; the stdout of the four verify suites; and corpus on the small
+    corpus fixture. The digests go to this test's tmp dir whatever the
+    outcome, so a change that moves bits on purpose copies that file to
+    tests/golden/. A machine without a file of its own skips, and no digest
+    is compared across fingerprints.
     """
     def ok_run(*args: str) -> subprocess.CompletedProcess:
         r = _cli(*args)
@@ -456,7 +456,7 @@ def test_c11_outputs_match_the_golden_digests(capsys, toy_runs, tmp_path):
         return r
 
     root = toy_runs[SEEDS[0]]["dir"].parent
-    outputs = {str(p.relative_to(root)): p for p in sorted(root.rglob("*"))
+    outputs = {str(p.relative_to(root)): p for p in root.rglob("*")
                if p.is_file() and not p.name.endswith((".cfg", ".manifest.json"))}
     run = toy_runs[SEEDS[0]]
     cfg = str(run["dir"] / "align.cfg")
@@ -485,8 +485,9 @@ def test_c11_outputs_match_the_golden_digests(capsys, toy_runs, tmp_path):
     if not golden.exists():
         pytest.skip(f"no golden digests for fingerprint {key} {facts}; this run's are in {computed}")
     expected = json.loads(golden.read_text())["digests"]
-    differing = sorted(n for n in expected.keys() | digests.keys() if expected.get(n) != digests.get(n))
+    names = expected.keys() | digests.keys()
+    differing = sorted(n for n in names if expected.get(n) != digests.get(n))
     _emit(capsys, 11, "every output matches the golden digests of this fingerprint", not differing,
-          f"{len(digests) - len(differing)}/{len(expected.keys() | digests.keys())} outputs agree, "
+          f"{len(names) - len(differing)}/{len(names)} outputs agree, "
           f"fingerprint {key}, this run's digests in {computed}")
     assert not differing, f"outputs differing from {golden}: {differing}; this run's digests are in {computed}"

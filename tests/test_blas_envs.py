@@ -29,6 +29,7 @@ def _pytest_child(tmp_path: Path, blas_env: dict[str, str], *args: str) -> int:
     r = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--basetemp", str(tmp_path), *args],
         cwd=ROOT, env={**os.environ, "PYTHONPATH": path, **blas_env}, capture_output=True, text=True,
+        timeout=300,
     )
     assert r.returncode == 0, r.stdout + r.stderr
     return int(re.search(r"(\d+) passed", r.stdout)[1])
