@@ -6,22 +6,27 @@ feature appended after the state x and the condition vector c.
 
 A parameter vector is a flat 1-D float64 array laid out as all weight
 matrices in layer order (row-major, shape (fan_out, fan_in)) followed by all
-bias vectors in layer order, as unpack_params splits it. Everything here is
-a function of explicit arrays; adam_step alone writes its arguments.
+bias vectors in layer order. MlpSpec sets that layer table once and
+unpack_params slices by it. Everything here is a function of explicit
+arrays; adam_step writes its arguments, and a kernel given a Workspace as
+`out` writes that.
 
 One loop, forward_tiles, runs the layers, one GEMM per tile into buffers
-whose shape sets the tile height. In FORWARD_TILE-row tiles (tile_workspace)
-each row's bits do not depend on its batch; a stored noise must replay to its
-stored sample. forward_single_cached runs it so for alignment and scoring, and
-the Euler sampler on one workspace for all of its steps. forward_batch_cached
-runs it with the whole batch as one tile, for pretraining, whose rows are
-never replayed.
+whose shape sets the tile height. In FORWARD_TILE-row tiles each row's bits
+do not depend on its batch; a stored noise must replay to its stored sample.
+forward_single_cached runs it so for alignment and scoring, and the Euler
+sampler for all of its steps. forward_batch_cached runs it with the whole
+batch as one tile, for pretraining, whose rows are never replayed. A
+Workspace holds one vector's layer views and the buffers of its passes on a
+fixed row count. The sampler sets one up per call and each trainer per run,
+so a step unpacks no layout and allocates no layer output or gradient.
 """
 from __future__ import annotations
 
 import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -56,6 +61,14 @@ class MlpSpec:
         if any(h < 1 for h in self.hidden):
             raise ShapeError(f"hidden sizes must be >= 1: {self.hidden}")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        # the layer table: shapes, then each weight's and each bias's flat slice;
+        # not fields, so equality, hash and repr stay those of the three fields
+        widths = [self.input_dim, *self.hidden, self.output_dim]
+        shapes = [(widths[i + 1], widths[i]) for i in range(len(widths) - 1)]
+        ends = np.cumsum([r * c for r, c in shapes] + [r for r, _ in shapes]).tolist()
+        starts = [0, *ends[:-1]]
+        object.__setattr__(self, "_shapes", shapes)
+        object.__setattr__(self, "_slices", list(zip(starts, ends)))
 
     @property
     def input_dim(self) -> int:
@@ -67,11 +80,10 @@ class MlpSpec:
 
     def layer_shapes(self) -> list[tuple[int, int]]:
         """(fan_out, fan_in) for each weight matrix, input to output order."""
-        widths = [self.input_dim, *self.hidden, self.output_dim]
-        return [(widths[i + 1], widths[i]) for i in range(len(widths) - 1)]
+        return list(self._shapes)
 
     def param_count(self) -> int:
-        return sum(r * c + r for r, c in self.layer_shapes())
+        return self._slices[-1][1]
 
 
 def unpack_params(params: ParamVector, spec: MlpSpec) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -81,16 +93,43 @@ def unpack_params(params: ParamVector, spec: MlpSpec) -> tuple[list[np.ndarray],
         raise ShapeError(
             f"parameter vector has size {params.size}, spec needs {spec.param_count()}"
         )
-    shapes = spec.layer_shapes()
-    weights, biases = [], []
-    off = 0
-    for r, c in shapes:
-        weights.append(params[off : off + r * c].reshape(r, c))
-        off += r * c
-    for r, _ in shapes:
-        biases.append(params[off : off + r])
-        off += r
-    return weights, biases
+    n = len(spec._shapes)
+    weights = [params[a:b].reshape(shape) for (a, b), shape in zip(spec._slices, spec._shapes)]
+    return weights, [params[a:b] for a, b in spec._slices[n:]]
+
+
+class Workspace:
+    """A parameter vector's layer views and its passes' buffers on a fixed row count, set up once per run.
+
+    Kernels take it as `out`, write into its buffers and return views of them,
+    valid until their next call; adam_step updates the vector in place, so the
+    views stay current. Tiled, the input is zero-padded to whole FORWARD_TILE
+    tiles, and `share`, a tiled workspace on as many rows, lends its input; an
+    input that already is these rows is not copied.
+    """
+
+    def __init__(self, params: ParamVector, spec: MlpSpec, rows: int, tiled: bool, share=None):
+        self.params, self.spec = params, spec
+        self.weights, self.biases = unpack_params(params, spec)
+        tiles, height = (-(-rows // FORWARD_TILE), FORWARD_TILE) if tiled else (1, rows)
+        self.padded = np.zeros((tiles * height, spec.input_dim)) if share is None else share.padded
+        self.inp = self.padded[:rows] if share is None else share.inp
+        self.outs = [np.empty((tiles, height, w.shape[0])) for w in self.weights]
+        self.y = self.outs[-1].reshape(-1, spec.output_dim)[:rows]
+        self.cache = [self.inp] + [z.reshape(-1, z.shape[2])[:rows] for z in self.outs[:-1]]
+
+    @cached_property
+    def grad_buffer(self) -> tuple[ParamVector, list[np.ndarray], list[np.ndarray]]:
+        """The gradient vector and its (weights, biases) views, set up by the first backward pass."""
+        grad = np.empty(self.spec.param_count())
+        return (grad, *unpack_params(grad, self.spec))
+
+    def serving(self, params: ParamVector, rows: int) -> Workspace:
+        """This workspace, once checked to be set up for params on `rows` rows."""
+        if params is not self.params or rows != self.inp.shape[0]:
+            n = self.inp.shape[0]
+            raise ShapeError(f"workspace set up for another parameter vector or for {n} rows, not {rows}")
+        return self
 
 
 def mlp_init(spec: MlpSpec, seed: int) -> ParamVector:
@@ -131,7 +170,7 @@ FORWARD_TILE = 24
 
 
 def forward_single_cached(
-    params: ParamVector, spec: MlpSpec, inp: np.ndarray
+    params: ParamVector, spec: MlpSpec, inp: np.ndarray, out: Workspace | None = None
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Forward pass on rows of pre-assembled inputs in fixed-height GEMM tiles.
 
@@ -140,7 +179,9 @@ def forward_single_cached(
 
     Returns:
         (output (R, output_dim), cache) where cache[i] is the (R, width) input
-        to layer i (post-tanh for i > 0). The cache feeds vjp_batch.
+        to layer i (post-tanh for i > 0). The cache feeds vjp_batch. Both are
+        views of `out`, a tiled Workspace for params on R rows, or of fresh
+        buffers.
 
     The name is that of the per-row kernel this replaced; perfbench/tracing.py
     times the function under it.
@@ -164,48 +205,33 @@ def forward_single_cached(
     the installed BLAS, not of numpy; the property tests in test_numerics and
     test_rectflow check it on layers up to 700 and 300 wide.
     """
-    return _forward_cached(params, spec, inp, tiled=True)
+    return _forward_cached(params, spec, inp, True, out)
 
 
 def forward_batch_cached(
-    params: ParamVector, spec: MlpSpec, inputs: np.ndarray
+    params: ParamVector, spec: MlpSpec, inputs: np.ndarray, out: Workspace | None = None
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """forward_single_cached as one tile of all B rows, unpadded, for pretraining.
 
     A row's bits then depend on B, which pretraining's rows, never replayed,
     allow; perfbench/tracing.py times pretraining's forward under this name.
+    `out` is an untiled Workspace, as in forward_single_cached.
     """
-    return _forward_cached(params, spec, inputs, tiled=False)
+    return _forward_cached(params, spec, inputs, False, out)
 
 
 def _forward_cached(
-    params: ParamVector, spec: MlpSpec, inp: np.ndarray, tiled: bool
+    params: ParamVector, spec: MlpSpec, inp: np.ndarray, tiled: bool, out: Workspace | None
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """The cached forward in FORWARD_TILE-row tiles when `tiled`, else as one tile of every row."""
-    weights, biases = unpack_params(params, spec)
     if inp.ndim != 2 or inp.shape[1] != spec.input_dim:
         raise ShapeError(f"input has shape {inp.shape}, expected (R, {spec.input_dim})")
     rows = inp.shape[0]
-    if tiled:
-        padded, outs = tile_workspace(weights, rows)
-        padded[:rows] = inp
-    else:
-        padded, outs = inp, [np.empty((1, rows, w.shape[0])) for w in weights]
-    y = forward_tiles(weights, biases, padded, outs)
-    cache = [inp] + [z.reshape(-1, z.shape[2])[:rows] for z in outs[:-1]]
-    return y.reshape(-1, spec.output_dim)[:rows], cache
-
-
-def tile_workspace(weights: list[np.ndarray], rows: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Buffers for forward_tiles on `rows` rows in FORWARD_TILE-row tiles.
-
-    Returns a zeroed (tiles * FORWARD_TILE, input_dim) input, whose first
-    `rows` rows the caller fills and whose padding rows stay zero, and one
-    empty (tiles, FORWARD_TILE, fan_out) output per layer.
-    """
-    tiles = -(-rows // FORWARD_TILE)
-    padded = np.zeros((tiles * FORWARD_TILE, weights[0].shape[1]))
-    return padded, [np.empty((tiles, FORWARD_TILE, w.shape[0])) for w in weights]
+    ws = Workspace(params, spec, rows, tiled) if out is None else out.serving(params, rows)
+    if inp is not ws.inp:
+        ws.inp[...] = inp
+    forward_tiles(ws.weights, ws.biases, ws.padded, ws.outs)
+    return ws.y, ws.cache
 
 
 def forward_tiles(
@@ -231,25 +257,26 @@ def forward_tiles(
 
 
 def vjp_batch(
-    params: ParamVector, spec: MlpSpec, cache: list[np.ndarray], dy: np.ndarray
+    params: ParamVector, spec: MlpSpec, cache: list[np.ndarray], dy: np.ndarray, out: Workspace | None = None
 ) -> ParamVector:
     """Parameter gradient of sum_r <dy[r], output[r]> over the rows of a cached forward.
 
     Args:
         cache: from forward_batch_cached or forward_single_cached on R rows.
         dy: (R, output_dim) cotangent of each row's output.
+        out: a Workspace for params on R rows, whose gradient buffer is
+            then the result.
 
     Each layer takes one GEMM for its weight gradient and one for the gradient
     of its input, so the rows' contributions add in the GEMM's order.
     """
-    weights, _ = unpack_params(params, spec)
     dz = np.asarray(dy, dtype=np.float64)
     if dz.shape != (cache[0].shape[0], spec.output_dim):
         raise ShapeError(f"cotangent has shape {dz.shape}, expected "
                          f"({cache[0].shape[0]}, {spec.output_dim}) for the cached rows")
-    grad = np.empty(spec.param_count())
-    d_weights, d_biases = unpack_params(grad, spec)
-    n_layers = len(weights)
+    ws = Workspace(params, spec, 0, False) if out is None else out.serving(params, dz.shape[0])
+    grad, d_weights, d_biases = ws.grad_buffer
+    n_layers = len(ws.weights)
     for i in range(n_layers - 1, -1, -1):
         if i < n_layers - 1:
             dz = dh * (1.0 - cache[i + 1] ** 2)  # tanh'(z) = 1 - tanh(z)^2
@@ -257,12 +284,12 @@ def vjp_batch(
         # the method, not np.sum, whose dispatch costs a toy step microseconds per layer
         dz.sum(axis=0, out=d_biases[i])
         if i > 0:
-            dh = dz @ weights[i]
+            dh = dz @ ws.weights[i]
     return grad
 
 
 def vjp_single(
-    params: ParamVector, spec: MlpSpec, cache: list[np.ndarray], dy: np.ndarray
+    params: ParamVector, spec: MlpSpec, cache: list[np.ndarray], dy: np.ndarray, out: Workspace | None = None
 ) -> ParamVector:
     """vjp_batch under the name align's backward is traced by.
 
@@ -270,7 +297,7 @@ def vjp_single(
     numerics.vjp_single.{calls,busy_s}; once the benchmark drops that metric,
     callers use vjp_batch and this name goes.
     """
-    return vjp_batch(params, spec, cache, dy)
+    return vjp_batch(params, spec, cache, dy, out)
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

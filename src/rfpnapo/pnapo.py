@@ -15,7 +15,8 @@ rows of all B pairs go through one trained and one reference forward pass
 and one backward pass. Each row's score is that of scoring it alone, bit for
 bit, so per-pair gaps, losses and margins do not depend on the batch; the
 gradient of their sum is one GEMM per layer, equal to the sum of the pairs'
-gradients up to the order of addition.
+gradients up to the order of addition. A run sets up its term once, with
+the gates f(delta_r) of every record and the forwards' workspaces.
 """
 from __future__ import annotations
 
@@ -76,9 +77,14 @@ def g_controller(n, sched: BetaSchedule) -> float:
 
 def effective_beta(sched: BetaSchedule, delta_r, n: int):
     """Per-pair weight beta * f(delta_r) * g(n), elementwise over the reward gaps."""
+    return gated_beta(sched, f_controller(delta_r), n)
+
+
+def gated_beta(sched: BetaSchedule, gate, n: int):
+    """effective_beta on gates f(delta_r) a run computes once: beta * gate * g(n), or beta if not dynamic."""
     if not sched.dynamic:
-        return np.full(np.shape(delta_r), sched.beta)[()]
-    return sched.beta * f_controller(delta_r) * g_controller(n, sched)
+        return np.full(np.shape(gate), sched.beta)[()]
+    return sched.beta * gate * g_controller(n, sched)
 
 
 def _score_gaps(
@@ -87,11 +93,14 @@ def _score_gaps(
     spec: MlpSpec,
     pairs: PreferenceDataset,
     t: np.ndarray | float,
+    out: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Per-pair score gaps, plus the row residuals and forward cache the backward pass needs.
 
     Row 2i is pair i's winner, row 2i + 1 its loser. t broadcasts to (B, 2): a
-    scalar, (B, 1) for one time per pair, or (B, 2).
+    scalar, (B, 1) for one time per pair, or (B, 2). out is None or the
+    (trained, reference) tiled Workspaces on 2B rows, the reference's sharing
+    the trained one's input, which its forward then reads in place.
     """
     b, d = len(pairs), pairs.header.dim
     inp, u = path_inputs(
@@ -101,8 +110,9 @@ def _score_gaps(
         np.repeat(pairs.cond, 2, axis=0),
         np.broadcast_to(t, (b, 2)).reshape(-1),
     )
-    v, cache = forward_single_cached(params, spec, inp)
-    v_ref, _ = forward_single_cached(ref_params, spec, inp)
+    trained, ref = out or (None, None)
+    v, cache = forward_single_cached(params, spec, inp, trained)
+    v_ref, _ = forward_single_cached(ref_params, spec, cache[0], ref)
     res, ref_res = u - v, u - v_ref
     s = row_dot(res, res) - row_dot(ref_res, ref_res)
     return s[0::2] - s[1::2], res, cache
@@ -126,40 +136,46 @@ def pnapo_value_grad(
     pairs: PreferenceDataset,
     t: np.ndarray | float,
     beta_eff: np.ndarray,
+    out: tuple | None = None,
 ) -> tuple[np.ndarray, ParamVector, np.ndarray]:
     """Per-pair losses, the parameter gradient of their sum, and per-pair margins.
 
     Each pair's loss is softplus(z), z = beta_eff * (s_winner - s_loser), both
     scores taken on the pair's stored noises; at the reference point
     (params == ref_params) both scores vanish and every loss is log 2. The
-    margin is -z. t broadcasts to (B, 2) as in _score_gaps.
+    margin is -z. t broadcasts to (B, 2) and out is set up as in _score_gaps;
+    with out, the gradient is the trained workspace's buffer.
     """
-    gaps, res, cache = _score_gaps(params, ref_params, spec, pairs, t)
+    gaps, res, cache = _score_gaps(params, ref_params, spec, pairs, t, out)
     z = beta_eff * gaps
     coef = sigmoid(z) * beta_eff  # d softplus(z) / d(s_w - s_l)
     # each row's cotangent, rows in _score_gaps order: winner -2 * coef * res, loser +2 * coef * res
     dy = np.stack([-2.0 * coef, 2.0 * coef], axis=1).reshape(-1, 1) * res
-    return softplus(z), vjp_single(params, spec, cache, dy), -z
+    return softplus(z), vjp_single(params, spec, cache, dy, out and out[0]), -z
 
 
 def make_pnapo_term(
     ref_params: ParamVector,
     spec: MlpSpec,
     sched: BetaSchedule,
-    step_index: int,
+    dataset: PreferenceDataset,
     rng: np.random.Generator,
+    out: tuple | None = None,
 ) -> Callable:
-    """The batch loss functional for the shared trainer at one step.
+    """The batch loss functional for the shared trainer, set up once per run on dataset.
 
-    Its only draw is one time per pair (the order is in training.run_alignment);
-    everything else comes from the pairs.
+    term(params, idx, step_index) scores the records dataset.take(idx). Its
+    only draw is one time per pair (the order is in training.run_alignment);
+    everything else comes from the pairs, and the gates f(delta_r), computed
+    here once, elementwise. out is as in _score_gaps on len(idx) pairs.
     """
+    gate = f_controller(dataset.delta_r)
 
-    def term(params: ParamVector, pairs: PreferenceDataset):
+    def term(params: ParamVector, idx: np.ndarray, step_index: int):
+        pairs = dataset.take(idx)
         t = rng.random((len(pairs), 1))
-        beta_eff = effective_beta(sched, pairs.delta_r, step_index)
-        losses, grad, margins = pnapo_value_grad(params, ref_params, spec, pairs, t, beta_eff)
+        beta_eff = gated_beta(sched, gate[idx], step_index)
+        losses, grad, margins = pnapo_value_grad(params, ref_params, spec, pairs, t, beta_eff, out)
         return losses, grad, margins, beta_eff
 
     return term
-

@@ -6,8 +6,9 @@ that path and its time rule and builds every training row on it.
 
 The sampler integrates that field back from noise with fixed Euler steps
 (Liu et al., arXiv 2209.03003). It is the hot path of gen-pairs, eval and
-the replay audit, so each call sets up one tile workspace and its steps run
-numerics.forward_tiles in it, allocating nothing per layer.
+the replay audit, so each call sets up one numerics.Workspace and its steps
+run numerics.forward_tiles in it, allocating nothing per layer. Pretraining
+likewise evaluates one cfm_objective per run on one untiled Workspace.
 """
 from __future__ import annotations
 
@@ -22,9 +23,8 @@ from .numerics import (
     MlpSpec,
     ParamVector,
     forward_batch_cached,
+    Workspace,
     forward_tiles,
-    tile_workspace,
-    unpack_params,
     vjp_batch,
 )
 
@@ -62,20 +62,24 @@ def path_inputs(
 
 
 def cfm_objective(
-    spec: MlpSpec, x0: np.ndarray, xT: np.ndarray, cond: np.ndarray, t: np.ndarray
+    spec: MlpSpec, x0: np.ndarray, xT: np.ndarray, cond: np.ndarray, t: np.ndarray,
+    out: Workspace | None = None,
 ) -> FunctionLoss:
     """The matching loss on the path_inputs rows, as a differentiable objective of the parameters.
 
     loss = mean_i || v(x_t_i, t_i, c_i) - (xT_i - x0_i) ||^2
+
+    Each evaluation reads the four arrays afresh, so pretraining builds one
+    objective per run on arrays it refills every step, with `out` the run's
+    untiled Workspace; its gradient is then that buffer.
     """
-    inputs, target = path_inputs(spec, x0, xT, cond, t)
-    b = inputs.shape[0]
 
     def value_and_grad(params: ParamVector) -> tuple[float, ParamVector]:
-        v, cache = forward_batch_cached(params, spec, inputs)
+        inputs, target = path_inputs(spec, x0, xT, cond, t)
+        v, cache = forward_batch_cached(params, spec, inputs, out)
         residual = v - target
         loss = float(np.mean(np.sum(residual * residual, axis=1)))
-        grad = vjp_batch(params, spec, cache, (2.0 / b) * residual)
+        grad = vjp_batch(params, spec, cache, (2.0 / inputs.shape[0]) * residual, out)
         return loss, grad
 
     return FunctionLoss(value_and_grad)
@@ -100,7 +104,7 @@ def euler_sample(
         and cond[i]: it is bit-identical to sampling that row alone, so the
         output never depends on batch size or on how a set of rows is split.
 
-    The rows run through forward_tiles in one tile_workspace set up per
+    The rows run through forward_tiles in one tiled Workspace set up per
     call, whose condition columns are written once. A step writes t into
     the input and x - dt * v into its state columns in place, so each input
     row holds what forward_single_cached would pad it to.
@@ -113,21 +117,20 @@ def euler_sample(
         raise ShapeError(f"noise batch has shape {xT.shape}, expected (B, {spec.data_dim})")
     if cond.shape != (xT.shape[0], spec.cond_dim):
         raise ShapeError(f"condition has shape {cond.shape}, expected ({xT.shape[0]}, {spec.cond_dim})")
-    weights, biases = unpack_params(params, spec)
-    rows, d = xT.shape
-    inp, outs = tile_workspace(weights, rows)
-    x = inp[:rows, :d]
+    ws = Workspace(params, spec, xT.shape[0], True)
+    d = spec.data_dim
+    x = ws.inp[:, :d]
     x[...] = xT
-    inp[:rows, d:-1] = cond
-    t = inp[:rows, -1]
+    ws.inp[:, d:-1] = cond
+    t = ws.inp[:, -1]
     dt = 1.0 / steps
     # a diverging field overflows before the check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(steps):
             t[...] = 1.0 - i * dt
-            v = forward_tiles(weights, biases, inp, outs).reshape(-1, d)[:rows]
-            v *= dt
-            x -= v
+            forward_tiles(ws.weights, ws.biases, ws.padded, ws.outs)
+            ws.y *= dt
+            x -= ws.y
             if not np.all(np.isfinite(x)):
                 raise NumericError(f"sampler diverged at step {i + 1} of {steps}")
     return x.copy()
@@ -158,6 +161,8 @@ class ConditionalMixture:
             )
         if self.std <= 0 or not math.isfinite(self.std):
             raise ShapeError(f"mixture std must be positive, got {self.std}")
+        # row of each condition's first center; not a field, so set once here
+        object.__setattr__(self, "_first", np.cumsum(self.counts) - self.counts)
 
     @property
     def n_conditions(self) -> int:
@@ -178,8 +183,7 @@ class ConditionalMixture:
         ks = np.asarray(ks, dtype=np.int64)
         picks = rng.integers(self.counts[ks])
         noise = rng.standard_normal((ks.shape[0], self.dim))
-        first = np.cumsum(self.counts) - self.counts
-        return self.centers[first[ks] + picks] + self.std * noise
+        return self.centers[self._first[ks] + picks] + self.std * noise
 
 
 def default_mixture(dim: int, n_conditions: int, std: float) -> ConditionalMixture:

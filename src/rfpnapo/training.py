@@ -1,8 +1,12 @@
 """The one trainer loop pretraining and every method share: steps, Adam, metrics rows.
 
-Each trainer hands _fit only its step. Preference methods differ only in the
-batch loss functional they hand to step_with_terms; an align step is one call
-of that functional on the whole batch.
+Each trainer hands _fit only its step, and sets up once per run what stays
+fixed: the parameters' layer views and the step's buffers (a
+numerics.Workspace), the objective or batch term, and pnapo's reward-gap
+gates. A step then draws its batch, does its arithmetic and returns a
+gradient that lives in the run's buffer until the Adam update has read it.
+Preference methods differ only in the batch term they hand to
+step_with_terms; an align step is one call of that term on the whole batch.
 """
 from __future__ import annotations
 
@@ -13,7 +17,7 @@ import numpy as np
 
 from .baselines import make_dpo_term, make_sft_term
 from .errors import ConfigurationError, NumericError
-from .numerics import MlpSpec, ParamVector, adam_step, mlp_init, optim_init
+from .numerics import MlpSpec, ParamVector, Workspace, adam_step, mlp_init, optim_init
 from .pnapo import BetaSchedule, make_pnapo_term
 from .prefdata import PreferenceDataset
 from .rectflow import ConditionalMixture, cfm_objective
@@ -41,14 +45,15 @@ def _fit(params: ParamVector, steps: int, lr: float, step: Callable) -> list[dic
 
 
 def step_with_terms(
-    params: ParamVector, batch: PreferenceDataset, term: Callable
+    params: ParamVector, idx: np.ndarray, step_index: int, term: Callable
 ) -> tuple[float, ParamVector, dict]:
     """The mean loss, gradient, margin and beta_eff of a batch of B pairs.
 
-    term(params, batch) gives the per-pair losses (B,), the gradient of their
-    sum (divided here in place), the margins (B,) and the beta_eff (B,).
+    term(params, idx, step_index) gives the per-pair losses (B,) of the
+    records idx, the gradient of their sum (divided here in place), the
+    margins (B,) and the beta_eff (B,).
     """
-    losses, grad, margins, betas = term(params, batch)
+    losses, grad, margins, betas = term(params, idx, step_index)
     grad /= len(losses)
     extra = {"margin_mean": float(np.mean(margins)), "beta_eff_mean": float(np.mean(betas))}
     return float(np.mean(losses)), grad, extra
@@ -91,18 +96,19 @@ def run_alignment(
     if n == 0:
         raise ConfigurationError("alignment needs at least one preference record")
     rng = np.random.default_rng(seed)
+    b = min(batch, n)
+    params = np.array(ref_params, dtype=np.float64, copy=True)
+    if method == "sft":
+        term = make_sft_term(spec, dataset, rng, Workspace(params, spec, b, True))
+    else:
+        trained = Workspace(params, spec, 2 * b, True)
+        out = trained, Workspace(ref_params, spec, 2 * b, True, share=trained)
+        term = (make_pnapo_term(ref_params, spec, schedule, dataset, rng, out) if method == "pnapo"
+                else make_dpo_term(ref_params, spec, schedule.beta, dataset, rng, out))
 
     def step(params: ParamVector, step_index: int):
-        pairs = dataset.take(rng.choice(n, size=min(batch, n), replace=False))
-        if method == "pnapo":
-            term = make_pnapo_term(ref_params, spec, schedule, step_index, rng)
-        elif method == "dpo":
-            term = make_dpo_term(ref_params, spec, schedule.beta, rng)
-        else:  # sft
-            term = make_sft_term(spec, rng)
-        return step_with_terms(params, pairs, term)
+        return step_with_terms(params, rng.choice(n, size=b, replace=False), step_index, term)
 
-    params = np.array(ref_params, dtype=np.float64, copy=True)
     return params, _fit(params, steps, lr, step)
 
 
@@ -129,14 +135,18 @@ def run_pretrain(
         )
     rng = np.random.default_rng(seed + 1)
     eye = np.eye(spec.cond_dim)
+    params = mlp_init(spec, seed)
+    x0, xT = np.empty((batch, spec.data_dim)), np.empty((batch, spec.data_dim))
+    cond, t = np.empty((batch, spec.cond_dim)), np.empty(batch)
+    objective = cfm_objective(spec, x0, xT, cond, t, Workspace(params, spec, batch, False))
 
     def step(params: ParamVector, step_index: int):
         ks = rng.integers(spec.cond_dim, size=batch)
-        x0 = mixture.sample_batch(rng, ks)
-        xT = rng.standard_normal((batch, spec.data_dim))
-        t = rng.random(batch)
-        loss, grad = cfm_objective(spec, x0, xT, eye[ks], t).value_and_grad(params)
+        x0[...] = mixture.sample_batch(rng, ks)
+        rng.standard_normal(out=xT)
+        rng.random(out=t)
+        np.take(eye, ks, axis=0, out=cond)
+        loss, grad = objective.value_and_grad(params)
         return loss, grad, {}
 
-    params = mlp_init(spec, seed)
     return params, _fit(params, steps, lr, step)

@@ -96,14 +96,14 @@ def test_sft_loss_is_flow_matching_on_winners(small_spec, small_params):
 def test_sft_term_uses_winner_only(small_spec, small_params):
     rng = np.random.default_rng(49)
     pairs = make_pairs(rng, small_spec, 3)
-    term = make_sft_term(small_spec, np.random.default_rng(7))
-    loss1, grad1, margins1, betas1 = term(small_params, pairs)
+    term = make_sft_term(small_spec, pairs, np.random.default_rng(7))
+    loss1, grad1, margins1, betas1 = term(small_params, np.arange(3), 1)
     # corrupting loser fields must not change anything under the same draws
     corrupted = dataclasses.replace(pairs, x0=pairs.x0.copy(), xT=pairs.xT.copy())
     corrupted.x0[:, 1] = rng.standard_normal((3, small_spec.data_dim)) * 50
     corrupted.xT[:, 1] = rng.standard_normal((3, small_spec.data_dim)) * 50
-    term2 = make_sft_term(small_spec, np.random.default_rng(7))
-    loss2, grad2, margins2, betas2 = term2(small_params, corrupted)
+    term2 = make_sft_term(small_spec, corrupted, np.random.default_rng(7))
+    loss2, grad2, margins2, betas2 = term2(small_params, np.arange(3), 1)
     assert np.array_equal(loss1, loss2)
     assert np.array_equal(grad1, grad2)
     assert np.all(margins1 == 0.0) and np.all(betas1 == 0.0)

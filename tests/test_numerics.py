@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from rfpnapo.numerics import (
     FORWARD_TILE,
     FunctionLoss,
     MlpSpec,
+    Workspace,
     adam_step,
     finite_diff_check,
     forward_batch_cached,
@@ -53,6 +55,35 @@ def test_init_deterministic_and_glorot_bounded():
         assert np.any(w != 0.0)
     for b_vec in biases:
         assert np.all(b_vec == 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data_dim=st.integers(1, 300), cond_dim=st.integers(1, 300),
+       hidden=st.lists(st.integers(1, 300), max_size=3))
+def test_layer_table_is_the_layout_of_the_three_fields(data_dim, cond_dim, hidden):
+    # MlpSpec sets its layer table once; what it answers must stay what the
+    # three fields define
+    spec = MlpSpec(data_dim, cond_dim, tuple(hidden))
+    widths = [data_dim + cond_dim + 1, *hidden, data_dim]
+    shapes = [(widths[i + 1], widths[i]) for i in range(len(widths) - 1)]
+    # a list: read_checkpoint compares the table with one, and a tuple would refuse every file
+    assert type(spec.layer_shapes()) is list and spec.layer_shapes() == shapes
+    spec.layer_shapes().append((1, 1))  # a caller's copy, not the table
+    assert spec.layer_shapes() == shapes
+    n = sum(r * c + r for r, c in shapes)
+    assert spec.param_count() == n
+    params = np.arange(n, dtype=np.float64)
+    weights, biases = unpack_params(params, spec)
+    # weights then biases, each layer's run next, together covering the vector once
+    assert [w.shape for w in weights] == shapes and [b.shape for b in biases] == [(r,) for r, _ in shapes]
+    assert np.concatenate([w.ravel() for w in weights] + biases).tobytes() == params.tobytes()
+    assert all(np.shares_memory(v, params) for v in weights + biases)
+    # equality, hash and repr are the fields': perfbench caches per spec by hash
+    twin = MlpSpec(data_dim, cond_dim, tuple(hidden))
+    assert [f.name for f in dataclasses.fields(spec)] == ["data_dim", "cond_dim", "hidden"]
+    assert spec == twin and hash(spec) == hash(twin) == hash((data_dim, cond_dim, tuple(hidden)))
+    assert spec != MlpSpec(data_dim, cond_dim, (*hidden, 1))
+    assert repr(spec) == f"MlpSpec(data_dim={data_dim}, cond_dim={cond_dim}, hidden={tuple(hidden)!r})"
 
 
 LAYOUT_SPECS = [
@@ -357,6 +388,25 @@ def test_adam_converges_on_quadratic():
     assert np.linalg.norm(params) < 1e-3
 
 
+def test_adam_two_steps_match_pinned_bits():
+    # the expected bits are written out, not derived from ADAM_BETA1, ADAM_BETA2
+    # or ADAM_EPS: a changed constant fails here on any machine. Two entries of
+    # each gradient are near eps in size, so eps moves their update; the second
+    # gradient differs from the first, so beta2 moves the second moment
+    state = optim_init(3, 1e-3)
+    params = np.array([0.5, -1.25, 2.0])
+    for grad in ([1e-8, -3e-9, 0.5], [2e-8, 4e-9, -0.25]):
+        adam_step(state, params, np.array(grad))
+    assert state.step_count == 2
+    expected = {
+        "params": ["0x1.fee1ed722abbbp-2", "-0x1.3ff43064ed557p+0", "0x1.ffad0263f19c1p+0"],
+        "first_moment": ["0x1.8e92add6b83f0p-29", "0x1.1ddf7e732a1b8p-33", "0x1.47ae147ae147ap-6"],
+        "second_moment": ["0x1.2716c08d1c2f6p-61", "0x1.d8110f8593700p-66", "0x1.476af89c5e705p-12"],
+    }
+    got = {"params": params, "first_moment": state.first_moment, "second_moment": state.second_moment}
+    assert {k: [float(x).hex() for x in v] for k, v in got.items()} == expected
+
+
 def _adam_step_reference(state, params, grad):
     """The Adam step as one expression with temporaries: the reference for adam_step."""
     t = state.step_count + 1
@@ -543,3 +593,28 @@ def test_spec_validation():
     # no hidden layers is legal: a purely linear field
     linear = MlpSpec(data_dim=2, cond_dim=2, hidden=())
     assert linear.layer_shapes() == [(2, 5)]
+
+
+@pytest.mark.parametrize("tiled", [True, False])
+def test_workspace_kernels_give_the_fresh_bits_in_their_buffers(small_spec, small_params, tiled):
+    # a run's workspace changes where the kernels write, never what: outputs,
+    # cache and gradient carry the bits of a call without one, and a second
+    # call writes over the first
+    rng = np.random.default_rng(31)
+    forward, vjp = (forward_single_cached, vjp_single) if tiled else (forward_batch_cached, vjp_batch)
+    params = small_params.copy()
+    ws = Workspace(params, small_spec, 5, tiled)
+    for _ in range(2):
+        inp, dy = rng.standard_normal((5, small_spec.input_dim)), rng.standard_normal((5, small_spec.data_dim))
+        y, cache = forward(params, small_spec, inp)
+        grad = vjp(params, small_spec, cache, dy)
+        y_ws, cache_ws = forward(params, small_spec, inp, ws)
+        grad_ws = vjp(params, small_spec, cache_ws, dy, ws)
+        assert y_ws.tobytes() == y.tobytes() and grad_ws.tobytes() == grad.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(cache_ws, cache))
+        assert y_ws is ws.y and grad_ws is ws.grad_buffer[0]
+        params += 0.01  # as adam_step does: in place, so the workspace's views follow
+    with pytest.raises(ShapeError, match="another parameter vector"):
+        forward(params.copy(), small_spec, inp, ws)
+    with pytest.raises(ShapeError, match="another parameter vector"):
+        forward(params, small_spec, inp[:4], ws)

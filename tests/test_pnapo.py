@@ -178,10 +178,10 @@ def test_separate_branch_times_supported(small_spec, small_params):
 
 def _align_step(params, ref, spec, pairs, sched, step_index, seed, lr):
     """One step as run_alignment's loop takes it: the batch's mean loss and gradient, then Adam."""
-    term = make_pnapo_term(ref, spec, sched, step_index, np.random.default_rng(seed))
+    term = make_pnapo_term(ref, spec, sched, pairs, np.random.default_rng(seed))
     params = np.array(params)
     optim = optim_init(params.size, lr)
-    loss, grad, extra = step_with_terms(params, pairs, term)
+    loss, grad, extra = step_with_terms(params, np.arange(len(pairs)), step_index, term)
     adam_step(optim, params, grad)
     return params, optim, loss, grad, extra
 
@@ -208,8 +208,8 @@ def test_align_step_metrics_shape(small_spec, small_params):
     )
     assert set(extra) == {"margin_mean", "beta_eff_mean"}
     assert isinstance(loss, float)
-    losses, grad_sum, _, _ = make_pnapo_term(small_params, small_spec, sched, 3, np.random.default_rng(5))(
-        small_params, pairs
+    losses, grad_sum, _, _ = make_pnapo_term(small_params, small_spec, sched, pairs, np.random.default_rng(5))(
+        small_params, np.arange(len(pairs)), 3
     )
     assert loss == float(np.mean(losses))
     assert grad.tobytes() == (grad_sum / len(pairs)).tobytes()

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import make_pairs, pair_batches, vjp_row
 from rfpnapo.errors import ConfigurationError, NumericError
+from rfpnapo import numerics, pnapo
 from rfpnapo.numerics import (
     MlpSpec,
     adam_step,
@@ -17,10 +18,11 @@ from rfpnapo.numerics import (
     optim_init,
     sigmoid,
     softplus,
+    vjp_batch,
 )
 from rfpnapo import training
-from rfpnapo.baselines import make_dpo_term, make_sft_term
-from rfpnapo.pnapo import BetaSchedule, effective_beta, make_pnapo_term
+from rfpnapo.baselines import make_dpo_term, make_sft_term, sft_value_grad
+from rfpnapo.pnapo import BetaSchedule, effective_beta, make_pnapo_term, pnapo_value_grad
 from rfpnapo.rectflow import cfm_objective, default_mixture
 from rfpnapo.training import METHODS, run_alignment, run_pretrain
 
@@ -79,6 +81,60 @@ def test_pretrain_divergence_is_a_numeric_error():
     spec = MlpSpec(data_dim=2, cond_dim=2, hidden=(8, 8))
     with pytest.raises(NumericError, match=r"^non-finite loss or gradient at step 2$"):
         run_pretrain(spec, default_mixture(2, 2, 0.4), steps=40, batch=8, lr=1e300, seed=9)
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls; returns the one-item count list."""
+    calls, original = [0], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_run_state_is_set_up_once_per_run(small_spec, small_params, monkeypatch):
+    # the layer views and buffers of a run are set up before its first step,
+    # so the step count does not move the number of layout unpacks; pnapo's
+    # reward-gap gate is computed once for the whole dataset
+    unpacks = _counting(monkeypatch, numerics, "unpack_params")
+    counts = []
+    for steps in (5, 50):
+        unpacks[0] = 0
+        run_pretrain(small_spec, default_mixture(2, 3, 0.4), steps=steps, batch=8, lr=1e-3, seed=3)
+        counts.append(unpacks[0])
+    assert counts[0] == counts[1] > 0
+    gates = _counting(monkeypatch, pnapo, "f_controller")
+    sched = BetaSchedule(beta=3.0, n1=2, n2=4, dynamic=True)
+    run_alignment(small_params, small_spec, _records(small_spec, 6), "pnapo", sched, 6, 4, 1e-3, 0)
+    assert gates[0] == 1
+
+
+def test_kernels_without_a_workspace_return_fresh_gradients(small_spec, small_params):
+    # verify and estimator_variance keep results across calls: a call without
+    # a workspace must not hand back, or write into, an earlier call's arrays
+    rng = np.random.default_rng(71)
+    pairs = _records(small_spec, 3)
+    ref = mlp_init(small_spec, 72)
+    xT, t = rng.standard_normal((3, small_spec.data_dim)), 0.9 * rng.random(3)
+    objective = cfm_objective(small_spec, pairs.x0[:, 0], xT, pairs.cond, t)
+    inp = rng.standard_normal((3, small_spec.input_dim))
+    _, cache = forward_single_cached(small_params, small_spec, inp)
+    dy = rng.standard_normal((3, small_spec.data_dim))
+    calls = {
+        "pnapo_value_grad": lambda: pnapo_value_grad(small_params, ref, small_spec, pairs, 0.3, np.ones(3))[1],
+        "sft_value_grad": lambda: sft_value_grad(small_params, small_spec, pairs, xT, t)[1],
+        "cfm_objective": lambda: objective.value_and_grad(small_params)[1],
+        "vjp_batch": lambda: vjp_batch(small_params, small_spec, cache, dy),
+    }
+    for name, call in calls.items():
+        first = call()
+        kept = first.copy()
+        second = call()
+        assert not np.shares_memory(first, second), name
+        assert first.tobytes() == kept.tobytes() == second.tobytes(), name
 
 
 def _records(spec, n, seed=70):
@@ -228,13 +284,13 @@ def _record_terms(params, ref, spec, pairs, idx, method, sched, step_index, rng)
     return out
 
 
-def _batch_term(ref, spec, method, sched, step_index, rng):
-    """The term run_alignment builds for the method at step_index."""
+def _batch_term(ref, spec, method, sched, pairs, rng):
+    """The term run_alignment builds for the method, once per run on the records pairs."""
     if method == "pnapo":
-        return make_pnapo_term(ref, spec, sched, step_index, rng)
+        return make_pnapo_term(ref, spec, sched, pairs, rng)
     if method == "dpo":
-        return make_dpo_term(ref, spec, sched.beta, rng)
-    return make_sft_term(spec, rng)
+        return make_dpo_term(ref, spec, sched.beta, pairs, rng)
+    return make_sft_term(spec, pairs, rng)
 
 
 @pytest.mark.kernel_invariance
@@ -255,8 +311,8 @@ def test_batch_step_matches_the_per_record_loop(method, case, extra_batch, seed,
     batch = max(1, len(pairs) + extra_batch)
     idx = rng.choice(len(pairs), size=min(batch, len(pairs)), replace=False)
     batch_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    losses, grad, margins, betas = _batch_term(ref, spec, method, sched, step_index, batch_rng)(
-        params, pairs.take(idx)
+    losses, grad, margins, betas = _batch_term(ref, spec, method, sched, pairs, batch_rng)(
+        params, idx, step_index
     )
     expected = _record_terms(params, ref, spec, pairs, idx, method, sched, step_index, loop_rng)
     expected_losses, grads, expected_margins, expected_betas = zip(*expected)
